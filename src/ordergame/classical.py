@@ -16,26 +16,16 @@ from .game import Perm3, ScenarioResult, all_orders, optimal_decoder
 
 @dataclass(frozen=True)
 class BitStrategy:
-    """A party's deterministic bit map, given by its outputs on 0 and 1."""
+    """A party's deterministic bit map, given by its outputs on 0 and 1.
+
+    The same type serves both searches: under :func:`run_losr` the party
+    also records the bit it received.
+    """
 
     on_zero: int
     on_one: int
 
     def __call__(self, x: int) -> int:
-        return self.on_one if x else self.on_zero
-
-    def describe(self) -> str:
-        return f"({self.on_zero},{self.on_one})"
-
-
-@dataclass(frozen=True)
-class MemoryBitStrategy:
-    """Like BitStrategy, but the received bit is always recorded locally."""
-
-    on_zero: int
-    on_one: int
-
-    def forward(self, x: int) -> int:
         return self.on_one if x else self.on_zero
 
     def describe(self) -> str:
@@ -57,10 +47,6 @@ class OutcomeTuple:
 
 def all_bit_strategies() -> list[BitStrategy]:
     return [BitStrategy(z, o) for z in (0, 1) for o in (0, 1)]
-
-
-def all_memory_strategies() -> list[MemoryBitStrategy]:
-    return [MemoryBitStrategy(z, o) for z in (0, 1) for o in (0, 1)]
 
 
 def run_memoryless(pi: Perm3, a: BitStrategy, b: BitStrategy, c: BitStrategy, input_bit: int) -> int:
@@ -99,9 +85,9 @@ def search_memoryless() -> ScenarioResult:
 
 def run_losr(
     pi: Perm3,
-    a: MemoryBitStrategy,
-    b: MemoryBitStrategy,
-    c: MemoryBitStrategy,
+    a: BitStrategy,
+    b: BitStrategy,
+    c: BitStrategy,
     input_bit: int,
 ) -> OutcomeTuple:
     maps = {"A": a, "B": b, "C": c}
@@ -109,7 +95,7 @@ def run_losr(
     state = input_bit
     for party in pi.order:
         records[party] = state
-        state = maps[party].forward(state)
+        state = maps[party](state)
     return OutcomeTuple(state, records["A"], records["B"], records["C"])
 
 
@@ -123,14 +109,14 @@ def _losr_distinct(a, b, c, input_bit) -> int:
 def search_losr() -> ScenarioResult:
     """All 4^3 memory triples on input 0; input 1 is re-run as a cross-check."""
     best = None
-    for a, b, c in itertools.product(all_memory_strategies(), repeat=3):
+    for a, b, c in itertools.product(all_bit_strategies(), repeat=3):
         count = _losr_distinct(a, b, c, 0)
         if best is None or count > best[0]:
             best = (count, (a, b, c))
     count, (a, b, c) = best
     best_input1 = max(
         _losr_distinct(*triple, 1)
-        for triple in itertools.product(all_memory_strategies(), repeat=3)
+        for triple in itertools.product(all_bit_strategies(), repeat=3)
     )
     outputs = {pi: run_losr(pi, a, b, c, 0) for pi in all_orders()}
     tuples = {pi: t.as_tuple() for pi, t in outputs.items()}
@@ -154,11 +140,11 @@ def search_losr() -> ScenarioResult:
 def losr_histogram() -> dict[int, int]:
     """How many of the 64 memory triples reach each distinct-tuple count."""
     hist = {k: 0 for k in range(1, 7)}
-    for a, b, c in itertools.product(all_memory_strategies(), repeat=3):
+    for a, b, c in itertools.product(all_bit_strategies(), repeat=3):
         hist[_losr_distinct(a, b, c, 0)] += 1
     return hist
 
 
-def losr_canonical_witness() -> tuple[MemoryBitStrategy, MemoryBitStrategy, MemoryBitStrategy]:
+def losr_canonical_witness() -> tuple[BitStrategy, BitStrategy, BitStrategy]:
     """The canonical optimum: a forwards 0 always, b and c forward 1 always."""
-    return (MemoryBitStrategy(0, 0), MemoryBitStrategy(1, 1), MemoryBitStrategy(1, 1))
+    return (BitStrategy(0, 0), BitStrategy(1, 1), BitStrategy(1, 1))

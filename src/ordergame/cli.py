@@ -10,6 +10,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from typing import Callable
 
 from . import __version__
 from .classical import search_losr, search_memoryless
@@ -19,6 +20,7 @@ from .quantum import (
     perfect_discrimination_state,
     quantum_memoryless_optimum,
     routing_matrix,
+    routing_pair_products,
     sampled_discrimination_values,
     unbiased_order_states,
     verify_perfect_discrimination,
@@ -26,31 +28,8 @@ from .quantum import (
 from .solver import SolveSettings, SolverFailed, dump_tableau, solve_shared_state_feasibility
 from .tensor import operator_jsonable
 
-SCENARIOS = (
-    "two-party",
-    "trit",
-    "classical-memoryless",
-    "losr",
-    "nonsignaling",
-    "quantum-memoryless",
-    "lose-verify",
-    "lose-sdp",
-)
-
-#: Probabilities the scenarios are expected to reproduce (used by --check).
-EXPECTED = {
-    "two-party": Fraction(1),
-    "trit": Fraction(1),
-    "classical-memoryless": Fraction(1, 3),
-    "losr": Fraction(5, 6),
-    "nonsignaling": Fraction(5, 6),
-    "quantum-memoryless": Fraction(1, 3),
-    "lose-verify": Fraction(1),
-    "lose-sdp": Fraction(1),
-}
-
-#: Scenarios whose probability must be an exact rational, not a solver float.
-EXACT_SCENARIOS = {"two-party", "trit", "classical-memoryless", "losr", "lose-verify"}
+#: ``--check`` slack for solver scenarios; independent of ``--tolerance``.
+CHECK_SLACK = 1e-6
 
 
 @dataclass
@@ -68,6 +47,8 @@ class RunConfig:
             raise ValueError("tolerance must be positive")
         if self.max_iters <= 0:
             raise ValueError("max_iters must be positive")
+        if self.scenario != "all" and self.scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario: {self.scenario}")
 
     def solver_settings(self) -> SolveSettings:
         return SolveSettings(tolerance=self.tolerance, max_iters=self.max_iters)
@@ -83,44 +64,67 @@ class Report:
     files_written: list[str] = field(default_factory=list)
 
 
-def _run_scenario(name: str, config: RunConfig) -> ScenarioResult:
-    settings = config.solver_settings()
-    if name == "two-party":
-        return two_party_game()
-    if name == "trit":
-        return trit_game()
-    if name == "classical-memoryless":
-        return search_memoryless()
-    if name == "losr":
-        return search_losr()
-    if name == "nonsignaling":
-        return solve_nonsignaling(settings)
-    if name == "quantum-memoryless":
-        result = quantum_memoryless_optimum(unbiased_order_states(), settings)
-        scan = sampled_discrimination_values(n_samples=100, seed=config.seed)
-        result.certificate["sampled_check"] = {
-            "samples": 100,
-            "seed": config.seed,
-            "max_value": scan.max_value,
-        }
-        return result
-    if name == "lose-verify":
-        return verify_perfect_discrimination(perfect_discrimination_state())
-    if name == "lose-sdp":
-        pair_ops = {
-            (pp.name, p.name): routing_matrix(pp).op.to_float().data.conj().T
-            @ routing_matrix(p).op.to_float().data
-            for pp in all_orders()
-            for p in all_orders()
-            if pp != p
-        }
-        state, solver_report = solve_shared_state_feasibility(pair_ops, settings)
-        result = verify_perfect_discrimination(
-            state, atol=max(config.tolerance, 1e-8), scenario="lose-sdp"
-        )
-        result.certificate["solver"] = solver_report.jsonable()
-        return result
-    raise ValueError(f"unknown scenario: {name}")
+def _quantum_memoryless(config: RunConfig) -> ScenarioResult:
+    result = quantum_memoryless_optimum(unbiased_order_states(), config.solver_settings())
+    scan = sampled_discrimination_values(n_samples=100, seed=config.seed)
+    result.certificate["sampled_check"] = {
+        "samples": 100,
+        "seed": config.seed,
+        "max_value": scan.max_value,
+    }
+    return result
+
+
+def _lose_sdp(config: RunConfig) -> ScenarioResult:
+    pair_ops = {
+        (pp.name, p.name): op.to_float().data
+        for (pp, p), op in routing_pair_products().items()
+    }
+    state, solver_report = solve_shared_state_feasibility(pair_ops, config.solver_settings())
+    result = verify_perfect_discrimination(
+        state, atol=max(config.tolerance, 1e-8), scenario="lose-sdp"
+    )
+    result.certificate["solver"] = solver_report.jsonable()
+    return result
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """How to run one scenario, and what ``--check`` and the text report expect."""
+
+    run: Callable[[RunConfig], ScenarioResult]
+    expected: Fraction
+    #: compared as an exact rational, not as a solver float within CHECK_SLACK
+    exact: bool
+    #: label in the text report's headline line, or None to leave it out
+    headline: str | None = None
+
+
+#: Every scenario, in headline order.
+SCENARIOS: dict[str, Scenario] = {
+    "two-party": Scenario(lambda _: two_party_game(), Fraction(1), True),
+    "trit": Scenario(lambda _: trit_game(), Fraction(1), True),
+    "classical-memoryless": Scenario(
+        lambda _: search_memoryless(), Fraction(1, 3), True, "classical memoryless"
+    ),
+    "losr": Scenario(lambda _: search_losr(), Fraction(5, 6), True, "shared randomness"),
+    "nonsignaling": Scenario(
+        lambda config: solve_nonsignaling(config.solver_settings()),
+        Fraction(5, 6),
+        False,
+        "non-signaling",
+    ),
+    "quantum-memoryless": Scenario(
+        _quantum_memoryless, Fraction(1, 3), False, "quantum memoryless"
+    ),
+    "lose-verify": Scenario(
+        lambda _: verify_perfect_discrimination(perfect_discrimination_state()),
+        Fraction(1),
+        True,
+        "shared entanglement",
+    ),
+    "lose-sdp": Scenario(_lose_sdp, Fraction(1), False),
+}
 
 
 def run(config: RunConfig) -> Report:
@@ -129,8 +133,7 @@ def run(config: RunConfig) -> Report:
     for name in sorted(names):
         start = time.perf_counter()
         try:
-            result = _run_scenario(name, config)
-            report.results.append(result)
+            report.results.append(SCENARIOS[name].run(config))
         except SolverFailed as exc:
             report.failures[name] = str(exc)
         report.wall_time_ms[name] = (time.perf_counter() - start) * 1000.0
@@ -153,21 +156,20 @@ def _dump_matrices() -> list[str]:
     return ["matrices.json", "nonsignaling.tableau"]
 
 
-def check_report(report: Report, tolerance: float) -> list[str]:
+def check_report(report: Report) -> list[str]:
     """Compare each result against its built-in expected value."""
     problems = list(report.failures)
-    slack = max(tolerance, 1e-6)
     for result in report.results:
-        expected = EXPECTED[result.scenario]
-        if result.scenario in EXACT_SCENARIOS:
+        expected = SCENARIOS[result.scenario].expected
+        if SCENARIOS[result.scenario].exact:
             if result.probability != expected:
                 problems.append(
                     f"{result.scenario}: got {result.probability}, expected {expected}"
                 )
-        elif abs(result.probability_float - float(expected)) > slack:
+        elif abs(result.probability_float - float(expected)) > CHECK_SLACK:
             problems.append(
                 f"{result.scenario}: got {result.probability_float}, expected "
-                f"{float(expected)} within {slack}"
+                f"{float(expected)} within {CHECK_SLACK}"
             )
     return problems
 
@@ -233,16 +235,15 @@ def emit(report: Report, fmt: str) -> str:
     for name, message in report.failures.items():
         lines.append(f"{name:<22}FAILED: {message}")
     if len(report.results) == len(SCENARIOS):
-        headline = {r.scenario: r for r in report.results}
+        by_name = {r.scenario: r for r in report.results}
+        values = []
+        for name, scenario in SCENARIOS.items():
+            if scenario.headline:
+                r = by_name[name]
+                value = r.probability_exact or f"{r.probability_float:.6f}"
+                values.append(f"{scenario.headline} {value}")
         lines.append("")
-        lines.append(
-            "headline probabilities: classical memoryless "
-            f"{headline['classical-memoryless'].probability_exact}, "
-            f"shared randomness {headline['losr'].probability_exact}, "
-            f"non-signaling {headline['nonsignaling'].probability_float:.6f}, "
-            f"quantum memoryless {headline['quantum-memoryless'].probability_float:.6f}, "
-            f"shared entanglement {headline['lose-verify'].probability_exact}"
-        )
+        lines.append("headline probabilities: " + ", ".join(values))
     return "\n".join(lines) + "\n"
 
 
@@ -263,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ordergame",
         description="Optimal strategies for the three-party order-guessing game.",
     )
-    parser.add_argument("--scenario", choices=SCENARIOS + ("all",), default="all")
+    parser.add_argument("--scenario", choices=(*SCENARIOS, "all"), default="all")
     parser.add_argument("--tolerance", type=float, default=1e-8, help="solver tolerance")
     parser.add_argument("--max-iters", type=int, default=200_000, help="solver iteration cap")
     parser.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
@@ -276,8 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--check",
         action="store_true",
-        help="exit nonzero unless every scenario matches its expected value "
-        "(within max(tolerance, 1e-6) for solver scenarios)",
+        help="exit 1 unless every scenario matches its expected value "
+        "(exactly for exact scenarios, within a fixed 1e-6 for solver "
+        "scenarios, whatever --tolerance is)",
     )
     return parser
 
@@ -298,7 +300,7 @@ def main(argv: list[str] | None = None) -> int:
     if report.failures:
         return 2
     if config.check:
-        problems = check_report(report, config.tolerance)
+        problems = check_report(report)
         if problems:
             for problem in problems:
                 sys.stderr.write(f"check failed: {problem}\n")

@@ -18,10 +18,11 @@ from typing import Mapping
 
 import numpy as np
 
-from .classical import MemoryBitStrategy, losr_canonical_witness, run_losr
+from .classical import BitStrategy, losr_canonical_witness, run_losr
 from .game import Perm3, ScenarioResult, all_orders, optimal_decoder
 from .solver import (
     ConicProblem,
+    HermitianPSD,
     NonnegOrthant,
     SolveReport,
     SolveSettings,
@@ -121,13 +122,6 @@ def wiring_diagonal(pi: Perm3) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the classical non-signaling program
 # ---------------------------------------------------------------------------
-
-
-def _bit_index(bits: dict[Space, int]) -> int:
-    v = 0
-    for space, pos in _POS.items():
-        v |= bits.get(space, 0) << (7 - pos)
-    return v
 
 
 def constraint_rows() -> tuple[np.ndarray, np.ndarray]:
@@ -241,9 +235,9 @@ def solution_blocks(report: SolveReport) -> dict[Perm3, np.ndarray]:
 
 
 def strategy_network_blocks(
-    a: MemoryBitStrategy | None = None,
-    b: MemoryBitStrategy | None = None,
-    c: MemoryBitStrategy | None = None,
+    a: BitStrategy | None = None,
+    b: BitStrategy | None = None,
+    c: BitStrategy | None = None,
 ) -> dict[Perm3, np.ndarray]:
     """Deterministic memory strategy as six exact diagonal guess blocks.
 
@@ -268,7 +262,7 @@ def strategy_network_blocks(
             if bits[S_PREP] != 0:
                 continue
             if any(
-                bits[OUT_WIRE[p]] != strategies[p].forward(bits[IN_WIRE[p]])
+                bits[OUT_WIRE[p]] != strategies[p](bits[IN_WIRE[p]])
                 for p in ("A", "B", "C")
             ):
                 continue
@@ -315,63 +309,28 @@ def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
 def solve_nonsignaling_psd_debug(
     tolerance: float = 1e-6, max_iters: int = 150
 ) -> SolveReport:
-    """Run the program with full 256x256 PSD blocks and dephasing equalities.
+    """Run the program over six full 256x256 Hermitian-PSD blocks.
 
-    The affine step zeroes every off-diagonal entry (the dephasing
-    constraint) and projects the diagonals onto the marginal equalities;
-    the cone step eigendecomposes the full Hermitian blocks.  Intended as a
+    The LP's equalities and objective sit on the diagonal coordinates of
+    the blocks; off-diagonal entries are left free.  The iterates stay
+    diagonal because the objective and the equalities only see diagonals,
+    so the cone step's eigendecompositions redo the LP's orthant clipping.
+    The returned solution holds the six diagonals.  Intended as a
     cross-check against the diagonal LP at matching small budgets.
     """
-    rows, rhs = constraint_rows()
-    a_lp = np.zeros((rows.shape[0], _N_BLOCKS * _SIDE))
-    for k in range(_N_BLOCKS):
-        a_lp[:, k * _SIDE : (k + 1) * _SIDE] = rows
-    gram_inv = np.linalg.pinv(a_lp @ a_lp.T, hermitian=True)
-    c_diag = objective_diagonals() / 6.0
-
-    shape = (_N_BLOCKS, _SIDE, _SIDE)
-    x = np.zeros(shape, dtype=complex)
-    z = np.zeros(shape, dtype=complex)
-    u = np.zeros(shape, dtype=complex)
-    shift = np.zeros(shape, dtype=complex)
-    for k in range(_N_BLOCKS):
-        np.fill_diagonal(shift[k], c_diag[k])
-
-    def affine_project(mats: np.ndarray) -> np.ndarray:
-        diag = np.diagonal(mats, axis1=1, axis2=2).real.reshape(-1)
-        resid = a_lp @ diag - rhs
-        diag = diag - a_lp.T @ (gram_inv @ resid)
-        out = np.zeros(shape, dtype=complex)
-        for k in range(_N_BLOCKS):
-            np.fill_diagonal(out[k], diag[k * _SIDE : (k + 1) * _SIDE])
-        return out
-
-    primal = dual = np.inf
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        x = affine_project(z - u + shift)
-        xh = 1.5 * x - 0.5 * z
-        v = xh + u
-        w, vec = np.linalg.eigh(v)
-        np.maximum(w, 0.0, out=w)
-        z_new = (vec * w[:, None, :]) @ vec.conj().transpose(0, 2, 1)
-        u = u + xh - z_new
-        dual = float(np.max(np.abs(z_new - z)))
-        z = z_new
-        z_diag = np.diagonal(z, axis1=1, axis2=2).real.reshape(-1)
-        primal = float(
-            max(np.max(np.abs(x - z)), np.max(np.abs(a_lp @ z_diag - rhs)))
-        )
-        if primal <= tolerance and dual <= tolerance:
-            break
-    z_diag = np.diagonal(z, axis1=1, axis2=2).real.reshape(-1)
-    objective = float(c_diag.reshape(-1) @ z_diag)
-    status = "optimal" if (primal <= tolerance and dual <= tolerance) else "max_iters"
-    return SolveReport(
-        status=status,
-        objective_value=objective,
-        primal_residual=primal,
-        dual_residual=dual,
-        iterations=iters,
-        solution=z_diag,
+    lp = nonsignaling_program()
+    # LP column k * 256 + i -> svec coordinate of entry (i, i) of block k
+    diag = (np.arange(_N_BLOCKS)[:, None] * _SIDE * _SIDE + np.arange(_SIDE)).reshape(-1)
+    objective = np.zeros(_N_BLOCKS * _SIDE * _SIDE)
+    objective[diag] = lp.objective
+    program = ConicProblem(
+        blocks=[HermitianPSD(_SIDE)] * _N_BLOCKS,
+        objective=objective,
+        a_rows=lp.a_rows,
+        a_cols=diag[lp.a_cols],
+        a_vals=lp.a_vals,
+        b=lp.b,
     )
+    report = solve(program, SolveSettings(tolerance=tolerance, max_iters=max_iters))
+    report.solution = report.solution[diag]
+    return report

@@ -22,6 +22,7 @@ from .solver import (
     ConicProblem,
     HermitianPSD,
     SolveSettings,
+    SolverFailed,
     solve,
     solve_same_constraints,
     svec,
@@ -172,12 +173,17 @@ def quantum_memoryless_optimum(
 
     Whatever the states are, the effects sum to the 2x2 identity, so the
     value can never exceed 1/3; that bound is re-checked on the solver
-    output.
+    output.  Raises :class:`SolverFailed` if the solve did not converge or
+    its value breaks the bound.
     """
     report = solve(discrimination_program(states), settings)
+    if report.status != "optimal":
+        raise SolverFailed(
+            f"discrimination solve ended with status {report.status}", report
+        )
     if report.objective_value > 1.0 / 3.0 + 1e-6:
-        raise AssertionError(
-            f"discrimination value {report.objective_value} exceeds the 1/3 bound"
+        raise SolverFailed(
+            f"discrimination value {report.objective_value} exceeds the 1/3 bound", report
         )
     bloch = {
         pi.name: [round(x, 12) for x in bloch_coordinates(vec)]

@@ -12,15 +12,17 @@ the upper triangle), so trace inner products and Euclidean norms transfer
 exactly.
 
 The algorithm is plain ADMM on the consensus splitting between the affine
-set {Ax = b} and the cone, with fixed penalty 1.0 and over-relaxation 1.5.
-No adaptive scaling, no randomized initialization: a solve is a pure
-function of the problem and the settings.
+set {Ax = b} and the cone, with fixed penalty RHO and over-relaxation
+OVER_RELAXATION.  No adaptive scaling, no randomized initialization: a solve
+is a pure function of the problem and the settings.  Coordinates that no
+equality touches pass through the affine step unchanged, so the equality
+matrix and its Gram inverse only span the touched coordinates.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,6 +30,10 @@ import numpy as np
 from .tensor import ENTANGLED_LAYOUT, LabeledOperator, Space
 
 _SQRT2 = math.sqrt(2.0)
+
+#: ADMM penalty and over-relaxation; fixed for every solve.
+RHO = 1.0
+OVER_RELAXATION = 1.5
 
 
 class ProblemMalformed(ValueError):
@@ -123,8 +129,6 @@ class ConicProblem:
 class SolveSettings:
     tolerance: float = 1e-8
     max_iters: int = 200_000
-    rho: float = 1.0
-    over_relaxation: float = 1.5
 
 
 @dataclass
@@ -231,13 +235,15 @@ def project_cone(x: np.ndarray, blocks: Sequence[Cone]) -> np.ndarray:
 def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings):
     if settings.max_iters < 1 or settings.tolerance <= 0:
         raise ProblemMalformed("settings need positive tolerance and max_iters")
-    a = problem.dense_matrix()
+    cols, a_cols = np.unique(problem.a_cols, return_inverse=True)
+    a = np.zeros((problem.n_eq, cols.size))
+    np.add.at(a, (problem.a_rows, a_cols), problem.a_vals)
     b = problem.b
     gram_inv = np.linalg.pinv(a @ a.T, hermitian=True)
     groups = _group_blocks(problem.blocks)
     n = problem.dim
     batch = objectives.shape[0]
-    rho, alpha, tol = settings.rho, settings.over_relaxation, settings.tolerance
+    rho, alpha, tol = RHO, OVER_RELAXATION, settings.tolerance
 
     # converged instances drop out of the working arrays; `live` maps the
     # remaining rows back to their original batch positions
@@ -254,15 +260,15 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
 
     k = 0
     for k in range(1, settings.max_iters + 1):
-        w = z - u + shift
-        resid = w @ a.T - b
-        x = w - (resid @ gram_inv) @ a
+        x = z - u + shift
+        w = x[:, cols]
+        x[:, cols] = w - ((w @ a.T - b) @ gram_inv) @ a
         xh = alpha * x + (1.0 - alpha) * z
         z_new = _project_batch(xh + u, groups)
         u = u + xh - z_new
         dual = rho * np.max(np.abs(z_new - z), axis=1)
         z = z_new
-        eq_gap = np.max(np.abs(z @ a.T - b), axis=1)
+        eq_gap = np.max(np.abs(z[:, cols] @ a.T - b), axis=1)
         primal = np.maximum(np.max(np.abs(x - z), axis=1), eq_gap)
         conv = (primal <= tol) & (dual <= tol)
         if np.any(conv):
@@ -388,13 +394,7 @@ def solve_shared_state_feasibility(
     settings = settings or SolveSettings()
     side = math.prod(s.dim for s in layout)
     problem = shared_state_program(pair_ops, side=side)
-    inner = SolveSettings(
-        tolerance=settings.tolerance / 2.0,
-        max_iters=settings.max_iters,
-        rho=settings.rho,
-        over_relaxation=settings.over_relaxation,
-    )
-    report = solve(problem, inner)
+    report = solve(problem, replace(settings, tolerance=settings.tolerance / 2.0))
     if report.status != "optimal":
         raise SolverFailed(
             f"shared-state feasibility solve ended with status {report.status}", report

@@ -186,10 +186,11 @@ class LabeledOperator:
         return LabeledOperator(self.layout, out)
 
     def to_exact(self) -> "LabeledOperator":
-        """Lift float data with (near-)rational entries to exact scalars.
+        """Lift float data to exact scalars, losslessly.
 
-        Only sensible for constructed integer/half-integer style data; raises
-        if any entry has a nonzero imaginary part.
+        Each entry becomes the Fraction equal to its binary float value
+        (so 0.1 becomes 3602879701896397/36028797018963968, not 1/10);
+        raises if any entry has a nonzero imaginary part.
         """
         if self.exact:
             return self
@@ -198,7 +199,7 @@ class LabeledOperator:
         out = np.empty(self.data.shape, dtype=object)
         for i in range(self.side):
             for j in range(self.side):
-                out[i, j] = Fraction(self.data[i, j].real).limit_denominator(10**9)
+                out[i, j] = Fraction(self.data[i, j].real)
         return LabeledOperator(self.layout, out)
 
     # -- arithmetic ----------------------------------------------------------

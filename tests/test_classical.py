@@ -4,7 +4,6 @@ from fractions import Fraction
 from ordergame.classical import (
     BitStrategy,
     all_bit_strategies,
-    all_memory_strategies,
     losr_canonical_witness,
     losr_histogram,
     run_losr,
@@ -127,7 +126,7 @@ class TestHistogram:
 
 class TestPermutationCovariance:
     def test_relabeling_preserves_distinct_count(self):
-        strategies = all_memory_strategies()
+        strategies = all_bit_strategies()
         for a, b, c in itertools.product(strategies, repeat=3):
             base = {run_losr(pi, a, b, c, 0).as_tuple() for pi in all_orders()}
             for rho in all_orders():
@@ -142,11 +141,10 @@ class TestPermutationCovariance:
 
 def test_strategy_enumeration_order():
     assert [s.describe() for s in all_bit_strategies()] == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
-    assert [s.describe() for s in all_memory_strategies()] == ["(0,0)", "(0,1)", "(1,0)", "(1,1)"]
 
 
 def test_deterministic_success_integer_rule_over_all_strategies():
-    for a, b, c in itertools.product(all_memory_strategies(), repeat=3):
+    for a, b, c in itertools.product(all_bit_strategies(), repeat=3):
         outputs = {pi: run_losr(pi, a, b, c, 0).as_tuple() for pi in all_orders()}
         value = deterministic_success(outputs)
         assert (value * 6).denominator == 1

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ordergame.classical import MemoryBitStrategy
+from ordergame.classical import BitStrategy
 from ordergame.game import Perm3, all_orders
 from ordergame.network import (
     IN_WIRE,
@@ -164,7 +164,7 @@ class TestWitnessEmbedding:
         assert total == 16
 
     def test_weaker_strategy_scores_lower(self):
-        identity = MemoryBitStrategy(0, 1)
+        identity = BitStrategy(0, 1)
         blocks = strategy_network_blocks(identity, identity, identity)
         check = witness_feasibility(blocks)
         assert check["feasible"]

@@ -33,7 +33,7 @@ from ordergame.quantum import (
     unbiased_order_states,
     verify_perfect_discrimination,
 )
-from ordergame.solver import solve
+from ordergame.solver import SolveReport, SolverFailed, SolveSettings, solve
 from ordergame.tensor import (
     ENTANGLED_LAYOUT,
     SHARED,
@@ -95,6 +95,21 @@ class TestDiscrimination:
     def test_mub_states_reach_one_third(self):
         result = quantum_memoryless_optimum(unbiased_order_states())
         assert abs(result.probability_float - 1.0 / 3.0) <= 1e-6
+
+    def test_unconverged_solve_raises(self):
+        with pytest.raises(SolverFailed) as info:
+            quantum_memoryless_optimum(unbiased_order_states(), SolveSettings(max_iters=5))
+        assert info.value.report.status != "optimal"
+
+    def test_bound_violation_raises(self, monkeypatch):
+        import ordergame.quantum as quantum
+
+        def over_bound(problem, settings=None):
+            return SolveReport("optimal", 0.5, 0.0, 0.0, 1, np.zeros(problem.dim))
+
+        monkeypatch.setattr(quantum, "solve", over_bound)
+        with pytest.raises(SolverFailed, match="1/3 bound"):
+            quantum_memoryless_optimum(unbiased_order_states())
 
     def test_six_identical_states_give_one_sixth(self):
         states = {pi: Vec((SHARED,), KET["0"]) for pi in all_orders()}

@@ -202,6 +202,13 @@ class TestScalarKinds:
         assert not as_float.exact
         assert as_float.to_exact().allclose(op)
 
+    def test_to_exact_is_lossless(self):
+        op = LabeledOperator((Q0,), np.array([[0.1, 0.0], [0.0, 1.0 / 3.0]], dtype=complex))
+        exact = op.to_exact()
+        assert exact.data[0, 0] == Fraction(0.1) != Fraction(1, 10)
+        assert exact.data[1, 1] == Fraction(1.0 / 3.0) != Fraction(1, 3)
+        assert np.array_equal(exact.to_float().data, op.data)
+
     def test_no_implicit_mixing(self):
         a = LabeledOperator.identity((Q0,), exact=True)
         b = LabeledOperator.identity((Q0,))
