@@ -66,11 +66,20 @@ class Report:
 
 def _quantum_memoryless(config: RunConfig) -> ScenarioResult:
     result = quantum_memoryless_optimum(unbiased_order_states(), config.solver_settings())
-    scan = sampled_discrimination_values(n_samples=100, seed=config.seed)
+    # the scan follows the solver flags, but never iterates past its own
+    # cap or to a tighter tolerance than its stalling instances can reach
+    scan = sampled_discrimination_values(
+        n_samples=100,
+        seed=config.seed,
+        tolerance=max(config.tolerance, 1e-7),
+        max_iters=min(config.max_iters, 20_000),
+    )
     result.certificate["sampled_check"] = {
         "samples": 100,
         "seed": config.seed,
         "max_value": scan.max_value,
+        "unconverged": scan.unconverged,
+        "max_primal_residual": scan.max_primal_residual,
     }
     return result
 

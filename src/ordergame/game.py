@@ -21,6 +21,10 @@ class NotADistribution(ValueError):
     """An outcome distribution does not sum to one."""
 
 
+class TranscriptMismatch(RuntimeError):
+    """A warm-up game's run does not end as its strategy claims."""
+
+
 @dataclass(frozen=True, order=True)
 class Perm3:
     """A hidden order: the parties listed first-mover first."""
@@ -189,7 +193,8 @@ def two_party_game() -> ScenarioResult:
     bob = lambda x: 1 - x
     ba = bob(alice(0))   # Alice first
     ab = alice(bob(0))   # Bob first
-    assert (ba, ab) == (0, 1)
+    if (ba, ab) != (0, 1):
+        raise TranscriptMismatch(f"final bits {(ba, ab)} do not tell the orders apart")
     outputs = {"AB": ba, "BA": ab}
     return ScenarioResult(
         scenario="two-party",
@@ -210,7 +215,10 @@ def trit_game() -> ScenarioResult:
             state = (state + 1) % 3
         # each party's record equals its (0-based) position in the line
         decoded = tuple(sorted(records, key=records.__getitem__))
-        assert decoded == pi.order and state == 0
+        if decoded != pi.order or state != 0:
+            raise TranscriptMismatch(
+                f"order {pi.name}: records decode to {decoded}, final trit {state}"
+            )
         runs[pi.name] = {"records": records, "final_state": state}
     return ScenarioResult(
         scenario="trit",

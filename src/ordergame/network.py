@@ -41,6 +41,7 @@ from .tensor import (
     S_PREP,
     LabeledOperator,
     LayoutMismatch,
+    NotHermitian,
     Space,
     kron,
     permute_to_layout,
@@ -75,23 +76,28 @@ class OrderProcess:
     op: LabeledOperator
 
 
-def order_process(pi: Perm3) -> OrderProcess:
-    """Chain the four wire pairs of the order and align to the canonical layout."""
+def _wire_pairs(pi: Perm3) -> list[tuple[Space, Space]]:
+    """The four wire pairs an order connects, from preparation to final wire."""
     first, second, third = pi.order
-    pairs = [
+    return [
         (S_PREP, IN_WIRE[first]),
         (OUT_WIRE[first], IN_WIRE[second]),
         (OUT_WIRE[second], IN_WIRE[third]),
         (OUT_WIRE[third], S_FINAL),
     ]
+
+
+def order_process(pi: Perm3) -> OrderProcess:
+    """Chain the four wire pairs of the order and align to the canonical layout."""
     op = None
-    for left, right in pairs:
+    for left, right in _wire_pairs(pi):
         factor = max_entangled_projector(left, right)
         op = factor if op is None else kron(op, factor)
     op = permute_to_layout(op, NETWORK_LAYOUT)
     # the contraction below uses plain products, which needs entrywise
     # symmetry; it holds because every factor is real 0/1
-    assert np.all(op.data == op.data.T)
+    if not np.all(op.data == op.data.T):
+        raise NotHermitian(f"wiring operator of {pi.name} is not entrywise symmetric")
     return OrderProcess(pi=pi, op=op)
 
 
@@ -114,9 +120,23 @@ def link_probability(block: NetworkBlock, process: OrderProcess) -> float:
     return float(np.real(np.trace(lhs @ rhs)))
 
 
+def _bit(space: Space) -> np.ndarray:
+    """The bit of ``space`` in every basis index of the canonical layout."""
+    return (np.arange(_SIDE) >> (7 - _POS[space])) & 1
+
+
 def wiring_diagonal(pi: Perm3) -> np.ndarray:
-    """Diagonal of the order's wiring operator in the computational basis."""
-    return np.real(np.diag(order_process(pi).op.to_float().data)).copy()
+    """Diagonal of the order's wiring operator in the computational basis.
+
+    The diagonal of an unnormalized maximally entangled projector is 1 where
+    the pair's two bits agree and 0 elsewhere, so the diagonal of the chained
+    operator is the product of those indicators over the order's four wire
+    pairs; no operator is built.
+    """
+    diag = np.ones(_SIDE)
+    for left, right in _wire_pairs(pi):
+        diag *= _bit(left) == _bit(right)
+    return diag
 
 
 # ---------------------------------------------------------------------------
@@ -183,21 +203,17 @@ def objective_diagonals() -> np.ndarray:
 def nonsignaling_program() -> ConicProblem:
     """The non-signaling optimum as an LP over six diagonal guess blocks."""
     rows, rhs = constraint_rows()
-    n_rows = rows.shape[0]
-    a_rows, a_cols, a_vals = [], [], []
-    for r in range(n_rows):
-        nz = np.nonzero(rows[r])[0]
-        for k in range(_N_BLOCKS):
-            a_rows.extend([r] * len(nz))
-            a_cols.extend((k * _SIDE + nz).tolist())
-            a_vals.extend(rows[r][nz].tolist())
+    # every row acts on the summed diagonal: repeat its nonzeros once per
+    # block; the triplets run by row, then block, then column
+    shape = (rows.shape[0], _N_BLOCKS, _SIDE)
+    a_rows, block, col = np.nonzero(np.broadcast_to(rows[:, None, :] != 0, shape))
     objective = objective_diagonals().reshape(-1) / 6.0
     return ConicProblem(
         blocks=[NonnegOrthant(_SIDE) for _ in range(_N_BLOCKS)],
         objective=objective,
-        a_rows=np.array(a_rows),
-        a_cols=np.array(a_cols),
-        a_vals=np.array(a_vals),
+        a_rows=a_rows,
+        a_cols=block * _SIDE + col,
+        a_vals=rows[a_rows, col],
         b=rhs,
     )
 
@@ -292,11 +308,10 @@ def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
         violation = abs(lhs - Fraction(rhs[r]))
         max_violation = max(max_violation, violation)
     objective = Fraction(0)
-    for k, pi in enumerate(all_orders()):
-        diag_w = order_process(pi).op.data.diagonal()
-        objective += sum(
-            Fraction(diag_w[v]) * Fraction(blocks[pi][v]) for v in range(_SIDE)
-        )
+    for pi in all_orders():
+        # the wiring diagonal is exactly 0/1: sum the block over its support
+        support = np.flatnonzero(wiring_diagonal(pi))
+        objective += sum(Fraction(blocks[pi][v]) for v in support)
     objective = objective / 6
     return {"feasible": max_violation == 0, "max_violation": max_violation, "objective": objective}
 

@@ -176,12 +176,13 @@ def quantum_memoryless_optimum(
     output.  Raises :class:`SolverFailed` if the solve did not converge or
     its value breaks the bound.
     """
+    settings = settings or SolveSettings()
     report = solve(discrimination_program(states), settings)
     if report.status != "optimal":
         raise SolverFailed(
             f"discrimination solve ended with status {report.status}", report
         )
-    if report.objective_value > 1.0 / 3.0 + 1e-6:
+    if report.objective_value > 1.0 / 3.0 + 10 * settings.tolerance:
         raise SolverFailed(
             f"discrimination value {report.objective_value} exceeds the 1/3 bound", report
         )

@@ -17,10 +17,22 @@ OVER_RELAXATION.  No adaptive scaling, no randomized initialization: a solve
 is a pure function of the problem and the settings.  Coordinates that no
 equality touches pass through the affine step unchanged, so the equality
 matrix and its Gram inverse only span the touched coordinates.
+
+The affine step is the cached-factorisation projection
+w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2), computed on the
+distinct columns of A.  Exactly equal columns form a group; with ``abar``
+holding one copy of each and G summing each group's coordinates,
+A w = abar G(w) and A Aᵀ = abar diag(group sizes) abarᵀ, so every product
+runs on ``abar``.  The non-signaling LP's 449x1536 matrix is one 449x256
+block repeated over its six guess blocks and collapses to that block; a
+program with all columns distinct runs the same code with groups of one.
+Only the order of float summation differs from the dense formula.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -155,17 +167,26 @@ class SolveReport:
 # ---------------------------------------------------------------------------
 
 
+@functools.lru_cache(maxsize=None)
+def _svec_indices(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Diagonal and strict upper-triangle index arrays of one matrix side."""
+    arrays = (np.arange(side), *np.triu_indices(side, 1))
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
+
+
 def svec(h: np.ndarray) -> np.ndarray:
     """Isometric real encoding of Hermitian matrices (batched over leading axes)."""
     h = np.asarray(h, dtype=complex)
     s = h.shape[-1]
     lead = h.shape[:-2]
     out = np.empty(lead + (s * s,))
-    idx = np.arange(s)
+    idx, iu, ju = _svec_indices(s)
     out[..., :s] = h[..., idx, idx].real
-    iu, ju = np.triu_indices(s, 1)
-    out[..., s::2] = _SQRT2 * h[..., iu, ju].real
-    out[..., s + 1 :: 2] = _SQRT2 * h[..., iu, ju].imag
+    upper = h[..., iu, ju]
+    out[..., s::2] = _SQRT2 * upper.real
+    out[..., s + 1 :: 2] = _SQRT2 * upper.imag
     return out
 
 
@@ -174,9 +195,8 @@ def unsvec(v: np.ndarray, side: int) -> np.ndarray:
     v = np.asarray(v, dtype=float)
     lead = v.shape[:-1]
     h = np.zeros(lead + (side, side), dtype=complex)
-    idx = np.arange(side)
+    idx, iu, ju = _svec_indices(side)
     h[..., idx, idx] = v[..., :side]
-    iu, ju = np.triu_indices(side, 1)
     upper = (v[..., side::2] + 1j * v[..., side + 1 :: 2]) / _SQRT2
     h[..., iu, ju] = upper
     h[..., ju, iu] = upper.conj()
@@ -232,14 +252,81 @@ def project_cone(x: np.ndarray, blocks: Sequence[Cone]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _equal_column_groups(problem: ConicProblem):
+    """Group the exactly equal columns of the equality matrix.
+
+    Groups are numbered by falling size, ties in order of first appearance.
+    Returns ``(cols, group, abar, runs)`` with ``A[:, cols]`` equal to
+    ``abar[:, group]``, where ``abar`` holds one copy of each group's
+    column.  ``cols`` lists the touched coordinates with the groups of one
+    size together and member-major: entry ``k * m + j`` of a run of ``m``
+    groups is the ``k``-th member of its ``j``-th group.  ``runs`` holds
+    ``(size, positions in cols, m)`` per run.  With all columns distinct,
+    nothing is reordered and there is one run of size 1.
+    """
+    touched, a_cols = np.unique(problem.a_cols, return_inverse=True)
+    columns = np.zeros((touched.size, problem.n_eq))
+    np.add.at(columns, (a_cols, problem.a_rows), problem.a_vals)
+    members: dict[bytes, list[int]] = {}
+    for j, column in enumerate(columns):
+        members.setdefault(column.tobytes(), []).append(j)
+    groups = sorted(members.values(), key=len, reverse=True)
+    order: list[int] = []
+    group: list[int] = []
+    runs = []
+    numbered = 0
+    for size, run in itertools.groupby(groups, key=len):
+        run = list(run)
+        start = len(order)
+        for k in range(size):
+            order.extend(g[k] for g in run)
+            group.extend(range(numbered, numbered + len(run)))
+        runs.append((size, slice(start, len(order)), len(run)))
+        numbered += len(run)
+    if not runs:  # no equality touches any coordinate: one empty run
+        runs.append((1, slice(0, 0), 0))
+    abar = np.ascontiguousarray(columns[[g[0] for g in groups]].T)
+    return touched[order], np.array(group, dtype=int), abar, runs
+
+
+class _AffineSet:
+    """The set {x : A x = b}, held as one copy of each distinct column of A.
+
+    Over ``w = x[:, cols]``, ``A w = abar G(w)`` with ``G`` summing each
+    group's coordinates (see the module docstring).
+    """
+
+    def __init__(self, problem: ConicProblem):
+        self.cols, self.group, self.abar, self.runs = _equal_column_groups(problem)
+        self.b = problem.b
+        gram = (self.abar * np.bincount(self.group)) @ self.abar.T
+        self.gram_inv = np.linalg.pinv(gram, hermitian=True)
+
+    def _group_sum(self, w: np.ndarray) -> np.ndarray:
+        # sum each run's (batch, size, groups) view over its middle axis; a
+        # run of single columns needs no sum
+        parts = [
+            w[:, positions].reshape(len(w), size, m).sum(axis=1) if size > 1 else w[:, positions]
+            for size, positions, m in self.runs
+        ]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+
+    def project(self, x: np.ndarray) -> None:
+        """Project each row of ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b)."""
+        w = x[:, self.cols]
+        residual = self._group_sum(w) @ self.abar.T - self.b
+        x[:, self.cols] = w - ((residual @ self.gram_inv) @ self.abar)[:, self.group]
+
+    def gap(self, z: np.ndarray) -> np.ndarray:
+        """Largest equality violation of each row of ``z``."""
+        residual = self._group_sum(z[:, self.cols]) @ self.abar.T - self.b
+        return np.max(np.abs(residual), axis=1)
+
+
 def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings):
     if settings.max_iters < 1 or settings.tolerance <= 0:
         raise ProblemMalformed("settings need positive tolerance and max_iters")
-    cols, a_cols = np.unique(problem.a_cols, return_inverse=True)
-    a = np.zeros((problem.n_eq, cols.size))
-    np.add.at(a, (problem.a_rows, a_cols), problem.a_vals)
-    b = problem.b
-    gram_inv = np.linalg.pinv(a @ a.T, hermitian=True)
+    affine = _AffineSet(problem)
     groups = _group_blocks(problem.blocks)
     n = problem.dim
     batch = objectives.shape[0]
@@ -261,15 +348,13 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
     k = 0
     for k in range(1, settings.max_iters + 1):
         x = z - u + shift
-        w = x[:, cols]
-        x[:, cols] = w - ((w @ a.T - b) @ gram_inv) @ a
+        affine.project(x)
         xh = alpha * x + (1.0 - alpha) * z
         z_new = _project_batch(xh + u, groups)
         u = u + xh - z_new
         dual = rho * np.max(np.abs(z_new - z), axis=1)
         z = z_new
-        eq_gap = np.max(np.abs(z[:, cols] @ a.T - b), axis=1)
-        primal = np.maximum(np.max(np.abs(x - z), axis=1), eq_gap)
+        primal = np.maximum(np.max(np.abs(x - z), axis=1), affine.gap(z))
         conv = (primal <= tol) & (dual <= tol)
         if np.any(conv):
             idx = live[conv]

@@ -176,6 +176,13 @@ class TestMain:
         assert main(["--scenario", "quantum-memoryless", "--max-iters", "5"]) == 2
         assert "quantum-memoryless    FAILED" in capsys.readouterr().out
 
+    def test_scan_follows_max_iters(self, capsys):
+        assert main(["--scenario", "quantum-memoryless", "--max-iters", "100", "--output", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        scan = payload["results"][0]["certificate"]["sampled_check"]
+        assert scan["unconverged"] > 0
+        assert scan["max_primal_residual"] > 1e-7
+
     def test_tolerance_does_not_loosen_check(self, capsys):
         assert main(["--scenario", "nonsignaling", "--tolerance", "0.5", "--check"]) == 1
         assert "check failed: nonsignaling" in capsys.readouterr().err

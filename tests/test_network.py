@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from ordergame.tensor import (
     C_OUT,
     S_FINAL,
     LabeledOperator,
+    NotHermitian,
     eig_hermitian,
     kron,
     partial_trace,
@@ -54,6 +56,19 @@ class TestWiringOperator:
             assert w[0] >= -1e-10
             assert np.sum(w > 1e-8) == 1
             assert abs(w[-1] - 16.0) <= 1e-9
+
+    def test_asymmetric_wiring_raises_typed_error(self, monkeypatch):
+        import ordergame.network as network
+
+        def skewed(op, layout):
+            data = np.zeros((256, 256), dtype=object)
+            data[...] = 0
+            data[0, 1] = 1
+            return LabeledOperator(tuple(layout), data)
+
+        monkeypatch.setattr(network, "permute_to_layout", skewed)
+        with pytest.raises(NotHermitian):
+            order_process(Perm3(("A", "B", "C")))
 
     def test_real_symmetric_entrywise(self):
         for pi in all_orders():
@@ -135,6 +150,19 @@ class TestProgramStructure:
     def test_wiring_diagonal_weight(self):
         for pi in all_orders():
             assert wiring_diagonal(pi).sum() == 16.0
+
+    def test_wiring_diagonal_is_the_operator_diagonal(self):
+        for pi in all_orders():
+            want = np.real(np.diag(order_process(pi).op.to_float().data))
+            got = wiring_diagonal(pi)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_tableau_pinned(self):
+        text = dump_tableau(nonsignaling_program())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "49f93e8d77697670a21906d39ca49569d7d7fd60e5d9b749f8b5c7e855369c69"
+        )
 
     def test_uniform_point_objective_exactly_one_sixth(self):
         # the scaled identity is feasible; its exact objective is a sanity

@@ -101,6 +101,11 @@ class TestDiscrimination:
             quantum_memoryless_optimum(unbiased_order_states(), SolveSettings(max_iters=5))
         assert info.value.report.status != "optimal"
 
+    def test_bound_slack_follows_tolerance(self):
+        # a loose tolerance stops short of the optimum, just above 1/3
+        result = quantum_memoryless_optimum(unbiased_order_states(), SolveSettings(tolerance=1e-4))
+        assert 1.0 / 3.0 < result.probability_float <= 1.0 / 3.0 + 1e-3
+
     def test_bound_violation_raises(self, monkeypatch):
         import ordergame.quantum as quantum
 

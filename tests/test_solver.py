@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ordergame.solver import (
+    _AffineSet,
     ConicProblem,
     HermitianPSD,
     NonnegOrthant,
@@ -242,3 +243,85 @@ class TestTableau:
     def test_rejects_garbage(self):
         with pytest.raises(ProblemMalformed):
             parse_tableau("bogus\n")
+
+
+def dense_affine_projection(problem, x):
+    """w - Aᵀ(A Aᵀ)⁺(A w - b) row by row, with the full dense matrix."""
+    a = problem.dense_matrix()
+    step = ((x @ a.T - problem.b) @ np.linalg.pinv(a @ a.T, hermitian=True)) @ a
+    return x - step
+
+
+def planted_duplicates_program(seed=5):
+    """Random equalities over 40 coordinates: 12 distinct columns copied 2-4
+    times and 8 that appear once, shuffled; 10 untouched coordinates."""
+    rng = np.random.default_rng(seed)
+    n_eq = 9
+    distinct = rng.normal(size=(n_eq, 20))
+    copies = [3, 2, 4, 2, 3, 2, 2, 4, 3, 2, 2, 3] + [1] * 8
+    columns = np.repeat(distinct, copies, axis=1)
+    coords = rng.permutation(40)[: columns.shape[1]]
+    rows, cols = np.nonzero(columns)
+    return ConicProblem(
+        blocks=[NonnegOrthant(40)],
+        objective=rng.normal(size=40),
+        a_rows=rows,
+        a_cols=coords[cols],
+        a_vals=columns[rows, cols],
+        b=rng.normal(size=n_eq),
+    )
+
+
+def programs_with_duplicate_columns():
+    from ordergame.network import nonsignaling_program
+    from ordergame.quantum import discrimination_program, routing_pair_products, unbiased_order_states
+    from ordergame.solver import shared_state_program
+
+    pair_ops = {
+        (pp.name, p.name): op.to_float().data for (pp, p), op in routing_pair_products().items()
+    }
+    return {
+        "nonsignaling": nonsignaling_program(),
+        "discrimination": discrimination_program(unbiased_order_states()),
+        "shared-state": shared_state_program(pair_ops),
+        "planted": planted_duplicates_program(),
+    }
+
+
+class TestAffineSet:
+    @pytest.mark.parametrize("name", ["nonsignaling", "discrimination", "shared-state", "planted"])
+    def test_grouped_step_matches_dense_formula(self, name):
+        problem = programs_with_duplicate_columns()[name]
+        x = np.random.default_rng(11).normal(size=(3, problem.dim))
+        want = dense_affine_projection(problem, x)
+        got = x.copy()
+        _AffineSet(problem).project(got)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+    def test_gap_matches_dense_residual(self):
+        problem = planted_duplicates_program()
+        z = np.random.default_rng(2).normal(size=(4, problem.dim))
+        want = np.max(np.abs(z @ problem.dense_matrix().T - problem.b), axis=1)
+        assert np.allclose(_AffineSet(problem).gap(z), want, rtol=1e-13, atol=1e-13)
+
+    def test_nonsignaling_columns_collapse_sixfold(self):
+        from ordergame.network import nonsignaling_program
+
+        affine = _AffineSet(nonsignaling_program())
+        assert affine.abar.shape == (449, 256)
+        assert affine.runs == [(6, slice(0, 1536), 256)]
+        assert np.array_equal(affine.cols, np.arange(1536))
+
+    def test_distinct_columns_keep_their_order(self):
+        problem = small_sdp()
+        affine = _AffineSet(problem)
+        assert np.array_equal(affine.group, np.arange(affine.cols.size))
+        assert np.array_equal(affine.cols, np.unique(problem.a_cols))
+        assert [size for size, _, _ in affine.runs] == [1]
+
+    def test_planted_groups_found(self):
+        affine = _AffineSet(planted_duplicates_program())
+        assert affine.abar.shape == (9, 20)
+        assert sorted(np.bincount(affine.group).tolist()) == sorted(
+            [3, 2, 4, 2, 3, 2, 2, 4, 3, 2, 2, 3] + [1] * 8
+        )
