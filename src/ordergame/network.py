@@ -289,24 +289,30 @@ def strategy_network_blocks(
     return blocks
 
 
+class InexactConstraint(ValueError):
+    """A constraint coefficient is not a multiple of 1/2, so its exact value is unknown."""
+
+
 def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
     """Exact feasibility and objective of diagonal guess blocks.
 
-    All constraint coefficients are dyadic, so the check runs entirely in
-    rational arithmetic; the objective uses the exact wiring diagonals.
+    Every constraint coefficient is a multiple of 1/2, so the doubled rows
+    are integers and each row's left-hand side is summed exactly over its
+    nonzeros in integer and rational arithmetic; the objective uses the
+    exact wiring diagonals.
     """
     rows, rhs = constraint_rows()
+    r, v = np.nonzero(rows)
+    doubled, doubled_rhs = 2 * rows[r, v], 2 * rhs
+    if not all(np.array_equal(a, np.rint(a)) for a in (doubled, doubled_rhs)):
+        raise InexactConstraint("a constraint coefficient is not a multiple of 1/2")
     summed = np.zeros(_SIDE, dtype=object)
-    summed[...] = 0
     for diag in blocks.values():
         summed = summed + np.asarray(diag, dtype=object)
-    max_violation = Fraction(0)
-    for r in range(rows.shape[0]):
-        lhs = sum(
-            Fraction(rows[r, v]) * summed[v] for v in np.nonzero(rows[r])[0]
-        )
-        violation = abs(lhs - Fraction(rhs[r]))
-        max_violation = max(max_violation, violation)
+    lhs = np.zeros(rows.shape[0], dtype=object)
+    np.add.at(lhs, r, doubled.astype(np.int64).astype(object) * summed[v])
+    gaps = np.abs(lhs - doubled_rhs.astype(np.int64).astype(object))
+    max_violation = Fraction(np.max(gaps), 2)
     objective = Fraction(0)
     for pi in all_orders():
         # the wiring diagonal is exactly 0/1: sum the block over its support

@@ -16,17 +16,26 @@ set {Ax = b} and the cone, with fixed penalty RHO and over-relaxation
 OVER_RELAXATION.  No adaptive scaling, no randomized initialization: a solve
 is a pure function of the problem and the settings.  Coordinates that no
 equality touches pass through the affine step unchanged, so the equality
-matrix and its Gram inverse only span the touched coordinates.
+matrix and its factor only span the touched coordinates.
 
 The affine step is the cached-factorisation projection
 w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2), computed on the
 distinct columns of A.  Exactly equal columns form a group; with ``abar``
 holding one copy of each and G summing each group's coordinates,
-A w = abar G(w) and A Aᵀ = abar diag(group sizes) abarᵀ, so every product
-runs on ``abar``.  The non-signaling LP's 449x1536 matrix is one 449x256
-block repeated over its six guess blocks and collapses to that block; a
-program with all columns distinct runs the same code with groups of one.
-Only the order of float summation differs from the dense formula.
+A w = abar G(w) and A Aᵀ = B Bᵀ for B = abar diag(√group sizes).  One thin
+SVD of B, cut to its rank r, gives a g x r factor F of the row space
+(g distinct columns), and the step is ((G(w) F - y) Fᵀ) spread back over
+each group: 2gr flops a row, never more than the m x m Gram inverse it
+replaces (m equalities), so every program shape takes this one path.  The
+non-signaling LP's 449x1536 matrix is one 449x256 block repeated over its
+six guess blocks, of rank 203, so F is 256x203; a program with all columns
+distinct runs the same code with groups of one.
+
+The primal residual is max(|x - z|, max|A z - b|).  The equality gap can
+only decide convergence on rows whose |x - z| and dual residual already
+meet the tolerance, so it is computed on those rows only, and once more
+on the rows still unconverged when the iteration cap ends the loop: the
+convergence decisions and reported residuals are those of the full test.
 """
 
 from __future__ import annotations
@@ -290,17 +299,28 @@ def _equal_column_groups(problem: ConicProblem):
 
 
 class _AffineSet:
-    """The set {x : A x = b}, held as one copy of each distinct column of A.
+    """The set {x : A x = b}, held as one rank-r factor of A's distinct columns.
 
     Over ``w = x[:, cols]``, ``A w = abar G(w)`` with ``G`` summing each
-    group's coordinates (see the module docstring).
+    group's coordinates (see the module docstring).  With
+    ``B = abar diag(√sizes) = U Σ Vᵀ`` and only the singular values with
+    ``σ² > 1e-15 σ_max²`` kept (the rank ``pinv`` of ``B Bᵀ`` keeps),
+    ``F = V_r / √sizes`` and ``y = U_rᵀ b / σ_r`` give
+    ``Aᵀ(A Aᵀ)⁺(A w - b) = ((G(w) F - y) Fᵀ)[group]``: ``Bᵀ(B Bᵀ)⁺ = B⁺``,
+    so the step holds for every ``b``, consistent or not.  ``abar`` stays
+    for the equality gap.  A program with no equality rows has an empty
+    factor, an identity step and a gap of 0.
     """
 
     def __init__(self, problem: ConicProblem):
         self.cols, self.group, self.abar, self.runs = _equal_column_groups(problem)
         self.b = problem.b
-        gram = (self.abar * np.bincount(self.group)) @ self.abar.T
-        self.gram_inv = np.linalg.pinv(gram, hermitian=True)
+        root_sizes = np.sqrt(np.bincount(self.group))
+        u, sigma, vt = np.linalg.svd(self.abar * root_sizes, full_matrices=False)
+        # sigma[:1] is empty, and the rank 0, when no equality touches a column
+        rank = np.count_nonzero(sigma**2 > 1e-15 * sigma[:1] ** 2)
+        self.F = np.ascontiguousarray(vt[:rank].T / root_sizes[:, None])
+        self.y = (u[:, :rank].T @ self.b) / sigma[:rank]
 
     def _group_sum(self, w: np.ndarray) -> np.ndarray:
         # sum each run's (batch, size, groups) view over its middle axis; a
@@ -314,13 +334,12 @@ class _AffineSet:
     def project(self, x: np.ndarray) -> None:
         """Project each row of ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b)."""
         w = x[:, self.cols]
-        residual = self._group_sum(w) @ self.abar.T - self.b
-        x[:, self.cols] = w - ((residual @ self.gram_inv) @ self.abar)[:, self.group]
+        x[:, self.cols] = w - ((self._group_sum(w) @ self.F - self.y) @ self.F.T)[:, self.group]
 
     def gap(self, z: np.ndarray) -> np.ndarray:
-        """Largest equality violation of each row of ``z``."""
+        """Largest equality violation of each row of ``z``; 0 with no equalities."""
         residual = self._group_sum(z[:, self.cols]) @ self.abar.T - self.b
-        return np.max(np.abs(residual), axis=1)
+        return np.max(np.abs(residual), axis=1, initial=0.0)
 
 
 def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings):
@@ -354,25 +373,31 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
         u = u + xh - z_new
         dual = rho * np.max(np.abs(z_new - z), axis=1)
         z = z_new
-        primal = np.maximum(np.max(np.abs(x - z), axis=1), affine.gap(z))
+        # the primal residual is max(|x - z|, equality gap); the gap can
+        # only decide convergence on rows that meet the tolerance without it
+        primal = np.max(np.abs(x - z), axis=1)
         conv = (primal <= tol) & (dual <= tol)
         if np.any(conv):
-            idx = live[conv]
-            done[idx] = True
-            done_iters[idx] = k
-            done_primal[idx] = primal[conv]
-            done_dual[idx] = dual[conv]
-            solutions[idx] = z[conv]
-            keep = ~conv
-            if not np.any(keep):
-                break
-            live = live[keep]
-            x, z, u, shift = x[keep], z[keep], u[keep], shift[keep]
+            primal[conv] = np.maximum(primal[conv], affine.gap(z[conv]))
+            conv &= primal <= tol
+            if np.any(conv):
+                idx = live[conv]
+                done[idx] = True
+                done_iters[idx] = k
+                done_primal[idx] = primal[conv]
+                done_dual[idx] = dual[conv]
+                solutions[idx] = z[conv]
+                keep = ~conv
+                if not np.any(keep):
+                    break
+                live = live[keep]
+                z, u, shift = z[keep], u[keep], shift[keep]
+                primal, dual = primal[keep], dual[keep]
 
     if live.size and not np.all(done):
         done_iters[live] = k
-        done_primal[live] = primal[~conv] if np.any(conv) else primal
-        done_dual[live] = dual[~conv] if np.any(conv) else dual
+        done_primal[live] = np.maximum(primal, affine.gap(z))
+        done_dual[live] = dual
         solutions[live] = z
 
     reports = []

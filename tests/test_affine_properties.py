@@ -1,0 +1,68 @@
+"""Property tests of the solver's affine step on small random programs."""
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from ordergame.solver import _AffineSet, ConicProblem, NonnegOrthant  # noqa: E402
+
+from test_solver import dense_affine_projection  # noqa: E402
+
+small_ints = st.integers(-3, 3)
+
+
+def int_matrix(draw, rows, cols, elements=small_ints):
+    return np.array(
+        draw(st.lists(st.lists(elements, min_size=cols, max_size=cols), min_size=rows, max_size=rows)),
+        dtype=float,
+    ).reshape(rows, cols)
+
+
+@st.composite
+def programs(draw):
+    """Integer equalities with planted duplicate columns and dependent rows.
+
+    ``b`` is either ``A x0`` for an integer ``x0`` (consistent) or drawn at
+    random, which with dependent rows is generally inconsistent.  Some
+    coordinates are left untouched by every equality.
+    """
+    n_distinct = draw(st.integers(1, 6))
+    base = int_matrix(draw, draw(st.integers(1, 4)), n_distinct)
+    mix = int_matrix(draw, draw(st.integers(0, 3)), base.shape[0], st.integers(-2, 2))
+    rows = np.vstack([base, mix @ base])
+    sizes = draw(st.lists(st.integers(1, 3), min_size=n_distinct, max_size=n_distinct))
+    columns = np.repeat(rows, sizes, axis=1)
+    dim = columns.shape[1] + draw(st.integers(0, 3))
+    coords = np.array(draw(st.permutations(range(dim))))[: columns.shape[1]]
+    if draw(st.booleans()):
+        b = columns @ int_matrix(draw, columns.shape[1], 1).ravel()
+    else:
+        b = int_matrix(draw, 1, rows.shape[0]).ravel()
+    a_rows, a_cols = np.nonzero(columns)
+    return ConicProblem(
+        blocks=[NonnegOrthant(dim)],
+        objective=np.zeros(dim),
+        a_rows=a_rows,
+        a_cols=coords[a_cols],
+        a_vals=columns[a_rows, a_cols],
+        b=b,
+    )
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(programs(), st.integers(0, 2**32 - 1))
+def test_factor_step_matches_dense_formula_and_is_idempotent(problem, seed):
+    x = np.random.default_rng(seed).normal(size=(3, problem.dim)) * 4
+    # integer data: every nonzero eigenvalue of A Aᵀ is far above 1e-10 of
+    # the largest, and the cut keeps rounding noise out of the reference
+    want = dense_affine_projection(problem, x, rcond=1e-10)
+    scale = max(1.0, np.max(np.abs(want)))
+    affine = _AffineSet(problem)
+    once = x.copy()
+    affine.project(once)
+    assert np.max(np.abs(once - want)) <= 1e-10 * scale
+    twice = once.copy()
+    affine.project(twice)
+    assert np.max(np.abs(twice - once)) <= 1e-10 * scale

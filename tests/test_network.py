@@ -7,9 +7,11 @@ import pytest
 
 from ordergame.classical import BitStrategy
 from ordergame.game import Perm3, all_orders
+from ordergame import network
 from ordergame.network import (
     IN_WIRE,
     OUT_WIRE,
+    InexactConstraint,
     NetworkBlock,
     constraint_rows,
     link_probability,
@@ -197,6 +199,40 @@ class TestWitnessEmbedding:
         check = witness_feasibility(blocks)
         assert check["feasible"]
         assert check["objective"] < Fraction(5, 6)
+
+
+def loop_max_violation(blocks):
+    """Largest equality violation, one Fraction product at a time."""
+    rows, rhs = constraint_rows()
+    summed = [sum(Fraction(diag[v]) for diag in blocks.values()) for v in range(256)]
+    max_violation = Fraction(0)
+    for r in range(rows.shape[0]):
+        lhs = sum(Fraction(rows[r, v]) * summed[v] for v in np.nonzero(rows[r])[0])
+        max_violation = max(max_violation, abs(lhs - Fraction(rhs[r])))
+    return max_violation
+
+
+class TestWitnessViolation:
+    @pytest.mark.parametrize("raise_by", [Fraction(1), Fraction(1, 3)])
+    def test_raised_entry_matches_loop(self, raise_by):
+        blocks = strategy_network_blocks()
+        pi = all_orders()[2]
+        v = int(np.flatnonzero(blocks[pi])[0])
+        blocks[pi] = blocks[pi].copy()
+        blocks[pi][v] += raise_by
+        check = witness_feasibility(blocks)
+        want = loop_max_violation(blocks)
+        assert want > 0
+        assert not check["feasible"]
+        assert isinstance(check["max_violation"], Fraction)
+        assert check["max_violation"] == want
+
+    def test_non_dyadic_row_raises_typed_error(self, monkeypatch):
+        rows, rhs = constraint_rows()
+        rows[3, 7] = 1.0 / 3.0
+        monkeypatch.setattr(network, "constraint_rows", lambda: (rows, rhs))
+        with pytest.raises(InexactConstraint):
+            witness_feasibility(strategy_network_blocks())
 
 
 class TestSolveNonsignaling:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -245,10 +247,10 @@ class TestTableau:
             parse_tableau("bogus\n")
 
 
-def dense_affine_projection(problem, x):
+def dense_affine_projection(problem, x, rcond=1e-15):
     """w - Aᵀ(A Aᵀ)⁺(A w - b) row by row, with the full dense matrix."""
     a = problem.dense_matrix()
-    step = ((x @ a.T - problem.b) @ np.linalg.pinv(a @ a.T, hermitian=True)) @ a
+    step = ((x @ a.T - problem.b) @ np.linalg.pinv(a @ a.T, rcond=rcond, hermitian=True)) @ a
     return x - step
 
 
@@ -325,3 +327,95 @@ class TestAffineSet:
         assert sorted(np.bincount(affine.group).tolist()) == sorted(
             [3, 2, 4, 2, 3, 2, 2, 4, 3, 2, 2, 3] + [1] * 8
         )
+
+    def test_nonsignaling_factor_has_the_rank_of_the_equalities(self):
+        from ordergame.network import nonsignaling_program
+
+        # 449 rows of rank 203 over 256 distinct columns
+        assert _AffineSet(nonsignaling_program()).F.shape == (256, 203)
+
+
+class TestPinnedSolves:
+    """Iteration counts and values the affine-step arithmetic must not move."""
+
+    def test_nonsignaling_lp(self):
+        from ordergame.network import nonsignaling_program
+
+        report = solve(nonsignaling_program())
+        assert report.status == "optimal"
+        assert report.iterations == 446
+        # 3.6e-12 above 5/6 at tolerance 1e-8; pinned to the value the
+        # Gram pseudo-inverse step reached
+        assert abs(report.objective_value - 0.8333333333369799) <= 1e-12
+        assert abs(report.objective_value - 5.0 / 6.0) <= 1e-11
+
+    def test_discrimination_program(self):
+        from ordergame.quantum import discrimination_program, unbiased_order_states
+
+        report = solve(discrimination_program(unbiased_order_states()))
+        assert report.status == "optimal"
+        assert report.iterations == 69
+
+    def test_shared_state_program(self):
+        from ordergame.quantum import routing_pair_products
+
+        pair_ops = {
+            (pp.name, p.name): op.to_float().data for (pp, p), op in routing_pair_products().items()
+        }
+        _, report = solve_shared_state_feasibility(pair_ops)
+        assert report.iterations == 34
+
+    @pytest.mark.parametrize("name", ["nonsignaling", "planted"])
+    def test_capped_solve_reports_the_equality_gap(self, name):
+        problem = programs_with_duplicate_columns()[name]
+        report = solve(problem, SolveSettings(max_iters=5))
+        gap = np.max(np.abs(problem.dense_matrix() @ report.solution - problem.b))
+        assert report.iterations == 5
+        assert report.primal_residual >= gap * (1.0 - 1e-12)
+
+    def test_batch_converging_at_different_iterations_matches_single_solves(self):
+        # alone, these objectives converge after 47, 54, 56 and 132 iterations:
+        # at the cap of 56 one row converges on the last iteration and one
+        # is still live
+        problem = small_sdp()
+        objectives = np.stack([scale * problem.objective for scale in (0.1, 1.0, 2.0, -1.0)])
+        settings = SolveSettings(max_iters=56)
+        batch = solve_same_constraints(problem, objectives, settings)
+        assert [r.iterations for r in batch] == [47, 54, 56, 56]
+        assert [r.status for r in batch][:3] == ["optimal"] * 3
+        assert batch[3].status != "optimal"
+        for objective, got in zip(objectives, batch):
+            want = solve(replace(problem, objective=objective), settings)
+            assert got.status == want.status
+            assert got.iterations == want.iterations
+            assert abs(got.objective_value - want.objective_value) <= 1e-12
+            assert np.isclose(got.primal_residual, want.primal_residual, rtol=1e-9, atol=1e-15)
+            assert np.isclose(got.dual_residual, want.dual_residual, rtol=1e-9, atol=1e-15)
+            assert np.max(np.abs(got.solution - want.solution)) <= 1e-12
+
+
+class TestNoEqualities:
+    def test_solves_with_identity_affine_step(self):
+        problem = ConicProblem(
+            blocks=[NonnegOrthant(3)],
+            objective=[-1, -2, -0.5],
+            a_rows=[],
+            a_cols=[],
+            a_vals=[],
+            b=[],
+        )
+        report = solve(problem)
+        assert report.status == "optimal"
+        assert report.objective_value == 0.0
+        assert report.primal_residual <= 1e-8
+
+    def test_affine_set_is_the_whole_space(self):
+        problem = ConicProblem(
+            blocks=[NonnegOrthant(3)], objective=np.zeros(3), a_rows=[], a_cols=[], a_vals=[], b=[]
+        )
+        affine = _AffineSet(problem)
+        x = np.random.default_rng(3).normal(size=(2, 3))
+        projected = x.copy()
+        affine.project(projected)
+        assert np.array_equal(projected, x)
+        assert np.array_equal(affine.gap(x), np.zeros(2))
