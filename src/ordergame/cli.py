@@ -6,6 +6,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -43,10 +44,12 @@ class RunConfig:
     check: bool = False
 
     def __post_init__(self):
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iters <= 0:
-            raise ValueError("max_iters must be positive")
+        if not 0 < self.tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, not {self.tolerance}")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, not {self.max_iters}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, not {self.seed}")
         if self.scenario != "all" and self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario: {self.scenario}")
 
@@ -294,16 +297,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    config = RunConfig(
-        scenario=args.scenario,
-        tolerance=args.tolerance,
-        max_iters=args.max_iters,
-        seed=args.seed,
-        output=args.output,
-        dump_matrices=args.dump_matrices,
-        check=args.check,
-    )
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        config = RunConfig(
+            scenario=args.scenario,
+            tolerance=args.tolerance,
+            max_iters=args.max_iters,
+            seed=args.seed,
+            output=args.output,
+            dump_matrices=args.dump_matrices,
+            check=args.check,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run(config)
     sys.stdout.write(emit(report, config.output))
     if report.failures:

@@ -151,48 +151,23 @@ def constraint_rows() -> tuple[np.ndarray, np.ndarray]:
     marginal rows, 64 per party, and one total-trace row.  All coefficients
     are dyadic, so the float rows convert losslessly to exact rationals.
     """
-    rows = []
-    rhs = []
-    # final wire: the summed block must be uniform on S_F given the rest
-    for v in range(_SIDE):
-        row = np.zeros(_SIDE)
-        row[v] += 1.0
-        for bit in (0, 1):
-            row[(v & ~1) | bit] -= 0.5
-        rows.append(row)
-        rhs.append(0.0)
-    # each party: after dropping S_F and the party's out wire, the marginal
-    # must be uniform on the party's in wire
+    v = np.arange(_SIDE)
+    # (key, uniform bit) per marginal: the final wire keys the whole index; a
+    # party keys the six bits left without S_F and its out wire, in wire order
+    marginals = [(v, 1)]
     for party in ("A", "B", "C"):
-        pos_in = _POS[IN_WIRE[party]]
-        pos_out = _POS[OUT_WIRE[party]]
-        summed = (pos_out, _POS[S_FINAL])
-        kept = [p for p in range(8) if p not in summed]
-        for uval in range(64):
-            row = np.zeros(_SIDE)
-            base = 0
-            for i, p in enumerate(kept):
-                base |= ((uval >> (5 - i)) & 1) << (7 - p)
-            for out_bit in (0, 1):
-                for fin_bit in (0, 1):
-                    v = base | (out_bit << (7 - pos_out)) | fin_bit
-                    row[v] += 1.0
-            for in_bit in (0, 1):
-                stripped = base & ~(1 << (7 - pos_in))
-                for out_bit in (0, 1):
-                    for fin_bit in (0, 1):
-                        v = (
-                            stripped
-                            | (in_bit << (7 - pos_in))
-                            | (out_bit << (7 - pos_out))
-                            | fin_bit
-                        )
-                        row[v] -= 0.5
-            rows.append(row)
-            rhs.append(0.0)
-    rows.append(np.ones(_SIDE))
-    rhs.append(_TOTAL_TRACE)
-    return np.array(rows), np.array(rhs)
+        kept = [p for p in range(8) if p not in (_POS[OUT_WIRE[party]], _POS[S_FINAL])]
+        key = sum(((v >> (7 - p)) & 1) << (5 - i) for i, p in enumerate(kept))
+        marginals.append((key, 1 << (5 - kept.index(_POS[IN_WIRE[party]]))))
+    # row u: +1 where the key is u, -1/2 where it equals u up to the bit
+    rows = np.ones((_SIDE + 3 * 64 + 1, _SIDE))
+    at = 0
+    for key, bit in marginals:
+        u = np.arange(key.max() + 1)[:, None]
+        rows[at : at + len(u)] = key == u
+        rows[at : at + len(u)][(key & ~bit) == (u & ~bit)] -= 0.5
+        at += len(u)
+    return rows, np.append(np.zeros(len(rows) - 1), _TOTAL_TRACE)
 
 
 def objective_diagonals() -> np.ndarray:

@@ -4,12 +4,20 @@ The memoryless scenario applies three fixed single-qubit unitaries in the
 hidden order; the resulting six states form three mutually unbiased bases
 and an optimal-measurement cone program shows they cannot beat 1/3.  The
 entangled scenario routes a shared qubit through the parties with swap
-gates; a specific 4-qubit state built from Dicke projectors makes the six
-routed outputs exactly orthogonal, so the order is read off perfectly.
+gates, one 16-entry basis index map per order; a specific 4-qubit state
+built from Dicke projectors makes the six routed outputs exactly
+orthogonal, so the order is read off perfectly.
+
+That proof takes no square root of the state.  The Gram matrix of the six
+routed purified outputs is the matrix of pair traces
+tr(R_pi'^dag R_pi state), with tr(state) on its diagonal, and each pair
+trace is a 16-entry gather from the state through the pair's index map:
+exact rationals for every exact state, floats for float states.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -273,20 +281,25 @@ _ROUTING_BIT = {"A": 3, "B": 2, "C": 1}  # bit positions in (A_I, B_I, C_I, S); 
 def _swap_index_map(party: str) -> np.ndarray:
     """Basis-index action of swapping a party's input bit with the shared bit."""
     px = _ROUTING_BIT[party]
-    out = np.empty(16, dtype=int)
-    for j in range(16):
-        bx = (j >> px) & 1
-        bs = j & 1
-        out[j] = (j & ~((1 << px) | 1)) | (bs << px) | bx
-    return out
+    j = np.arange(16)
+    # flip both bits exactly where they differ
+    return j ^ ((((j >> px) ^ j) & 1) * ((1 << px) | 1))
+
+
+@functools.lru_cache(maxsize=None)
+def _routing_map(pi: Perm3) -> np.ndarray:
+    """Basis action e_j -> e_{map[j]} of the order's three swaps, first mover first."""
+    m = np.arange(16)
+    for party in pi.order:
+        m = _swap_index_map(party)[m]
+    m.flags.writeable = False
+    return m
 
 
 def _permutation_operator(index_map: np.ndarray, layout) -> LabeledOperator:
     side = len(index_map)
     data = np.zeros((side, side), dtype=object)
-    data[...] = 0
-    for j in range(side):
-        data[int(index_map[j]), j] = 1
+    data[index_map, np.arange(side)] = 1
     return LabeledOperator(layout, data)
 
 
@@ -305,26 +318,30 @@ class SystemPermutation:
 
 def routing_matrix(pi: Perm3) -> SystemPermutation:
     """Compose the three shared-wire swaps in temporal order."""
-    m = np.arange(16)
-    for party in pi.order:
-        m = _swap_index_map(party)[m]
-    return SystemPermutation(
-        pi=pi, op=_permutation_operator(m, ENTANGLED_LAYOUT), index_map=m
-    )
+    m = _routing_map(pi)
+    return SystemPermutation(pi=pi, op=_permutation_operator(m, ENTANGLED_LAYOUT), index_map=m)
 
 
 def _pair_index_map(pi_prime: Perm3, pi: Perm3) -> np.ndarray:
     """Index map of adjoint(routing(pi')) @ routing(pi)."""
-    m_prime = routing_matrix(pi_prime).index_map
-    inv = np.empty_like(m_prime)
-    inv[m_prime] = np.arange(16)
-    return inv[routing_matrix(pi).index_map]
+    inv = np.empty(16, dtype=int)
+    inv[_routing_map(pi_prime)] = np.arange(16)
+    return inv[_routing_map(pi)]
+
+
+def _pair_trace(pi_prime: Perm3, pi: Perm3, data: np.ndarray):
+    """tr(adjoint(routing(pi')) @ routing(pi) @ data): a 16-entry gather.
+
+    Summed with Python ``sum`` in index order: exact data stays exact, and
+    float data rounds as a left-to-right sum (numpy's pairwise ``.sum()``
+    would move the last digits).
+    """
+    index_map = _pair_index_map(pi_prime, pi)
+    return sum(data[np.arange(16), index_map])
 
 
 def _ordered_pairs() -> list[tuple[Perm3, Perm3]]:
-    return [
-        (pp, p) for pp in all_orders() for p in all_orders() if pp != p
-    ]
+    return [(pp, p) for pp in all_orders() for p in all_orders() if pp != p]
 
 
 def routing_pair_products() -> dict[tuple[Perm3, Perm3], LabeledOperator]:
@@ -333,11 +350,6 @@ def routing_pair_products() -> dict[tuple[Perm3, Perm3], LabeledOperator]:
         (pp, p): _permutation_operator(_pair_index_map(pp, p), ENTANGLED_LAYOUT)
         for pp, p in _ordered_pairs()
     }
-
-
-def _permutation_trace_with(index_map: np.ndarray, mat: np.ndarray):
-    """tr(P @ mat) for the permutation P with the given index map."""
-    return sum(mat[k, int(index_map[k])] for k in range(len(index_map)))
 
 
 def factor_permutation_operator(positions: Sequence[int]) -> LabeledOperator:
@@ -349,13 +361,8 @@ def factor_permutation_operator(positions: Sequence[int]) -> LabeledOperator:
     """
     if sorted(positions) != [0, 1, 2, 3]:
         raise ValueError(f"not a permutation of 0..3: {positions}")
-    index_map = np.empty(16, dtype=int)
-    for j in range(16):
-        bits = [(j >> (3 - p)) & 1 for p in range(4)]
-        out = 0
-        for slot, src in enumerate(positions):
-            out |= bits[src] << (3 - slot)
-        index_map[j] = out
+    j = np.arange(16)
+    index_map = sum(((j >> (3 - src)) & 1) << (3 - slot) for slot, src in enumerate(positions))
     return _permutation_operator(index_map, ENTANGLED_LAYOUT)
 
 
@@ -423,41 +430,6 @@ def perfect_discrimination_state() -> LabeledOperator:
     return eye.scale(Fraction(1, 12)) - symmetric_projector().scale(Fraction(1, 15))
 
 
-@dataclass(frozen=True)
-class ProjectorSplitRoot:
-    """Square root of a two-eigenvalue state a*P + b*(I-P).
-
-    The two irrational scalars are kept as their exact squares and only ever
-    squared again in Gram computations, which therefore stay rational.
-    """
-
-    sym: LabeledOperator
-    comp: LabeledOperator
-    sym_coeff_sq: Fraction
-    comp_coeff_sq: Fraction
-
-    def state(self) -> LabeledOperator:
-        return self.sym.scale(self.sym_coeff_sq) + self.comp.scale(self.comp_coeff_sq)
-
-    def to_float(self) -> np.ndarray:
-        a = math.sqrt(self.sym_coeff_sq)
-        b = math.sqrt(self.comp_coeff_sq)
-        return a * np.asarray(self.sym.to_float().data) + b * np.asarray(
-            self.comp.to_float().data
-        )
-
-
-def perfect_state_root() -> ProjectorSplitRoot:
-    proj = symmetric_projector()
-    eye = LabeledOperator.identity(ENTANGLED_LAYOUT, exact=True)
-    return ProjectorSplitRoot(
-        sym=proj,
-        comp=eye - proj,
-        sym_coeff_sq=Fraction(1, 60),
-        comp_coeff_sq=Fraction(1, 12),
-    )
-
-
 # ---------------------------------------------------------------------------
 # verification of perfect discrimination
 # ---------------------------------------------------------------------------
@@ -471,8 +443,7 @@ def pair_trace_values(state: LabeledOperator) -> dict[tuple[Perm3, Perm3], objec
     """
     out = {}
     for pp, p in _ordered_pairs():
-        index_map = _pair_index_map(pp, p)
-        val = _permutation_trace_with(index_map, state.data)
+        val = _pair_trace(pp, p, state.data)
         out[(pp, p)] = val if state.exact else complex(val)
     return out
 
@@ -513,11 +484,6 @@ def verify_perfect_discrimination(
 
 
 def _sqrt_for_purification(state: LabeledOperator) -> np.ndarray:
-    if state.exact:
-        root = perfect_state_root()
-        if state.allclose(root.state()):
-            return root.to_float()
-        state = state.to_float()
     if not state.is_psd(1e-8):
         raise NotPSD("shared state must be positive semidefinite")
     w, v = eig_hermitian(state)
@@ -541,30 +507,21 @@ def entangled_output_states(state: LabeledOperator) -> dict[Perm3, Vec]:
 
 
 def output_gram(state: LabeledOperator) -> np.ndarray:
-    """Gram matrix of the six routed purified outputs.
+    """Gram matrix of the six routed purified outputs: the pair-trace matrix.
 
-    For the exact shared state the entries come from the projector-split
-    square root, so they are exact rationals; float states give complex
-    entries via the purification vectors.
+    With S the square root of the state, the outputs are vec(R_pi S), and
+    <vec(R_pi' S), vec(R_pi S)> = tr(S R_pi'^dag R_pi S) = tr(R_pi'^dag R_pi state).
+    So entry (pi', pi) is a pair trace, with tr(state) on the diagonal, and
+    no square root is taken: the entries are Fractions for every exact
+    state and complex numbers for float states.  Raises :class:`NotPSD`
+    unless the state is positive semidefinite.
     """
+    if not state.is_psd(1e-8):
+        raise NotPSD("shared state must be positive semidefinite")
     order = all_orders()
-    if state.exact:
-        root = perfect_state_root()
-        if not state.allclose(root.state()):
-            return output_gram(state.to_float())
-        sym = root.sym.data
-        comp = root.comp.data
-        gram = np.zeros((6, 6), dtype=object)
-        for i, pp in enumerate(order):
-            for j, p in enumerate(order):
-                index_map = _pair_index_map(pp, p)
-                gram[i, j] = root.sym_coeff_sq * _permutation_trace_with(
-                    index_map, sym
-                ) + root.comp_coeff_sq * _permutation_trace_with(index_map, comp)
-        return gram
-    outputs = entangled_output_states(state)
-    gram = np.zeros((6, 6), dtype=complex)
+    gram = np.empty((6, 6), dtype=object if state.exact else complex)
     for i, pp in enumerate(order):
         for j, p in enumerate(order):
-            gram[i, j] = outputs[pp].inner(outputs[p])
+            val = _pair_trace(pp, p, state.data)
+            gram[i, j] = Fraction(val) if state.exact else val
     return gram

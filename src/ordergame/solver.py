@@ -343,8 +343,8 @@ class _AffineSet:
 
 
 def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings):
-    if settings.max_iters < 1 or settings.tolerance <= 0:
-        raise ProblemMalformed("settings need positive tolerance and max_iters")
+    if settings.max_iters < 1 or not 0 < settings.tolerance < math.inf:
+        raise ProblemMalformed("settings need a finite positive tolerance and max_iters >= 1")
     affine = _AffineSet(problem)
     groups = _group_blocks(problem.blocks)
     n = problem.dim

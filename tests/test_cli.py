@@ -187,6 +187,23 @@ class TestMain:
         assert main(["--scenario", "nonsignaling", "--tolerance", "0.5", "--check"]) == 1
         assert "check failed: nonsignaling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--tolerance", "0"],
+            ["--tolerance", "-1"],
+            ["--max-iters", "0"],
+            ["--seed", "-1", "--scenario", "quantum-memoryless"],
+            ["--tolerance", "inf", "--scenario", "nonsignaling"],
+            ["--tolerance", "nan"],
+        ],
+    )
+    def test_bad_flag_value_is_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_parser_defaults(self):
         args = build_parser().parse_args([])
         assert args.scenario == "all"

@@ -160,6 +160,36 @@ class TestProgramStructure:
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
+    def test_constraint_rows_match_loop_reference(self):
+        # the per-row loops the closed form replaced, kept as the reference
+        pos = {space: i for i, space in enumerate(NETWORK_LAYOUT)}
+        rows = []
+        for v in range(256):
+            row = np.zeros(256)
+            row[v] += 1.0
+            for bit in (0, 1):
+                row[(v & ~1) | bit] -= 0.5
+            rows.append(row)
+        for party in ("A", "B", "C"):
+            pos_in, pos_out = pos[IN_WIRE[party]], pos[OUT_WIRE[party]]
+            kept = [p for p in range(8) if p not in (pos_out, pos[S_FINAL])]
+            for uval in range(64):
+                row = np.zeros(256)
+                base = 0
+                for i, p in enumerate(kept):
+                    base |= ((uval >> (5 - i)) & 1) << (7 - p)
+                for out_bit, fin_bit in itertools.product((0, 1), repeat=2):
+                    row[base | (out_bit << (7 - pos_out)) | fin_bit] += 1.0
+                stripped = base & ~(1 << (7 - pos_in))
+                for in_bit, out_bit, fin_bit in itertools.product((0, 1), repeat=3):
+                    row[stripped | (in_bit << (7 - pos_in)) | (out_bit << (7 - pos_out)) | fin_bit] -= 0.5
+                rows.append(row)
+        rows.append(np.ones(256))
+        want_rhs = np.array([0.0] * 448 + [16.0])
+        got, got_rhs = constraint_rows()
+        assert got.tobytes() == np.array(rows).tobytes()
+        assert got_rhs.tobytes() == want_rhs.tobytes()
+
     def test_tableau_pinned(self):
         text = dump_tableau(nonsignaling_program())
         assert hashlib.sha256(text.encode()).hexdigest() == (

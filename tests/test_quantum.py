@@ -7,6 +7,7 @@ import pytest
 
 from ordergame.game import Perm3, all_orders
 from ordergame.quantum import (
+    _pair_index_map,
     BASIS_OF_STATE,
     KET,
     ORDER_TO_BASIS_STATE,
@@ -22,7 +23,6 @@ from ordergame.quantum import (
     output_gram,
     pair_trace_values,
     perfect_discrimination_state,
-    perfect_state_root,
     quantum_memoryless_optimum,
     routing_matrix,
     routing_pair_products,
@@ -188,6 +188,15 @@ class TestSwapRouting:
         for pi in all_orders():
             m = routing_matrix(pi).op
             assert (m.adjoint() @ m).trace() == 16
+
+    def test_factor_permutation_matches_loop_reference(self):
+        for positions in itertools.permutations(range(4)):
+            want = np.zeros((16, 16), dtype=int)
+            for j in range(16):
+                bits = [(j >> (3 - p)) & 1 for p in range(4)]
+                out = sum(bits[src] << (3 - slot) for slot, src in enumerate(positions))
+                want[out, j] = 1
+            assert np.array_equal(factor_permutation_operator(positions).data, want)
 
     def test_pair_products_are_factor_permutations(self):
         perms = {
@@ -370,8 +379,59 @@ class TestOutputs:
         assert np.max(np.abs(residual)) <= 1e-12
         assert abs(program.objective @ x - 1.0) <= 1e-12
 
-    def test_root_squares_back_to_state(self):
-        root = perfect_state_root()
-        sq = root.to_float()
-        target = np.asarray(perfect_discrimination_state().to_float().data)
-        assert np.max(np.abs(sq @ sq - target)) <= 1e-12
+
+def exact_diagonal_state(value):
+    data = np.zeros((16, 16), dtype=object)
+    for i in range(16):
+        data[i, i] = value
+    return LabeledOperator(ENTANGLED_LAYOUT, data)
+
+
+def random_density_matrix(seed):
+    rng = np.random.default_rng(seed)
+    m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+    rho = m @ m.conj().T
+    return LabeledOperator(ENTANGLED_LAYOUT, rho / np.trace(rho).real)
+
+
+class TestOutputGram:
+    @pytest.mark.parametrize(
+        "state",
+        [
+            perfect_discrimination_state().to_float(),
+            LabeledOperator(ENTANGLED_LAYOUT, np.eye(16, dtype=complex) / 16.0),
+            *(random_density_matrix(seed) for seed in (11, 12, 13)),
+        ],
+        ids=["closed-form", "mixed", "random-11", "random-12", "random-13"],
+    )
+    def test_matches_purification_vectors(self, state):
+        # the reference takes the square root and inner products of the
+        # routed purifications; output_gram takes neither
+        outputs = entangled_output_states(state)
+        order = all_orders()
+        want = np.array([[np.vdot(outputs[a].data, outputs[b].data) for b in order] for a in order])
+        gram = output_gram(state)
+        assert gram.dtype == complex
+        assert np.max(np.abs(gram - want)) <= 1e-12
+
+    def test_exact_for_every_exact_state(self):
+        gram = output_gram(exact_diagonal_state(Fraction(1, 16)))
+        for i in range(6):
+            for j in range(6):
+                assert isinstance(gram[i, j], Fraction)
+                assert gram[i, j] == (1 if i == j else Fraction(1, 4))
+
+    def test_rejects_non_psd(self):
+        with pytest.raises(NotPSD):
+            output_gram(exact_diagonal_state(Fraction(-1, 16)))
+        with pytest.raises(NotPSD):
+            output_gram(LabeledOperator(ENTANGLED_LAYOUT, -np.eye(16, dtype=complex) / 16.0))
+
+    def test_pair_index_map_is_the_operator_product(self):
+        pairs = [(pp, p) for pp in all_orders() for p in all_orders() if pp != p]
+        assert len(pairs) == 30
+        for pp, p in pairs:
+            product = (routing_matrix(pp).op.adjoint() @ routing_matrix(p).op).data
+            # column j of a permutation matrix has its one 1 in row map[j]
+            want = [next(i for i in range(16) if product[i, j] == 1) for j in range(16)]
+            assert _pair_index_map(pp, p).tolist() == want

@@ -171,6 +171,14 @@ class TestSolve:
         assert report.status in ("max_iters", "infeasible_suspected")
         assert report.iterations == 5
 
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("inf"), float("nan")])
+    def test_tolerance_must_be_finite_and_positive(self, tolerance):
+        from ordergame.quantum import discrimination_program, unbiased_order_states
+
+        problem = discrimination_program(unbiased_order_states())
+        with pytest.raises(ProblemMalformed):
+            solve(problem, SolveSettings(tolerance=tolerance, max_iters=50))
+
     def test_malformed(self):
         with pytest.raises(ProblemMalformed):
             ConicProblem(
