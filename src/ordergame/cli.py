@@ -83,6 +83,7 @@ def _quantum_memoryless(config: RunConfig) -> ScenarioResult:
         "max_value": scan.max_value,
         "unconverged": scan.unconverged,
         "max_primal_residual": scan.max_primal_residual,
+        **scan.iteration_spread(),
     }
     return result
 

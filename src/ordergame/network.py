@@ -6,8 +6,12 @@ built from unnormalized maximally entangled projectors across consecutive
 wire pairs.  A classical strategy is a diagonal network operator per guess;
 contracting it with the wiring operator of the true order gives the guess
 probability.  The optimum over all non-signaling classical strategies is a
-linear program because the dephasing constraint collapses every PSD block
-to its diagonal.
+linear program.  A classical strategy is unchanged by dephasing in the
+computational basis, and dephasing maps a PSD guess block to its diagonal,
+which is PSD exactly when it is nonnegative; the guess probabilities and
+the non-signaling equalities then read only the diagonals.  Every equality
+reads only their sum over the six blocks, so the solver runs the LP on 256
+coordinates.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from .classical import BitStrategy, losr_canonical_witness, run_losr
 from .game import Perm3, ScenarioResult, all_orders, optimal_decoder
 from .solver import (
     ConicProblem,
-    HermitianPSD,
     NonnegOrthant,
     SolveReport,
     SolveSettings,
@@ -295,38 +298,3 @@ def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
         objective += sum(Fraction(blocks[pi][v]) for v in support)
     objective = objective / 6
     return {"feasible": max_violation == 0, "max_violation": max_violation, "objective": objective}
-
-
-# ---------------------------------------------------------------------------
-# debug mode: the same program over full PSD blocks
-# ---------------------------------------------------------------------------
-
-
-def solve_nonsignaling_psd_debug(
-    tolerance: float = 1e-6, max_iters: int = 150
-) -> SolveReport:
-    """Run the program over six full 256x256 Hermitian-PSD blocks.
-
-    The LP's equalities and objective sit on the diagonal coordinates of
-    the blocks; off-diagonal entries are left free.  The iterates stay
-    diagonal because the objective and the equalities only see diagonals,
-    so the cone step's eigendecompositions redo the LP's orthant clipping.
-    The returned solution holds the six diagonals.  Intended as a
-    cross-check against the diagonal LP at matching small budgets.
-    """
-    lp = nonsignaling_program()
-    # LP column k * 256 + i -> svec coordinate of entry (i, i) of block k
-    diag = (np.arange(_N_BLOCKS)[:, None] * _SIDE * _SIDE + np.arange(_SIDE)).reshape(-1)
-    objective = np.zeros(_N_BLOCKS * _SIDE * _SIDE)
-    objective[diag] = lp.objective
-    program = ConicProblem(
-        blocks=[HermitianPSD(_SIDE)] * _N_BLOCKS,
-        objective=objective,
-        a_rows=lp.a_rows,
-        a_cols=diag[lp.a_cols],
-        a_vals=lp.a_vals,
-        b=lp.b,
-    )
-    report = solve(program, SolveSettings(tolerance=tolerance, max_iters=max_iters))
-    report.solution = report.solution[diag]
-    return report

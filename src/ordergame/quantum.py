@@ -218,12 +218,19 @@ class SampledBoundScan:
     """Monte-Carlo sweep of the memoryless optimum over random unitary triples."""
 
     values: np.ndarray
+    iterations: np.ndarray
     max_primal_residual: float
     unconverged: int
 
     @property
     def max_value(self) -> float:
         return float(self.values.max())
+
+    def iteration_spread(self) -> dict:
+        """Percentiles 50, 90 and 99 (interpolated) and the largest iteration count."""
+        spread = np.percentile(self.iterations, [50, 90, 99]).tolist()
+        return dict(zip(("iterations_p50", "iterations_p90", "iterations_p99"), spread),
+                    iterations_max=int(self.iterations.max()))
 
 
 def sampled_discrimination_values(
@@ -256,6 +263,7 @@ def sampled_discrimination_values(
     values = np.array([r.objective_value for r in reports])
     return SampledBoundScan(
         values=values,
+        iterations=np.array([r.iterations for r in reports]),
         max_primal_residual=max(r.primal_residual for r in reports),
         unconverged=sum(1 for r in reports if r.status != "optimal"),
     )

@@ -18,18 +18,18 @@ is a pure function of the problem and the settings.  Coordinates that no
 equality touches pass through the affine step unchanged, so the equality
 matrix and its factor only span the touched coordinates.
 
+Before the loop, orthant coordinates with exactly equal equality columns
+merge into one, whose objective in each batch row is the largest of its
+members' (LP presolve; Andersen & Andersen, Math. Prog. 71, 1995).  The
+equalities cannot tell the members apart, so the optimum is unchanged; the
+solution is lifted back onto the member with the largest objective in its
+row.  The non-signaling LP repeats one 449x256 block over six guess
+blocks, so it runs on 256 coordinates.  PSD coordinates never merge.
+
 The affine step is the cached-factorisation projection
-w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2), computed on the
-distinct columns of A.  Exactly equal columns form a group; with ``abar``
-holding one copy of each and G summing each group's coordinates,
-A w = abar G(w) and A Aᵀ = B Bᵀ for B = abar diag(√group sizes).  One thin
-SVD of B, cut to its rank r, gives a g x r factor F of the row space
-(g distinct columns), and the step is ((G(w) F - y) Fᵀ) spread back over
-each group: 2gr flops a row, never more than the m x m Gram inverse it
-replaces (m equalities), so every program shape takes this one path.  The
-non-signaling LP's 449x1536 matrix is one 449x256 block repeated over its
-six guess blocks, of rank 203, so F is 256x203; a program with all columns
-distinct runs the same code with groups of one.
+w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2) over the t touched
+columns: one thin SVD cut to the rank r gives a t x r factor F and the
+step (w F - y) Fᵀ, 2tr flops a row (256x203 for the merged LP).
 
 The primal residual is max(|x - z|, max|A z - b|).  The equality gap can
 only decide convergence on rows whose |x - z| and dual residual already
@@ -41,7 +41,6 @@ convergence decisions and reported residuals are those of the full test.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Mapping, Sequence
@@ -261,90 +260,112 @@ def project_cone(x: np.ndarray, blocks: Sequence[Cone]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _equal_column_groups(problem: ConicProblem):
-    """Group the exactly equal columns of the equality matrix.
+def _touched_columns(problem: ConicProblem) -> tuple[np.ndarray, np.ndarray]:
+    """The touched coordinates and their equality columns, one per row of a (t, m) array."""
+    cols, at = np.unique(problem.a_cols, return_inverse=True)
+    m = problem.n_eq
+    columns = np.bincount(at * m + problem.a_rows, weights=problem.a_vals, minlength=cols.size * m)
+    return cols, columns.reshape(cols.size, m)
 
-    Groups are numbered by falling size, ties in order of first appearance.
-    Returns ``(cols, group, abar, runs)`` with ``A[:, cols]`` equal to
-    ``abar[:, group]``, where ``abar`` holds one copy of each group's
-    column.  ``cols`` lists the touched coordinates with the groups of one
-    size together and member-major: entry ``k * m + j`` of a run of ``m``
-    groups is the ``k``-th member of its ``j``-th group.  ``runs`` holds
-    ``(size, positions in cols, m)`` per run.  With all columns distinct,
-    nothing is reordered and there is one run of size 1.
-    """
-    touched, a_cols = np.unique(problem.a_cols, return_inverse=True)
-    columns = np.zeros((touched.size, problem.n_eq))
-    np.add.at(columns, (a_cols, problem.a_rows), problem.a_vals)
+
+def _orthant_duplicates(problem: ConicProblem) -> list[list[int]]:
+    """Groups of two or more touched orthant coordinates with exactly equal
+    equality columns, each in increasing order, in order of first member."""
+    kinds = [isinstance(block, NonnegOrthant) for block in problem.blocks]
+    orthant = np.repeat(kinds, [block.dim for block in problem.blocks])
+    cols, columns = _touched_columns(problem)
     members: dict[bytes, list[int]] = {}
-    for j, column in enumerate(columns):
-        members.setdefault(column.tobytes(), []).append(j)
-    groups = sorted(members.values(), key=len, reverse=True)
-    order: list[int] = []
-    group: list[int] = []
-    runs = []
-    numbered = 0
-    for size, run in itertools.groupby(groups, key=len):
-        run = list(run)
-        start = len(order)
-        for k in range(size):
-            order.extend(g[k] for g in run)
-            group.extend(range(numbered, numbered + len(run)))
-        runs.append((size, slice(start, len(order)), len(run)))
-        numbered += len(run)
-    if not runs:  # no equality touches any coordinate: one empty run
-        runs.append((1, slice(0, 0), 0))
-    abar = np.ascontiguousarray(columns[[g[0] for g in groups]].T)
-    return touched[order], np.array(group, dtype=int), abar, runs
+    for j in np.flatnonzero(orthant[cols]):
+        members.setdefault(columns[j].tobytes(), []).append(int(cols[j]))
+    return [group for group in members.values() if len(group) > 1]
+
+
+def _merge_orthant_duplicates(problem: ConicProblem, objectives: np.ndarray):
+    """Merge each group of :func:`_orthant_duplicates` into its first member.
+
+    Returns the program without the other members (their triplets repeat
+    the first member's), the objectives with each group's row-wise largest
+    member objective on the kept coordinate, and ``lift``, which maps merged
+    solutions back by putting each merged value on the member with the
+    largest objective in its row (the first on ties).
+    """
+    groups = _orthant_duplicates(problem)
+    if not groups:
+        return problem, objectives, lambda solutions: solutions
+    # padding with the last member changes neither the largest objective
+    # nor the first member reaching it
+    size = max(map(len, groups))
+    members = np.array([group + group[-1:] * (size - len(group)) for group in groups])
+    keep = np.ones(problem.dim, dtype=bool)
+    keep[members[:, 1:]] = False
+    position = np.cumsum(keep) - 1  # merged index of each kept coordinate
+    first = position[members[:, 0]]
+    member_objectives = objectives[:, members]
+    merged_objectives = objectives[:, keep]
+    merged_objectives[:, first] = member_objectives.max(axis=2)
+    winners = members[np.arange(len(groups)), member_objectives.argmax(axis=2)]
+    blocks = [
+        block if isinstance(block, HermitianPSD) else NonnegOrthant(int(np.count_nonzero(keep[span])))
+        for block, span in zip(problem.blocks, problem.block_slices())
+    ]
+    triplets = keep[problem.a_cols]
+    merged = ConicProblem(
+        blocks=[block for block in blocks if block.dim],
+        objective=merged_objectives[0],
+        a_rows=problem.a_rows[triplets],
+        a_cols=position[problem.a_cols[triplets]],
+        a_vals=problem.a_vals[triplets],
+        b=problem.b,
+    )
+
+    def lift(solutions: np.ndarray) -> np.ndarray:
+        lifted = np.zeros((len(solutions), problem.dim))
+        lifted[:, keep] = solutions
+        lifted[:, members[:, 0]] = 0.0
+        lifted[np.arange(len(solutions))[:, None], winners] = solutions[:, first]
+        return lifted
+
+    return merged, merged_objectives, lift
 
 
 class _AffineSet:
-    """The set {x : A x = b}, held as one rank-r factor of A's distinct columns.
+    """The set {x : A x = b}, held as one rank-r factor of A's touched columns.
 
-    Over ``w = x[:, cols]``, ``A w = abar G(w)`` with ``G`` summing each
-    group's coordinates (see the module docstring).  With
-    ``B = abar diag(√sizes) = U Σ Vᵀ`` and only the singular values with
-    ``σ² > 1e-15 σ_max²`` kept (the rank ``pinv`` of ``B Bᵀ`` keeps),
-    ``F = V_r / √sizes`` and ``y = U_rᵀ b / σ_r`` give
-    ``Aᵀ(A Aᵀ)⁺(A w - b) = ((G(w) F - y) Fᵀ)[group]``: ``Bᵀ(B Bᵀ)⁺ = B⁺``,
-    so the step holds for every ``b``, consistent or not.  ``abar`` stays
-    for the equality gap.  A program with no equality rows has an empty
-    factor, an identity step and a gap of 0.
+    Over ``w = x[:, cols]``, with ``A[:, cols] = U Σ Vᵀ`` and only the
+    singular values with ``σ² > 1e-15 σ_max²`` kept (the rank ``pinv`` of
+    ``A Aᵀ`` keeps), ``F = V_r`` and ``y = U_rᵀ b / σ_r`` give
+    ``Aᵀ(A Aᵀ)⁺(A w - b) = (w F - y) Fᵀ``: ``Aᵀ(A Aᵀ)⁺ = A⁺``, so the step
+    holds for every ``b``, consistent or not.  ``columns`` stays for the
+    equality gap.  A program with no equality rows has an empty factor, an
+    identity step and a gap of 0.
     """
 
     def __init__(self, problem: ConicProblem):
-        self.cols, self.group, self.abar, self.runs = _equal_column_groups(problem)
+        self.cols, self.columns = _touched_columns(problem)
         self.b = problem.b
-        root_sizes = np.sqrt(np.bincount(self.group))
-        u, sigma, vt = np.linalg.svd(self.abar * root_sizes, full_matrices=False)
+        u, sigma, vt = np.linalg.svd(self.columns.T, full_matrices=False)
         # sigma[:1] is empty, and the rank 0, when no equality touches a column
         rank = np.count_nonzero(sigma**2 > 1e-15 * sigma[:1] ** 2)
-        self.F = np.ascontiguousarray(vt[:rank].T / root_sizes[:, None])
+        self.F = np.ascontiguousarray(vt[:rank].T)
         self.y = (u[:, :rank].T @ self.b) / sigma[:rank]
-
-    def _group_sum(self, w: np.ndarray) -> np.ndarray:
-        # sum each run's (batch, size, groups) view over its middle axis; a
-        # run of single columns needs no sum
-        parts = [
-            w[:, positions].reshape(len(w), size, m).sum(axis=1) if size > 1 else w[:, positions]
-            for size, positions, m in self.runs
-        ]
-        return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
     def project(self, x: np.ndarray) -> None:
         """Project each row of ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b)."""
         w = x[:, self.cols]
-        x[:, self.cols] = w - ((self._group_sum(w) @ self.F - self.y) @ self.F.T)[:, self.group]
+        x[:, self.cols] = w - (w @ self.F - self.y) @ self.F.T
 
     def gap(self, z: np.ndarray) -> np.ndarray:
         """Largest equality violation of each row of ``z``; 0 with no equalities."""
-        residual = self._group_sum(z[:, self.cols]) @ self.abar.T - self.b
+        residual = z[:, self.cols] @ self.columns - self.b
         return np.max(np.abs(residual), axis=1, initial=0.0)
 
 
 def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings):
     if settings.max_iters < 1 or not 0 < settings.tolerance < math.inf:
         raise ProblemMalformed("settings need a finite positive tolerance and max_iters >= 1")
+    if not len(objectives):
+        return []
+    problem, objectives, lift = _merge_orthant_duplicates(problem, objectives)
     affine = _AffineSet(problem)
     groups = _group_blocks(problem.blocks)
     n = problem.dim
@@ -400,6 +421,7 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
         done_dual[live] = dual
         solutions[live] = z
 
+    lifted = lift(solutions)
     reports = []
     for i in range(batch):
         if done[i]:
@@ -413,7 +435,7 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
                 primal_residual=float(done_primal[i]),
                 dual_residual=float(done_dual[i]),
                 iterations=int(done_iters[i]),
-                solution=solutions[i],
+                solution=lifted[i],
             )
         )
     return reports

@@ -182,6 +182,9 @@ class TestMain:
         scan = payload["results"][0]["certificate"]["sampled_check"]
         assert scan["unconverged"] > 0
         assert scan["max_primal_residual"] > 1e-7
+        # unconverged instances stop at the cap
+        assert scan["iterations_max"] == 100
+        assert scan["iterations_p50"] <= scan["iterations_p90"] <= scan["iterations_p99"] <= 100
 
     def test_tolerance_does_not_loosen_check(self, capsys):
         assert main(["--scenario", "nonsignaling", "--tolerance", "0.5", "--check"]) == 1

@@ -21,7 +21,6 @@ from ordergame.network import (
     order_process,
     solution_blocks,
     solve_nonsignaling,
-    solve_nonsignaling_psd_debug,
     strategy_network_blocks,
     wiring_diagonal,
     witness_feasibility,
@@ -288,14 +287,6 @@ class TestSolveNonsignaling:
         result = solve_nonsignaling(SolveSettings(tolerance=1e-8))
         assert abs(result.probability_float - 5.0 / 6.0) <= 1e-6
         assert result.certificate["solver"]["status"] == "optimal"
-
-
-class TestPsdDebugMode:
-    def test_matches_diagonal_lp_at_small_budget(self):
-        budget = SolveSettings(tolerance=1e-6, max_iters=120)
-        lp = solve(nonsignaling_program(), budget)
-        full = solve_nonsignaling_psd_debug(tolerance=1e-6, max_iters=120)
-        assert abs(lp.objective_value - full.objective_value) <= 1e-5
 
 
 class TestTableauExport:

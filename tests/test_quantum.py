@@ -26,6 +26,7 @@ from ordergame.quantum import (
     quantum_memoryless_optimum,
     routing_matrix,
     routing_pair_products,
+    SampledBoundScan,
     sampled_discrimination_values,
     swap_unitary,
     symmetric_projector,
@@ -133,6 +134,16 @@ class TestDiscrimination:
         scan = sampled_discrimination_values(n_samples=100, seed=7)
         assert scan.max_value <= 1.0 / 3.0 + 1e-6
         assert scan.max_primal_residual <= 1e-5
+        assert scan.iterations.shape == (100,)
+        assert scan.iteration_spread()["iterations_max"] == scan.iterations.max() <= 20_000
+
+    def test_iteration_spread(self):
+        scan = SampledBoundScan(
+            values=np.zeros(100), iterations=np.arange(1, 101), max_primal_residual=0.0, unconverged=0
+        )
+        assert scan.iteration_spread() == pytest.approx(
+            {"iterations_p50": 50.5, "iterations_p90": 90.1, "iterations_p99": 99.01, "iterations_max": 100}
+        )
 
     def test_haar_sampler_unitary(self):
         rng = np.random.default_rng(3)

@@ -1,4 +1,5 @@
 import ast
+import sys
 from pathlib import Path
 
 import ordergame
@@ -13,4 +14,25 @@ def test_no_assert_statements_in_package():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.Assert)
     ]
+    assert found == []
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # the package's one runtime dependency is numpy
+    root = Path(ordergame.__file__).parent
+    allowed = set(sys.stdlib_module_names) | {"numpy", "ordergame"}
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.relative_to(root)}:{node.lineno} {name}"
+                for name in names
+                if name.partition(".")[0] not in allowed
+            ]
     assert found == []
