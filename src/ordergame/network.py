@@ -9,9 +9,14 @@ probability.  The optimum over all non-signaling classical strategies is a
 linear program.  A classical strategy is unchanged by dephasing in the
 computational basis, and dephasing maps a PSD guess block to its diagonal,
 which is PSD exactly when it is nonnegative; the guess probabilities and
-the non-signaling equalities then read only the diagonals.  Every equality
-reads only their sum over the six blocks, so the solver runs the LP on 256
-coordinates.
+the non-signaling equalities then read only the diagonals.
+
+Every equality reads only the summed diagonal d = sum_k D_k of the six
+blocks, so the LP is built over d: 256 variables, not 1536.  Any d >= 0 is
+reached by putting each d(v) on the block whose wiring diagonal is largest
+at v, and no split of d(v) scores more, so the LP's objective weights d(v)
+by max_k wiring_k(v) / 6 and :func:`solution_blocks` lifts d back onto that
+block.
 """
 
 from __future__ import annotations
@@ -179,19 +184,15 @@ def objective_diagonals() -> np.ndarray:
 
 
 def nonsignaling_program() -> ConicProblem:
-    """The non-signaling optimum as an LP over six diagonal guess blocks."""
+    """The non-signaling optimum as an LP over the summed diagonal of the six guess blocks."""
     rows, rhs = constraint_rows()
-    # every row acts on the summed diagonal: repeat its nonzeros once per
-    # block; the triplets run by row, then block, then column
-    shape = (rows.shape[0], _N_BLOCKS, _SIDE)
-    a_rows, block, col = np.nonzero(np.broadcast_to(rows[:, None, :] != 0, shape))
-    objective = objective_diagonals().reshape(-1) / 6.0
+    a_rows, a_cols = np.nonzero(rows)
     return ConicProblem(
-        blocks=[NonnegOrthant(_SIDE) for _ in range(_N_BLOCKS)],
-        objective=objective,
+        blocks=[NonnegOrthant(_SIDE)],
+        objective=objective_diagonals().max(axis=0) / 6.0,
         a_rows=a_rows,
-        a_cols=block * _SIDE + col,
-        a_vals=rows[a_rows, col],
+        a_cols=a_cols,
+        a_vals=rows[a_rows, a_cols],
         b=rhs,
     )
 
@@ -216,11 +217,14 @@ def solve_nonsignaling(settings: SolveSettings | None = None) -> ScenarioResult:
 
 
 def solution_blocks(report: SolveReport) -> dict[Perm3, np.ndarray]:
-    """Split a solver solution vector into per-order diagonal blocks."""
-    return {
-        pi: report.solution[k * _SIDE : (k + 1) * _SIDE]
-        for k, pi in enumerate(all_orders())
-    }
+    """Lift a summed-diagonal solution onto per-order diagonal blocks.
+
+    Each entry goes on the block whose wiring diagonal is largest there (the
+    first on ties), so the blocks sum to the solution and score its objective.
+    """
+    best = objective_diagonals().argmax(axis=0)
+    blocks = np.where(best == np.arange(_N_BLOCKS)[:, None], report.solution, 0.0)
+    return dict(zip(all_orders(), blocks))
 
 
 # ---------------------------------------------------------------------------

@@ -18,18 +18,10 @@ is a pure function of the problem and the settings.  Coordinates that no
 equality touches pass through the affine step unchanged, so the equality
 matrix and its factor only span the touched coordinates.
 
-Before the loop, orthant coordinates with exactly equal equality columns
-merge into one, whose objective in each batch row is the largest of its
-members' (LP presolve; Andersen & Andersen, Math. Prog. 71, 1995).  The
-equalities cannot tell the members apart, so the optimum is unchanged; the
-solution is lifted back onto the member with the largest objective in its
-row.  The non-signaling LP repeats one 449x256 block over six guess
-blocks, so it runs on 256 coordinates.  PSD coordinates never merge.
-
 The affine step is the cached-factorisation projection
 w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2) over the t touched
 columns: one thin SVD cut to the rank r gives a t x r factor F and the
-step (w F - y) Fᵀ, 2tr flops a row (256x203 for the merged LP).
+step (w F - y) Fᵀ, 2tr flops a row (256x203 for the non-signaling LP).
 
 The primal residual is max(|x - z|, max|A z - b|).  The equality gap can
 only decide convergence on rows whose |x - z| and dual residual already
@@ -136,13 +128,6 @@ class ConicProblem:
         a = np.zeros((self.n_eq, self.dim))
         np.add.at(a, (self.a_rows, self.a_cols), self.a_vals)
         return a
-
-    def block_slices(self) -> list[slice]:
-        out, at = [], 0
-        for block in self.blocks:
-            out.append(slice(at, at + block.dim))
-            at += block.dim
-        return out
 
 
 @dataclass
@@ -268,66 +253,6 @@ def _touched_columns(problem: ConicProblem) -> tuple[np.ndarray, np.ndarray]:
     return cols, columns.reshape(cols.size, m)
 
 
-def _orthant_duplicates(problem: ConicProblem) -> list[list[int]]:
-    """Groups of two or more touched orthant coordinates with exactly equal
-    equality columns, each in increasing order, in order of first member."""
-    kinds = [isinstance(block, NonnegOrthant) for block in problem.blocks]
-    orthant = np.repeat(kinds, [block.dim for block in problem.blocks])
-    cols, columns = _touched_columns(problem)
-    members: dict[bytes, list[int]] = {}
-    for j in np.flatnonzero(orthant[cols]):
-        members.setdefault(columns[j].tobytes(), []).append(int(cols[j]))
-    return [group for group in members.values() if len(group) > 1]
-
-
-def _merge_orthant_duplicates(problem: ConicProblem, objectives: np.ndarray):
-    """Merge each group of :func:`_orthant_duplicates` into its first member.
-
-    Returns the program without the other members (their triplets repeat
-    the first member's), the objectives with each group's row-wise largest
-    member objective on the kept coordinate, and ``lift``, which maps merged
-    solutions back by putting each merged value on the member with the
-    largest objective in its row (the first on ties).
-    """
-    groups = _orthant_duplicates(problem)
-    if not groups:
-        return problem, objectives, lambda solutions: solutions
-    # padding with the last member changes neither the largest objective
-    # nor the first member reaching it
-    size = max(map(len, groups))
-    members = np.array([group + group[-1:] * (size - len(group)) for group in groups])
-    keep = np.ones(problem.dim, dtype=bool)
-    keep[members[:, 1:]] = False
-    position = np.cumsum(keep) - 1  # merged index of each kept coordinate
-    first = position[members[:, 0]]
-    member_objectives = objectives[:, members]
-    merged_objectives = objectives[:, keep]
-    merged_objectives[:, first] = member_objectives.max(axis=2)
-    winners = members[np.arange(len(groups)), member_objectives.argmax(axis=2)]
-    blocks = [
-        block if isinstance(block, HermitianPSD) else NonnegOrthant(int(np.count_nonzero(keep[span])))
-        for block, span in zip(problem.blocks, problem.block_slices())
-    ]
-    triplets = keep[problem.a_cols]
-    merged = ConicProblem(
-        blocks=[block for block in blocks if block.dim],
-        objective=merged_objectives[0],
-        a_rows=problem.a_rows[triplets],
-        a_cols=position[problem.a_cols[triplets]],
-        a_vals=problem.a_vals[triplets],
-        b=problem.b,
-    )
-
-    def lift(solutions: np.ndarray) -> np.ndarray:
-        lifted = np.zeros((len(solutions), problem.dim))
-        lifted[:, keep] = solutions
-        lifted[:, members[:, 0]] = 0.0
-        lifted[np.arange(len(solutions))[:, None], winners] = solutions[:, first]
-        return lifted
-
-    return merged, merged_objectives, lift
-
-
 class _AffineSet:
     """The set {x : A x = b}, held as one rank-r factor of A's touched columns.
 
@@ -365,7 +290,6 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
         raise ProblemMalformed("settings need a finite positive tolerance and max_iters >= 1")
     if not len(objectives):
         return []
-    problem, objectives, lift = _merge_orthant_duplicates(problem, objectives)
     affine = _AffineSet(problem)
     groups = _group_blocks(problem.blocks)
     n = problem.dim
@@ -421,7 +345,6 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
         done_dual[live] = dual
         solutions[live] = z
 
-    lifted = lift(solutions)
     reports = []
     for i in range(batch):
         if done[i]:
@@ -435,7 +358,7 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
                 primal_residual=float(done_primal[i]),
                 dual_residual=float(done_dual[i]),
                 iterations=int(done_iters[i]),
-                solution=lifted[i],
+                solution=solutions[i],
             )
         )
     return reports
@@ -559,40 +482,40 @@ def dump_tableau(problem: ConicProblem) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: The fields after each tableau line's keyword, by type.
+_TABLEAU_FIELDS = {"rows": (int,), "cone": (str, int), "o": (int, float), "a": (int, int, float), "rhs": (int, float)}
+
+
 def parse_tableau(text: str) -> ConicProblem:
-    blocks: list[Cone] = []
-    n_rows = None
-    obj_entries: list[tuple[int, float]] = []
-    rows, cols, vals = [], [], []
-    rhs_entries: list[tuple[int, float]] = []
+    """Inverse of :func:`dump_tableau`; malformed text raises ProblemMalformed."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "conic-tableau v1":
         raise ProblemMalformed("not a conic-tableau v1 dump")
+    entries: dict[str, list[list]] = {key: [] for key in _TABLEAU_FIELDS}
     for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "rows":
-            n_rows = int(parts[1])
-        elif parts[0] == "cone":
-            blocks.append(NonnegOrthant(int(parts[2])) if parts[1] == "orthant" else HermitianPSD(int(parts[2])))
-        elif parts[0] == "o":
-            obj_entries.append((int(parts[1]), float(parts[2])))
-        elif parts[0] == "a":
-            rows.append(int(parts[1]))
-            cols.append(int(parts[2]))
-            vals.append(float(parts[3]))
-        elif parts[0] == "rhs":
-            rhs_entries.append((int(parts[1]), float(parts[2])))
-        else:
-            raise ProblemMalformed(f"unknown tableau line: {ln}")
-    if n_rows is None:
-        raise ProblemMalformed("missing rows header")
-    dim = sum(block.dim for block in blocks)
-    objective = np.zeros(dim)
-    for j, v in obj_entries:
-        objective[j] = v
-    b = np.zeros(n_rows)
-    for r, v in rhs_entries:
-        b[r] = v
+        key, *fields = ln.split()
+        types = _TABLEAU_FIELDS.get(key)
+        if types is None or len(fields) != len(types):
+            raise ProblemMalformed(f"malformed tableau line: {ln}")
+        try:
+            entries[key].append([kind(field) for kind, field in zip(types, fields)])
+        except ValueError as exc:
+            raise ProblemMalformed(f"malformed tableau line: {ln}") from exc
+    if len(entries["rows"]) != 1 or entries["rows"][0][0] < 0:
+        raise ProblemMalformed("need one rows header with a count >= 0")
+    blocks: list[Cone] = []
+    for kind, size in entries["cone"]:
+        if kind not in ("orthant", "psd") or size < 0:
+            raise ProblemMalformed(f"bad cone: {kind} {size}")
+        blocks.append(NonnegOrthant(size) if kind == "orthant" else HermitianPSD(size))
+    objective = np.zeros(sum(block.dim for block in blocks))
+    b = np.zeros(entries["rows"][0][0])
+    for key, target in (("o", objective), ("rhs", b)):
+        for i, v in entries[key]:
+            if not 0 <= i < len(target):
+                raise ProblemMalformed(f"{key} index {i} out of range")
+            target[i] = v
+    rows, cols, vals = zip(*entries["a"]) if entries["a"] else ((), (), ())
     return ConicProblem(
         blocks=blocks,
         objective=objective,

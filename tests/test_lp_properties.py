@@ -1,4 +1,4 @@
-"""Property tests of the solver's merge of equal orthant columns on small LPs."""
+"""Property tests of the solver on small LPs with duplicate equality columns."""
 
 import numpy as np
 import pytest
@@ -43,7 +43,7 @@ def bounded_lps(draw):
 
 @hypothesis.settings(max_examples=60, deadline=None)
 @hypothesis.given(bounded_lps())
-def test_merged_solve_matches_linprog_and_lifts_feasibly(problem):
+def test_solve_with_duplicate_columns_matches_linprog(problem):
     report = solve(problem, SolveSettings(tolerance=1e-9))
     assert report.status == "optimal"
     a = problem.dense_matrix()
@@ -51,9 +51,8 @@ def test_merged_solve_matches_linprog_and_lifts_feasibly(problem):
     assert want.status == 0
     assert abs(report.objective_value + want.fun) <= 1e-6
     assert report.solution.shape == (problem.dim,)
-    # the lift puts each merged value on a member with the merged objective
     assert abs(problem.objective @ report.solution - report.objective_value) <= 1e-9
     assert np.all(report.solution >= 0.0)
-    # the merged gap sums the same terms in another order: allow its rounding
+    # the reported gap sums the same terms in another order: allow its rounding
     rounding = 1e-13 * max(1.0, np.max(np.abs(a) @ report.solution))
     assert np.max(np.abs(a @ report.solution - problem.b)) <= report.primal_residual + rounding

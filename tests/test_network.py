@@ -25,7 +25,7 @@ from ordergame.network import (
     wiring_diagonal,
     witness_feasibility,
 )
-from ordergame.solver import SolveSettings, dump_tableau, parse_tableau, solve
+from ordergame.solver import ConicProblem, NonnegOrthant, SolveSettings, dump_tableau, parse_tableau, solve
 from ordergame.tensor import (
     NETWORK_LAYOUT,
     C_OUT,
@@ -139,8 +139,8 @@ class TestLinkProbability:
 class TestProgramStructure:
     def test_variable_count(self):
         program = nonsignaling_program()
-        assert program.dim == 6 * 256 == 1536
-        assert all(block.n == 256 for block in program.blocks)
+        assert program.dim == 256
+        assert program.blocks == [NonnegOrthant(256)]
 
     def test_trace_constraint_rhs(self):
         _, rhs = constraint_rows()
@@ -192,7 +192,7 @@ class TestProgramStructure:
     def test_tableau_pinned(self):
         text = dump_tableau(nonsignaling_program())
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "49f93e8d77697670a21906d39ca49569d7d7fd60e5d9b749f8b5c7e855369c69"
+            "fa9de381af2f2ee53c278814f039a0dbb1dcab74e4f15a348d3d5bac0d2d8026"
         )
 
     def test_uniform_point_objective_exactly_one_sixth(self):
@@ -282,6 +282,34 @@ class TestSolveNonsignaling:
             diag_w = wiring_diagonal(pi)
             totals.append(sum(blocks[guess] @ diag_w for guess in all_orders()))
         assert max(totals) - min(totals) <= 1e-6
+
+    def test_solution_blocks_lift_the_summed_diagonal(self, lp_report):
+        blocks = solution_blocks(lp_report)
+        stacked = np.array([blocks[pi] for pi in all_orders()])
+        assert np.all(stacked >= 0.0)
+        assert np.array_equal(stacked.sum(axis=0), lp_report.solution)
+        score = sum(blocks[pi] @ wiring_diagonal(pi) for pi in all_orders()) / 6
+        assert abs(score - lp_report.objective_value) <= 1e-12
+
+    def test_summed_diagonal_lp_solves_the_six_block_lp(self, lp_report):
+        # the reference: six diagonal blocks, every row repeated once per block
+        rows, rhs = constraint_rows()
+        dense = np.tile(rows, (1, 6))
+        a_rows, a_cols = np.nonzero(dense)
+        six_blocks = ConicProblem(
+            blocks=[NonnegOrthant(256)] * 6,
+            objective=objective_diagonals().reshape(-1) / 6,
+            a_rows=a_rows,
+            a_cols=a_cols,
+            a_vals=dense[a_rows, a_cols],
+            b=rhs,
+        )
+        full = solve(six_blocks)
+        assert full.status == "optimal"
+        assert abs(full.objective_value - lp_report.objective_value) <= 1e-6
+        lifted = np.concatenate([solution_blocks(lp_report)[pi] for pi in all_orders()])
+        rounding = 1e-13 * max(1.0, np.max(np.abs(dense) @ lifted))
+        assert np.max(np.abs(dense @ lifted - rhs)) <= lp_report.primal_residual + rounding
 
     def test_scenario_wrapper(self):
         result = solve_nonsignaling(SolveSettings(tolerance=1e-8))

@@ -5,8 +5,6 @@ import pytest
 
 from ordergame.solver import (
     _AffineSet,
-    _merge_orthant_duplicates,
-    _orthant_duplicates,
     ConicProblem,
     HermitianPSD,
     NonnegOrthant,
@@ -215,6 +213,28 @@ class TestSolve:
         assert abs(reports[0].objective_value - single.objective_value) <= 1e-9
         assert abs(reports[1].objective_value - 0.5 * single.objective_value) <= 1e-9
 
+    def test_psd_blocks_with_untouched_off_diagonals(self):
+        # max c1.d1 + c2.d2 s.t. d1 + 2 d2 = 1 on the diagonals of two 8x8 PSD
+        # blocks; no equality and no objective touches an off-diagonal, so the
+        # eigendecompositions redo the orthant LP's clipping
+        c = np.random.default_rng(4).uniform(0.1, 1.0, size=(2, 8))
+        diag = np.concatenate([np.arange(8), 64 + np.arange(8)])  # svec puts diagonals first
+        objective = np.zeros(128)
+        objective[diag] = c.ravel()
+        rows, vals = np.tile(np.arange(8), 2), np.repeat([1.0, 2.0], 8)
+        psd = ConicProblem(
+            blocks=[HermitianPSD(8)] * 2, objective=objective, a_rows=rows, a_cols=diag, a_vals=vals, b=np.ones(8)
+        )
+        lp = ConicProblem(
+            blocks=[NonnegOrthant(16)], objective=c.ravel(), a_rows=rows, a_cols=np.arange(16), a_vals=vals, b=np.ones(8)
+        )
+        got, want = solve(psd), solve(lp)
+        assert got.status == want.status == "optimal"
+        assert got.iterations == want.iterations
+        assert abs(got.objective_value - np.maximum(c[0], c[1] / 2).sum()) <= 1e-6
+        assert np.max(np.abs(got.solution[diag] - want.solution)) <= 1e-12
+        assert np.max(np.abs(np.delete(got.solution, diag))) <= 1e-12
+
 
 def z_mat():
     return np.diag([1.0, -1.0]).astype(complex)
@@ -261,6 +281,22 @@ class TestTableau:
     def test_rejects_garbage(self):
         with pytest.raises(ProblemMalformed):
             parse_tableau("bogus\n")
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "rows 1\ncone orthant 1\na 0 0\n",  # truncated triplet
+            "rows 1\ncone psd 2\no 9 1.0\n",  # objective index past the 4 coordinates
+            "rows 1\ncone orthant 1\nrhs 5 1.0\n",  # right-hand side past the rows
+            "rows 1\ncone orthant x\n",  # non-integer size
+            "rows -1\ncone orthant 1\n",  # negative row count
+            "rows 1\ncone soc 3\n",  # unknown cone kind
+        ],
+        ids=["short-a", "objective-index", "rhs-index", "cone-size", "negative-rows", "cone-kind"],
+    )
+    def test_malformed_text_raises_problem_malformed(self, body):
+        with pytest.raises(ProblemMalformed):
+            parse_tableau("conic-tableau v1\n" + body)
 
 
 def dense_affine_projection(problem, x, rcond=1e-15):
@@ -322,128 +358,11 @@ class TestAffineSet:
         want = np.max(np.abs(z @ problem.dense_matrix().T - problem.b), axis=1)
         assert np.allclose(_AffineSet(problem).gap(z), want, rtol=1e-13, atol=1e-13)
 
-    def test_nonsignaling_columns_collapse_sixfold(self):
-        from ordergame.network import nonsignaling_program
-
-        # 1536 LP columns, the same 256 in each of six blocks, merge into 256
-        problem = nonsignaling_program()
-        groups = _orthant_duplicates(problem)
-        assert groups == [[i + 256 * k for k in range(6)] for i in range(256)]
-        merged, objectives, _ = _merge_orthant_duplicates(problem, problem.objective[None, :])
-        assert merged.blocks == [NonnegOrthant(256)]
-        assert objectives.shape == (1, 256)
-
-    def test_distinct_columns_keep_their_order(self):
-        problem = small_sdp()
-        affine = _AffineSet(problem)
-        assert np.array_equal(affine.cols, np.unique(problem.a_cols))
-        # no orthant duplicates: the program runs as given
-        merged, objectives, lift = _merge_orthant_duplicates(problem, problem.objective[None, :])
-        assert merged is problem
-        assert np.array_equal(objectives, problem.objective[None, :])
-        solutions = np.ones((1, problem.dim))
-        assert lift(solutions) is solutions
-
-    def test_planted_groups_found(self):
-        problem = planted_duplicates_program()
-        groups = _orthant_duplicates(problem)
-        assert sorted(len(g) for g in groups) == sorted([3, 2, 4, 2, 3, 2, 2, 4, 3, 2, 2, 3])
-        merged, _, _ = _merge_orthant_duplicates(problem, problem.objective[None, :])
-        assert merged.dim == 40 - sum(len(g) - 1 for g in groups)
-        # the same columns on PSD coordinates do not merge
-        assert _orthant_duplicates(replace(problem, blocks=[HermitianPSD(6), HermitianPSD(2)])) == []
-
-    def test_planted_psd_duplicates_do_not_merge(self):
-        # column c1 on orthant 0, 1, 7 and PSD 5; c2 on PSD 3, 4 and orthant 8
-        c1, c2, c3 = [1.0, 2.0], [0.5, -1.0], [3.0, 0.0]
-        columns = {0: c1, 1: c1, 2: c3, 3: c2, 4: c2, 5: c1, 7: c1, 8: c2}
-        rows, cols, vals = zip(*[(r, j, c[r]) for j, c in columns.items() for r in range(2) if c[r]])
-        problem = ConicProblem(
-            blocks=[NonnegOrthant(3), HermitianPSD(2), NonnegOrthant(2)],
-            objective=np.zeros(9),
-            a_rows=rows,
-            a_cols=cols,
-            a_vals=vals,
-            b=[1.0, 1.0],
-        )
-        assert _orthant_duplicates(problem) == [[0, 1, 7]]
-        merged, _, _ = _merge_orthant_duplicates(problem, problem.objective[None, :])
-        assert merged.blocks == [NonnegOrthant(2), HermitianPSD(2), NonnegOrthant(1)]
-
     def test_nonsignaling_factor_has_the_rank_of_the_equalities(self):
         from ordergame.network import nonsignaling_program
 
-        # 449 rows of rank 203 over the 256 merged columns
-        problem = nonsignaling_program()
-        merged, _, _ = _merge_orthant_duplicates(problem, problem.objective[None, :])
-        assert _AffineSet(merged).F.shape == (256, 203)
-
-
-class TestOrthantMerge:
-    """Equal orthant columns merge into one coordinate before the loop."""
-
-    def test_nonsignaling_lp_is_the_summed_diagonal_lp(self):
-        from ordergame.network import constraint_rows, nonsignaling_program, objective_diagonals
-
-        rows, rhs = constraint_rows()
-        a_rows, a_cols = np.nonzero(rows)
-        summed = ConicProblem(
-            blocks=[NonnegOrthant(256)],
-            objective=objective_diagonals().max(axis=0) / 6,
-            a_rows=a_rows,
-            a_cols=a_cols,
-            a_vals=rows[a_rows, a_cols],
-            b=rhs,
-        )
-        full, reduced = solve(nonsignaling_program()), solve(summed)
-        assert full.iterations == reduced.iterations == 108
-        assert full.objective_value == reduced.objective_value
-        assert full.primal_residual == reduced.primal_residual
-        assert full.dual_residual == reduced.dual_residual
-        blocks = full.solution.reshape(6, 256)
-        assert np.array_equal(blocks.sum(axis=0), reduced.solution)
-        # each value sits on the first block whose wiring diagonal is largest
-        block, col = np.nonzero(blocks)
-        assert np.array_equal(block, objective_diagonals().argmax(axis=0)[col])
-
-    def test_batch_lifts_each_row_onto_its_own_block(self):
-        from ordergame.network import nonsignaling_program
-
-        problem = nonsignaling_program()
-        flipped = problem.objective.reshape(6, 256)[::-1].reshape(-1)
-        objectives = np.stack([problem.objective, flipped, 0.5 * flipped])
-        batch = solve_same_constraints(problem, objectives)
-        for objective, got in zip(objectives, batch):
-            want = solve(replace(problem, objective=objective))
-            assert got.status == want.status == "optimal"
-            assert got.iterations == want.iterations
-            assert abs(got.objective_value - want.objective_value) <= 1e-12
-            assert np.max(np.abs(got.solution - want.solution)) <= 1e-12
-            block, col = np.nonzero(got.solution.reshape(6, 256))
-            assert np.array_equal(block, objective.reshape(6, 256).argmax(axis=0)[col])
-        assert not np.array_equal(np.nonzero(batch[0].solution), np.nonzero(batch[1].solution))
-
-    def test_psd_blocks_with_untouched_off_diagonals(self):
-        # max c1.d1 + c2.d2 s.t. d1 + 2 d2 = 1 on the diagonals of two 8x8 PSD
-        # blocks; no equality and no objective touches an off-diagonal, so the
-        # eigendecompositions redo the orthant LP's clipping
-        c = np.random.default_rng(4).uniform(0.1, 1.0, size=(2, 8))
-        diag = np.concatenate([np.arange(8), 64 + np.arange(8)])  # svec puts diagonals first
-        objective = np.zeros(128)
-        objective[diag] = c.ravel()
-        rows, vals = np.tile(np.arange(8), 2), np.repeat([1.0, 2.0], 8)
-        psd = ConicProblem(
-            blocks=[HermitianPSD(8)] * 2, objective=objective, a_rows=rows, a_cols=diag, a_vals=vals, b=np.ones(8)
-        )
-        lp = ConicProblem(
-            blocks=[NonnegOrthant(16)], objective=c.ravel(), a_rows=rows, a_cols=np.arange(16), a_vals=vals, b=np.ones(8)
-        )
-        got, want = solve(psd), solve(lp)
-        assert got.status == want.status == "optimal"
-        assert got.iterations == want.iterations
-        assert abs(got.objective_value - np.maximum(c[0], c[1] / 2).sum()) <= 1e-6
-        assert np.max(np.abs(got.solution[diag] - want.solution)) <= 1e-12
-        assert np.max(np.abs(np.delete(got.solution, diag))) <= 1e-12
+        # 449 rows of rank 203 over the 256 summed-diagonal columns
+        assert _AffineSet(nonsignaling_program()).F.shape == (256, 203)
 
 
 class TestPinnedSolves:
