@@ -15,7 +15,7 @@ from typing import Callable
 
 from . import __version__
 from .classical import search_losr, search_memoryless
-from .game import ScenarioResult, all_orders, trit_game, two_party_game
+from .game import ScenarioResult, TranscriptMismatch, all_orders, trit_game, two_party_game
 from .network import nonsignaling_program, solve_nonsignaling
 from .quantum import (
     perfect_discrimination_state,
@@ -94,9 +94,7 @@ def _lose_sdp(config: RunConfig) -> ScenarioResult:
         for (pp, p), op in routing_pair_products().items()
     }
     state, solver_report = solve_shared_state_feasibility(pair_ops, config.solver_settings())
-    result = verify_perfect_discrimination(
-        state, atol=max(config.tolerance, 1e-8), scenario="lose-sdp"
-    )
+    result = verify_perfect_discrimination(state, atol=CHECK_SLACK, scenario="lose-sdp")
     result.certificate["solver"] = solver_report.jsonable()
     return result
 
@@ -147,7 +145,8 @@ def run(config: RunConfig) -> Report:
         start = time.perf_counter()
         try:
             report.results.append(SCENARIOS[name].run(config))
-        except SolverFailed as exc:
+        # every typed scenario error is a ValueError, apart from these two
+        except (SolverFailed, TranscriptMismatch, ValueError) as exc:
             report.failures[name] = str(exc)
         report.wall_time_ms[name] = (time.perf_counter() - start) * 1000.0
     if config.dump_matrices:

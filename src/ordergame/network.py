@@ -34,8 +34,7 @@ from .solver import (
     NonnegOrthant,
     SolveReport,
     SolveSettings,
-    SolverFailed,
-    solve,
+    solve_within_bound,
 )
 from .tensor import (
     NETWORK_LAYOUT,
@@ -159,14 +158,13 @@ def constraint_rows() -> tuple[np.ndarray, np.ndarray]:
     marginal rows, 64 per party, and one total-trace row.  All coefficients
     are dyadic, so the float rows convert losslessly to exact rationals.
     """
-    v = np.arange(_SIDE)
     # (key, uniform bit) per marginal: the final wire keys the whole index; a
     # party keys the six bits left without S_F and its out wire, in wire order
-    marginals = [(v, 1)]
+    marginals = [(np.arange(_SIDE), 1)]
     for party in ("A", "B", "C"):
-        kept = [p for p in range(8) if p not in (_POS[OUT_WIRE[party]], _POS[S_FINAL])]
-        key = sum(((v >> (7 - p)) & 1) << (5 - i) for i, p in enumerate(kept))
-        marginals.append((key, 1 << (5 - kept.index(_POS[IN_WIRE[party]]))))
+        kept = [s for s in NETWORK_LAYOUT if s not in (OUT_WIRE[party], S_FINAL)]
+        key = sum(_bit(s) << (5 - i) for i, s in enumerate(kept))
+        marginals.append((key, 1 << (5 - kept.index(IN_WIRE[party]))))
     # row u: +1 where the key is u, -1/2 where it equals u up to the bit
     rows = np.ones((_SIDE + 3 * 64 + 1, _SIDE))
     at = 0
@@ -199,14 +197,7 @@ def nonsignaling_program() -> ConicProblem:
 
 def solve_nonsignaling(settings: SolveSettings | None = None) -> ScenarioResult:
     """Solve the non-signaling LP and package the certificate."""
-    settings = settings or SolveSettings()
-    report = solve(nonsignaling_program(), settings)
-    if report.status != "optimal":
-        raise SolverFailed(
-            f"non-signaling solve ended with status {report.status}", report
-        )
-    if report.objective_value > 1.0 + 10 * settings.tolerance:
-        raise SolverFailed("probability objective exceeds 1", report)
+    report = solve_within_bound("non-signaling", nonsignaling_program(), Fraction(1), settings)
     return ScenarioResult(
         scenario="nonsignaling",
         probability=report.objective_value,
@@ -241,34 +232,26 @@ def strategy_network_blocks(
 
     The blocks encode: prepare 0 on the input wire, forward each party's
     map on its out wire, and decode the guess from the final bit together
-    with the three received bits (read off the in wires).
+    with the three received bits (read off the in wires).  Each block is a
+    0/1 mask over the wire-bit table :func:`_bit`, with Python ``int``
+    entries in an ``object`` array.
     """
     if a is None:
         a, b, c = losr_canonical_witness()
-    strategies = {"A": a, "B": b, "C": c}
-    outcomes = {pi: run_losr(pi, a, b, c, 0).as_tuple() for pi in all_orders()}
-    decode = optimal_decoder(outcomes)
+    orders = all_orders()
+    outcomes = {pi: run_losr(pi, a, b, c, 0).as_tuple() for pi in orders}
+    # the indices the strategy reaches: 0 on the input wire, and each out
+    # wire carrying its party's map of the in wire
+    reached = _bit(S_PREP) == 0
+    for party, strategy in (("A", a), ("B", b), ("C", c)):
+        reached &= _bit(OUT_WIRE[party]) == np.where(_bit(IN_WIRE[party]), strategy(1), strategy(0))
     # tuples no wiring produces still need a guess, or the measurement is
-    # not a complete network; they carry no objective weight
-    fallback = all_orders()[0]
-    blocks = {}
-    for guess in all_orders():
-        diag = np.zeros(_SIDE, dtype=object)
-        diag[...] = 0
-        for v in range(_SIDE):
-            bits = {space: (v >> (7 - p)) & 1 for space, p in _POS.items()}
-            if bits[S_PREP] != 0:
-                continue
-            if any(
-                bits[OUT_WIRE[p]] != strategies[p](bits[IN_WIRE[p]])
-                for p in ("A", "B", "C")
-            ):
-                continue
-            observed = (bits[S_FINAL], bits[A_IN], bits[B_IN], bits[C_IN])
-            if decode.get(observed, fallback) == guess:
-                diag[v] = 1
-        blocks[guess] = diag
-    return blocks
+    # not a complete network: they get the first order, at no objective weight
+    observed = np.stack([_bit(s) for s in (S_FINAL, A_IN, B_IN, C_IN)], axis=1)
+    guess = np.zeros(_SIDE, dtype=int)
+    for outcome, pi in optimal_decoder(outcomes).items():
+        guess[np.all(observed == outcome, axis=1)] = orders.index(pi)
+    return {pi: np.where(reached & (guess == k), 1, 0).astype(object) for k, pi in enumerate(orders)}
 
 
 class InexactConstraint(ValueError):

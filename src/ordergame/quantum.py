@@ -18,6 +18,7 @@ exact rationals for every exact state, floats for float states.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -30,9 +31,8 @@ from .solver import (
     ConicProblem,
     HermitianPSD,
     SolveSettings,
-    SolverFailed,
-    solve,
     solve_same_constraints,
+    solve_within_bound,
     svec,
 )
 from .tensor import (
@@ -56,6 +56,10 @@ class NotOrthogonal(ValueError):
         super().__init__(f"outputs for pair {pair} overlap: trace value {value}")
         self.pair = pair
         self.value = value
+
+
+class ZeroTrace(ValueError):
+    """The shared state has no positive trace, so it routes no outputs to tell apart."""
 
 
 class InvalidExcitation(ValueError):
@@ -184,16 +188,7 @@ def quantum_memoryless_optimum(
     output.  Raises :class:`SolverFailed` if the solve did not converge or
     its value breaks the bound.
     """
-    settings = settings or SolveSettings()
-    report = solve(discrimination_program(states), settings)
-    if report.status != "optimal":
-        raise SolverFailed(
-            f"discrimination solve ended with status {report.status}", report
-        )
-    if report.objective_value > 1.0 / 3.0 + 10 * settings.tolerance:
-        raise SolverFailed(
-            f"discrimination value {report.objective_value} exceeds the 1/3 bound", report
-        )
+    report = solve_within_bound("discrimination", discrimination_program(states), Fraction(1, 3), settings)
     bloch = {
         pi.name: [round(x, 12) for x in bloch_coordinates(vec)]
         for pi, vec in sorted(states.items())
@@ -348,15 +343,11 @@ def _pair_trace(pi_prime: Perm3, pi: Perm3, data: np.ndarray):
     return sum(data[np.arange(16), index_map])
 
 
-def _ordered_pairs() -> list[tuple[Perm3, Perm3]]:
-    return [(pp, p) for pp in all_orders() for p in all_orders() if pp != p]
-
-
 def routing_pair_products() -> dict[tuple[Perm3, Perm3], LabeledOperator]:
     """All 30 ordered products adjoint(routing(pi')) @ routing(pi), exact."""
     return {
         (pp, p): _permutation_operator(_pair_index_map(pp, p), ENTANGLED_LAYOUT)
-        for pp, p in _ordered_pairs()
+        for pp, p in itertools.permutations(all_orders(), 2)
     }
 
 
@@ -444,16 +435,10 @@ def perfect_discrimination_state() -> LabeledOperator:
 
 
 def pair_trace_values(state: LabeledOperator) -> dict[tuple[Perm3, Perm3], object]:
-    """tr(pair_product . state) for all 30 ordered pairs, exact when state is.
-
-    Pair products are permutation matrices, so each trace is a 16-entry
-    gather from the state; no precision is lost on either scalar kind.
-    """
-    out = {}
-    for pp, p in _ordered_pairs():
-        val = _pair_trace(pp, p, state.data)
-        out[(pp, p)] = val if state.exact else complex(val)
-    return out
+    """tr(pair_product . state) for all 30 ordered pairs: the off-diagonal of :func:`output_gram`."""
+    gram = output_gram(state)
+    order = all_orders()
+    return {(order[i], order[j]): gram[i, j] for i, j in itertools.permutations(range(6), 2)}
 
 
 def verify_perfect_discrimination(
@@ -461,21 +446,22 @@ def verify_perfect_discrimination(
 ) -> ScenarioResult:
     """Check the six routed outputs of the given shared state are orthogonal.
 
-    Exact states must give exactly zero for all 30 ordered pair traces;
-    float states are held to ``atol``.  On success the reported probability
-    is 1 with the orthonormal-output measurement as certificate.
+    The outputs are perfectly distinguishable exactly when their Gram matrix
+    (:func:`output_gram`) is diagonal with a positive diagonal, tr(state).
+    Exact states must give a positive trace and exactly zero for all 30
+    ordered pair traces; float states are held to ``atol`` on both.  On
+    success the reported probability is 1 with the orthonormal-output
+    measurement as certificate.
     """
-    if not state.is_psd(1e-8):
-        raise NotPSD("shared state must be positive semidefinite")
-    values = pair_trace_values(state)
-    for key, val in sorted(values.items()):
-        if state.exact:
-            if val != 0:
-                raise NotOrthogonal((key[0].name, key[1].name), val)
-        elif abs(val) > atol:
-            raise NotOrthogonal((key[0].name, key[1].name), val)
-    trace = state.trace()
-    residual = 0.0 if state.exact else max(abs(v) for v in values.values())
+    gram = output_gram(state)
+    trace = gram[0, 0]
+    if not ((trace > 0) if state.exact else (trace.real > atol)):
+        raise ZeroTrace(f"shared state has trace {trace}: no outputs to tell apart")
+    order = all_orders()
+    pairs = list(itertools.permutations(range(6), 2))
+    for i, j in pairs:
+        if (gram[i, j] != 0) if state.exact else (abs(gram[i, j]) > atol):
+            raise NotOrthogonal((order[i].name, order[j].name), gram[i, j])
     probability: Fraction | float = Fraction(1) if state.exact else 1.0
     return ScenarioResult(
         scenario=scenario,
@@ -483,9 +469,9 @@ def verify_perfect_discrimination(
         strategy="shared 4-qubit state, every party swaps with the shared wire; "
         "measure onto the six orthogonal routed outputs",
         certificate={
-            "pair_traces_checked": len(values),
-            "max_pair_trace": residual,
-            "state_trace": str(trace) if state.exact else float(np.real(trace)),
+            "pair_traces_checked": len(pairs),
+            "max_pair_trace": 0.0 if state.exact else float(max(abs(gram[i, j]) for i, j in pairs)),
+            "state_trace": str(trace) if state.exact else float(trace.real),
             "exact": state.exact,
         },
     )

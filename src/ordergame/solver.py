@@ -35,6 +35,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -138,7 +139,7 @@ class SolveSettings:
 
 @dataclass
 class SolveReport:
-    status: str  # "optimal" | "max_iters" | "infeasible_suspected"
+    status: str  # "optimal" | "max_iters"
     objective_value: float
     primal_residual: float
     dual_residual: float
@@ -345,29 +346,45 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
         done_dual[live] = dual
         solutions[live] = z
 
-    reports = []
-    for i in range(batch):
-        if done[i]:
-            status = "optimal"
-        else:
-            status = "infeasible_suspected" if done_primal[i] > 1e-3 else "max_iters"
-        reports.append(
-            SolveReport(
-                status=status,
-                objective_value=float(objectives[i] @ solutions[i]),
-                primal_residual=float(done_primal[i]),
-                dual_residual=float(done_dual[i]),
-                iterations=int(done_iters[i]),
-                solution=solutions[i],
-            )
+    return [
+        SolveReport(
+            status="optimal" if done[i] else "max_iters",
+            objective_value=float(objectives[i] @ solutions[i]),
+            primal_residual=float(done_primal[i]),
+            dual_residual=float(done_dual[i]),
+            iterations=int(done_iters[i]),
+            solution=solutions[i],
         )
-    return reports
+        for i in range(batch)
+    ]
 
 
 def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> SolveReport:
     """Solve one cone program; the returned point is exactly cone-feasible."""
     settings = settings or SolveSettings()
     return _admm(problem, problem.objective[None, :], settings)[0]
+
+
+def solve_within_bound(
+    name: str,
+    problem: ConicProblem,
+    bound: Fraction,
+    settings: SolveSettings | None = None,
+    solve_tolerance: float | None = None,
+) -> SolveReport:
+    """Solve a scenario's program, which must converge to at most ``bound + 10 * settings.tolerance``.
+
+    Raises :class:`SolverFailed` otherwise.  The solve runs to ``solve_tolerance``
+    when one is given; the slack still follows ``settings.tolerance``.
+    """
+    settings = settings or SolveSettings()
+    slack = 10 * settings.tolerance
+    report = solve(problem, replace(settings, tolerance=solve_tolerance or settings.tolerance))
+    if report.status != "optimal":
+        raise SolverFailed(f"{name} solve ended with status {report.status}", report)
+    if report.objective_value > bound + slack:
+        raise SolverFailed(f"{name} value {report.objective_value} exceeds the {bound} bound", report)
+    return report
 
 
 def solve_same_constraints(
@@ -448,16 +465,14 @@ def solve_shared_state_feasibility(
     """
     settings = settings or SolveSettings()
     side = math.prod(s.dim for s in layout)
-    problem = shared_state_program(pair_ops, side=side)
-    report = solve(problem, replace(settings, tolerance=settings.tolerance / 2.0))
-    if report.status != "optimal":
-        raise SolverFailed(
-            f"shared-state feasibility solve ended with status {report.status}", report
-        )
-    state = unsvec(report.solution[: side * side], side)
-    if report.objective_value > 1.0 + 10 * settings.tolerance:
-        raise SolverFailed("objective exceeds the trace cap", report)
-    return LabeledOperator(layout, state), report
+    report = solve_within_bound(
+        "shared-state feasibility",
+        shared_state_program(pair_ops, side=side),
+        Fraction(1),
+        settings,
+        solve_tolerance=settings.tolerance / 2.0,
+    )
+    return LabeledOperator(layout, unsvec(report.solution[: side * side], side)), report
 
 
 # ---------------------------------------------------------------------------

@@ -190,6 +190,33 @@ class TestMain:
         assert main(["--scenario", "nonsignaling", "--tolerance", "0.5", "--check"]) == 1
         assert "check failed: nonsignaling" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["10", "1e300"])
+    def test_scenario_error_exit_code(self, tolerance, capsys):
+        # a loose tolerance stops the LP above 1, and the out-of-range
+        # probability is recorded as a failure, not raised
+        assert main(["--scenario", "nonsignaling", "--tolerance", tolerance]) == 2
+        assert "nonsignaling          FAILED: probability out of range" in capsys.readouterr().out
+
+    def test_tolerance_does_not_loosen_lose_sdp_orthogonality(self, capsys, monkeypatch):
+        import numpy as np
+
+        import ordergame.cli as cli
+        from ordergame.quantum import perfect_discrimination_state
+        from ordergame.solver import SolveReport
+        from ordergame.tensor import ENTANGLED_LAYOUT, LabeledOperator
+
+        # mixing in 4e-3 of the maximally mixed state (pair traces 1/4)
+        # leaves a unit-trace PSD state whose routed outputs overlap by 1e-3
+        closed_form = np.asarray(perfect_discrimination_state().to_float().data)
+        state = LabeledOperator(ENTANGLED_LAYOUT, (1 - 4e-3) * closed_form + 4e-3 * np.eye(16) / 16)
+
+        def overlapping(pair_ops, settings):
+            return state, SolveReport("optimal", 1.0, 0.0, 0.0, 1, np.zeros(257))
+
+        monkeypatch.setattr(cli, "solve_shared_state_feasibility", overlapping)
+        assert main(["--scenario", "lose-sdp", "--tolerance", "0.5", "--check"]) != 0
+        assert "lose-sdp              FAILED: outputs for pair" in capsys.readouterr().out
+
     @pytest.mark.parametrize(
         "argv",
         [

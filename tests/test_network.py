@@ -5,8 +5,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ordergame.classical import BitStrategy
-from ordergame.game import Perm3, all_orders
+from ordergame.classical import BitStrategy, all_bit_strategies, run_losr
+from ordergame.game import Perm3, all_orders, optimal_decoder
 from ordergame import network
 from ordergame.network import (
     IN_WIRE,
@@ -28,8 +28,12 @@ from ordergame.network import (
 from ordergame.solver import ConicProblem, NonnegOrthant, SolveSettings, dump_tableau, parse_tableau, solve
 from ordergame.tensor import (
     NETWORK_LAYOUT,
+    A_IN,
+    B_IN,
+    C_IN,
     C_OUT,
     S_FINAL,
+    S_PREP,
     LabeledOperator,
     NotHermitian,
     eig_hermitian,
@@ -228,6 +232,41 @@ class TestWitnessEmbedding:
         check = witness_feasibility(blocks)
         assert check["feasible"]
         assert check["objective"] < Fraction(5, 6)
+
+
+def loop_strategy_blocks(a, b, c):
+    """The per-index loop the wire-bit masks replaced, kept as the reference."""
+    pos = {space: i for i, space in enumerate(NETWORK_LAYOUT)}
+    strategies = {"A": a, "B": b, "C": c}
+    outcomes = {pi: run_losr(pi, a, b, c, 0).as_tuple() for pi in all_orders()}
+    decode = optimal_decoder(outcomes)
+    blocks = {}
+    for guess in all_orders():
+        diag = np.zeros(256, dtype=object)
+        diag[...] = 0
+        for v in range(256):
+            bits = {space: (v >> (7 - p)) & 1 for space, p in pos.items()}
+            if bits[S_PREP] != 0:
+                continue
+            if any(bits[OUT_WIRE[p]] != strategies[p](bits[IN_WIRE[p]]) for p in "ABC"):
+                continue
+            observed = (bits[S_FINAL], bits[A_IN], bits[B_IN], bits[C_IN])
+            if decode.get(observed, all_orders()[0]) == guess:
+                diag[v] = 1
+        blocks[guess] = diag
+    return blocks
+
+
+class TestStrategyBlocks:
+    @pytest.mark.parametrize("triple", list(itertools.product(all_bit_strategies(), repeat=3)))
+    def test_match_loop_reference(self, triple):
+        got = strategy_network_blocks(*triple)
+        want = loop_strategy_blocks(*triple)
+        assert list(got) == list(want)
+        for pi, diag in got.items():
+            assert diag.dtype == object
+            assert all(type(x) is int for x in diag)
+            assert diag.tolist() == want[pi].tolist()
 
 
 def loop_max_violation(blocks):

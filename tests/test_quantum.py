@@ -33,6 +33,7 @@ from ordergame.quantum import (
     unbiased_basis_channels,
     unbiased_order_states,
     verify_perfect_discrimination,
+    ZeroTrace,
 )
 from ordergame.solver import SolveReport, SolverFailed, SolveSettings, solve
 from ordergame.tensor import (
@@ -108,12 +109,13 @@ class TestDiscrimination:
         assert 1.0 / 3.0 < result.probability_float <= 1.0 / 3.0 + 1e-3
 
     def test_bound_violation_raises(self, monkeypatch):
-        import ordergame.quantum as quantum
+        import ordergame.solver as solver
 
         def over_bound(problem, settings=None):
             return SolveReport("optimal", 0.5, 0.0, 0.0, 1, np.zeros(problem.dim))
 
-        monkeypatch.setattr(quantum, "solve", over_bound)
+        # the bound check shared by every solver scenario calls solver.solve
+        monkeypatch.setattr(solver, "solve", over_bound)
         with pytest.raises(SolverFailed, match="1/3 bound"):
             quantum_memoryless_optimum(unbiased_order_states())
 
@@ -348,6 +350,25 @@ class TestVerification:
         with pytest.raises(NotPSD):
             verify_perfect_discrimination(bad)
 
+    @pytest.mark.parametrize(
+        "state",
+        [
+            LabeledOperator(ENTANGLED_LAYOUT, np.zeros((16, 16), dtype=object)),
+            LabeledOperator(ENTANGLED_LAYOUT, np.zeros((16, 16), dtype=complex)),
+        ],
+        ids=["exact", "float"],
+    )
+    def test_rejects_the_zero_operator(self, state):
+        # every pair trace of 0 vanishes, but it routes no outputs at all
+        with pytest.raises(ZeroTrace):
+            verify_perfect_discrimination(state)
+
+    def test_float_trace_must_exceed_atol(self):
+        tiny = perfect_discrimination_state().to_float().scale(1e-9)
+        with pytest.raises(ZeroTrace):
+            verify_perfect_discrimination(tiny, atol=1e-8)
+        assert verify_perfect_discrimination(tiny, atol=1e-10).probability == 1.0
+
 
 class TestOutputs:
     def test_unit_norm(self):
@@ -437,6 +458,28 @@ class TestOutputGram:
             output_gram(exact_diagonal_state(Fraction(-1, 16)))
         with pytest.raises(NotPSD):
             output_gram(LabeledOperator(ENTANGLED_LAYOUT, -np.eye(16, dtype=complex) / 16.0))
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            perfect_discrimination_state(),
+            exact_diagonal_state(Fraction(1, 16)),
+            perfect_discrimination_state().to_float(),
+            random_density_matrix(14),
+        ],
+        ids=["exact-closed-form", "exact-mixed", "float-closed-form", "float-random"],
+    )
+    def test_pair_trace_values_are_the_off_diagonal(self, state):
+        gram = output_gram(state)
+        values = pair_trace_values(state)
+        order = all_orders()
+        want = {
+            (order[i], order[j]): gram[i, j] for i in range(6) for j in range(6) if i != j
+        }
+        assert list(values) == list(want)
+        for key, val in values.items():
+            assert type(val) is type(want[key])
+            assert val == want[key]
 
     def test_pair_index_map_is_the_operator_product(self):
         pairs = [(pp, p) for pp in all_orders() for p in all_orders() if pp != p]

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,8 @@ from ordergame.solver import (
     HermitianPSD,
     NonnegOrthant,
     ProblemMalformed,
+    SolveReport,
+    SolverFailed,
     SolveSettings,
     dump_tableau,
     parse_tableau,
@@ -16,6 +19,7 @@ from ordergame.solver import (
     solve,
     solve_same_constraints,
     solve_shared_state_feasibility,
+    solve_within_bound,
     svec,
     unsvec,
 )
@@ -168,7 +172,7 @@ class TestSolve:
 
     def test_max_iters_status(self):
         report = solve(trivial_lp(), SolveSettings(tolerance=1e-16, max_iters=5))
-        assert report.status in ("max_iters", "infeasible_suspected")
+        assert report.status == "max_iters"
         assert report.iterations == 5
 
     @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("inf"), float("nan")])
@@ -261,6 +265,48 @@ class TestSharedStateFeasibility:
             solve_shared_state_feasibility(
                 {("p", "q"): np.eye(3)}, layout=(Space("Q0", 2),)
             )
+
+
+class TestSolveWithinBound:
+    """The one result check of the three solver scenarios."""
+
+    @staticmethod
+    def stub_solve(monkeypatch, status, value):
+        import ordergame.solver as solver
+
+        tolerances = []
+
+        def fake(problem, settings=None):
+            tolerances.append(settings.tolerance)
+            return SolveReport(status, value, 0.0, 0.0, 1, np.zeros(problem.dim))
+
+        monkeypatch.setattr(solver, "solve", fake)
+        return tolerances
+
+    def test_status_must_be_optimal(self, monkeypatch):
+        self.stub_solve(monkeypatch, "max_iters", 0.0)
+        with pytest.raises(SolverFailed, match="toy solve ended with status max_iters"):
+            solve_within_bound("toy", trivial_lp(), Fraction(1))
+
+    def test_slack_is_ten_tolerances(self, monkeypatch):
+        settings = SolveSettings(tolerance=1e-3)
+        self.stub_solve(monkeypatch, "optimal", 1.0 + 9e-3)
+        assert solve_within_bound("toy", trivial_lp(), Fraction(1), settings).objective_value == 1.009
+        self.stub_solve(monkeypatch, "optimal", 1.0 + 11e-3)
+        with pytest.raises(SolverFailed, match="exceeds the 1 bound"):
+            solve_within_bound("toy", trivial_lp(), Fraction(1), settings)
+
+    def test_shared_state_solves_to_half_the_tolerance_with_the_full_slack(self, monkeypatch):
+        from ordergame.tensor import Space
+
+        flip = {("p", "q"): np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)}
+        settings = SolveSettings(tolerance=1e-3)
+        tolerances = self.stub_solve(monkeypatch, "optimal", 1.0 + 9e-3)
+        solve_shared_state_feasibility(flip, settings, layout=(Space("Q0", 2),))
+        assert tolerances == [5e-4]
+        self.stub_solve(monkeypatch, "optimal", 1.0 + 11e-3)
+        with pytest.raises(SolverFailed, match="shared-state feasibility value"):
+            solve_shared_state_feasibility(flip, settings, layout=(Space("Q0", 2),))
 
 
 class TestTableau:
