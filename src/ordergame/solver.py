@@ -22,6 +22,14 @@ The affine step is the cached-factorisation projection
 w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2) over the t touched
 columns: one thin SVD cut to the rank r gives a t x r factor F and the
 step (w F - y) Fᵀ, 2tr flops a row (256x203 for the non-signaling LP).
+Each row is multiplied alone, as a stack of 1 x t products, so a row's
+step has the same bits in a batch as alone and a batched solve repeats
+the single solves exactly.
+
+The cone step projects orthant blocks by clipping, 2x2 PSD blocks in
+closed form (their eigenvalues are mean ± radius of the svec entries;
+Parikh & Boyd, *Proximal Algorithms*, 2014, §6.3) and larger PSD blocks
+through ``eigh``.
 
 The primal residual is max(|x - z|, max|A z - b|).  The equality gap can
 only decide convergence on rows whose |x - z| and dual residual already
@@ -162,39 +170,62 @@ class SolveReport:
 
 
 @functools.lru_cache(maxsize=None)
-def _svec_indices(side: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Diagonal and strict upper-triangle index arrays of one matrix side."""
-    arrays = (np.arange(side), *np.triu_indices(side, 1))
-    for arr in arrays:
+def _svec_map(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Where each svec entry sits in a matrix's float view, and its scale.
+
+    The float view of a complex ``side x side`` matrix interleaves real and
+    imaginary parts row by row.  svec entry j is ``scale[j]`` times the
+    float-view entry ``at[j]``: a diagonal real part at scale 1, then the
+    real and imaginary parts of each upper-triangle entry at sqrt(2).
+    """
+    iu, ju = np.triu_indices(side, 1)
+    upper = 2 * (iu * side + ju)
+    at = np.concatenate([2 * (side + 1) * np.arange(side), np.stack([upper, upper + 1], axis=1).ravel()])
+    scale = np.repeat([1.0, _SQRT2], [side, side * side - side])
+    for arr in (at, scale):
         arr.flags.writeable = False
-    return arrays
+    return at, scale
+
+
+@functools.lru_cache(maxsize=None)
+def _unsvec_map(side: int) -> tuple[np.ndarray, np.ndarray]:
+    """Which svec entry fills each float-view entry of a matrix, and its scale.
+
+    The inverse of :func:`_svec_map`: a diagonal real part is copied, both
+    triangles take the upper triangle's entries times 1/sqrt(2), and the
+    lower triangle's imaginary parts are negated.  The diagonal's imaginary
+    parts read entry 0 and are then set to zero.
+    """
+    at, scale = _svec_map(side)
+    iu, ju = np.triu_indices(side, 1)
+    lower = 2 * (ju * side + iu)
+    mirror = np.stack([lower, lower + 1], axis=1).ravel()
+    source = np.zeros(2 * side * side, dtype=int)
+    factor = np.ones(2 * side * side)
+    source[at] = np.arange(side * side)
+    factor[at] = 1.0 / scale
+    source[mirror] = np.arange(side, side * side)
+    factor[mirror] = np.tile([1.0, -1.0], len(iu)) / _SQRT2
+    for arr in (source, factor):
+        arr.flags.writeable = False
+    return source, factor
 
 
 def svec(h: np.ndarray) -> np.ndarray:
     """Isometric real encoding of Hermitian matrices (batched over leading axes)."""
-    h = np.asarray(h, dtype=complex)
-    s = h.shape[-1]
-    lead = h.shape[:-2]
-    out = np.empty(lead + (s * s,))
-    idx, iu, ju = _svec_indices(s)
-    out[..., :s] = h[..., idx, idx].real
-    upper = h[..., iu, ju]
-    out[..., s::2] = _SQRT2 * upper.real
-    out[..., s + 1 :: 2] = _SQRT2 * upper.imag
-    return out
+    h = np.ascontiguousarray(h, dtype=complex)
+    side = h.shape[-1]
+    at, scale = _svec_map(side)
+    return np.take(h.view(float).reshape(h.shape[:-2] + (2 * side * side,)), at, axis=-1) * scale
 
 
 def unsvec(v: np.ndarray, side: int) -> np.ndarray:
     """Inverse of :func:`svec` (batched over leading axes)."""
     v = np.asarray(v, dtype=float)
-    lead = v.shape[:-1]
-    h = np.zeros(lead + (side, side), dtype=complex)
-    idx, iu, ju = _svec_indices(side)
-    h[..., idx, idx] = v[..., :side]
-    upper = (v[..., side::2] + 1j * v[..., side + 1 :: 2]) / _SQRT2
-    h[..., iu, ju] = upper
-    h[..., ju, iu] = upper.conj()
-    return h
+    source, factor = _unsvec_map(side)
+    flat = np.take(v, source, axis=-1) * factor
+    flat[..., 1 :: 2 * side + 2] = 0.0
+    return flat.view(complex).reshape(v.shape[:-1] + (side, side))
 
 
 def _group_blocks(blocks: Sequence[Cone]) -> list[tuple[Cone, int, slice]]:
@@ -222,6 +253,23 @@ def _project_batch(
     for block, count, span in groups:
         if isinstance(block, NonnegOrthant):
             np.maximum(v[:, span], 0.0, out=out[:, span])
+        elif block.side == 2:
+            # svec (a, b, c, d) has eigenvalues mean ± radius: a PSD block
+            # stays, and any other keeps max(mean + radius, 0) times the top
+            # eigenprojector, whose svec is (radius + half, radius - half, c, d)
+            # over 2 radius: the Lorentz-cone projection in closed form
+            blocks = v[:, span].reshape(batch, count, 4)
+            a, b, c, d = blocks.transpose(2, 0, 1)
+            mean, half = (a + b) / 2, (a - b) / 2
+            radius = np.sqrt(half * half + (c * c + d * d) / 2)
+            # a radius-0 block is a multiple of I: kept, or zero through top = 0
+            top = np.maximum(mean + radius, 0.0)
+            scale = top / (2 * radius + (radius == 0))
+            clipped = blocks * scale[..., None]
+            np.multiply(radius + half, scale, out=clipped[..., 0])
+            np.multiply(radius - half, scale, out=clipped[..., 1])
+            np.copyto(clipped, blocks, where=(mean >= radius)[..., None])
+            out[:, span] = clipped.reshape(batch, 4 * count)
         else:
             side = block.side
             h = unsvec(v[:, span].reshape(batch * count, side * side), side)
@@ -276,9 +324,13 @@ class _AffineSet:
         self.y = (u[:, :rank].T @ self.b) / sigma[:rank]
 
     def project(self, x: np.ndarray) -> None:
-        """Project each row of ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b)."""
+        """Project each row of ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b).
+
+        The products run row by row (a stack of 1 x t matrices), so a row
+        gets the same bits whatever batch it is in.
+        """
         w = x[:, self.cols]
-        x[:, self.cols] = w - (w @ self.F - self.y) @ self.F.T
+        x[:, self.cols] = w - ((w[:, None, :] @ self.F - self.y) @ self.F.T)[:, 0]
 
     def gap(self, z: np.ndarray) -> np.ndarray:
         """Largest equality violation of each row of ``z``; 0 with no equalities."""
@@ -418,37 +470,28 @@ def shared_state_program(
     equalities through its Hermitian and anti-Hermitian witnesses; the trace
     cap tr(state) <= 1 is carried by one orthant slack variable.
     """
-    rows, cols, vals, rhs = [], [], [], []
-    svec_dim = side * side
-    row = 0
-    for _, op in sorted(pair_ops.items(), key=lambda kv: str(kv[0])):
-        op = np.asarray(op, dtype=complex)
-        if op.shape != (side, side):
-            raise ProblemMalformed(f"pair operator must be {side}x{side}")
-        for witness in ((op + op.conj().T) / 2.0, (op - op.conj().T) / 2.0j):
-            coeff = svec(witness)
-            nz = np.nonzero(coeff)[0]
-            rows.extend([row] * len(nz))
-            cols.extend(nz.tolist())
-            vals.extend(coeff[nz].tolist())
-            rhs.append(0.0)
-            row += 1
-    # tr(state) + slack = 1
-    trace_coeff = svec(np.eye(side, dtype=complex))
-    nz = np.nonzero(trace_coeff)[0]
-    rows.extend([row] * (len(nz) + 1))
-    cols.extend(nz.tolist() + [svec_dim])
-    vals.extend(trace_coeff[nz].tolist() + [1.0])
-    rhs.append(1.0)
-
-    objective = np.concatenate([trace_coeff, [0.0]])
+    ops = [np.asarray(op, dtype=complex) for _, op in sorted(pair_ops.items(), key=lambda kv: str(kv[0]))]
+    if any(op.shape != (side, side) for op in ops):
+        raise ProblemMalformed(f"pair operator must be {side}x{side}")
+    ops = np.array(ops, dtype=complex).reshape(len(ops), side, side)
+    adjoint = ops.conj().transpose(0, 2, 1)
+    # rows 2k and 2k + 1 hold the witnesses of the k-th operator; the last
+    # row is tr(state) + slack = 1
+    coeffs = np.zeros((2 * len(ops) + 1, side * side + 1))
+    witnesses = np.stack([(ops + adjoint) / 2.0, (ops - adjoint) / 2.0j], axis=1)
+    coeffs[:-1, :-1] = svec(witnesses.reshape(-1, side, side))
+    coeffs[-1, :-1] = svec(np.eye(side, dtype=complex))
+    coeffs[-1, -1] = 1.0
+    rows, cols = np.nonzero(coeffs)
+    rhs = np.zeros(len(coeffs))
+    rhs[-1] = 1.0
     return ConicProblem(
         blocks=[HermitianPSD(side), NonnegOrthant(1)],
-        objective=objective,
-        a_rows=np.array(rows),
-        a_cols=np.array(cols),
-        a_vals=np.array(vals),
-        b=np.array(rhs),
+        objective=np.append(coeffs[-1, :-1], 0.0),
+        a_rows=rows,
+        a_cols=cols,
+        a_vals=coeffs[rows, cols],
+        b=rhs,
     )
 
 

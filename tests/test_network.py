@@ -164,15 +164,17 @@ class TestProgramStructure:
             assert np.array_equal(got, want)
 
     def test_constraint_rows_match_loop_reference(self):
-        # the per-row loops the closed form replaced, kept as the reference
+        # the per-row loops the closed form replaced, kept as the reference:
+        # one row per key u of each marginal, with the key's uniform bit
         pos = {space: i for i, space in enumerate(NETWORK_LAYOUT)}
-        rows = []
+        rows, bits = [], []
         for v in range(256):
             row = np.zeros(256)
             row[v] += 1.0
             for bit in (0, 1):
                 row[(v & ~1) | bit] -= 0.5
             rows.append(row)
+            bits.append((v, 1))
         for party in ("A", "B", "C"):
             pos_in, pos_out = pos[IN_WIRE[party]], pos[OUT_WIRE[party]]
             kept = [p for p in range(8) if p not in (pos_out, pos[S_FINAL])]
@@ -187,16 +189,28 @@ class TestProgramStructure:
                 for in_bit, out_bit, fin_bit in itertools.product((0, 1), repeat=3):
                     row[stripped | (in_bit << (7 - pos_in)) | (out_bit << (7 - pos_out)) | fin_bit] -= 0.5
                 rows.append(row)
+                bits.append((uval, 1 << (5 - kept.index(pos_in))))
         rows.append(np.ones(256))
-        want_rhs = np.array([0.0] * 448 + [16.0])
+        bits.append((0, 1))
+        assert len(rows) == 449
+        # the row of u ^ bit follows the row of u by `bit` rows in its marginal
+        kept_rows = []
+        for r, (u, bit) in enumerate(bits):
+            if u & bit:
+                assert np.array_equal(rows[r], -rows[r - bit])
+            else:
+                kept_rows.append(rows[r])
         got, got_rhs = constraint_rows()
-        assert got.tobytes() == np.array(rows).tobytes()
-        assert got_rhs.tobytes() == want_rhs.tobytes()
+        assert got.shape == (225, 256)
+        assert np.count_nonzero(got) == 1280
+        assert got.tobytes() == np.array(kept_rows).tobytes()
+        assert got_rhs.tobytes() == np.array([0.0] * 224 + [16.0]).tobytes()
 
     def test_tableau_pinned(self):
+        # fa9de381... with all 449 rows, before each negated row was dropped
         text = dump_tableau(nonsignaling_program())
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "fa9de381af2f2ee53c278814f039a0dbb1dcab74e4f15a348d3d5bac0d2d8026"
+            "13d2f88bda2b8580f2c1cdc3800dab8ba06652697a425cf09088f879057d40e3"
         )
 
     def test_uniform_point_objective_exactly_one_sixth(self):

@@ -1,3 +1,5 @@
+import hashlib
+import math
 from dataclasses import replace
 from fractions import Fraction
 
@@ -16,6 +18,7 @@ from ordergame.solver import (
     dump_tableau,
     parse_tableau,
     project_cone,
+    shared_state_program,
     solve,
     solve_same_constraints,
     solve_shared_state_feasibility,
@@ -46,6 +49,35 @@ def psd_projection_oracle(h):
     return (h + y) / 2
 
 
+def reference_svec(h):
+    h = np.asarray(h, dtype=complex)
+    side = h.shape[-1]
+    out = np.empty(h.shape[:-2] + (side * side,))
+    idx, (iu, ju) = np.arange(side), np.triu_indices(side, 1)
+    out[..., :side] = h[..., idx, idx].real
+    upper = h[..., iu, ju]
+    out[..., side::2] = math.sqrt(2.0) * upper.real
+    out[..., side + 1 :: 2] = math.sqrt(2.0) * upper.imag
+    return out
+
+
+def reference_unsvec(v, side):
+    v = np.asarray(v, dtype=float)
+    h = np.zeros(v.shape[:-1] + (side, side), dtype=complex)
+    idx, (iu, ju) = np.arange(side), np.triu_indices(side, 1)
+    h[..., idx, idx] = v[..., :side]
+    upper = (v[..., side::2] + 1j * v[..., side + 1 :: 2]) / math.sqrt(2.0)
+    h[..., iu, ju] = upper
+    h[..., ju, iu] = upper.conj()
+    return h
+
+
+def eigh_projection(x, side):
+    """PSD projection of svec blocks through the eigendecomposition."""
+    w, vec = np.linalg.eigh(unsvec(x, side))
+    return svec((vec * np.maximum(w, 0.0)[..., None, :]) @ np.swapaxes(vec.conj(), -1, -2))
+
+
 class TestSvec:
     def test_round_trip(self):
         rng = np.random.default_rng(5)
@@ -62,6 +94,25 @@ class TestSvec:
         rng = np.random.default_rng(7)
         a = rand_hermitian(rng, 6)
         assert np.isclose(np.linalg.norm(svec(a)), np.linalg.norm(a))
+
+    @pytest.mark.parametrize("side", range(1, 17))
+    def test_gather_maps_match_index_reference(self, side):
+        # the fancy-index scatters the cached gather maps replaced, kept as
+        # the reference; outputs must agree to the bit, batched or not
+        rng = np.random.default_rng(side)
+        h = rng.normal(size=(3, side, side)) + 1j * rng.normal(size=(3, side, side))
+        v = rng.normal(size=(3, 2 * side * side + 1))[:, 1 : side * side + 1]
+        for got, want in (
+            (svec(h), reference_svec(h)),
+            (svec(h[0]), reference_svec(h[0])),
+            (svec(h.transpose(0, 2, 1)), reference_svec(h.transpose(0, 2, 1))),
+            (svec(np.zeros((side, side))), reference_svec(np.zeros((side, side)))),
+            (unsvec(v, side), reference_unsvec(v, side)),
+            (unsvec(v[0], side), reference_unsvec(v[0], side)),
+            (unsvec(np.zeros(side * side), side), reference_unsvec(np.zeros(side * side), side)),
+        ):
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
 
 
 class TestProjectCone:
@@ -104,6 +155,61 @@ class TestProjectCone:
     def test_length_mismatch(self):
         with pytest.raises(ProblemMalformed):
             project_cone(np.zeros(3), [HermitianPSD(2)])
+
+
+def psd2_cases():
+    """2x2 svec blocks: zero, multiples of I, rank-one boundaries, negative
+    definite and random."""
+    rng = np.random.default_rng(12)
+    ket = rng.normal(size=2) + 1j * rng.normal(size=2)
+    rank_one = svec(np.outer(ket, ket.conj()))
+    m = rand_hermitian(rng, 2)
+    negative = -svec(m @ m + 0.1 * np.eye(2))
+    fixed = [np.zeros(4), [1.5, 1.5, 0, 0], [-1.5, -1.5, 0, 0], rank_one, -rank_one, [2.0, 0, 0, 0], [0, -2.0, 0, 0], negative]
+    return np.array(fixed + list(rng.normal(size=(200, 4))))
+
+
+class TestProjectPsd2:
+    """The closed-form projection of 2x2 blocks."""
+
+    def test_matches_eigh_projection(self):
+        for x in psd2_cases():
+            got = project_cone(x, [HermitianPSD(2)])
+            assert np.max(np.abs(got - eigh_projection(x, 2))) <= 1e-14
+
+    def test_boundary_and_scalar_blocks(self):
+        cases = psd2_cases()
+        for x in cases[[0, 1, 3]]:  # zero, +1.5 I, rank one: already PSD
+            assert np.array_equal(project_cone(x, [HermitianPSD(2)]), x)
+        for x in cases[[2, 7]]:  # -1.5 I, negative definite
+            assert np.array_equal(project_cone(x, [HermitianPSD(2)]), np.zeros(4))
+        assert np.max(np.abs(project_cone(cases[4], [HermitianPSD(2)]))) <= 1e-15
+
+    def test_batch_matches_single_bits(self):
+        from ordergame.solver import _group_blocks, _project_batch
+
+        cases = psd2_cases()
+        groups = _group_blocks([HermitianPSD(2)] * 3)
+        batch = _project_batch(cases[:201].reshape(67, 12), groups)
+        for i, row in enumerate(cases[:201].reshape(67, 12)):
+            assert _project_batch(row[None, :], groups).tobytes() == batch[i : i + 1].tobytes()
+
+    def test_mixed_with_other_blocks(self):
+        blocks = [NonnegOrthant(3), HermitianPSD(2), HermitianPSD(2), HermitianPSD(1), HermitianPSD(4), HermitianPSD(2), NonnegOrthant(2)]
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            x = rng.normal(size=sum(block.dim for block in blocks))
+            got = project_cone(x, blocks)
+            at = 0
+            for block in blocks:
+                part = slice(at, at + block.dim)
+                alone = project_cone(x[part], [block])
+                assert got[part].tobytes() == alone.tobytes()
+                if isinstance(block, NonnegOrthant):
+                    assert np.array_equal(alone, np.maximum(x[part], 0.0))
+                else:
+                    assert np.max(np.abs(alone - eigh_projection(x[part], block.side))) <= 1e-14
+                at += block.dim
 
 
 def trivial_lp():
@@ -217,6 +323,21 @@ class TestSolve:
         assert abs(reports[0].objective_value - single.objective_value) <= 1e-9
         assert abs(reports[1].objective_value - 0.5 * single.objective_value) <= 1e-9
 
+    @pytest.mark.parametrize("name", ["small-sdp", "discrimination"])
+    def test_batched_repeats_single_solves_bits(self, name):
+        from ordergame.quantum import discrimination_program, unbiased_order_states
+
+        problem = small_sdp() if name == "small-sdp" else discrimination_program(unbiased_order_states())
+        tilt = np.random.default_rng(15).normal(size=problem.dim)
+        objectives = np.stack([problem.objective, -problem.objective, problem.objective + 0.01 * tilt])
+        settings = SolveSettings(max_iters=300)
+        for objective, got in zip(objectives, solve_same_constraints(problem, objectives, settings)):
+            want = solve(replace(problem, objective=objective), settings)
+            assert (got.status, got.iterations) == (want.status, want.iterations)
+            assert got.objective_value == want.objective_value
+            assert (got.primal_residual, got.dual_residual) == (want.primal_residual, want.dual_residual)
+            assert got.solution.tobytes() == want.solution.tobytes()
+
     def test_psd_blocks_with_untouched_off_diagonals(self):
         # max c1.d1 + c2.d2 s.t. d1 + 2 d2 = 1 on the diagonals of two 8x8 PSD
         # blocks; no equality and no objective touches an off-diagonal, so the
@@ -257,6 +378,18 @@ class TestSharedStateFeasibility:
         assert abs(report.objective_value - 1.0) <= 1e-6
         assert abs(np.trace(flip @ state.data)) <= 1e-8
         assert np.linalg.eigvalsh(state.data)[0] >= -1e-10
+
+    def test_program_tableau_pinned(self):
+        # the entangled scenario's program, as built one witness at a time
+        from ordergame.quantum import routing_pair_products
+
+        pair_ops = {
+            (pp.name, p.name): op.to_float().data for (pp, p), op in routing_pair_products().items()
+        }
+        text = dump_tableau(shared_state_program(pair_ops))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "4a036673fc8079ae2f7e2539b8b3f49103157c8104d35816581defdeba3a1f7b"
+        )
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ProblemMalformed):
@@ -398,6 +531,18 @@ class TestAffineSet:
         _AffineSet(problem).project(got)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
+    @pytest.mark.parametrize("name", ["nonsignaling", "discrimination", "shared-state", "planted", "small-sdp"])
+    def test_batch_step_matches_each_row_alone_bits(self, name):
+        problem = {**programs_with_duplicate_columns(), "small-sdp": small_sdp()}[name]
+        affine = _AffineSet(problem)
+        x = np.random.default_rng(14).normal(size=(5, problem.dim))
+        batch = x.copy()
+        affine.project(batch)
+        for i in range(len(x)):
+            alone = x[i : i + 1].copy()
+            affine.project(alone)
+            assert alone.tobytes() == batch[i : i + 1].tobytes()
+
     def test_gap_matches_dense_residual(self):
         problem = planted_duplicates_program()
         z = np.random.default_rng(2).normal(size=(4, problem.dim))
@@ -407,7 +552,7 @@ class TestAffineSet:
     def test_nonsignaling_factor_has_the_rank_of_the_equalities(self):
         from ordergame.network import nonsignaling_program
 
-        # 449 rows of rank 203 over the 256 summed-diagonal columns
+        # 225 rows of rank 203 over the 256 summed-diagonal columns
         assert _AffineSet(nonsignaling_program()).F.shape == (256, 203)
 
 
