@@ -195,13 +195,10 @@ def objective_diagonals() -> np.ndarray:
 def nonsignaling_program() -> ConicProblem:
     """The non-signaling optimum as an LP over the summed diagonal of the six guess blocks."""
     rows, rhs = constraint_rows()
-    a_rows, a_cols = np.nonzero(rows)
     return ConicProblem(
         blocks=[NonnegOrthant(_SIDE)],
         objective=objective_diagonals().max(axis=0) / 6.0,
-        a_rows=a_rows,
-        a_cols=a_cols,
-        a_vals=rows[a_rows, a_cols],
+        a=rows,
         b=rhs,
     )
 

@@ -130,17 +130,26 @@ def unbiased_basis_channels() -> tuple[UnitaryChannel, UnitaryChannel, UnitaryCh
     )
 
 
-def unbiased_order_states() -> dict[Perm3, Vec]:
-    """Apply the six hidden orders to |0>; the outputs tile three MUBs."""
-    a, b, c = unbiased_basis_channels()
-    chan = {"A": a, "B": b, "C": c}
-    out = {}
+def _order_kets(unitaries: Mapping[str, np.ndarray]) -> np.ndarray:
+    """|0> through each party's unitary in each hidden order, first mover first: one row per order."""
+    kets = []
     for pi in all_orders():
         vec = KET["0"]
         for party in pi.order:
-            vec = chan[party].apply(vec)
-        out[pi] = Vec((SHARED,), vec)
-    return out
+            vec = unitaries[party] @ vec
+        kets.append(vec)
+    return np.array(kets)
+
+
+def _discrimination_objective(kets: np.ndarray) -> np.ndarray:
+    """svec(|psi><psi|) / 6 for each order's output ket, concatenated in order."""
+    return (svec(kets[:, :, None] * kets.conj()[:, None, :]) / 6.0).ravel()
+
+
+def unbiased_order_states() -> dict[Perm3, Vec]:
+    """Apply the six hidden orders to |0>; the outputs tile three MUBs."""
+    kets = _order_kets(dict(zip("ABC", (chan.kraus for chan in unbiased_basis_channels()))))
+    return {pi: Vec((SHARED,), ket) for pi, ket in zip(all_orders(), kets)}
 
 
 def bloch_coordinates(state: Vec) -> tuple[float, float, float]:
@@ -154,27 +163,16 @@ def bloch_coordinates(state: Vec) -> tuple[float, float, float]:
 def discrimination_program(states: Mapping[Perm3, Vec]) -> ConicProblem:
     """Optimal-measurement program for six equiprobable qubit states.
 
-    Variables are six PSD effects that must sum to the identity; the
-    objective is the average success probability.
+    Variables are six PSD effects that must sum to the identity (each
+    svec coordinate summed over the six blocks: four rows of ``[I I I I I I]``);
+    the objective is the average success probability.
     """
-    order = all_orders()
-    rows, cols, vals = [], [], []
-    target = svec(np.eye(2, dtype=complex))
-    for t in range(4):
-        for k in range(len(order)):
-            rows.append(t)
-            cols.append(4 * k + t)
-            vals.append(1.0)
-    objective = np.concatenate(
-        [svec(states[pi].projector().data) / 6.0 for pi in order]
-    )
+    kets = np.array([states[pi].data for pi in all_orders()], dtype=complex)
     return ConicProblem(
-        blocks=[HermitianPSD(2) for _ in order],
-        objective=objective,
-        a_rows=np.array(rows),
-        a_cols=np.array(cols),
-        a_vals=np.array(vals),
-        b=target,
+        blocks=[HermitianPSD(2)] * 6,
+        objective=_discrimination_objective(kets),
+        a=np.tile(np.eye(4), 6),
+        b=svec(np.eye(2, dtype=complex)),
     )
 
 
@@ -242,15 +240,10 @@ def sampled_discrimination_values(
     the 1e-6 slack used by the bound check.
     """
     rng = np.random.default_rng(seed)
-    ket0 = KET["0"]
     objectives = np.empty((n_samples, 24))
     for i in range(n_samples):
         us = {p: haar_qubit_unitary(rng) for p in ("A", "B", "C")}
-        for k, pi in enumerate(all_orders()):
-            vec = ket0
-            for party in pi.order:
-                vec = us[party] @ vec
-            objectives[i, 4 * k : 4 * k + 4] = svec(np.outer(vec, vec.conj())) / 6.0
+        objectives[i] = _discrimination_objective(_order_kets(us))
     template = discrimination_program(unbiased_order_states())
     reports = solve_same_constraints(
         template, objectives, SolveSettings(tolerance=tolerance, max_iters=max_iters)

@@ -5,7 +5,8 @@ Problems have the shape
     maximize    c . x
     subject to  A x = b,    x in K,
 
-where K is a product of nonnegative-orthant blocks and Hermitian-PSD blocks.
+where K is a product of nonnegative-orthant blocks and Hermitian-PSD blocks,
+and A is held as one dense matrix: the largest program here is 225 x 256.
 PSD blocks are carried inside the real variable vector through an isometric
 "svec" encoding (diagonal first, then sqrt(2)-scaled real/imaginary parts of
 the upper triangle), so trace inner products and Euclidean norms transfer
@@ -94,33 +95,25 @@ Cone = NonnegOrthant | HermitianPSD
 class ConicProblem:
     """Cone blocks, a linear objective to maximize, and affine equalities.
 
-    The equality map is stored as coordinate triplets (rows, cols, vals);
-    the dense form is built on demand since all programs here are small.
+    ``a`` is the dense ``(len(b), dim)`` equality matrix: every program
+    here is small (the largest, the non-signaling LP, is 225 x 256).
     """
 
     blocks: list[Cone]
     objective: np.ndarray
-    a_rows: np.ndarray
-    a_cols: np.ndarray
-    a_vals: np.ndarray
+    a: np.ndarray
     b: np.ndarray
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
-        self.a_rows = np.asarray(self.a_rows, dtype=int)
-        self.a_cols = np.asarray(self.a_cols, dtype=int)
-        self.a_vals = np.asarray(self.a_vals, dtype=float)
+        self.a = np.asarray(self.a, dtype=float)
         self.b = np.asarray(self.b, dtype=float)
         n = self.dim
         if self.objective.shape != (n,):
             raise ProblemMalformed(f"objective has shape {self.objective.shape}, expected ({n},)")
-        if not (self.a_rows.shape == self.a_cols.shape == self.a_vals.shape):
-            raise ProblemMalformed("triplet arrays must have identical shapes")
-        if self.a_rows.size and (self.a_rows.min() < 0 or self.a_rows.max() >= self.b.shape[0]):
-            raise ProblemMalformed("triplet row index out of range")
-        if self.a_cols.size and (self.a_cols.min() < 0 or self.a_cols.max() >= n):
-            raise ProblemMalformed("triplet column index out of range")
-        if not np.all(np.isfinite(self.b)) or not np.all(np.isfinite(self.a_vals)):
+        if self.b.ndim != 1 or self.a.shape != (self.b.size, n):
+            raise ProblemMalformed(f"a has shape {self.a.shape} and b {self.b.shape}, expected (m, {n}) and (m,)")
+        if not np.all(np.isfinite(self.b)) or not np.all(np.isfinite(self.a)):
             raise ProblemMalformed("non-finite constraint data")
         if not np.all(np.isfinite(self.objective)):
             raise ProblemMalformed("non-finite objective")
@@ -132,11 +125,6 @@ class ConicProblem:
     @property
     def n_eq(self) -> int:
         return self.b.shape[0]
-
-    def dense_matrix(self) -> np.ndarray:
-        a = np.zeros((self.n_eq, self.dim))
-        np.add.at(a, (self.a_rows, self.a_cols), self.a_vals)
-        return a
 
 
 @dataclass
@@ -295,11 +283,9 @@ def project_cone(x: np.ndarray, blocks: Sequence[Cone]) -> np.ndarray:
 
 
 def _touched_columns(problem: ConicProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The touched coordinates and their equality columns, one per row of a (t, m) array."""
-    cols, at = np.unique(problem.a_cols, return_inverse=True)
-    m = problem.n_eq
-    columns = np.bincount(at * m + problem.a_rows, weights=problem.a_vals, minlength=cols.size * m)
-    return cols, columns.reshape(cols.size, m)
+    """The coordinates some equality touches, and A's (m, t) block of their columns."""
+    cols = np.flatnonzero(problem.a.any(axis=0))
+    return cols, problem.a[:, cols]
 
 
 class _AffineSet:
@@ -317,7 +303,7 @@ class _AffineSet:
     def __init__(self, problem: ConicProblem):
         self.cols, self.columns = _touched_columns(problem)
         self.b = problem.b
-        u, sigma, vt = np.linalg.svd(self.columns.T, full_matrices=False)
+        u, sigma, vt = np.linalg.svd(self.columns, full_matrices=False)
         # sigma[:1] is empty, and the rank 0, when no equality touches a column
         rank = np.count_nonzero(sigma**2 > 1e-15 * sigma[:1] ** 2)
         self.F = np.ascontiguousarray(vt[:rank].T)
@@ -334,7 +320,7 @@ class _AffineSet:
 
     def gap(self, z: np.ndarray) -> np.ndarray:
         """Largest equality violation of each row of ``z``; 0 with no equalities."""
-        residual = z[:, self.cols] @ self.columns - self.b
+        residual = z[:, self.cols] @ self.columns.T - self.b
         return np.max(np.abs(residual), axis=1, initial=0.0)
 
 
@@ -453,6 +439,8 @@ def solve_same_constraints(
     objectives = np.asarray(objectives, dtype=float)
     if objectives.ndim != 2 or objectives.shape[1] != problem.dim:
         raise ProblemMalformed(f"objectives must have shape (batch, {problem.dim})")
+    if not np.all(np.isfinite(objectives)):
+        raise ProblemMalformed("non-finite objective")
     return _admm(problem, objectives, settings)
 
 
@@ -482,15 +470,12 @@ def shared_state_program(
     coeffs[:-1, :-1] = svec(witnesses.reshape(-1, side, side))
     coeffs[-1, :-1] = svec(np.eye(side, dtype=complex))
     coeffs[-1, -1] = 1.0
-    rows, cols = np.nonzero(coeffs)
     rhs = np.zeros(len(coeffs))
     rhs[-1] = 1.0
     return ConicProblem(
         blocks=[HermitianPSD(side), NonnegOrthant(1)],
         objective=np.append(coeffs[-1, :-1], 0.0),
-        a_rows=rows,
-        a_cols=cols,
-        a_vals=coeffs[rows, cols],
+        a=coeffs,
         b=rhs,
     )
 
@@ -524,7 +509,7 @@ def solve_shared_state_feasibility(
 
 
 def dump_tableau(problem: ConicProblem) -> str:
-    """Objective, cones, coordinate-triplet equalities and right-hand sides."""
+    """Objective, cones, the equality nonzeros as row-major coordinate triplets, and right-hand sides."""
     lines = ["conic-tableau v1", f"rows {problem.n_eq}"]
     for block in problem.blocks:
         if isinstance(block, NonnegOrthant):
@@ -533,8 +518,8 @@ def dump_tableau(problem: ConicProblem) -> str:
             lines.append(f"cone psd {block.side}")
     for j in np.nonzero(problem.objective)[0]:
         lines.append(f"o {j} {float(problem.objective[j])!r}")
-    for r, c, v in zip(problem.a_rows, problem.a_cols, problem.a_vals):
-        lines.append(f"a {int(r)} {int(c)} {float(v)!r}")
+    for r, c in zip(*np.nonzero(problem.a)):
+        lines.append(f"a {r} {c} {float(problem.a[r, c])!r}")
     for r, v in enumerate(problem.b):
         lines.append(f"rhs {r} {float(v)!r}")
     return "\n".join(lines) + "\n"
@@ -543,9 +528,16 @@ def dump_tableau(problem: ConicProblem) -> str:
 #: The fields after each tableau line's keyword, by type.
 _TABLEAU_FIELDS = {"rows": (int,), "cone": (str, int), "o": (int, float), "a": (int, int, float), "rhs": (int, float)}
 
+#: The most entries a parsed tableau may hold, counted as the (rows + 1) x
+#: (dim + 1) matrix [[A, b], [c, 0]]; the non-signaling LP holds 58 082.
+_MAX_TABLEAU_ENTRIES = 2**24
+
 
 def parse_tableau(text: str) -> ConicProblem:
-    """Inverse of :func:`dump_tableau`; malformed text raises ProblemMalformed."""
+    """Inverse of :func:`dump_tableau`; malformed text raises ProblemMalformed.
+
+    ``a`` lines on the same entry add up.
+    """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "conic-tableau v1":
         raise ProblemMalformed("not a conic-tableau v1 dump")
@@ -566,19 +558,17 @@ def parse_tableau(text: str) -> ConicProblem:
         if kind not in ("orthant", "psd") or size < 0:
             raise ProblemMalformed(f"bad cone: {kind} {size}")
         blocks.append(NonnegOrthant(size) if kind == "orthant" else HermitianPSD(size))
-    objective = np.zeros(sum(block.dim for block in blocks))
-    b = np.zeros(entries["rows"][0][0])
+    n_rows, dim = entries["rows"][0][0], sum(block.dim for block in blocks)
+    if (n_rows + 1) * (dim + 1) > _MAX_TABLEAU_ENTRIES:
+        raise ProblemMalformed(f"{n_rows} rows over {dim} variables exceed {_MAX_TABLEAU_ENTRIES} entries")
+    objective, a, b = np.zeros(dim), np.zeros((n_rows, dim)), np.zeros(n_rows)
     for key, target in (("o", objective), ("rhs", b)):
         for i, v in entries[key]:
             if not 0 <= i < len(target):
                 raise ProblemMalformed(f"{key} index {i} out of range")
             target[i] = v
-    rows, cols, vals = zip(*entries["a"]) if entries["a"] else ((), (), ())
-    return ConicProblem(
-        blocks=blocks,
-        objective=objective,
-        a_rows=np.array(rows, dtype=int),
-        a_cols=np.array(cols, dtype=int),
-        a_vals=np.array(vals, dtype=float),
-        b=b,
-    )
+    for r, c, v in entries["a"]:
+        if not (0 <= r < n_rows and 0 <= c < dim):
+            raise ProblemMalformed(f"a index {r} {c} out of range")
+        a[r, c] += v
+    return ConicProblem(blocks=blocks, objective=objective, a=a, b=b)

@@ -40,15 +40,9 @@ def programs(draw):
         b = columns @ int_matrix(draw, columns.shape[1], 1).ravel()
     else:
         b = int_matrix(draw, 1, rows.shape[0]).ravel()
-    a_rows, a_cols = np.nonzero(columns)
-    return ConicProblem(
-        blocks=[NonnegOrthant(dim)],
-        objective=np.zeros(dim),
-        a_rows=a_rows,
-        a_cols=coords[a_cols],
-        a_vals=columns[a_rows, a_cols],
-        b=b,
-    )
+    a = np.zeros((rows.shape[0], dim))
+    a[:, coords] = columns
+    return ConicProblem(blocks=[NonnegOrthant(dim)], objective=np.zeros(dim), a=a, b=b)
 
 
 @hypothesis.settings(max_examples=150, deadline=None)

@@ -59,13 +59,10 @@ def programs(draw):
     blocks = draw(cones)
     dim = sum(block.dim for block in blocks)
     n_eq = draw(st.integers(1, 4))
-    n_nz = draw(st.integers(0, 8))
     return ConicProblem(
         blocks=blocks,
         objective=draw(hnp.arrays(float, dim, elements=entries)),
-        a_rows=draw(hnp.arrays(int, n_nz, elements=st.integers(0, n_eq - 1))),
-        a_cols=draw(hnp.arrays(int, n_nz, elements=st.integers(0, dim - 1))),
-        a_vals=draw(hnp.arrays(float, n_nz, elements=entries)),
+        a=draw(hnp.arrays(float, (n_eq, dim), elements=entries)),
         b=draw(hnp.arrays(float, n_eq, elements=entries)),
     )
 
@@ -104,6 +101,6 @@ def test_project_cone_lands_in_the_cone_and_is_a_projection(point):
 def test_tableau_round_trip(problem):
     back = parse_tableau(dump_tableau(problem))
     assert back.blocks == problem.blocks
-    assert np.array_equal(back.dense_matrix(), problem.dense_matrix())
+    assert np.array_equal(back.a, problem.a)
     assert np.array_equal(back.b, problem.b)
     assert np.array_equal(back.objective, problem.objective)

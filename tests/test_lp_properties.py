@@ -29,14 +29,11 @@ def bounded_lps(draw):
     columns = columns[:, np.array(draw(st.permutations(range(dim))))]
     x0 = int_matrix(draw, dim, 1, st.integers(0, 3)).ravel()
     split = draw(st.integers(1, dim))
-    a_rows, a_cols = np.nonzero(columns)
     blocks = [NonnegOrthant(split)] + ([NonnegOrthant(dim - split)] if split < dim else [])
     return ConicProblem(
         blocks=blocks,
         objective=int_matrix(draw, 1, dim, small_ints).ravel(),
-        a_rows=a_rows,
-        a_cols=a_cols,
-        a_vals=columns[a_rows, a_cols],
+        a=columns,
         b=columns @ x0,
     )
 
@@ -46,7 +43,7 @@ def bounded_lps(draw):
 def test_solve_with_duplicate_columns_matches_linprog(problem):
     report = solve(problem, SolveSettings(tolerance=1e-9))
     assert report.status == "optimal"
-    a = problem.dense_matrix()
+    a = problem.a
     want = optimize.linprog(-problem.objective, A_eq=a, b_eq=problem.b, bounds=(0, None), method="highs")
     assert want.status == 0
     assert abs(report.objective_value + want.fun) <= 1e-6

@@ -348,14 +348,8 @@ class TestSolveNonsignaling:
         # the reference: six diagonal blocks, every row repeated once per block
         rows, rhs = constraint_rows()
         dense = np.tile(rows, (1, 6))
-        a_rows, a_cols = np.nonzero(dense)
         six_blocks = ConicProblem(
-            blocks=[NonnegOrthant(256)] * 6,
-            objective=objective_diagonals().reshape(-1) / 6,
-            a_rows=a_rows,
-            a_cols=a_cols,
-            a_vals=dense[a_rows, a_cols],
-            b=rhs,
+            blocks=[NonnegOrthant(256)] * 6, objective=objective_diagonals().reshape(-1) / 6, a=dense, b=rhs
         )
         full = solve(six_blocks)
         assert full.status == "optimal"
@@ -374,6 +368,6 @@ class TestTableauExport:
     def test_round_trips_and_solves(self):
         program = nonsignaling_program()
         back = parse_tableau(dump_tableau(program))
-        assert np.array_equal(back.dense_matrix(), program.dense_matrix())
+        assert np.array_equal(back.a, program.a)
         report = solve(back, SolveSettings(tolerance=1e-6, max_iters=5000))
         assert abs(report.objective_value - 5.0 / 6.0) <= 1e-5

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -35,7 +36,7 @@ from ordergame.quantum import (
     verify_perfect_discrimination,
     ZeroTrace,
 )
-from ordergame.solver import SolveReport, SolverFailed, SolveSettings, solve
+from ordergame.solver import SolveReport, SolverFailed, SolveSettings, dump_tableau, solve, svec
 from ordergame.tensor import (
     ENTANGLED_LAYOUT,
     SHARED,
@@ -146,6 +147,38 @@ class TestDiscrimination:
         assert scan.iteration_spread() == pytest.approx(
             {"iterations_p50": 50.5, "iterations_p90": 90.1, "iterations_p99": 99.01, "iterations_max": 100}
         )
+
+    def test_program_tableau_pinned(self):
+        # with the non-signaling LP's and the shared-state program's pins, every
+        # program the package builds is pinned
+        text = dump_tableau(discrimination_program(unbiased_order_states()))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "fbfea2193734e747a7bd3bf11f034e80eaf2201c5a1cffc42f2738d7b8b37e60"
+        )
+
+    def test_scan_objectives_match_the_per_order_loop_bits(self, monkeypatch):
+        import ordergame.quantum as quantum
+
+        seen = []
+
+        def capture(problem, objectives, settings=None):
+            seen.append(objectives)
+            return [SolveReport("optimal", 0.0, 0.0, 0.0, 1, np.zeros(problem.dim))] * len(objectives)
+
+        monkeypatch.setattr(quantum, "solve_same_constraints", capture)
+        sampled_discrimination_values(n_samples=20, seed=42)
+        rng = np.random.default_rng(42)
+        # the reference builds each order's ket one party at a time and takes
+        # its projector alone
+        for row in seen[0]:
+            us = {p: haar_qubit_unitary(rng) for p in ("A", "B", "C")}
+            want = []
+            for pi in all_orders():
+                vec = KET["0"]
+                for party in pi.order:
+                    vec = us[party] @ vec
+                want.append(svec(np.outer(vec, vec.conj())) / 6.0)
+            assert row.tobytes() == np.concatenate(want).tobytes()
 
     def test_haar_sampler_unitary(self):
         rng = np.random.default_rng(3)
@@ -407,7 +440,7 @@ class TestOutputs:
         program = shared_state_program(pair_ops)
         state = np.asarray(perfect_discrimination_state().to_float().data)
         x = np.concatenate([svec(state), [0.0]])  # zero slack: trace is 1
-        residual = program.dense_matrix() @ x - program.b
+        residual = program.a @ x - program.b
         assert np.max(np.abs(residual)) <= 1e-12
         assert abs(program.objective @ x - 1.0) <= 1e-12
 

@@ -216,9 +216,7 @@ def trivial_lp():
     return ConicProblem(
         blocks=[NonnegOrthant(1)],
         objective=np.array([1.0]),
-        a_rows=[0],
-        a_cols=[0],
-        a_vals=[1.0],
+        a=[[1.0]],
         b=[1.0],
     )
 
@@ -227,27 +225,11 @@ def small_sdp():
     """max tr(rho) s.t. tr(Z rho) = 0, tr(rho) <= 1: optimum 1 at rho = I/2."""
     z = np.diag([1.0, -1.0]).astype(complex)
     eye = np.eye(2, dtype=complex)
-    rows, cols, vals, rhs = [], [], [], []
-    for j in np.nonzero(svec(z))[0]:
-        rows.append(0)
-        cols.append(int(j))
-        vals.append(svec(z)[j])
-    rhs.append(0.0)
-    for j in np.nonzero(svec(eye))[0]:
-        rows.append(1)
-        cols.append(int(j))
-        vals.append(svec(eye)[j])
-    rows.append(1)
-    cols.append(4)
-    vals.append(1.0)
-    rhs.append(1.0)
     return ConicProblem(
         blocks=[HermitianPSD(2), NonnegOrthant(1)],
         objective=np.concatenate([svec(eye), [0.0]]),
-        a_rows=rows,
-        a_cols=cols,
-        a_vals=vals,
-        b=rhs,
+        a=[np.append(svec(z), 0.0), np.append(svec(eye), 1.0)],
+        b=[0.0, 1.0],
     )
 
 
@@ -290,24 +272,26 @@ class TestSolve:
             solve(problem, SolveSettings(tolerance=tolerance, max_iters=50))
 
     def test_malformed(self):
-        with pytest.raises(ProblemMalformed):
-            ConicProblem(
-                blocks=[NonnegOrthant(1)],
-                objective=np.array([1.0, 2.0]),
-                a_rows=[0],
-                a_cols=[0],
-                a_vals=[1.0],
-                b=[1.0],
-            )
-        with pytest.raises(ProblemMalformed):
-            ConicProblem(
-                blocks=[NonnegOrthant(1)],
-                objective=np.array([1.0]),
-                a_rows=[0],
-                a_cols=[5],
-                a_vals=[1.0],
-                b=[1.0],
-            )
+        cases = [
+            ([1.0, 2.0], [[1.0]], [1.0]),  # objective longer than the one variable
+            ([1.0], [[1.0, 0.0]], [1.0]),  # a column past the one variable
+            ([1.0], [[1.0], [1.0]], [1.0]),  # more a rows than right-hand sides
+            ([1.0], [1.0], [1.0]),  # a not a matrix
+            ([1.0], [[1.0]], [[1.0]]),  # b not a vector
+        ]
+        for objective, a, b in cases:
+            with pytest.raises(ProblemMalformed):
+                ConicProblem(blocks=[NonnegOrthant(1)], objective=objective, a=a, b=b)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_batch_rejects_non_finite_objective_rows(self, bad):
+        from ordergame.quantum import discrimination_program, unbiased_order_states
+
+        problem = discrimination_program(unbiased_order_states())
+        objectives = np.stack([problem.objective, problem.objective])
+        objectives[1, 3] = bad
+        with pytest.raises(ProblemMalformed, match="non-finite objective"):
+            solve_same_constraints(problem, objectives, SolveSettings(max_iters=5))
 
     def test_empty_batch(self):
         from ordergame.network import nonsignaling_program
@@ -346,13 +330,11 @@ class TestSolve:
         diag = np.concatenate([np.arange(8), 64 + np.arange(8)])  # svec puts diagonals first
         objective = np.zeros(128)
         objective[diag] = c.ravel()
-        rows, vals = np.tile(np.arange(8), 2), np.repeat([1.0, 2.0], 8)
-        psd = ConicProblem(
-            blocks=[HermitianPSD(8)] * 2, objective=objective, a_rows=rows, a_cols=diag, a_vals=vals, b=np.ones(8)
-        )
-        lp = ConicProblem(
-            blocks=[NonnegOrthant(16)], objective=c.ravel(), a_rows=rows, a_cols=np.arange(16), a_vals=vals, b=np.ones(8)
-        )
+        lp_rows = np.hstack([np.eye(8), 2 * np.eye(8)])
+        psd_rows = np.zeros((8, 128))
+        psd_rows[:, diag] = lp_rows
+        psd = ConicProblem(blocks=[HermitianPSD(8)] * 2, objective=objective, a=psd_rows, b=np.ones(8))
+        lp = ConicProblem(blocks=[NonnegOrthant(16)], objective=c.ravel(), a=lp_rows, b=np.ones(8))
         got, want = solve(psd), solve(lp)
         assert got.status == want.status == "optimal"
         assert got.iterations == want.iterations
@@ -449,7 +431,7 @@ class TestTableau:
         back = parse_tableau(text)
         assert back.blocks == problem.blocks
         assert np.array_equal(back.objective, problem.objective)
-        assert np.array_equal(back.dense_matrix(), problem.dense_matrix())
+        assert np.array_equal(back.a, problem.a)
         assert np.array_equal(back.b, problem.b)
 
     def test_parsed_problem_solves_identically(self):
@@ -465,22 +447,42 @@ class TestTableau:
         "body",
         [
             "rows 1\ncone orthant 1\na 0 0\n",  # truncated triplet
+            "rows 1\ncone orthant 2\na 1 0 1.0\n",  # a row past the rows
+            "rows 1\ncone orthant 2\na 0 2 1.0\n",  # a column past the 2 coordinates
+            "rows 1\ncone orthant 2\na -1 0 1.0\n",  # negative a row: would wrap to the last
+            "rows 1\ncone orthant 2\na 0 -1 1.0\n",  # negative a column
             "rows 1\ncone psd 2\no 9 1.0\n",  # objective index past the 4 coordinates
             "rows 1\ncone orthant 1\nrhs 5 1.0\n",  # right-hand side past the rows
             "rows 1\ncone orthant x\n",  # non-integer size
             "rows -1\ncone orthant 1\n",  # negative row count
             "rows 1\ncone soc 3\n",  # unknown cone kind
         ],
-        ids=["short-a", "objective-index", "rhs-index", "cone-size", "negative-rows", "cone-kind"],
+        ids=[
+            "short-a", "a-row", "a-column", "a-negative-row", "a-negative-column",
+            "objective-index", "rhs-index", "cone-size", "negative-rows", "cone-kind",
+        ],
     )
     def test_malformed_text_raises_problem_malformed(self, body):
         with pytest.raises(ProblemMalformed):
             parse_tableau("conic-tableau v1\n" + body)
 
+    def test_oversized_header_is_rejected_before_allocating(self, monkeypatch):
+        # 2**20 rows over a side-256 PSD block (2**16 variables) would be 2**36 floats
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated an oversized tableau")
+
+        monkeypatch.setattr(np, "zeros", no_allocation)
+        with pytest.raises(ProblemMalformed, match="exceed"):
+            parse_tableau("conic-tableau v1\nrows 1048576\ncone psd 256\n")
+
+    def test_repeated_entries_add_up(self):
+        text = "conic-tableau v1\nrows 1\ncone orthant 2\na 0 1 1.5\na 0 1 0.25\na 0 0 1.0\nrhs 0 2.0\n"
+        assert parse_tableau(text).a.tolist() == [[1.0, 1.75]]
+
 
 def dense_affine_projection(problem, x, rcond=1e-15):
     """w - Aᵀ(A Aᵀ)⁺(A w - b) row by row, with the full dense matrix."""
-    a = problem.dense_matrix()
+    a = problem.a
     step = ((x @ a.T - problem.b) @ np.linalg.pinv(a @ a.T, rcond=rcond, hermitian=True)) @ a
     return x - step
 
@@ -494,15 +496,9 @@ def planted_duplicates_program(seed=5):
     copies = [3, 2, 4, 2, 3, 2, 2, 4, 3, 2, 2, 3] + [1] * 8
     columns = np.repeat(distinct, copies, axis=1)
     coords = rng.permutation(40)[: columns.shape[1]]
-    rows, cols = np.nonzero(columns)
-    return ConicProblem(
-        blocks=[NonnegOrthant(40)],
-        objective=rng.normal(size=40),
-        a_rows=rows,
-        a_cols=coords[cols],
-        a_vals=columns[rows, cols],
-        b=rng.normal(size=n_eq),
-    )
+    a = np.zeros((n_eq, 40))
+    a[:, coords] = columns
+    return ConicProblem(blocks=[NonnegOrthant(40)], objective=rng.normal(size=40), a=a, b=rng.normal(size=n_eq))
 
 
 def programs_with_duplicate_columns():
@@ -546,7 +542,7 @@ class TestAffineSet:
     def test_gap_matches_dense_residual(self):
         problem = planted_duplicates_program()
         z = np.random.default_rng(2).normal(size=(4, problem.dim))
-        want = np.max(np.abs(z @ problem.dense_matrix().T - problem.b), axis=1)
+        want = np.max(np.abs(z @ problem.a.T - problem.b), axis=1)
         assert np.allclose(_AffineSet(problem).gap(z), want, rtol=1e-13, atol=1e-13)
 
     def test_nonsignaling_factor_has_the_rank_of_the_equalities(self):
@@ -592,7 +588,7 @@ class TestPinnedSolves:
     def test_capped_solve_reports_the_equality_gap(self, name):
         problem = programs_with_duplicate_columns()[name]
         report = solve(problem, SolveSettings(max_iters=5))
-        gap = np.max(np.abs(problem.dense_matrix() @ report.solution - problem.b))
+        gap = np.max(np.abs(problem.a @ report.solution - problem.b))
         assert report.iterations == 5
         assert report.primal_residual >= gap * (1.0 - 1e-12)
 
@@ -619,23 +615,14 @@ class TestPinnedSolves:
 
 class TestNoEqualities:
     def test_solves_with_identity_affine_step(self):
-        problem = ConicProblem(
-            blocks=[NonnegOrthant(3)],
-            objective=[-1, -2, -0.5],
-            a_rows=[],
-            a_cols=[],
-            a_vals=[],
-            b=[],
-        )
+        problem = ConicProblem(blocks=[NonnegOrthant(3)], objective=[-1, -2, -0.5], a=np.zeros((0, 3)), b=[])
         report = solve(problem)
         assert report.status == "optimal"
         assert report.objective_value == 0.0
         assert report.primal_residual <= 1e-8
 
     def test_affine_set_is_the_whole_space(self):
-        problem = ConicProblem(
-            blocks=[NonnegOrthant(3)], objective=np.zeros(3), a_rows=[], a_cols=[], a_vals=[], b=[]
-        )
+        problem = ConicProblem(blocks=[NonnegOrthant(3)], objective=np.zeros(3), a=np.zeros((0, 3)), b=[])
         affine = _AffineSet(problem)
         x = np.random.default_rng(3).normal(size=(2, 3))
         projected = x.copy()
