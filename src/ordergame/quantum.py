@@ -2,7 +2,8 @@
 
 The memoryless scenario applies three fixed single-qubit unitaries in the
 hidden order; the resulting six states form three mutually unbiased bases
-and an optimal-measurement cone program shows they cannot beat 1/3.  The
+and an optimal-measurement cone program shows they cannot beat 1/3; random
+triples are certified in closed form by :func:`certify_discrimination`.  The
 entangled scenario routes a shared qubit through the parties with swap
 gates, one 16-entry basis index map per order; a specific 4-qubit state
 built from Dicke projectors makes the six routed outputs exactly
@@ -31,7 +32,6 @@ from .solver import (
     ConicProblem,
     HermitianPSD,
     SolveSettings,
-    solve_same_constraints,
     solve_within_bound,
     svec,
 )
@@ -141,23 +141,17 @@ def _order_kets(unitaries: Mapping[str, np.ndarray]) -> np.ndarray:
     return np.array(kets)
 
 
-def _discrimination_objective(kets: np.ndarray) -> np.ndarray:
-    """svec(|psi><psi|) / 6 for each order's output ket, concatenated in order."""
-    return (svec(kets[:, :, None] * kets.conj()[:, None, :]) / 6.0).ravel()
-
-
 def unbiased_order_states() -> dict[Perm3, Vec]:
     """Apply the six hidden orders to |0>; the outputs tile three MUBs."""
     kets = _order_kets(dict(zip("ABC", (chan.kraus for chan in unbiased_basis_channels()))))
     return {pi: Vec((SHARED,), ket) for pi, ket in zip(all_orders(), kets)}
 
 
-def bloch_coordinates(state: Vec) -> tuple[float, float, float]:
-    v = np.asarray(state.data, dtype=complex)
-    x = 2.0 * (v[0].conjugate() * v[1]).real
-    y = 2.0 * (v[0].conjugate() * v[1]).imag
-    z = (abs(v[0]) ** 2 - abs(v[1]) ** 2).real
-    return (float(x), float(y), float(z))
+def bloch_coordinates(kets: np.ndarray) -> np.ndarray:
+    """Bloch vectors (x, y, z) of qubit kets along the last axis: ``(..., 2) -> (..., 3)``."""
+    v = np.asarray(kets, dtype=complex)
+    cross = v[..., 0].conj() * v[..., 1]
+    return np.stack([2.0 * cross.real, 2.0 * cross.imag, np.abs(v[..., 0]) ** 2 - np.abs(v[..., 1]) ** 2], -1)
 
 
 def discrimination_program(states: Mapping[Perm3, Vec]) -> ConicProblem:
@@ -170,7 +164,7 @@ def discrimination_program(states: Mapping[Perm3, Vec]) -> ConicProblem:
     kets = np.array([states[pi].data for pi in all_orders()], dtype=complex)
     return ConicProblem(
         blocks=[HermitianPSD(2)] * 6,
-        objective=_discrimination_objective(kets),
+        objective=(svec(kets[:, :, None] * kets.conj()[:, None, :]) / 6.0).ravel(),
         a=np.tile(np.eye(4), 6),
         b=svec(np.eye(2, dtype=complex)),
     )
@@ -188,7 +182,7 @@ def quantum_memoryless_optimum(
     """
     report = solve_within_bound("discrimination", discrimination_program(states), Fraction(1, 3), settings)
     bloch = {
-        pi.name: [round(x, 12) for x in bloch_coordinates(vec)]
+        pi.name: [round(x, 12) for x in bloch_coordinates(vec.data).tolist()]
         for pi, vec in sorted(states.items())
     }
     return ScenarioResult(
@@ -208,53 +202,97 @@ def haar_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
 
 @dataclass
 class SampledBoundScan:
-    """Monte-Carlo sweep of the memoryless optimum over random unitary triples."""
+    """Certified discrimination optima, one per instance, and the largest violations of their certificates."""
 
     values: np.ndarray
-    iterations: np.ndarray
     max_primal_residual: float
-    unconverged: int
+    max_dual_violation: float
+    max_gap: float
 
     @property
     def max_value(self) -> float:
         return float(self.values.max())
 
-    def iteration_spread(self) -> dict:
-        """Percentiles 50, 90 and 99 (interpolated) and the largest iteration count."""
-        spread = np.percentile(self.iterations, [50, 90, 99]).tolist()
-        return dict(zip(("iterations_p50", "iterations_p90", "iterations_p99"), spread),
-                    iterations_max=int(self.iterations.max()))
+    @property
+    def at_one_third(self) -> int:
+        return int(np.count_nonzero(np.abs(self.values - 1.0 / 3.0) <= 1e-12))
 
 
-def sampled_discrimination_values(
-    n_samples: int = 1000,
-    seed: int = 42,
-    tolerance: float = 1e-7,
-    max_iters: int = 20_000,
-) -> SampledBoundScan:
-    """Discrimination optima for seeded random triples, solved in one batch.
+class CertificateFailed(ValueError):
+    """A closed-form discrimination certificate does not verify."""
 
-    All instances share the same constraint set, so they run through the
-    solver together.  A handful of near-degenerate instances stall around
-    residual 1e-6; their objective values are still accurate to well below
-    the 1e-6 slack used by the bound check.
+
+#: The largest violation any check of a closed-form certificate may show.
+CERTIFICATE_ATOL = 1e-9
+
+
+def _pauli(scale, v: np.ndarray) -> np.ndarray:
+    """scale I + v.sigma for Bloch vectors v along the last axis."""
+    x, y, z = np.moveaxis(v, -1, 0)
+    return np.stack([np.stack([scale + z, x - 1j * y], -1), np.stack([x + 1j * y, scale - z], -1)], -2)
+
+
+def certify_discrimination(kets: np.ndarray) -> SampledBoundScan:
+    """Optimal discrimination of six equiprobable qubit states, per row of ``kets`` ``(n, 6, 2)``.
+
+    The optimum is (1 + R)/6, R the radius of the smallest ball enclosing
+    the six Bloch vectors r_k (Deconinck & Terhal, PRA 81, 062304 (2010);
+    Bae & Hwang, PRA 87, 012334 (2013)).  Its centre c is the circumcentre
+    of one to four r_k and lies in their hull, c = sum mu_k r_k with
+    mu >= 0: the 56 such supports are searched at once, skipping affinely
+    dependent ones, and the enclosing one of least radius is kept.  The
+    dual Y = ((1 + R) I + c.sigma)/12 and the primal E_k = mu_k (I + n_k.sigma),
+    n_k = (r_k - c)/R (0 if R = 0), are checked as 2x2 matrices; raises
+    :class:`CertificateFailed` if any check exceeds :data:`CERTIFICATE_ATOL`.
     """
+    kets = np.asarray(kets, dtype=complex)
+    r = bloch_coordinates(kets)
+    # each support as its first point and three more, padded with the first
+    supports = np.array([s + s[:1] * (4 - len(s)) for k in range(1, 5) for s in itertools.combinations(range(6), k)])
+    d = r[:, supports[:, 1:]] - r[:, supports[:, :1]]  # a padded point is a zero row
+    gram = d @ d.swapaxes(-1, -2) + (supports[:, 1:] == supports[:, :1])[..., None] * np.eye(3)
+    with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
+        solvable = np.linalg.det(gram) > 1e-12 * np.diagonal(gram, axis1=-2, axis2=-1).prod(-1)
+    gram[~solvable] = np.eye(3)
+    # the centre x, seen from the first point, is equidistant from all: 2 d_i.x = |d_i|^2
+    lam = np.linalg.solve(gram, (d**2).sum(-1)[..., None] / 2)[..., 0]
+    x = (lam[..., None] * d).sum(-2)
+    mu = np.concatenate([1.0 - lam.sum(-1, keepdims=True), lam], -1)
+    e = r[:, None] - r[:, supports[:, :1]] - x[:, :, None]  # from each centre to every point
+    radius = np.linalg.norm(e, axis=-1).max(-1)
+    valid = solvable & (mu >= -1e-12).all(-1) & (radius <= np.linalg.norm(x, axis=-1) + 1e-10)
+    best = np.argmin(np.where(valid, radius, np.inf), axis=1)
+
+    rows = np.arange(len(r))
+    big_r, support = radius[rows, best], supports[best]
+    weights = np.zeros(r.shape[:2])
+    np.add.at(weights, (rows[:, None], support), mu[rows, best])
+    n = e[rows, best] / np.where(big_r > 0, big_r, 1.0)[:, None, None]
+    effects = weights[..., None, None] * _pauli(1.0, n)
+    dual = _pauli(1.0 + big_r, r[rows, support[:, 0]] + x[rows, best]) / 12.0
+    rho = kets[..., :, None] * kets.conj()[..., None, :]
+    values = np.trace(dual, axis1=-2, axis2=-1).real
+    checks = {
+        "primal residual": np.maximum(
+            np.abs(effects.sum(1) - np.eye(2)).max((-2, -1)), -np.linalg.eigvalsh(effects)[..., 0].min(-1)
+        ),
+        "dual violation": np.maximum(-np.linalg.eigvalsh(dual[:, None] - rho / 6.0)[..., 0].min(-1), 0.0),
+        "gap": np.abs(values - np.einsum("nkij,nkji->n", effects, rho).real / 6.0),
+    }
+    for name, per_instance in checks.items():
+        worst = int(np.argmax(per_instance))
+        if not per_instance[worst] <= CERTIFICATE_ATOL:
+            raise CertificateFailed(f"instance {worst}: {name} {per_instance[worst]:.3g} exceeds {CERTIFICATE_ATOL}")
+    return SampledBoundScan(values, *(float(v.max()) for v in checks.values()))
+
+
+def sampled_discrimination_values(n_samples: int = 1000, seed: int = 42) -> SampledBoundScan:
+    """Closed-form certified optima for seeded Haar-random unitary triples, with no solver call."""
+    if n_samples < 1:
+        raise ValueError(f"n_samples must be at least 1, not {n_samples}")
     rng = np.random.default_rng(seed)
-    objectives = np.empty((n_samples, 24))
-    for i in range(n_samples):
-        us = {p: haar_qubit_unitary(rng) for p in ("A", "B", "C")}
-        objectives[i] = _discrimination_objective(_order_kets(us))
-    template = discrimination_program(unbiased_order_states())
-    reports = solve_same_constraints(
-        template, objectives, SolveSettings(tolerance=tolerance, max_iters=max_iters)
-    )
-    values = np.array([r.objective_value for r in reports])
-    return SampledBoundScan(
-        values=values,
-        iterations=np.array([r.iterations for r in reports]),
-        max_primal_residual=max(r.primal_residual for r in reports),
-        unconverged=sum(1 for r in reports if r.status != "optimal"),
-    )
+    kets = [_order_kets({p: haar_qubit_unitary(rng) for p in "ABC"}) for _ in range(n_samples)]
+    return certify_discrimination(np.array(kets))
 
 
 # ---------------------------------------------------------------------------

@@ -536,7 +536,8 @@ _MAX_TABLEAU_ENTRIES = 2**24
 def parse_tableau(text: str) -> ConicProblem:
     """Inverse of :func:`dump_tableau`; malformed text raises ProblemMalformed.
 
-    ``a`` lines on the same entry add up.
+    ``a`` lines on the same entry add up; an ``o`` or ``rhs`` index given
+    twice is malformed.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != "conic-tableau v1":
@@ -563,6 +564,9 @@ def parse_tableau(text: str) -> ConicProblem:
         raise ProblemMalformed(f"{n_rows} rows over {dim} variables exceed {_MAX_TABLEAU_ENTRIES} entries")
     objective, a, b = np.zeros(dim), np.zeros((n_rows, dim)), np.zeros(n_rows)
     for key, target in (("o", objective), ("rhs", b)):
+        indices = [i for i, _ in entries[key]]
+        if len(set(indices)) != len(indices):
+            raise ProblemMalformed(f"repeated {key} index")
         for i, v in entries[key]:
             if not 0 <= i < len(target):
                 raise ProblemMalformed(f"{key} index {i} out of range")

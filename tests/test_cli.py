@@ -176,15 +176,15 @@ class TestMain:
         assert main(["--scenario", "quantum-memoryless", "--max-iters", "5"]) == 2
         assert "quantum-memoryless    FAILED" in capsys.readouterr().out
 
-    def test_scan_follows_max_iters(self, capsys):
-        assert main(["--scenario", "quantum-memoryless", "--max-iters", "100", "--output", "json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        scan = payload["results"][0]["certificate"]["sampled_check"]
-        assert scan["unconverged"] > 0
-        assert scan["max_primal_residual"] > 1e-7
-        # unconverged instances stop at the cap
-        assert scan["iterations_max"] == 100
-        assert scan["iterations_p50"] <= scan["iterations_p90"] <= scan["iterations_p99"] <= 100
+    def test_sampled_check_ignores_solver_flags(self, capsys):
+        checks = []
+        for flags in ([], ["--max-iters", "100"], ["--tolerance", "1e-4"]):
+            assert main(["--scenario", "quantum-memoryless", "--output", "json", *flags]) == 0
+            payload = json.loads(capsys.readouterr().out)
+            checks.append(payload["results"][0]["certificate"]["sampled_check"])
+        assert checks[0] == checks[1] == checks[2]
+        assert checks[0]["certificate"] == "closed-form"
+        assert max(checks[0]["max_primal_residual"], checks[0]["max_dual_violation"], checks[0]["max_gap"]) <= 1e-12
 
     def test_tolerance_does_not_loosen_check(self, capsys):
         assert main(["--scenario", "nonsignaling", "--tolerance", "0.5", "--check"]) == 1

@@ -8,14 +8,17 @@ import pytest
 
 from ordergame.game import Perm3, all_orders
 from ordergame.quantum import (
+    _order_kets,
     _pair_index_map,
     BASIS_OF_STATE,
     KET,
+    CertificateFailed,
     ORDER_TO_BASIS_STATE,
     InvalidExcitation,
     NotOrthogonal,
     UnitaryChannel,
     bloch_coordinates,
+    certify_discrimination,
     dicke,
     discrimination_program,
     entangled_output_states,
@@ -27,7 +30,6 @@ from ordergame.quantum import (
     quantum_memoryless_optimum,
     routing_matrix,
     routing_pair_products,
-    SampledBoundScan,
     sampled_discrimination_values,
     swap_unitary,
     symmetric_projector,
@@ -36,7 +38,15 @@ from ordergame.quantum import (
     verify_perfect_discrimination,
     ZeroTrace,
 )
-from ordergame.solver import SolveReport, SolverFailed, SolveSettings, dump_tableau, solve, svec
+from ordergame.solver import (
+    SolveReport,
+    SolverFailed,
+    SolveSettings,
+    dump_tableau,
+    solve,
+    solve_same_constraints,
+    svec,
+)
 from ordergame.tensor import (
     ENTANGLED_LAYOUT,
     SHARED,
@@ -90,14 +100,29 @@ class TestOrderStates:
                 assert abs(overlap - 1.0 / math.sqrt(2)) <= 1e-12
 
     def test_bloch_coordinates(self):
-        assert np.allclose(bloch_coordinates(Vec((SHARED,), KET["+"])), (1, 0, 0))
-        assert np.allclose(bloch_coordinates(Vec((SHARED,), KET["-i"])), (0, -1, 0))
+        assert np.allclose(bloch_coordinates(KET["+"]), (1, 0, 0))
+        assert np.allclose(bloch_coordinates(KET["-i"]), (0, -1, 0))
+        # a batch of kets gives each ket's own vector
+        batch = np.array([[KET["0"], KET["+"]], [KET["i"], KET["1"]]])
+        assert np.allclose(bloch_coordinates(batch), [[[0, 0, 1], [1, 0, 0]], [[0, 1, 0], [0, 0, -1]]])
+
+
+def program_objective(kets):
+    """The discrimination program's objective for six kets in order."""
+    return discrimination_program({pi: Vec((SHARED,), ket) for pi, ket in zip(all_orders(), kets)}).objective
+
+
+def closed_form_value(states):
+    """The closed-form certified optimum of one set of six states."""
+    kets = np.array([[states[pi].data for pi in all_orders()]])
+    return certify_discrimination(kets).values[0]
 
 
 class TestDiscrimination:
     def test_mub_states_reach_one_third(self):
         result = quantum_memoryless_optimum(unbiased_order_states())
         assert abs(result.probability_float - 1.0 / 3.0) <= 1e-6
+        assert abs(closed_form_value(unbiased_order_states()) - 1.0 / 3.0) <= 1e-12
 
     def test_unconverged_solve_raises(self):
         with pytest.raises(SolverFailed) as info:
@@ -124,6 +149,7 @@ class TestDiscrimination:
         states = {pi: Vec((SHARED,), KET["0"]) for pi in all_orders()}
         report = solve(discrimination_program(states))
         assert abs(report.objective_value - 1.0 / 6.0) <= 1e-6
+        assert abs(closed_form_value(states) - 1.0 / 6.0) <= 1e-12
 
     def test_orthogonal_pair_perfectly_distinguished(self):
         # three orders land on |0>, three on |1>: optimum is 2/6
@@ -132,21 +158,46 @@ class TestDiscrimination:
             states[pi] = Vec((SHARED,), KET["0"] if i < 3 else KET["1"])
         report = solve(discrimination_program(states))
         assert abs(report.objective_value - 2.0 / 6.0) <= 1e-6
+        assert abs(closed_form_value(states) - 2.0 / 6.0) <= 1e-12
 
     def test_sampled_triples_respect_bound(self):
         scan = sampled_discrimination_values(n_samples=100, seed=7)
-        assert scan.max_value <= 1.0 / 3.0 + 1e-6
-        assert scan.max_primal_residual <= 1e-5
-        assert scan.iterations.shape == (100,)
-        assert scan.iteration_spread()["iterations_max"] == scan.iterations.max() <= 20_000
+        assert scan.values.shape == (100,)
+        assert scan.max_value <= 1.0 / 3.0 + 1e-12
+        assert max(scan.max_primal_residual, scan.max_dual_violation, scan.max_gap) <= 1e-12
+        # the batched ADMM solve of the same draws is the reference
+        rng = np.random.default_rng(7)
+        objectives = [program_objective(_order_kets({p: haar_qubit_unitary(rng) for p in "ABC"})) for _ in range(100)]
+        template = discrimination_program(unbiased_order_states())
+        settings = SolveSettings(tolerance=1e-7, max_iters=20_000)
+        reports = solve_same_constraints(template, np.array(objectives), settings)
+        admm = np.array([r.objective_value for r in reports])
+        assert np.max(np.abs(scan.values - admm)) <= 1e-5
 
-    def test_iteration_spread(self):
-        scan = SampledBoundScan(
-            values=np.zeros(100), iterations=np.arange(1, 101), max_primal_residual=0.0, unconverged=0
-        )
-        assert scan.iteration_spread() == pytest.approx(
-            {"iterations_p50": 50.5, "iterations_p90": 90.1, "iterations_p99": 99.01, "iterations_max": 100}
-        )
+    def test_points_just_inside_the_ball_are_not_its_support(self):
+        # three states on the circle z = h bound the smallest ball; the three at
+        # z = h + eps have a circumcentre within eps of its centre, and a radius
+        # short of it by about h eps / R, which the certificate's gap would show
+        heights, steps, turns = (0.5, 0.6, 0.7, 0.8), (6e-9, 8e-9, 1e-8, 1.3e-8, 1.6e-8, 2e-8), np.linspace(0, 1, 12)
+        instances = []
+        for h, eps, turn in itertools.product(heights, steps, turns):
+            theta = np.repeat(np.arccos([h, h + eps]), 3)
+            phi = 2 * np.pi * np.arange(6) / 3 + np.repeat([0, turn], 3)
+            instances.append(np.stack([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)], -1))
+        scan = certify_discrimination(np.array(instances))
+        radius = np.sqrt(1 - np.repeat(heights, len(steps) * len(turns)) ** 2)
+        assert np.max(np.abs(scan.values - (1 + radius) / 6)) <= 1e-12
+
+    @pytest.mark.parametrize("n_samples", [0, -1])
+    def test_scan_needs_a_sample(self, n_samples):
+        with pytest.raises(ValueError, match="n_samples"):
+            sampled_discrimination_values(n_samples=n_samples)
+
+    def test_certificate_that_does_not_verify_raises(self):
+        # a ket of norm 2 has a Bloch vector of length 4, outside every unit-ball certificate
+        kets = np.array([[2 * KET["0"]] + [KET["1"]] * 5])
+        with pytest.raises(CertificateFailed, match="instance 0"):
+            certify_discrimination(kets)
 
     def test_program_tableau_pinned(self):
         # with the non-signaling LP's and the shared-state program's pins, every
@@ -161,16 +212,16 @@ class TestDiscrimination:
 
         seen = []
 
-        def capture(problem, objectives, settings=None):
-            seen.append(objectives)
-            return [SolveReport("optimal", 0.0, 0.0, 0.0, 1, np.zeros(problem.dim))] * len(objectives)
+        def capture(kets):
+            seen.append(kets)
+            return None
 
-        monkeypatch.setattr(quantum, "solve_same_constraints", capture)
+        monkeypatch.setattr(quantum, "certify_discrimination", capture)
         sampled_discrimination_values(n_samples=20, seed=42)
         rng = np.random.default_rng(42)
         # the reference builds each order's ket one party at a time and takes
-        # its projector alone
-        for row in seen[0]:
+        # its projector alone, as the per-order loop of the ADMM scan did
+        for kets in seen[0]:
             us = {p: haar_qubit_unitary(rng) for p in ("A", "B", "C")}
             want = []
             for pi in all_orders():
@@ -178,7 +229,7 @@ class TestDiscrimination:
                 for party in pi.order:
                     vec = us[party] @ vec
                 want.append(svec(np.outer(vec, vec.conj())) / 6.0)
-            assert row.tobytes() == np.concatenate(want).tobytes()
+            assert program_objective(kets).tobytes() == np.concatenate(want).tobytes()
 
     def test_haar_sampler_unitary(self):
         rng = np.random.default_rng(3)

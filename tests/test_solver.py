@@ -456,10 +456,13 @@ class TestTableau:
             "rows 1\ncone orthant x\n",  # non-integer size
             "rows -1\ncone orthant 1\n",  # negative row count
             "rows 1\ncone soc 3\n",  # unknown cone kind
+            "rows 1\ncone orthant 2\no 0 1.0\no 0 5.0\n",  # repeated objective index: would overwrite
+            "rows 1\ncone orthant 2\nrhs 0 1.0\nrhs 0 5.0\n",  # repeated right-hand side
         ],
         ids=[
             "short-a", "a-row", "a-column", "a-negative-row", "a-negative-column",
             "objective-index", "rhs-index", "cone-size", "negative-rows", "cone-kind",
+            "repeated-objective", "repeated-rhs",
         ],
     )
     def test_malformed_text_raises_problem_malformed(self, body):
