@@ -27,7 +27,7 @@ from .quantum import (
     verify_perfect_discrimination,
 )
 from .solver import SolveSettings, SolverFailed, dump_tableau, solve_shared_state_feasibility
-from .tensor import operator_jsonable
+from .tensor import operator_jsonable, ratio_str
 
 #: ``--check`` slack for solver scenarios; independent of ``--tolerance``.
 CHECK_SLACK = 1e-6
@@ -261,7 +261,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, Fraction):
-        return f"{obj.numerator}/{obj.denominator}"
+        return ratio_str(obj)
     if isinstance(obj, (bool, int, float, str)) or obj is None:
         return obj
     return str(obj)
@@ -296,15 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            scenario=args.scenario,
-            tolerance=args.tolerance,
-            max_iters=args.max_iters,
-            seed=args.seed,
-            output=args.output,
-            dump_matrices=args.dump_matrices,
-            check=args.check,
-        )
+        config = RunConfig(**vars(args))
     except ValueError as exc:
         parser.error(str(exc))
     report = run(config)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping
 
+from .tensor import ratio_str
+
 PARTIES = ("A", "B", "C")
 
 
@@ -119,11 +121,8 @@ class ScenarioResult:
 
     @property
     def probability_exact(self) -> str | None:
-        if isinstance(self.probability, Fraction):
-            f = self.probability
-            return f"{f.numerator}/{f.denominator}"
-        if isinstance(self.probability, int):
-            return f"{self.probability}/1"
+        if isinstance(self.probability, (Fraction, int)):
+            return ratio_str(self.probability)
         return None
 
 

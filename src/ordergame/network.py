@@ -57,7 +57,6 @@ from .tensor import (
     Space,
     kron,
     permute_to_layout,
-    vectorize,
 )
 
 IN_WIRE = {"A": A_IN, "B": B_IN, "C": C_IN}
@@ -71,13 +70,8 @@ _TOTAL_TRACE = 16.0
 
 def max_entangled_projector(left: Space, right: Space) -> LabeledOperator:
     """Unnormalized projector sum_ij |ii><jj| across a wire pair (exact 0/1)."""
-    ket = vectorize(np.eye(left.dim), (left,), (right,))
-    data = np.outer(ket.data, ket.data.conj()).real
-    exact = np.zeros(data.shape, dtype=object)
-    exact[...] = 0
-    for i, j in zip(*np.nonzero(data)):
-        exact[i, j] = 1
-    return LabeledOperator((left, right), exact)
+    ket = np.eye(left.dim, dtype=int).reshape(-1)  # unequal wires: LayoutMismatch
+    return LabeledOperator((left, right), np.outer(ket, ket), exact=True)
 
 
 @dataclass(frozen=True)

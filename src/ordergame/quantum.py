@@ -415,15 +415,9 @@ class DickeVector:
 
     def projector_exact(self) -> LabeledOperator:
         """Rank-1 projector with exact rational entries 1/C(n,k) on support."""
-        dim = 2**self.n
-        data = np.zeros((dim, dim), dtype=object)
-        data[...] = 0
-        support = [i for i in range(dim) if bin(i).count("1") == self.k]
-        amp = self.amplitude_squared
-        for i in support:
-            for j in support:
-                data[i, j] = amp
-        return LabeledOperator(self.vec.layout, data)
+        on = self.vec.data != 0
+        data = np.where(np.outer(on, on), self.amplitude_squared, 0)
+        return LabeledOperator(self.vec.layout, data, exact=True)
 
 
 def _default_qubit_layout(n: int) -> tuple[Space, ...]:
@@ -436,22 +430,18 @@ def dicke(n: int, k: int, layout: Sequence[Space] | None = None) -> DickeVector:
     if not 0 <= k <= n:
         raise InvalidExcitation(f"excitation count {k} outside 0..{n}")
     layout = tuple(layout) if layout is not None else _default_qubit_layout(n)
-    dim = 2**n
-    amp = 1.0 / math.sqrt(math.comb(n, k))
-    data = np.zeros(dim, dtype=complex)
-    for i in range(dim):
-        if bin(i).count("1") == k:
-            data[i] = amp
+    weight = np.array([bin(i).count("1") for i in range(2**n)])
+    data = np.where(weight == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
     return DickeVector(n=n, k=k, vec=Vec(layout, data))
 
 
 def symmetric_projector() -> LabeledOperator:
-    """Exact rank-5 projector onto the span of the five 4-qubit Dicke states."""
-    total = None
-    for k in range(5):
-        proj = dicke(4, k).projector_exact()
-        total = proj if total is None else total + proj
-    return total
+    """Exact rank-5 projector onto the span of the five 4-qubit Dicke states:
+    entry (i, j) is 1/C(4, k) when strings i and j both have k excitations."""
+    weight = np.array([bin(i).count("1") for i in range(16)])
+    amp = np.array([dicke(4, k).amplitude_squared for k in range(5)], dtype=object)
+    data = np.where(weight[:, None] == weight, amp[weight], 0)
+    return LabeledOperator(ENTANGLED_LAYOUT, data, exact=True)
 
 
 def perfect_discrimination_state() -> LabeledOperator:

@@ -10,6 +10,10 @@ Two scalar kinds are supported and never mixed silently: complex floats
 (``complex128`` arrays) and exact rationals (object arrays holding Python
 ints / ``fractions.Fraction``).  Conversions are explicit via
 :meth:`LabeledOperator.to_float` / :meth:`LabeledOperator.to_exact`.
+Exact construction (``exact=True``) converts numbers losslessly: bools and
+ints become Python ints and each float the ``Fraction`` equal to its binary
+value; data with a nonzero imaginary part or a non-finite entry raises
+``ValueError``.  Object data is kept as given.
 """
 
 from __future__ import annotations
@@ -98,16 +102,29 @@ def _check_layout(layout: Sequence[Space]) -> tuple[Space, ...]:
     return layout
 
 
-def _coerce(data, exact: bool) -> np.ndarray:
-    if exact:
-        out = np.empty(np.shape(data), dtype=object)
-        out[...] = np.asarray(data, dtype=object)
-        return out
-    return np.asarray(data, dtype=complex)
+def _coerce(data, exact: bool | None) -> np.ndarray:
+    """The package's one float->exact conversion (see the module docstring).
 
-
-def _is_exact(data) -> bool:
-    return isinstance(data, np.ndarray) and data.dtype == object
+    ``exact=None`` keeps an object array exact and makes anything else float.
+    """
+    if exact is None:
+        exact = isinstance(data, np.ndarray) and data.dtype == object
+    if not exact:
+        return np.asarray(data, dtype=complex)
+    arr = np.asarray(data)
+    if arr.dtype == object:
+        return arr.copy()
+    if arr.dtype.kind == "b":
+        arr = arr.astype(int)
+    if arr.dtype.kind in "iu":
+        return arr.astype(object)
+    if np.iscomplexobj(arr):
+        if np.any(arr.imag):
+            raise ValueError("cannot convert complex data to exact rationals")
+        arr = arr.real
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("cannot convert non-finite data to exact rationals")
+    return np.asarray(np.frompyfunc(Fraction, 1, 1)(arr.astype(float)), dtype=object)
 
 
 class LabeledOperator:
@@ -117,8 +134,6 @@ class LabeledOperator:
 
     def __init__(self, layout: Sequence[Space], data, *, exact: bool | None = None):
         layout = _check_layout(layout)
-        if exact is None:
-            exact = _is_exact(data)
         mat = _coerce(data, exact)
         side = _side(layout)
         if mat.shape != (side, side):
@@ -143,24 +158,13 @@ class LabeledOperator:
 
     @classmethod
     def identity(cls, layout: Sequence[Space], *, exact: bool = False) -> "LabeledOperator":
-        n = _side(tuple(layout))
-        if exact:
-            data = np.zeros((n, n), dtype=object)
-            data[...] = 0
-            for i in range(n):
-                data[i, i] = 1
-            return cls(layout, data)
-        return cls(layout, np.eye(n, dtype=complex))
+        return cls(layout, np.eye(_side(tuple(layout)), dtype=int), exact=exact)
 
     def trace(self):
         """Matrix trace; a Fraction/int for exact data, complex for floats."""
-        if self.exact:
-            return sum(self.data[i, i] for i in range(self.side))
-        return complex(np.trace(self.data))
+        return np.trace(self.data)
 
     def adjoint(self) -> "LabeledOperator":
-        if self.exact:
-            return LabeledOperator(self.layout, self.data.T)  # exact data is real
         return LabeledOperator(self.layout, self.data.conj().T)
 
     def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
@@ -180,27 +184,17 @@ class LabeledOperator:
     # -- scalar-kind conversions (always explicit) ---------------------------
 
     def to_float(self) -> "LabeledOperator":
-        if not self.exact:
-            return self
-        out = np.asarray(self.data, dtype=complex)
-        return LabeledOperator(self.layout, out)
+        return LabeledOperator(self.layout, self.data, exact=False) if self.exact else self
 
     def to_exact(self) -> "LabeledOperator":
         """Lift float data to exact scalars, losslessly.
 
         Each entry becomes the Fraction equal to its binary float value
         (so 0.1 becomes 3602879701896397/36028797018963968, not 1/10);
-        raises if any entry has a nonzero imaginary part.
+        raises ``ValueError`` if any entry has a nonzero imaginary part or
+        is not finite.  Exact data is returned as an equal operator.
         """
-        if self.exact:
-            return self
-        if np.max(np.abs(self.data.imag)) != 0.0:
-            raise ValueError("cannot convert complex data to exact rationals")
-        out = np.empty(self.data.shape, dtype=object)
-        for i in range(self.side):
-            for j in range(self.side):
-                out[i, j] = Fraction(self.data[i, j].real)
-        return LabeledOperator(self.layout, out)
+        return LabeledOperator(self.layout, self.data, exact=True)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -259,8 +253,6 @@ class Vec:
 
     def __init__(self, layout: Sequence[Space], data, *, exact: bool | None = None):
         layout = _check_layout(layout)
-        if exact is None:
-            exact = _is_exact(data)
         arr = _coerce(data, exact)
         if arr.shape != (_side(layout),):
             raise LayoutMismatch(
@@ -340,24 +332,11 @@ def partial_trace(op: LabeledOperator, labels: Iterable[Space]) -> LabeledOperat
     dk = _side(keep)
     dt = _side(traced)
     m = moved.data.reshape(dk, dt, dk, dt)
-    if op.exact:
-        out = np.zeros((dk, dk), dtype=object)
-        out[...] = 0
-        for t in range(dt):
-            out = out + m[:, t, :, t]
-    else:
-        out = np.einsum("atbt->ab", m)
-    return LabeledOperator(tuple(keep), out)
+    return LabeledOperator(tuple(keep), np.trace(m, axis1=1, axis2=3))
 
 
 def dephase(op: LabeledOperator) -> LabeledOperator:
     """Zero all off-diagonal entries (idempotent, trace preserving)."""
-    if op.exact:
-        out = np.zeros(op.data.shape, dtype=object)
-        out[...] = 0
-        for i in range(op.side):
-            out[i, i] = op.data[i, i]
-        return LabeledOperator(op.layout, out)
     return LabeledOperator(op.layout, np.diag(np.diag(op.data)))
 
 
@@ -382,7 +361,7 @@ def eig_hermitian(op: LabeledOperator) -> tuple[np.ndarray, np.ndarray]:
     Returns ascending eigenvalues and a unitary matrix of column
     eigenvectors; exact inputs are converted to floats first.
     """
-    work = op.to_float() if op.exact else op
+    work = op.to_float()
     if not work.is_hermitian(HERMITIAN_ATOL):
         raise NotHermitian("eig_hermitian requires a Hermitian operator")
     w, v = np.linalg.eigh(work.data)
@@ -419,10 +398,14 @@ def _exact_psd(mat: np.ndarray) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def ratio_str(x) -> str:
+    """An exact scalar as "p/q"; a Python int n prints as "n/1"."""
+    return f"{x.numerator}/{x.denominator}"
+
+
 def _scalar_jsonable(x, exact: bool):
     if exact:
-        f = Fraction(x)
-        return f"{f.numerator}/{f.denominator}"
+        return ratio_str(x)
     z = complex(x)
     return [z.real, z.imag]
 

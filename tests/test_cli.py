@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 from fractions import Fraction
@@ -159,6 +160,14 @@ class TestMain:
                                             ("ABC", "ACB", "BAC", "BCA", "CAB", "CBA")}
         tableau = (tmp_path / "nonsignaling.tableau").read_text()
         assert tableau.startswith("conic-tableau v1")
+
+    def test_dumped_matrices_are_pinned(self, tmp_path, monkeypatch, capsys):
+        # byte identity of the exported exact shared state and routing matrices
+        monkeypatch.chdir(tmp_path)
+        assert main(["--scenario", "lose-verify", "--dump-matrices"]) == 0
+        assert hashlib.sha256((tmp_path / "matrices.json").read_bytes()).hexdigest() == (
+            "fa3aeaabf394898993bb5813c6cefee463ab6cb229f0e8ec2affb25fc6fffcfe"
+        )
 
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         import ordergame.cli as cli

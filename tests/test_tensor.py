@@ -91,7 +91,7 @@ class TestPartialTrace:
         assert np.isclose(reduced.trace(), op.trace())
         everything = partial_trace(op, [Q0, Q1, Q2])
         assert everything.layout == ()
-        assert np.isclose(everything.data[0, 0], op.trace())
+        assert everything.data[0, 0] == op.trace()
 
     def test_unknown_label(self):
         op = LabeledOperator.identity((Q0,))
@@ -99,9 +99,27 @@ class TestPartialTrace:
             partial_trace(op, [Q1])
 
     def test_exact_path(self):
-        op = LabeledOperator.identity((Q0, Q1), exact=True)
-        out = partial_trace(op, [Q1])
+        def exact_entries(data):
+            return all(type(x) in (int, Fraction) for x in np.ravel(data))
+
+        eye = LabeledOperator.identity((Q0, Q1), exact=True)
+        out = partial_trace(eye, [Q1])
         assert out.exact and out.trace() == 4
+        assert exact_entries(eye.data) and exact_entries(out.data)
+        assert type(eye.trace()) is int and eye.trace() == 4
+        # ints off the diagonal, Fractions 0/3, 5/3, 10/3, 15/3 on it
+        data = [[Fraction(4 * i + j, 3) if i == j else 4 * i + j for j in range(4)] for i in range(4)]
+        op = LabeledOperator((Q0, Q1), np.array(data, dtype=object))
+        assert type(op.trace()) is Fraction and op.trace() == 10
+        assert exact_entries(op.adjoint().data)
+        assert np.array_equal(op.adjoint().data, op.data.T)
+        for labels in ([Q0], [Q1], [Q0, Q1]):
+            reduced = partial_trace(op, labels)
+            assert reduced.exact and exact_entries(reduced.data)
+            assert reduced.trace() == op.trace()
+        deph = dephase(op)
+        assert deph.exact and exact_entries(deph.data)
+        assert np.array_equal(deph.data, np.diag(np.diag(op.data)))
 
 
 class TestPermute:
@@ -201,6 +219,47 @@ class TestScalarKinds:
         as_float = op.to_float()
         assert not as_float.exact
         assert as_float.to_exact().allclose(op)
+
+    @pytest.mark.parametrize("cls, data", [
+        (LabeledOperator, [[0.5, 0.1], [0.1, 1.0 / 3.0]]),
+        (Vec, [0.1, -2.5]),
+    ])
+    def test_exact_construction_converts_floats_losslessly(self, cls, data):
+        obj = cls((Q0,), data, exact=True)
+        assert obj.exact
+        assert all(type(x) is Fraction for x in np.ravel(obj.data))
+        assert np.ravel(obj.data).tolist() == [Fraction(x) for x in np.ravel(data)]
+
+    def test_exact_operator_from_floats_stays_exact(self):
+        op = LabeledOperator((Q0,), [[0.5, 0.1], [0.1, 0.5]], exact=True)
+        assert type(op.trace()) is Fraction and op.trace() == 1
+        scaled = op.scale(Fraction(1, 3))
+        assert all(type(x) is Fraction for x in np.ravel(scaled.data))
+        assert scaled.data[0, 0] == Fraction(1, 6)
+
+    def test_exact_construction_keeps_ints(self):
+        op = LabeledOperator((Q0,), np.array([[True, False], [False, True]]), exact=True)
+        assert all(type(x) is int for x in np.ravel(op.data))
+        assert Vec((Q0,), np.array([3, -1]), exact=True).data.tolist() == [3, -1]
+
+    @pytest.mark.parametrize("cls, data", [
+        (LabeledOperator, [[0.5, 0.5j], [-0.5j, 0.5]]),
+        (Vec, np.array([1.0, 1j]) / np.sqrt(2)),
+    ])
+    def test_exact_construction_rejects_complex(self, cls, data):
+        with pytest.raises(ValueError):
+            cls((Q0,), data, exact=True)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_exact_construction_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError):
+            LabeledOperator((Q0,), [[bad, 0.0], [0.0, 1.0]], exact=True)
+        with pytest.raises(ValueError):
+            LabeledOperator((Q0,), [[1.0, 0.0], [0.0, bad]]).to_exact()
+
+    def test_to_exact_rejects_complex(self):
+        with pytest.raises(ValueError):
+            LabeledOperator((Q0,), [[1.0, 1e-300j], [-1e-300j, 1.0]]).to_exact()
 
     def test_to_exact_is_lossless(self):
         op = LabeledOperator((Q0,), np.array([[0.1, 0.0], [0.0, 1.0 / 3.0]], dtype=complex))
