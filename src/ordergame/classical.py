@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .game import Perm3, ScenarioResult, all_orders, optimal_decoder
 
@@ -32,8 +33,7 @@ class BitStrategy:
         return f"({self.on_zero},{self.on_one})"
 
 
-@dataclass(frozen=True)
-class OutcomeTuple:
+class OutcomeTuple(NamedTuple):
     """Final system bit plus the three recorded inputs."""
 
     s_out: int
@@ -42,7 +42,7 @@ class OutcomeTuple:
     x_c: int | None
 
     def as_tuple(self) -> tuple:
-        return (self.s_out, self.x_a, self.x_b, self.x_c)
+        return tuple(self)
 
 
 def all_bit_strategies() -> list[BitStrategy]:

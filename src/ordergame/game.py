@@ -10,6 +10,7 @@ three parties exchanging a trit).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping
@@ -67,15 +68,12 @@ class Perm3:
 IDENTITY = Perm3(("A", "B", "C"))
 
 
+_ORDERS = tuple(Perm3(order) for order in itertools.permutations(PARTIES))
+
+
 def all_orders() -> list[Perm3]:
-    """The six orders, lexicographic in the party labels."""
-    out = []
-    for first in PARTIES:
-        for second in PARTIES:
-            for third in PARTIES:
-                if len({first, second, third}) == 3:
-                    out.append(Perm3((first, second, third)))
-    return out
+    """The six orders, lexicographic in the party labels: a new list on each call."""
+    return list(_ORDERS)
 
 
 @dataclass(frozen=True)

@@ -265,8 +265,8 @@ def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
 
     Every constraint coefficient is a multiple of 1/2, so the doubled rows
     are integers and each row's left-hand side is summed exactly over its
-    nonzeros in integer and rational arithmetic; the objective uses the
-    exact wiring diagonals.
+    nonzeros in integer and rational arithmetic; the objective sums each
+    block over its exact 0/1 wiring diagonal and divides once by 6.
     """
     rows, rhs = constraint_rows()
     r, v = np.nonzero(rows)
@@ -280,10 +280,9 @@ def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
     np.add.at(lhs, r, doubled.astype(np.int64).astype(object) * summed[v])
     gaps = np.abs(lhs - doubled_rhs.astype(np.int64).astype(object))
     max_violation = Fraction(np.max(gaps), 2)
-    objective = Fraction(0)
-    for pi in all_orders():
-        # the wiring diagonal is exactly 0/1: sum the block over its support
-        support = np.flatnonzero(wiring_diagonal(pi))
-        objective += sum(Fraction(blocks[pi][v]) for v in support)
-    objective = objective / 6
+    # each wiring diagonal is exactly 0/1: sum each block over its support, divide once
+    total = sum(
+        sum(np.asarray(blocks[pi], dtype=object)[np.flatnonzero(wiring_diagonal(pi))]) for pi in all_orders()
+    )
+    objective = Fraction(total, 6)
     return {"feasible": max_violation == 0, "max_violation": max_violation, "objective": objective}

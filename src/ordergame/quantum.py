@@ -45,6 +45,7 @@ from .tensor import (
     Vec,
     eig_hermitian,
     env,
+    integer_numerators,
     vectorize,
 )
 
@@ -332,9 +333,9 @@ def _routing_map(pi: Perm3) -> np.ndarray:
 
 def _permutation_operator(index_map: np.ndarray, layout) -> LabeledOperator:
     side = len(index_map)
-    data = np.zeros((side, side), dtype=object)
+    data = np.zeros((side, side), dtype=int)
     data[index_map, np.arange(side)] = 1
-    return LabeledOperator(layout, data)
+    return LabeledOperator(layout, data, exact=True)
 
 
 @dataclass(frozen=True)
@@ -435,19 +436,30 @@ def dicke(n: int, k: int, layout: Sequence[Space] | None = None) -> DickeVector:
     return DickeVector(n=n, k=k, vec=Vec(layout, data))
 
 
+#: Hamming weight of each 4-qubit basis string: the Dicke class of the index.
+_WEIGHT = np.array([bin(i).count("1") for i in range(16)])
+
+
+def _weight_class_data(values) -> np.ndarray:
+    """Entry (i, j) is values[k] when strings i and j both have k excitations, else 0."""
+    return np.where(_WEIGHT[:, None] == _WEIGHT, np.array(values, dtype=object)[_WEIGHT], 0)
+
+
 def symmetric_projector() -> LabeledOperator:
     """Exact rank-5 projector onto the span of the five 4-qubit Dicke states:
     entry (i, j) is 1/C(4, k) when strings i and j both have k excitations."""
-    weight = np.array([bin(i).count("1") for i in range(16)])
-    amp = np.array([dicke(4, k).amplitude_squared for k in range(5)], dtype=object)
-    data = np.where(weight[:, None] == weight, amp[weight], 0)
+    data = _weight_class_data([Fraction(1, math.comb(4, k)) for k in range(5)])
     return LabeledOperator(ENTANGLED_LAYOUT, data, exact=True)
 
 
 def perfect_discrimination_state() -> LabeledOperator:
-    """The shared 4-qubit state 1/12 - (1/15) * (sum of Dicke projectors), exact."""
-    eye = LabeledOperator.identity(ENTANGLED_LAYOUT, exact=True)
-    return eye.scale(Fraction(1, 12)) - symmetric_projector().scale(Fraction(1, 15))
+    """The shared 4-qubit state 1/12 - (1/15) * (sum of Dicke projectors), exact.
+
+    Built per Hamming-weight class: -1/(15 C(4, k)) within class k, plus
+    1/12 on the diagonal.
+    """
+    data = _weight_class_data([Fraction(-1, 15 * math.comb(4, k)) for k in range(5)])
+    return LabeledOperator(ENTANGLED_LAYOUT, data + np.diag([Fraction(1, 12)] * 16), exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -527,16 +539,19 @@ def output_gram(state: LabeledOperator) -> np.ndarray:
     With S the square root of the state, the outputs are vec(R_pi S), and
     <vec(R_pi' S), vec(R_pi S)> = tr(S R_pi'^dag R_pi S) = tr(R_pi'^dag R_pi state).
     So entry (pi', pi) is a pair trace, with tr(state) on the diagonal, and
-    no square root is taken: the entries are Fractions for every exact
-    state and complex numbers for float states.  Raises :class:`NotPSD`
+    no square root is taken: the entries are complex numbers for float
+    states, and for every exact state Fractions, each one integer sum of
+    the state's numerators over their common denominator
+    (:func:`~ordergame.tensor.integer_numerators`).  Raises :class:`NotPSD`
     unless the state is positive semidefinite.
     """
     if not state.is_psd(1e-8):
         raise NotPSD("shared state must be positive semidefinite")
     order = all_orders()
+    data, den = integer_numerators(state.data) if state.exact else (state.data, None)
     gram = np.empty((6, 6), dtype=object if state.exact else complex)
     for i, pp in enumerate(order):
         for j, p in enumerate(order):
-            val = _pair_trace(pp, p, state.data)
-            gram[i, j] = Fraction(val) if state.exact else val
+            val = _pair_trace(pp, p, data)
+            gram[i, j] = Fraction(val, den) if state.exact else val
     return gram

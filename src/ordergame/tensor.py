@@ -13,7 +13,13 @@ ints / ``fractions.Fraction``).  Conversions are explicit via
 Exact construction (``exact=True``) converts numbers losslessly: bools and
 ints become Python ints and each float the ``Fraction`` equal to its binary
 value; data with a nonzero imaginary part or a non-finite entry raises
-``ValueError``.  Object data is kept as given.
+``ValueError``.  Object data goes through the same rules entry by entry:
+ints and ``Fraction``s are kept, bools become ints, finite floats their
+``Fraction``s, and any other entry (complex, non-finite, or of another
+type) raises ``ValueError``.  So exact data always holds Python
+ints and ``Fraction``s, and :func:`integer_numerators` can write it as
+integers over one common denominator; the exact PSD test runs on those
+integers.
 """
 
 from __future__ import annotations
@@ -102,6 +108,20 @@ def _check_layout(layout: Sequence[Space]) -> tuple[Space, ...]:
     return layout
 
 
+_EXACT_TYPES = {int, Fraction}
+
+
+def _exact_scalar(x):
+    """One object entry as a Python int or ``Fraction`` (see the module docstring)."""
+    if isinstance(x, bool):
+        return int(x)
+    if isinstance(x, (int, Fraction)):
+        return x
+    if isinstance(x, float) and math.isfinite(x):
+        return Fraction(x)
+    raise ValueError(f"cannot convert the {type(x).__name__} entry {x!r} to an exact rational")
+
+
 def _coerce(data, exact: bool | None) -> np.ndarray:
     """The package's one float->exact conversion (see the module docstring).
 
@@ -113,7 +133,9 @@ def _coerce(data, exact: bool | None) -> np.ndarray:
         return np.asarray(data, dtype=complex)
     arr = np.asarray(data)
     if arr.dtype == object:
-        return arr.copy()
+        if _EXACT_TYPES.issuperset(map(type, arr.flat)):
+            return arr.copy()
+        return np.asarray(np.frompyfunc(_exact_scalar, 1, 1)(arr), dtype=object)
     if arr.dtype.kind == "b":
         arr = arr.astype(int)
     if arr.dtype.kind in "iu":
@@ -368,28 +390,48 @@ def eig_hermitian(op: LabeledOperator) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
-def _exact_psd(mat: np.ndarray) -> bool:
-    """Exact PSD test for real-rational symmetric data via elimination.
+def integer_numerators(data: np.ndarray) -> tuple[np.ndarray, int]:
+    """Exact data as integer numerators over one common denominator.
 
-    A zero pivot forces its whole row to vanish, otherwise the matrix is
-    indefinite.
+    Returns ``(nums, den)`` with ``data == nums / den`` entrywise: ``den``
+    is the lcm of the entries' denominators and ``nums`` an object array
+    of Python ints of the same shape.
     """
-    n = mat.shape[0]
-    a = [[Fraction(mat[i, j]) for j in range(n)] for i in range(n)]
-    for i in range(n):
-        p = a[i][i]
+    flat = data.ravel().tolist()
+    den = math.lcm(*(x.denominator for x in flat))
+    nums = [x.numerator * (den // x.denominator) for x in flat]
+    return np.array(nums, dtype=object).reshape(data.shape), den
+
+
+def _exact_psd(mat: np.ndarray) -> bool:
+    """Exact PSD test for real-rational symmetric data: symmetric Bareiss elimination.
+
+    Runs on the integer numerators over the common denominator, so no
+    fraction is formed.  Step k replaces each upper-triangle entry (i, j)
+    below the pivot p = a[k][k] by (p a[i][j] - a[k][i] a[k][j]) / prev,
+    an exact division by the previous pivot (Bareiss, Math. Comp. 22,
+    1968).  The diagonal then carries the LDL pivots times a positive
+    leading minor, so it has their signs.  A negative pivot means
+    indefinite; a zero pivot forces its row to vanish (otherwise
+    indefinite), and is then skipped without updating the divisor, which
+    is the same elimination on the matrix without that row and column.
+    """
+    a = integer_numerators(mat)[0].tolist()
+    n = len(a)
+    prev = 1
+    for k in range(n):
+        pivot_row = a[k]
+        p = pivot_row[k]
         if p < 0:
             return False
         if p == 0:
-            if any(a[i][j] != 0 for j in range(i, n)):
+            if any(pivot_row[k + 1 :]):
                 return False
             continue
-        for r in range(i + 1, n):
-            if a[r][i] == 0:
-                continue
-            f = a[r][i] / p
-            for c in range(i, n):
-                a[r][c] -= f * a[i][c]
+        for i in range(k + 1, n):
+            f = pivot_row[i]
+            a[i][i:] = [(p * x - f * y) // prev for x, y in zip(a[i][i:], pivot_row[i:])]
+        prev = p
     return True
 
 

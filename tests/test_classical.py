@@ -91,6 +91,13 @@ class TestSearchLosr:
         tuples = {run_losr(pi, a, b, c, 0).as_tuple() for pi in all_orders()}
         assert len(tuples) == 5
 
+    def test_outcome_is_a_plain_tuple_of_its_fields(self):
+        a, b, c = losr_canonical_witness()
+        outcome = run_losr(Perm3(("B", "A", "C")), a, b, c, 0)
+        assert (outcome.s_out, outcome.x_a, outcome.x_b, outcome.x_c) == (1, 1, 0, 0)
+        assert type(outcome.as_tuple()) is tuple
+        assert outcome.as_tuple() == (1, 1, 0, 0)
+
     def test_memory_beats_memoryless(self):
         assert search_losr().probability >= search_memoryless().probability
 

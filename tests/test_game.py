@@ -32,6 +32,17 @@ class TestPerm3:
         assert names == sorted(names)
         assert names[0] == "ABC"
 
+    def test_same_orders_on_every_call(self):
+        first = all_orders()
+        names = ["ABC", "ACB", "BAC", "BCA", "CAB", "CBA"]
+        assert [pi.name for pi in first] == names
+        first.reverse()
+        first.append(IDENTITY)
+        first[0] = Perm3(("C", "A", "B"))
+        again = all_orders()
+        assert [pi.name for pi in again] == names
+        assert again is not all_orders()
+
     def test_rejects_bad_orders(self):
         with pytest.raises(ValueError):
             Perm3(("A", "A", "B"))

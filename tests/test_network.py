@@ -308,6 +308,12 @@ class TestWitnessViolation:
         assert not check["feasible"]
         assert isinstance(check["max_violation"], Fraction)
         assert check["max_violation"] == want
+        # the objective, one Fraction per support entry
+        objective = sum(
+            sum(Fraction(blocks[guess][u]) for u in np.flatnonzero(wiring_diagonal(guess))) for guess in all_orders()
+        ) / 6
+        assert isinstance(check["objective"], Fraction)
+        assert check["objective"] == objective
 
     def test_non_dyadic_row_raises_typed_error(self, monkeypatch):
         rows, rhs = constraint_rows()

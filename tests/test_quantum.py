@@ -537,6 +537,29 @@ class TestOutputGram:
                 assert isinstance(gram[i, j], Fraction)
                 assert gram[i, j] == (1 if i == j else Fraction(1, 4))
 
+    def test_closed_form_gram_is_the_exact_identity(self):
+        gram = output_gram(perfect_discrimination_state())
+        assert gram.shape == (6, 6)
+        assert all(type(x) is Fraction for x in gram.ravel())
+        assert gram.tolist() == np.eye(6, dtype=int).tolist()
+
+    def test_lifted_float_state_matches_a_fraction_sum(self):
+        # binary-float entries of many sizes plus thirds: mixed denominators
+        rng = np.random.default_rng(15)
+        m = rng.normal(size=(16, 16))
+        m = m @ m.T / 40.0
+        state = LabeledOperator(ENTANGLED_LAYOUT, (m + m.T) / 2).to_exact() + exact_diagonal_state(Fraction(1, 3))
+        denominators = {x.denominator for x in state.data.ravel()}
+        assert len(denominators) > 5 and any(d % 3 == 0 for d in denominators)
+        order = all_orders()
+        want = [
+            [sum((Fraction(state.data[j, k]) for j, k in enumerate(_pair_index_map(pp, p))), Fraction(0)) for p in order]
+            for pp in order
+        ]
+        gram = output_gram(state)
+        assert all(type(x) is Fraction for x in gram.ravel())
+        assert gram.tolist() == want
+
     def test_rejects_non_psd(self):
         with pytest.raises(NotPSD):
             output_gram(exact_diagonal_state(Fraction(-1, 16)))

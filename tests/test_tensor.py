@@ -19,6 +19,7 @@ from ordergame.tensor import (
     dephase,
     eig_hermitian,
     env,
+    integer_numerators,
     kron,
     operator_jsonable,
     vec_jsonable,
@@ -256,6 +257,41 @@ class TestScalarKinds:
             LabeledOperator((Q0,), [[bad, 0.0], [0.0, 1.0]], exact=True)
         with pytest.raises(ValueError):
             LabeledOperator((Q0,), [[1.0, 0.0], [0.0, bad]]).to_exact()
+
+    @pytest.mark.parametrize("cls", [LabeledOperator, Vec])
+    def test_object_data_follows_the_exact_rules(self, cls):
+        entries = [np.float64(0.5), True, 3, Fraction(1, 3)]
+        if cls is Vec:
+            layout, data = (Q0, Q1), np.array(entries, dtype=object)
+        else:
+            layout, data = (Q0,), np.array([entries[:2], entries[2:]], dtype=object)
+        for obj in (cls(layout, data), cls(layout, data, exact=True)):
+            assert obj.exact
+            assert [type(x) for x in np.ravel(obj.data)] == [Fraction, int, int, Fraction]
+            assert np.ravel(obj.data).tolist() == [Fraction(1, 2), 1, 3, Fraction(1, 3)]
+
+    def test_object_float_serializes_as_a_ratio(self):
+        op = LabeledOperator((Q0,), np.array([[0.5, 0], [0, 0.1]], dtype=object))
+        assert operator_jsonable(op)["data"][0][0] == "1/2"
+        assert op.data[1, 1] == Fraction(0.1)
+
+    @pytest.mark.parametrize("bad", [0.5j, complex(1, 0), np.complex128(1), float("inf"), float("nan"), "1/2", None],
+                             ids=["complex", "real-complex", "numpy-complex", "inf", "nan", "str", "None"])
+    def test_object_data_rejects_other_entries(self, bad):
+        data = np.array([[1, 0], [0, 1]], dtype=object)
+        data[0, 1] = data[1, 0] = bad
+        with pytest.raises(ValueError):
+            LabeledOperator((Q0,), data)
+        with pytest.raises(ValueError):
+            Vec((Q0,), np.array([Fraction(1, 2), bad], dtype=object), exact=True)
+
+    def test_integer_numerators(self):
+        data = np.array([[Fraction(1, 6), 2], [Fraction(-3, 4), 0]], dtype=object)
+        nums, den = integer_numerators(data)
+        assert den == 12
+        assert nums.tolist() == [[2, 24], [-9, 0]]
+        assert all(type(x) is int for x in nums.ravel())
+        assert integer_numerators(np.array([3, -1], dtype=object))[1] == 1
 
     def test_to_exact_rejects_complex(self):
         with pytest.raises(ValueError):
