@@ -146,22 +146,28 @@ def run(config: RunConfig) -> Report:
             report.failures[name] = str(exc)
         report.wall_time_ms[name] = (time.perf_counter() - start) * 1000.0
     if config.dump_matrices:
-        report.files_written = _dump_matrices()
+        try:
+            _dump_matrices(report.files_written)
+        except OSError as exc:
+            report.failures["dump-matrices"] = str(exc)
     return report
 
 
-def _dump_matrices() -> list[str]:
+def _dump_matrices(files_written: list[str]) -> None:
+    """Write the dump files to the working directory, listing each one once it is written."""
     payload = {
         "shared_state": operator_jsonable(perfect_discrimination_state()),
         "routing": {
             pi.name: operator_jsonable(routing_matrix(pi).op) for pi in all_orders()
         },
     }
-    with open("matrices.json", "w") as fh:
-        json.dump(payload, fh)
-    with open("nonsignaling.tableau", "w") as fh:
-        fh.write(dump_tableau(nonsignaling_program()))
-    return ["matrices.json", "nonsignaling.tableau"]
+    for name, text in (
+        ("matrices.json", json.dumps(payload)),
+        ("nonsignaling.tableau", dump_tableau(nonsignaling_program())),
+    ):
+        with open(name, "w") as fh:
+            fh.write(text)
+        files_written.append(name)
 
 
 def check_report(report: Report) -> list[str]:

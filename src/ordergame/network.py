@@ -126,9 +126,14 @@ def link_probability(block: NetworkBlock, process: OrderProcess) -> float:
     return float(np.real(np.trace(lhs @ rhs)))
 
 
+#: Row i holds the bit of wire i of the canonical layout in every basis index.
+_BITS = (np.arange(_SIDE) >> (7 - np.arange(len(NETWORK_LAYOUT)))[:, None]) & 1
+_BITS.flags.writeable = False
+
+
 def _bit(space: Space) -> np.ndarray:
-    """The bit of ``space`` in every basis index of the canonical layout."""
-    return (np.arange(_SIDE) >> (7 - _POS[space])) & 1
+    """The bit of ``space`` in every basis index of the canonical layout (read-only)."""
+    return _BITS[_POS[space]]
 
 
 def wiring_diagonal(pi: Perm3) -> np.ndarray:

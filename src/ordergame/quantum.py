@@ -36,7 +36,6 @@ from .solver import (
     svec,
 )
 from .tensor import (
-    A_IN,
     ENTANGLED_LAYOUT,
     SHARED,
     LabeledOperator,
@@ -61,10 +60,6 @@ class NotOrthogonal(ValueError):
 
 class ZeroTrace(ValueError):
     """The shared state has no positive trace, so it routes no outputs to tell apart."""
-
-
-class InvalidExcitation(ValueError):
-    """Excitation count outside 0..n."""
 
 
 UNITARY_ATOL = 1e-12
@@ -301,60 +296,47 @@ def sampled_discrimination_values(n_samples: int = 1000, seed: int = 42) -> Samp
 # ---------------------------------------------------------------------------
 
 
-def swap_unitary(partner: Space = A_IN) -> UnitaryChannel:
-    """The two-qubit swap between the shared wire and a party input."""
-    mat = np.zeros((4, 4), dtype=int)
-    for i in range(2):
-        for j in range(2):
-            mat[2 * i + j, 2 * j + i] = 1
-    return UnitaryChannel(mat, (SHARED, partner))
-
-
-_ROUTING_BIT = {"A": 3, "B": 2, "C": 1}  # bit positions in (A_I, B_I, C_I, S); S is bit 0
-
-
-def _swap_index_map(party: str) -> np.ndarray:
-    """Basis-index action of swapping a party's input bit with the shared bit."""
-    px = _ROUTING_BIT[party]
+def _factor_index_map(positions: Sequence[int]) -> np.ndarray:
+    """Basis action of moving factor ``positions[i]`` of the entangled layout to slot ``i``."""
     j = np.arange(16)
-    # flip both bits exactly where they differ
-    return j ^ ((((j >> px) ^ j) & 1) * ((1 << px) | 1))
+    return sum(((j >> (3 - src)) & 1) << (3 - slot) for slot, src in enumerate(positions))
 
 
 @functools.lru_cache(maxsize=None)
 def _routing_map(pi: Perm3) -> np.ndarray:
-    """Basis action e_j -> e_{map[j]} of the order's three swaps, first mover first."""
-    m = np.arange(16)
-    for party in pi.order:
-        m = _swap_index_map(party)[m]
+    """Basis action e_j -> e_{map[j]} of the order's three swaps, first mover first.
+
+    Each swap trades the shared qubit with a party's input, so the first
+    mover's slot ends up holding S, the second's the first's input, the
+    third's the second's, and S the third's.
+    """
+    # A_I, B_I and C_I are slots 0-2 of ENTANGLED_LAYOUT, S is slot 3
+    first, second, third = ("ABC".index(party) for party in pi.order)
+    positions = [0] * 4
+    positions[first], positions[second], positions[third], positions[3] = 3, first, second, third
+    m = _factor_index_map(positions)
     m.flags.writeable = False
     return m
 
 
-def _permutation_operator(index_map: np.ndarray, layout) -> LabeledOperator:
-    side = len(index_map)
-    data = np.zeros((side, side), dtype=int)
-    data[index_map, np.arange(side)] = 1
-    return LabeledOperator(layout, data, exact=True)
+def _permutation_operator(index_map: np.ndarray) -> LabeledOperator:
+    """The exact 0/1 matrix sending e_j to e_{index_map[j]} on the entangled layout."""
+    data = np.zeros((16, 16), dtype=int)
+    data[index_map, np.arange(16)] = 1
+    return LabeledOperator(ENTANGLED_LAYOUT, data, exact=True)
 
 
 @dataclass(frozen=True)
 class SystemPermutation:
-    """Routing unitary of one hidden order: a 0/1 factor-permutation matrix.
-
-    ``index_map`` records the basis action e_j -> e_{index_map[j]}; the
-    matrix form is exact integer data on the entangled layout.
-    """
+    """Routing unitary of one hidden order: an exact 0/1 factor-permutation matrix on the entangled layout."""
 
     pi: Perm3
     op: LabeledOperator
-    index_map: np.ndarray
 
 
 def routing_matrix(pi: Perm3) -> SystemPermutation:
     """Compose the three shared-wire swaps in temporal order."""
-    m = _routing_map(pi)
-    return SystemPermutation(pi=pi, op=_permutation_operator(m, ENTANGLED_LAYOUT), index_map=m)
+    return SystemPermutation(pi=pi, op=_permutation_operator(_routing_map(pi)))
 
 
 def _pair_index_map(pi_prime: Perm3, pi: Perm3) -> np.ndarray:
@@ -378,7 +360,7 @@ def _pair_trace(pi_prime: Perm3, pi: Perm3, data: np.ndarray):
 def routing_pair_products() -> dict[tuple[Perm3, Perm3], LabeledOperator]:
     """All 30 ordered products adjoint(routing(pi')) @ routing(pi), exact."""
     return {
-        (pp, p): _permutation_operator(_pair_index_map(pp, p), ENTANGLED_LAYOUT)
+        (pp, p): _permutation_operator(_pair_index_map(pp, p))
         for pp, p in itertools.permutations(all_orders(), 2)
     }
 
@@ -392,48 +374,12 @@ def factor_permutation_operator(positions: Sequence[int]) -> LabeledOperator:
     """
     if sorted(positions) != [0, 1, 2, 3]:
         raise ValueError(f"not a permutation of 0..3: {positions}")
-    j = np.arange(16)
-    index_map = sum(((j >> (3 - src)) & 1) << (3 - slot) for slot, src in enumerate(positions))
-    return _permutation_operator(index_map, ENTANGLED_LAYOUT)
+    return _permutation_operator(_factor_index_map(positions))
 
 
 # ---------------------------------------------------------------------------
-# Dicke states and the perfectly discriminating shared state
+# the perfectly discriminating shared state
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class DickeVector:
-    """Equal superposition of all n-qubit strings with k excitations."""
-
-    n: int
-    k: int
-    vec: Vec
-
-    @property
-    def amplitude_squared(self) -> Fraction:
-        return Fraction(1, math.comb(self.n, self.k))
-
-    def projector_exact(self) -> LabeledOperator:
-        """Rank-1 projector with exact rational entries 1/C(n,k) on support."""
-        on = self.vec.data != 0
-        data = np.where(np.outer(on, on), self.amplitude_squared, 0)
-        return LabeledOperator(self.vec.layout, data, exact=True)
-
-
-def _default_qubit_layout(n: int) -> tuple[Space, ...]:
-    if n == 4:
-        return ENTANGLED_LAYOUT
-    return tuple(Space(f"Q{i}", 2) for i in range(n))
-
-
-def dicke(n: int, k: int, layout: Sequence[Space] | None = None) -> DickeVector:
-    if not 0 <= k <= n:
-        raise InvalidExcitation(f"excitation count {k} outside 0..{n}")
-    layout = tuple(layout) if layout is not None else _default_qubit_layout(n)
-    weight = np.array([bin(i).count("1") for i in range(2**n)])
-    data = np.where(weight == k, 1.0 / math.sqrt(math.comb(n, k)), 0.0)
-    return DickeVector(n=n, k=k, vec=Vec(layout, data))
 
 
 #: Hamming weight of each 4-qubit basis string: the Dicke class of the index.

@@ -249,20 +249,6 @@ class LabeledOperator:
             return bool(np.all(self.data == other.data))
         return bool(np.max(np.abs(self.data - other.data)) <= atol)
 
-    # -- layout-aware operations (method forms of the module ops) -----------
-
-    def kron(self, other: "LabeledOperator") -> "LabeledOperator":
-        return kron(self, other)
-
-    def partial_trace(self, labels: Iterable[Space]) -> "LabeledOperator":
-        return partial_trace(self, labels)
-
-    def permute_to_layout(self, target: Sequence[Space]) -> "LabeledOperator":
-        return permute_to_layout(self, target)
-
-    def dephase(self) -> "LabeledOperator":
-        return dephase(self)
-
     def __repr__(self) -> str:
         kind = "exact" if self.exact else "float"
         return f"LabeledOperator({[s.name for s in self.layout]}, side={self.side}, {kind})"
@@ -461,12 +447,4 @@ def operator_jsonable(op: LabeledOperator) -> dict:
             [_scalar_jsonable(op.data[i, j], op.exact) for j in range(op.side)]
             for i in range(op.side)
         ],
-    }
-
-
-def vec_jsonable(v: Vec) -> dict:
-    return {
-        "layout": [s.name for s in v.layout],
-        "exact": v.exact,
-        "data": [_scalar_jsonable(x, v.exact) for x in v.data],
     }

@@ -169,6 +169,37 @@ class TestMain:
             "fa3aeaabf394898993bb5813c6cefee463ab6cb229f0e8ec2affb25fc6fffcfe"
         )
 
+    @pytest.mark.parametrize(
+        "blocked, written", [("matrices.json", []), ("nonsignaling.tableau", ["matrices.json"])]
+    )
+    def test_unwritable_dump_is_a_failure(self, blocked, written, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / blocked).mkdir()
+        assert main(["--scenario", "lose-verify", "--dump-matrices"]) == 2
+        out = capsys.readouterr().out
+        assert "lose-verify" in out
+        assert "dump-matrices         FAILED:" in out and blocked in out
+        assert main(["--scenario", "lose-verify", "--dump-matrices", "--output", "json"]) == 2
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["files_written"] == written
+        assert blocked in payload["failures"]["dump-matrices"]
+
+    @pytest.mark.parametrize(
+        "scenario, digest",
+        [
+            ("two-party", "da0e41508a1b1062061d12c352613e0ba08220f7caadf008adfc429f4df30918"),
+            ("trit", "34f898b3b0a8e879f1c6b3f90d469087eccf278755de7e7899b26f7df8d7a9a8"),
+            ("classical-memoryless", "2a716cc93e824c19fc77301c9b89c9e1c5b42929b4d89184c5b463e60b5cdc40"),
+            ("losr", "e098df77c9ec27821abcd50cc2df4132453b243c0b73828d9d5ea369eece57c4"),
+            ("lose-verify", "f526b895b50780af14d7856309e0f7f135fba95c987235fe073c7e20f15f0ec5"),
+        ],
+    )
+    def test_exact_json_report_is_pinned(self, scenario, digest, capsys):
+        # exact scenarios report rationals only, so the bytes hold on any platform
+        assert main(["--scenario", scenario, "--output", "json"]) == 0
+        payload = strip_wall_times(json.loads(capsys.readouterr().out))
+        assert hashlib.sha256(json.dumps(payload, indent=2, sort_keys=True).encode()).hexdigest() == digest
+
     def test_solver_failure_exit_code(self, capsys, monkeypatch):
         import ordergame.cli as cli
         from ordergame.solver import SolveReport, SolverFailed

@@ -14,12 +14,10 @@ from ordergame.quantum import (
     KET,
     CertificateFailed,
     ORDER_TO_BASIS_STATE,
-    InvalidExcitation,
     NotOrthogonal,
     UnitaryChannel,
     bloch_coordinates,
     certify_discrimination,
-    dicke,
     discrimination_program,
     entangled_output_states,
     factor_permutation_operator,
@@ -31,7 +29,6 @@ from ordergame.quantum import (
     routing_matrix,
     routing_pair_products,
     sampled_discrimination_values,
-    swap_unitary,
     symmetric_projector,
     unbiased_basis_channels,
     unbiased_order_states,
@@ -238,20 +235,6 @@ class TestDiscrimination:
 
 
 class TestSwapRouting:
-    def test_swap_involution(self):
-        u = np.asarray(swap_unitary().kraus)
-        assert np.array_equal(u @ u, np.eye(4, dtype=int))
-
-    def test_swap_action(self):
-        u = np.asarray(swap_unitary().kraus)
-        ket01 = np.zeros(4)
-        ket01[1] = 1.0  # |0,1>
-        assert np.argmax(u @ ket01) == 2  # |1,0>
-
-    def test_swap_real_symmetric(self):
-        u = np.asarray(swap_unitary().kraus)
-        assert np.array_equal(u, u.T)
-
     def test_routing_is_composition_of_swaps(self):
         # first mover's swap is applied first
         swaps = {}
@@ -302,45 +285,6 @@ class TestSwapRouting:
         }
         for op in routing_pair_products().values():
             assert any(np.array_equal(op.data, mat) for mat in perms.values())
-
-
-class TestDicke:
-    def test_four_one_is_w_state(self):
-        d = dicke(4, 1)
-        amps = np.asarray(d.vec.data, dtype=complex)
-        support = np.nonzero(np.abs(amps) > 1e-14)[0]
-        assert sorted(support) == [1, 2, 4, 8]
-        assert np.allclose(amps[support], 0.5)
-
-    def test_four_two_has_six_strings(self):
-        d = dicke(4, 2)
-        amps = np.asarray(d.vec.data, dtype=complex)
-        support = np.nonzero(np.abs(amps) > 1e-14)[0]
-        assert len(support) == 6
-        assert all(bin(i).count("1") == 2 for i in support)
-        assert np.allclose(amps[support], 1.0 / math.sqrt(6))
-        assert d.amplitude_squared == Fraction(1, 6)
-
-    def test_four_zero_is_vacuum(self):
-        amps = np.asarray(dicke(4, 0).vec.data, dtype=complex)
-        assert np.argmax(np.abs(amps)) == 0
-        assert abs(amps[0] - 1) <= 1e-14
-
-    def test_unit_norm(self):
-        for k in range(5):
-            assert abs(dicke(4, k).vec.norm() - 1.0) <= 1e-12
-
-    def test_invalid_excitation(self):
-        with pytest.raises(InvalidExcitation):
-            dicke(4, 5)
-        with pytest.raises(InvalidExcitation):
-            dicke(4, -1)
-
-    def test_exact_projector_matches_vector(self):
-        d = dicke(4, 2)
-        exact = np.asarray(d.projector_exact().to_float().data)
-        outer = d.vec.projector().data
-        assert np.max(np.abs(exact - outer)) <= 1e-12
 
 
 class TestSymmetricProjector:

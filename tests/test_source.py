@@ -36,3 +36,25 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 if name.partition(".")[0] not in allowed
             ]
     assert found == []
+
+
+def test_package_has_no_unused_imports():
+    # a name bound by an import must be read somewhere in its module or listed in __all__
+    root = Path(ordergame.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                used |= set(ast.literal_eval(node.value))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{path.relative_to(root)}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name.partition(".")[0]) not in used
+                ]
+    assert found == []

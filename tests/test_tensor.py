@@ -22,7 +22,6 @@ from ordergame.tensor import (
     integer_numerators,
     kron,
     operator_jsonable,
-    vec_jsonable,
     partial_trace,
     permute_to_layout,
     vectorize,
@@ -333,10 +332,6 @@ class TestSerialization:
         d = operator_jsonable(op)
         assert d["data"][0][0] == "1/3"
         assert d["data"][1][1] == "2/1"
-
-    def test_vector_entries(self):
-        d = vec_jsonable(Vec((Q0,), np.array([1.0, -1j])))
-        assert d["data"] == [[1.0, 0.0], [0.0, -1.0]]
 
 
 def test_invariant_sweep_1000_seeded_instances():
