@@ -99,25 +99,19 @@ def run_losr(
     return OutcomeTuple(state, records["A"], records["B"], records["C"])
 
 
-def _losr_distinct(a, b, c, input_bit) -> int:
-    seen = set()
-    for pi in all_orders():
-        seen.add(run_losr(pi, a, b, c, input_bit).as_tuple())
-    return len(seen)
+def _losr_distinct(input_bit: int) -> list[tuple[int, tuple[BitStrategy, BitStrategy, BitStrategy]]]:
+    """Each of the 64 memory triples with its distinct-tuple count, in search order."""
+    return [
+        (len({run_losr(pi, a, b, c, input_bit).as_tuple() for pi in all_orders()}), (a, b, c))
+        for a, b, c in itertools.product(all_bit_strategies(), repeat=3)
+    ]
 
 
 def search_losr() -> ScenarioResult:
     """All 4^3 memory triples on input 0; input 1 is re-run as a cross-check."""
-    best = None
-    for a, b, c in itertools.product(all_bit_strategies(), repeat=3):
-        count = _losr_distinct(a, b, c, 0)
-        if best is None or count > best[0]:
-            best = (count, (a, b, c))
-    count, (a, b, c) = best
-    best_input1 = max(
-        _losr_distinct(*triple, 1)
-        for triple in itertools.product(all_bit_strategies(), repeat=3)
-    )
+    # max keeps the first triple of a tie
+    count, (a, b, c) = max(_losr_distinct(0), key=lambda pair: pair[0])
+    best_input1 = max(count for count, _ in _losr_distinct(1))
     outputs = {pi: run_losr(pi, a, b, c, 0) for pi in all_orders()}
     tuples = {pi: t.as_tuple() for pi, t in outputs.items()}
     return ScenarioResult(
@@ -140,8 +134,8 @@ def search_losr() -> ScenarioResult:
 def losr_histogram() -> dict[int, int]:
     """How many of the 64 memory triples reach each distinct-tuple count."""
     hist = {k: 0 for k in range(1, 7)}
-    for a, b, c in itertools.product(all_bit_strategies(), repeat=3):
-        hist[_losr_distinct(a, b, c, 0)] += 1
+    for count, _ in _losr_distinct(0):
+        hist[count] += 1
     return hist
 
 

@@ -227,13 +227,19 @@ def emit(report: Report, fmt: str) -> str:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
+        # a failed scenario gets a row of its name and message, the other fields empty
         writer = csv.DictWriter(
             buf,
-            fieldnames=["scenario", "probability", "exact", "residual", "iterations", "wall_time_ms"],
+            fieldnames=[
+                "scenario", "probability", "exact", "residual", "iterations", "wall_time_ms", "failure"
+            ],
+            restval="",
         )
         writer.writeheader()
         for result in report.results:
             writer.writerow(_result_row(result, report))
+        for name, message in report.failures.items():
+            writer.writerow({"scenario": name, "failure": message})
         return buf.getvalue()
     # text
     lines = [

@@ -42,6 +42,7 @@ convergence decisions and reported residuals are those of the full test.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -220,16 +221,10 @@ def _group_blocks(blocks: Sequence[Cone]) -> list[tuple[Cone, int, slice]]:
     """Merge runs of identical consecutive blocks into (block, count, span)."""
     groups: list[tuple[Cone, int, slice]] = []
     at = 0
-    i = 0
-    while i < len(blocks):
-        j = i
-        while j < len(blocks) and blocks[j] == blocks[i]:
-            j += 1
-        count = j - i
-        width = blocks[i].dim * count
-        groups.append((blocks[i], count, slice(at, at + width)))
-        at += width
-        i = j
+    for block, run in itertools.groupby(blocks):
+        count = len(list(run))
+        groups.append((block, count, slice(at, at + block.dim * count)))
+        at += block.dim * count
     return groups
 
 
@@ -282,12 +277,6 @@ def project_cone(x: np.ndarray, blocks: Sequence[Cone]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _touched_columns(problem: ConicProblem) -> tuple[np.ndarray, np.ndarray]:
-    """The coordinates some equality touches, and A's (m, t) block of their columns."""
-    cols = np.flatnonzero(problem.a.any(axis=0))
-    return cols, problem.a[:, cols]
-
-
 class _AffineSet:
     """The set {x : A x = b}, held as one rank-r factor of A's touched columns.
 
@@ -301,7 +290,8 @@ class _AffineSet:
     """
 
     def __init__(self, problem: ConicProblem):
-        self.cols, self.columns = _touched_columns(problem)
+        self.cols = np.flatnonzero(problem.a.any(axis=0))
+        self.columns = problem.a[:, self.cols]
         self.b = problem.b
         u, sigma, vt = np.linalg.svd(self.columns, full_matrices=False)
         # sigma[:1] is empty, and the rank 0, when no equality touches a column
@@ -327,29 +317,23 @@ class _AffineSet:
 def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings):
     if settings.max_iters < 1 or not 0 < settings.tolerance < math.inf:
         raise ProblemMalformed("settings need a finite positive tolerance and max_iters >= 1")
-    if not len(objectives):
-        return []
     affine = _AffineSet(problem)
     groups = _group_blocks(problem.blocks)
-    n = problem.dim
-    batch = objectives.shape[0]
+    batch, n = objectives.shape
     rho, alpha, tol = RHO, OVER_RELAXATION, settings.tolerance
 
-    # converged instances drop out of the working arrays; `live` maps the
-    # remaining rows back to their original batch positions
+    # a row gets its report, at its batch position, on the iteration it
+    # converges or the cap ends it, and then drops out of the working
+    # arrays; `live` maps the remaining rows back to their batch positions
+    reports = [None] * batch
     live = np.arange(batch)
     shift = objectives / rho
-    x = np.zeros((batch, n))
     z = np.zeros((batch, n))
     u = np.zeros((batch, n))
-    done = np.zeros(batch, dtype=bool)
-    done_iters = np.zeros(batch, dtype=int)
-    done_primal = np.full(batch, np.inf)
-    done_dual = np.full(batch, np.inf)
-    solutions = np.zeros((batch, n))
 
     k = 0
-    for k in range(1, settings.max_iters + 1):
+    while live.size:
+        k += 1
         x = z - u + shift
         affine.project(x)
         xh = alpha * x + (1.0 - alpha) * z
@@ -364,37 +348,23 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
         if np.any(conv):
             primal[conv] = np.maximum(primal[conv], affine.gap(z[conv]))
             conv &= primal <= tol
-            if np.any(conv):
-                idx = live[conv]
-                done[idx] = True
-                done_iters[idx] = k
-                done_primal[idx] = primal[conv]
-                done_dual[idx] = dual[conv]
-                solutions[idx] = z[conv]
-                keep = ~conv
-                if not np.any(keep):
-                    break
-                live = live[keep]
-                z, u, shift = z[keep], u[keep], shift[keep]
-                primal, dual = primal[keep], dual[keep]
-
-    if live.size and not np.all(done):
-        done_iters[live] = k
-        done_primal[live] = np.maximum(primal, affine.gap(z))
-        done_dual[live] = dual
-        solutions[live] = z
-
-    return [
-        SolveReport(
-            status="optimal" if done[i] else "max_iters",
-            objective_value=float(objectives[i] @ solutions[i]),
-            primal_residual=float(done_primal[i]),
-            dual_residual=float(done_dual[i]),
-            iterations=int(done_iters[i]),
-            solution=solutions[i],
-        )
-        for i in range(batch)
-    ]
+        if k == settings.max_iters:
+            primal[~conv] = np.maximum(primal[~conv], affine.gap(z[~conv]))
+        finished = conv | (k == settings.max_iters)
+        if np.any(finished):
+            for row, i in zip(np.flatnonzero(finished), live[finished]):
+                reports[i] = SolveReport(
+                    status="optimal" if conv[row] else "max_iters",
+                    objective_value=float(objectives[i] @ z[row]),
+                    primal_residual=float(primal[row]),
+                    dual_residual=float(dual[row]),
+                    iterations=k,
+                    solution=z[row].copy(),
+                )
+            keep = ~finished
+            live = live[keep]
+            z, u, shift = z[keep], u[keep], shift[keep]
+    return reports
 
 
 def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> SolveReport:

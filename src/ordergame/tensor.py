@@ -67,8 +67,7 @@ class Space:
 
 # Canonical wires of the three-party game.  S_P feeds the first slot of the
 # hidden wiring, S_F leaves the last slot, X_I / X_O are party X's local
-# input and output, S is the shared system of the entangled scenario and O
-# is the six-valued guess register.
+# input and output, and S is the shared system of the entangled scenario.
 S_PREP = Space("S_P", 2)
 S_FINAL = Space("S_F", 2)
 SHARED = Space("S", 2)
@@ -78,7 +77,6 @@ B_IN = Space("B_I", 2)
 B_OUT = Space("B_O", 2)
 C_IN = Space("C_I", 2)
 C_OUT = Space("C_O", 2)
-OUTCOME = Space("O", 6)
 
 
 def env(dim: int) -> Space:

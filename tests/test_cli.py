@@ -75,9 +75,20 @@ class TestEmit:
             "residual",
             "iterations",
             "wall_time_ms",
+            "failure",
         ]
         assert rows[1][0] == "trit"
         assert rows[1][2] == "1/1"
+        assert rows[1][-1] == ""
+
+    def test_csv_names_a_failed_scenario(self, capsys):
+        # a tolerance of 10 stops the LP far from its optimum, out of [0, 1]
+        assert main(["--scenario", "nonsignaling", "--tolerance", "10", "--output", "csv"]) == 2
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert len(rows) == 1
+        assert rows[0]["scenario"] == "nonsignaling"
+        assert rows[0]["probability"] == ""
+        assert rows[0]["failure"].startswith("probability out of range")
 
     def test_probability_exact_and_float_consistent(self):
         report = run(RunConfig(scenario="losr"))

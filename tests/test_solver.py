@@ -595,6 +595,23 @@ class TestPinnedSolves:
         assert report.iterations == 5
         assert report.primal_residual >= gap * (1.0 - 1e-12)
 
+    def test_batch_with_every_row_capped_keeps_positions_and_gaps(self):
+        problem = small_sdp()
+        objectives = np.stack([scale * problem.objective for scale in (1.0, -1.0, 0.5)])
+        settings = SolveSettings(max_iters=5)
+        batch = solve_same_constraints(problem, objectives, settings)
+        assert len(batch) == 3
+        for objective, got in zip(objectives, batch):
+            want = solve(replace(problem, objective=objective), settings)
+            assert (got.status, got.iterations) == ("max_iters", 5)
+            assert got.objective_value == objective @ got.solution
+            assert np.max(np.abs(got.solution - want.solution)) <= 1e-12
+            gap = np.max(np.abs(problem.a @ got.solution - problem.b))
+            assert got.primal_residual >= gap * (1.0 - 1e-12)
+        # the three rows follow three different objectives, so a mixed-up
+        # position would show as a mismatch against its single solve
+        assert len({got.objective_value for got in batch}) == 3
+
     def test_batch_converging_at_different_iterations_matches_single_solves(self):
         # alone, these objectives converge after 47, 54, 56 and 132 iterations:
         # at the cap of 56 one row converges on the last iteration and one

@@ -58,3 +58,40 @@ def test_package_has_no_unused_imports():
                     if (alias.asname or alias.name.partition(".")[0]) not in used
                 ]
     assert found == []
+
+
+def _definitions(tree: ast.Module):
+    """Each top-level function, class, method and module-level assignment, with its line."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            yield from ((item.name, item.lineno) for item in node.body if isinstance(item, ast.FunctionDef))
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            yield from ((name, node.lineno) for name in names)
+
+
+def test_every_package_name_is_read():
+    # a package name no code reads, as a name, an attribute or an import, is dead;
+    # dunder names are read by the language itself
+    repo = Path(__file__).resolve().parents[1]
+    read = set()
+    for directory in ("src", "tests", "perfbench"):
+        for path in sorted((repo / directory).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    read.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    read.add(node.attr)
+                elif isinstance(node, ast.alias):
+                    read.add(node.name.rpartition(".")[2])
+    package = repo / "src" / "ordergame"
+    found = [
+        f"{path.relative_to(package)}:{line} {name}"
+        for path in sorted(package.rglob("*.py"))
+        for name, line in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name not in read and not (name.startswith("__") and name.endswith("__"))
+    ]
+    assert found == []
