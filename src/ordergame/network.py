@@ -26,6 +26,7 @@ states each condition once: 225 rows, not 449.  The affine set is the same
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
@@ -65,7 +66,7 @@ OUT_WIRE = {"A": A_OUT, "B": B_OUT, "C": C_OUT}
 _POS = {space: i for i, space in enumerate(NETWORK_LAYOUT)}
 _SIDE = 256
 _N_BLOCKS = 6
-_TOTAL_TRACE = 16.0
+_TOTAL_TRACE = 16
 
 
 def max_entangled_projector(left: Space, right: Space) -> LabeledOperator:
@@ -136,23 +137,63 @@ def _bit(space: Space) -> np.ndarray:
     return _BITS[_POS[space]]
 
 
-def wiring_diagonal(pi: Perm3) -> np.ndarray:
-    """Diagonal of the order's wiring operator in the computational basis.
+def _wiring_diagonals(orders: list[Perm3]) -> np.ndarray:
+    """Diagonals of the orders' wiring operators in the computational basis, one row per order.
 
     The diagonal of an unnormalized maximally entangled projector is 1 where
     the pair's two bits agree and 0 elsewhere, so the diagonal of the chained
     operator is the product of those indicators over the order's four wire
     pairs; no operator is built.
     """
-    diag = np.ones(_SIDE)
-    for left, right in _wire_pairs(pi):
-        diag *= _bit(left) == _bit(right)
-    return diag
+    pairs = np.array([[(_POS[left], _POS[right]) for left, right in _wire_pairs(pi)] for pi in orders])
+    return (_BITS[pairs[..., 0]] == _BITS[pairs[..., 1]]).all(axis=1).astype(float)
+
+
+def wiring_diagonal(pi: Perm3) -> np.ndarray:
+    """Diagonal of the order's wiring operator in the computational basis (see :func:`_wiring_diagonals`)."""
+    return _wiring_diagonals([pi])[0]
 
 
 # ---------------------------------------------------------------------------
 # the classical non-signaling program
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _doubled_constraints() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The constraint rows doubled to integers, by their nonzeros: ``(row, coef, rhs)``, read-only.
+
+    ``row`` and ``coef`` are (5, 256) int arrays with one line per marginal
+    and one for the trace row: column v has exactly one nonzero in each,
+    on row ``row[m, v]`` with value ``coef[m, v]``.  A marginal's condition
+    on key u is stated once, on the u with the uniform bit clear, and its
+    rows run over those keys in increasing order.  So column v sits on the
+    row of its key with that bit compressed out, with +1 when the bit is
+    clear and -1 when it is set; the trace row has 2 everywhere, and
+    ``rhs`` is 0 but for twice the total trace on the trace row.
+    """
+    # (key, uniform bit) per marginal: the final wire keys the whole index; a
+    # party keys the six bits left without S_F and its out wire, in wire order
+    marginals = [(np.arange(_SIDE), 1)]
+    for party in ("A", "B", "C"):
+        kept = [s for s in NETWORK_LAYOUT if s not in (OUT_WIRE[party], S_FINAL)]
+        key = sum(_bit(s) << (5 - i) for i, s in enumerate(kept))
+        marginals.append((key, 1 << (5 - kept.index(IN_WIRE[party]))))
+    row, coef = [], []
+    at = 0
+    for key, bit in marginals:
+        low = bit - 1
+        row.append(at + (((key >> 1) & ~low) | (key & low)))
+        coef.append(np.where(key & bit, -1, 1))
+        at += (int(key.max()) + 1) // 2
+    row.append(np.full(_SIDE, at))
+    coef.append(np.full(_SIDE, 2))
+    rhs = np.zeros(at + 1, dtype=int)
+    rhs[at] = 2 * _TOTAL_TRACE
+    arrays = np.array(row), np.array(coef), rhs
+    for arr in arrays:
+        arr.flags.writeable = False
+    return arrays
 
 
 def constraint_rows() -> tuple[np.ndarray, np.ndarray]:
@@ -163,32 +204,19 @@ def constraint_rows() -> tuple[np.ndarray, np.ndarray]:
     condition on key u reads +1 where the key is u, less 1/2 where it equals
     u up to the bit that must be uniform; the conditions on u and u ^ bit are
     exact negatives, so each is stated once, on the u with the bit clear, as
-    1/2 where the key is u and -1/2 where it is u | bit.  All coefficients
-    are dyadic, so the float rows convert losslessly to exact rationals.
+    1/2 where the key is u and -1/2 where it is u | bit.  The rows and rhs
+    are :func:`_doubled_constraints` halved, so every coefficient is dyadic
+    and the float rows convert losslessly to exact rationals.
     """
-    # (key, uniform bit) per marginal: the final wire keys the whole index; a
-    # party keys the six bits left without S_F and its out wire, in wire order
-    marginals = [(np.arange(_SIDE), 1)]
-    for party in ("A", "B", "C"):
-        kept = [s for s in NETWORK_LAYOUT if s not in (OUT_WIRE[party], S_FINAL)]
-        key = sum(_bit(s) << (5 - i) for i, s in enumerate(kept))
-        marginals.append((key, 1 << (5 - kept.index(IN_WIRE[party]))))
-    rows = np.zeros((_SIDE // 2 + 3 * 32 + 1, _SIDE))
-    at = 0
-    for key, bit in marginals:
-        u = np.arange(key.max() + 1)
-        u = u[(u & bit) == 0][:, None]
-        block = rows[at : at + len(u)]
-        block[key == u] = 0.5
-        block[key == (u | bit)] = -0.5
-        at += len(u)
-    rows[at] = 1.0
-    return rows, np.append(np.zeros(at), _TOTAL_TRACE)
+    row, coef, rhs = _doubled_constraints()
+    rows = np.zeros((len(rhs), _SIDE))
+    np.put(rows, row * _SIDE + np.arange(_SIDE), coef / 2)
+    return rows, rhs / 2
 
 
 def objective_diagonals() -> np.ndarray:
     """Per-order wiring diagonals stacked as a (6, 256) array."""
-    return np.array([wiring_diagonal(pi) for pi in all_orders()])
+    return _wiring_diagonals(all_orders())
 
 
 def nonsignaling_program() -> ConicProblem:
@@ -262,32 +290,31 @@ def strategy_network_blocks(
 
 
 class InexactConstraint(ValueError):
-    """A constraint coefficient is not a multiple of 1/2, so its exact value is unknown."""
+    """The float constraint program is not its exact integer coordinates halved, so its exact value is unknown."""
 
 
 def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
     """Exact feasibility and objective of diagonal guess blocks.
 
-    Every constraint coefficient is a multiple of 1/2, so the doubled rows
-    are integers and each row's left-hand side is summed exactly over its
-    nonzeros in integer and rational arithmetic; the objective sums each
-    block over its exact 0/1 wiring diagonal and divides once by 6.
+    The left-hand sides are summed exactly over the integer coordinates of
+    :func:`_doubled_constraints`; the float program of
+    :func:`constraint_rows` must be those coordinates halved, with no other
+    nonzero, or :class:`InexactConstraint` is raised.  The objective sums
+    each block over its exact 0/1 wiring diagonal and divides once by 6.
     """
     rows, rhs = constraint_rows()
-    r, v = np.nonzero(rows)
-    doubled, doubled_rhs = 2 * rows[r, v], 2 * rhs
-    if not all(np.array_equal(a, np.rint(a)) for a in (doubled, doubled_rhs)):
-        raise InexactConstraint("a constraint coefficient is not a multiple of 1/2")
-    summed = np.zeros(_SIDE, dtype=object)
-    for diag in blocks.values():
-        summed = summed + np.asarray(diag, dtype=object)
-    lhs = np.zeros(rows.shape[0], dtype=object)
-    np.add.at(lhs, r, doubled.astype(np.int64).astype(object) * summed[v])
-    gaps = np.abs(lhs - doubled_rhs.astype(np.int64).astype(object))
-    max_violation = Fraction(np.max(gaps), 2)
-    # each wiring diagonal is exactly 0/1: sum each block over its support, divide once
-    total = sum(
-        sum(np.asarray(blocks[pi], dtype=object)[np.flatnonzero(wiring_diagonal(pi))]) for pi in all_orders()
-    )
-    objective = Fraction(total, 6)
+    row, doubled, doubled_rhs = _doubled_constraints()
+    if not (
+        np.array_equal(rows.take(row * _SIDE + np.arange(_SIDE)), doubled / 2)
+        and np.count_nonzero(rows != 0) == doubled.size
+        and np.array_equal(rhs, doubled_rhs / 2)
+    ):
+        raise InexactConstraint("the constraint rows are not the doubled integer coefficients halved")
+    summed = sum(np.asarray(diag, dtype=object) for diag in blocks.values())
+    lhs = np.zeros(len(doubled_rhs), dtype=object)
+    np.add.at(lhs, row.ravel(), (doubled.astype(object) * summed).ravel())
+    max_violation = Fraction(max(np.abs(lhs - doubled_rhs)), 2)
+    # each wiring diagonal is exactly 0/1: sum the blocks over their supports, divide once
+    stacked = np.array([np.asarray(blocks[pi], dtype=object) for pi in all_orders()])
+    objective = Fraction(stacked[objective_diagonals() != 0].sum(), 6)
     return {"feasible": max_violation == 0, "max_violation": max_violation, "objective": objective}

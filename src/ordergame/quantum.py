@@ -339,30 +339,23 @@ def routing_matrix(pi: Perm3) -> SystemPermutation:
     return SystemPermutation(pi=pi, op=_permutation_operator(_routing_map(pi)))
 
 
-def _pair_index_map(pi_prime: Perm3, pi: Perm3) -> np.ndarray:
-    """Index map of adjoint(routing(pi')) @ routing(pi)."""
-    inv = np.empty(16, dtype=int)
-    inv[_routing_map(pi_prime)] = np.arange(16)
-    return inv[_routing_map(pi)]
+def _pair_index_table() -> np.ndarray:
+    """Index maps of every adjoint(routing(pi')) @ routing(pi), shape ``(6, 6, 16)``.
 
-
-def _pair_trace(pi_prime: Perm3, pi: Perm3, data: np.ndarray):
-    """tr(adjoint(routing(pi')) @ routing(pi) @ data): a 16-entry gather.
-
-    Summed with Python ``sum`` in index order: exact data stays exact, and
-    float data rounds as a left-to-right sum (numpy's pairwise ``.sum()``
-    would move the last digits).
+    Entry ``[i, j]`` is the map with order i of :func:`all_orders` as pi'
+    and order j as pi: the inverse of the first order's map read at the
+    second's, so the diagonal holds the identity map.
     """
-    index_map = _pair_index_map(pi_prime, pi)
-    return sum(data[np.arange(16), index_map])
+    maps = np.array([_routing_map(pi) for pi in all_orders()])
+    inverse = np.empty_like(maps)
+    inverse[np.arange(6)[:, None], maps] = np.arange(16)
+    return inverse[:, maps]
 
 
 def routing_pair_products() -> dict[tuple[Perm3, Perm3], LabeledOperator]:
     """All 30 ordered products adjoint(routing(pi')) @ routing(pi), exact."""
-    return {
-        (pp, p): _permutation_operator(_pair_index_map(pp, p))
-        for pp, p in itertools.permutations(all_orders(), 2)
-    }
+    table, order = _pair_index_table(), all_orders()
+    return {(order[i], order[j]): _permutation_operator(table[i, j]) for i, j in itertools.permutations(range(6), 2)}
 
 
 def factor_permutation_operator(positions: Sequence[int]) -> LabeledOperator:
@@ -493,11 +486,11 @@ def output_gram(state: LabeledOperator) -> np.ndarray:
     """
     if not state.is_psd(1e-8):
         raise NotPSD("shared state must be positive semidefinite")
-    order = all_orders()
     data, den = integer_numerators(state.data) if state.exact else (state.data, None)
-    gram = np.empty((6, 6), dtype=object if state.exact else complex)
-    for i, pp in enumerate(order):
-        for j, p in enumerate(order):
-            val = _pair_trace(pp, p, data)
-            gram[i, j] = Fraction(val, den) if state.exact else val
+    # entry k of pair (i, j)'s trace is data[k, map[k]]; Python sum over k
+    # adds the 16 columns left to right, so float data rounds as a left-to-right
+    # sum (numpy's pairwise .sum() would move the last digits)
+    gram = sum(np.moveaxis(data[np.arange(16), _pair_index_table()], -1, 0))
+    if state.exact:
+        return np.array([[Fraction(val, den) for val in row] for row in gram.tolist()], dtype=object)
     return gram

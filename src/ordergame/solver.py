@@ -311,7 +311,7 @@ class _AffineSet:
     def gap(self, z: np.ndarray) -> np.ndarray:
         """Largest equality violation of each row of ``z``; 0 with no equalities."""
         residual = z[:, self.cols] @ self.columns.T - self.b
-        return np.max(np.abs(residual), axis=1, initial=0.0)
+        return np.abs(residual).max(axis=1, initial=0.0)
 
 
 def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings):
@@ -339,19 +339,19 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
         xh = alpha * x + (1.0 - alpha) * z
         z_new = _project_batch(xh + u, groups)
         u = u + xh - z_new
-        dual = rho * np.max(np.abs(z_new - z), axis=1)
+        dual = rho * np.abs(z_new - z).max(axis=1)
         z = z_new
         # the primal residual is max(|x - z|, equality gap); the gap can
         # only decide convergence on rows that meet the tolerance without it
-        primal = np.max(np.abs(x - z), axis=1)
+        primal = np.abs(x - z).max(axis=1)
         conv = (primal <= tol) & (dual <= tol)
-        if np.any(conv):
+        if conv.any():
             primal[conv] = np.maximum(primal[conv], affine.gap(z[conv]))
             conv &= primal <= tol
         if k == settings.max_iters:
             primal[~conv] = np.maximum(primal[~conv], affine.gap(z[~conv]))
         finished = conv | (k == settings.max_iters)
-        if np.any(finished):
+        if finished.any():
             for row, i in zip(np.flatnonzero(finished), live[finished]):
                 reports[i] = SolveReport(
                     status="optimal" if conv[row] else "max_iters",

@@ -387,20 +387,31 @@ def integer_numerators(data: np.ndarray) -> tuple[np.ndarray, int]:
     return np.array(nums, dtype=object).reshape(data.shape), den
 
 
-def _exact_psd(mat: np.ndarray) -> bool:
-    """Exact PSD test for real-rational symmetric data: symmetric Bareiss elimination.
+def _components(a: list[list[int]]) -> list[list[int]]:
+    """The connected components of the nonzero pattern of a square matrix's upper triangle.
 
-    Runs on the integer numerators over the common denominator, so no
-    fraction is formed.  Step k replaces each upper-triangle entry (i, j)
-    below the pivot p = a[k][k] by (p a[i][j] - a[k][i] a[k][j]) / prev,
-    an exact division by the previous pivot (Bareiss, Math. Comp. 22,
-    1968).  The diagonal then carries the LDL pivots times a positive
-    leading minor, so it has their signs.  A negative pivot means
-    indefinite; a zero pivot forces its row to vanish (otherwise
-    indefinite), and is then skipped without updating the divisor, which
-    is the same elimination on the matrix without that row and column.
+    Entry (i, j), i < j, links i and j both ways; each component is an
+    ascending index list, and the components come in order of their least
+    index.
     """
-    a = integer_numerators(mat)[0].tolist()
+    unseen = set(range(len(a)))
+    components = []
+    while unseen:
+        start = min(unseen)
+        unseen.remove(start)
+        component, frontier = [start], [start]
+        while frontier:
+            i = frontier.pop()
+            linked = [j for j in unseen if (a[i][j] if i < j else a[j][i])]
+            unseen.difference_update(linked)
+            component += linked
+            frontier += linked
+        components.append(sorted(component))
+    return components
+
+
+def _bareiss_psd(a: list[list[int]]) -> bool:
+    """Symmetric Bareiss elimination on an integer matrix's upper triangle (see :func:`_exact_psd`)."""
     n = len(a)
     prev = 1
     for k in range(n):
@@ -417,6 +428,28 @@ def _exact_psd(mat: np.ndarray) -> bool:
             a[i][i:] = [(p * x - f * y) // prev for x, y in zip(a[i][i:], pivot_row[i:])]
         prev = p
     return True
+
+
+def _exact_psd(mat: np.ndarray) -> bool:
+    """Exact PSD test for real-rational symmetric data: symmetric Bareiss elimination per block.
+
+    Runs on the integer numerators over the common denominator, so no
+    fraction is formed.  Step k replaces each upper-triangle entry (i, j)
+    below the pivot p = a[k][k] by (p a[i][j] - a[k][i] a[k][j]) / prev,
+    an exact division by the previous pivot (Bareiss, Math. Comp. 22,
+    1968).  The diagonal then carries the LDL pivots times a positive
+    leading minor, so it has their signs.  A negative pivot means
+    indefinite; a zero pivot forces its row to vanish (otherwise
+    indefinite), and is then skipped without updating the divisor, which
+    is the same elimination on the matrix without that row and column.
+
+    The elimination reads only the upper triangle, and runs on each
+    connected component of that triangle's nonzero pattern on its own: a
+    symmetric matrix is a permuted block diagonal of those components, and
+    is PSD exactly when every block is.
+    """
+    a = integer_numerators(mat)[0].tolist()
+    return all(_bareiss_psd([[a[i][j] for j in block] for i in block]) for block in _components(a))
 
 
 # ---------------------------------------------------------------------------

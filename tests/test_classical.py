@@ -2,6 +2,7 @@ import itertools
 from fractions import Fraction
 
 from ordergame.classical import (
+    _run_table,
     BitStrategy,
     all_bit_strategies,
     losr_canonical_witness,
@@ -100,6 +101,37 @@ class TestSearchLosr:
 
     def test_memory_beats_memoryless(self):
         assert search_losr().probability >= search_memoryless().probability
+
+
+class TestRunTable:
+    def test_matches_the_runs_on_every_case(self):
+        table = _run_table()
+        assert table.shape == (2, 6, 64)
+        triples = list(itertools.product(all_bit_strategies(), repeat=3))
+        for input_bit in (0, 1):
+            for o, pi in enumerate(all_orders()):
+                for t, (a, b, c) in enumerate(triples):
+                    code = int(table[input_bit, o, t])
+                    s_out, x_a, x_b, x_c = run_losr(pi, a, b, c, input_bit)
+                    assert code == 8 * s_out + 4 * x_a + 2 * x_b + x_c
+                    assert code >> 3 == run_memoryless(pi, a, b, c, input_bit)
+
+    def test_searches_pick_the_first_maximum_in_search_order(self):
+        # the per-triple loops the run table replaced, kept as the reference
+        triples = list(itertools.product(all_bit_strategies(), repeat=3))
+        best = None
+        for input_bit in (0, 1):
+            for a, b, c in triples:
+                count = len({run_memoryless(pi, a, b, c, input_bit) for pi in all_orders()})
+                if best is None or count > best[0]:
+                    best = (count, input_bit, (a, b, c))
+        count, input_bit, (a, b, c) = best
+        assert search_memoryless().strategy == (
+            f"input {input_bit}; a={a.describe()}, b={b.describe()}, c={c.describe()}; {count} distinct final bits"
+        )
+        counts = [len({run_losr(pi, a, b, c, 0) for pi in all_orders()}) for a, b, c in triples]
+        a, b, c = triples[counts.index(max(counts))]
+        assert search_losr().strategy.startswith(f"input 0; a={a.describe()}, b={b.describe()}, c={c.describe()};")
 
 
 class TestHistogram:

@@ -121,3 +121,50 @@ def test_a_tiny_negative_shift_of_a_singular_gram_is_rejected(b):
     assert not verdict(mat)
     # the float eigenvalue floor cannot see a 1e-12 dip
     assert LabeledOperator((Space("M", n),), mat.astype(float)).is_psd()
+
+
+def shuffled_block_diagonal(blocks, perm) -> np.ndarray:
+    """The block-diagonal matrix of ``blocks``, its rows and columns both permuted by ``perm``."""
+    n = sum(len(b) for b in blocks)
+    mat = np.zeros((n, n), dtype=object)
+    at = 0
+    for b in blocks:
+        mat[at : at + len(b), at : at + len(b)] = b
+        at += len(b)
+    return mat[np.ix_(perm, perm)]
+
+
+@settings
+@hypothesis.given(st.lists(st.one_of(symmetric(), factors().map(gram)), min_size=1, max_size=4), st.data())
+def test_permuted_block_diagonal_matches_the_reference(blocks, data):
+    mat = shuffled_block_diagonal(blocks, data.draw(st.permutations(range(sum(len(b) for b in blocks)))))
+    want = fraction_psd(mat.tolist())
+    assert want == all(fraction_psd(b.tolist()) for b in blocks)
+    assert verdict(mat) == want
+
+
+@settings
+@hypothesis.given(factors(min_n=3), st.lists(factors().map(gram), max_size=3), st.booleans(), st.data())
+def test_zero_pivot_inside_a_block(b, others, bump, data):
+    # rows k-1 and k of B agree, so the block's pivot at k vanishes; with
+    # its row left as is the block is PSD, with entry (k, j) bumped it is not
+    n = b.shape[0]
+    k = data.draw(st.integers(1, n - 2))
+    b[k] = b[k - 1]
+    block = gram(b)
+    if bump:
+        j = data.draw(st.integers(k + 1, n - 1))
+        block[k, j] = block[j, k] = block[k, j] + data.draw(rationals.filter(bool))
+    blocks = [block] + others
+    mat = shuffled_block_diagonal(blocks, data.draw(st.permutations(range(sum(len(x) for x in blocks)))))
+    assert fraction_psd(mat.tolist()) is not bump
+    assert verdict(mat) is not bump
+
+
+@settings
+@hypothesis.given(st.lists(factors().map(gram), min_size=1, max_size=3), rationals.filter(lambda x: x < 0), st.data())
+def test_one_by_one_negative_block(blocks, negative, data):
+    blocks = blocks + [np.array([[negative]], dtype=object)]
+    mat = shuffled_block_diagonal(blocks, data.draw(st.permutations(range(sum(len(x) for x in blocks)))))
+    assert not fraction_psd(mat.tolist())
+    assert not verdict(mat)

@@ -9,6 +9,7 @@ from ordergame.classical import BitStrategy, all_bit_strategies, run_losr
 from ordergame.game import Perm3, all_orders, optimal_decoder
 from ordergame import network
 from ordergame.network import (
+    _doubled_constraints,
     IN_WIRE,
     OUT_WIRE,
     InexactConstraint,
@@ -206,6 +207,20 @@ class TestProgramStructure:
         assert got.tobytes() == np.array(kept_rows).tobytes()
         assert got_rhs.tobytes() == np.array([0.0] * 224 + [16.0]).tobytes()
 
+    def test_doubled_constraints_are_the_rows_nonzeros(self):
+        # the witness sums over these integer coordinates; halved, they must
+        # be exactly the float rows' nonzeros, one per column in each line
+        rows, rhs = constraint_rows()
+        row, coef, doubled_rhs = _doubled_constraints()
+        assert row.shape == coef.shape == (5, 256)
+        assert row.dtype.kind == coef.dtype.kind == doubled_rhs.dtype.kind == "i"
+        assert set(np.unique(coef[:4])) == {-1, 1} and np.all(coef[4] == 2)
+        columns = np.broadcast_to(np.arange(256), row.shape)
+        halved = sorted(zip(row.ravel().tolist(), columns.ravel().tolist(), (coef / 2).ravel().tolist()))
+        r, v = np.nonzero(rows)
+        assert halved == list(zip(r.tolist(), v.tolist(), rows[r, v].tolist()))
+        assert (doubled_rhs / 2).tobytes() == rhs.tobytes()
+
     def test_tableau_pinned(self):
         # fa9de381... with all 449 rows, before each negated row was dropped
         text = dump_tableau(nonsignaling_program())
@@ -314,6 +329,20 @@ class TestWitnessViolation:
         ) / 6
         assert isinstance(check["objective"], Fraction)
         assert check["objective"] == objective
+
+    @pytest.mark.parametrize("entry", [(0, 255), (224, None)], ids=["row-off-the-coordinates", "rhs"])
+    def test_dyadic_program_off_the_coordinates_raises(self, monkeypatch, entry):
+        # a multiple of 1/2 where the integer coordinates hold nothing (row 0
+        # reads columns 0 and 1 only) or a changed rhs is still not the program
+        rows, rhs = constraint_rows()
+        r, v = entry
+        if v is None:
+            rhs[r] = 8.0
+        else:
+            rows[r, v] = 0.5
+        monkeypatch.setattr(network, "constraint_rows", lambda: (rows, rhs))
+        with pytest.raises(InexactConstraint):
+            witness_feasibility(strategy_network_blocks())
 
     def test_non_dyadic_row_raises_typed_error(self, monkeypatch):
         rows, rhs = constraint_rows()

@@ -9,7 +9,7 @@ import pytest
 from ordergame.game import Perm3, all_orders
 from ordergame.quantum import (
     _order_kets,
-    _pair_index_map,
+    _pair_index_table,
     BASIS_OF_STATE,
     KET,
     CertificateFailed,
@@ -495,10 +495,9 @@ class TestOutputGram:
         state = LabeledOperator(ENTANGLED_LAYOUT, (m + m.T) / 2).to_exact() + exact_diagonal_state(Fraction(1, 3))
         denominators = {x.denominator for x in state.data.ravel()}
         assert len(denominators) > 5 and any(d % 3 == 0 for d in denominators)
-        order = all_orders()
         want = [
-            [sum((Fraction(state.data[j, k]) for j, k in enumerate(_pair_index_map(pp, p))), Fraction(0)) for p in order]
-            for pp in order
+            [sum((Fraction(state.data[j, k]) for j, k in enumerate(index_map)), Fraction(0)) for index_map in maps]
+            for maps in _pair_index_table()
         ]
         gram = output_gram(state)
         assert all(type(x) is Fraction for x in gram.ravel())
@@ -533,10 +532,10 @@ class TestOutputGram:
             assert val == want[key]
 
     def test_pair_index_map_is_the_operator_product(self):
-        pairs = [(pp, p) for pp in all_orders() for p in all_orders() if pp != p]
-        assert len(pairs) == 30
-        for pp, p in pairs:
+        table = _pair_index_table()
+        assert table.shape == (6, 6, 16)
+        for (i, pp), (j, p) in itertools.product(enumerate(all_orders()), repeat=2):
             product = (routing_matrix(pp).op.adjoint() @ routing_matrix(p).op).data
             # column j of a permutation matrix has its one 1 in row map[j]
-            want = [next(i for i in range(16) if product[i, j] == 1) for j in range(16)]
-            assert _pair_index_map(pp, p).tolist() == want
+            want = [next(r for r in range(16) if product[r, c] == 1) for c in range(16)]
+            assert table[i, j].tolist() == want
