@@ -44,6 +44,7 @@ from .tensor import (
     Vec,
     eig_hermitian,
     env,
+    exact_psd,
     integer_numerators,
     vectorize,
 )
@@ -484,9 +485,14 @@ def output_gram(state: LabeledOperator) -> np.ndarray:
     (:func:`~ordergame.tensor.integer_numerators`).  Raises :class:`NotPSD`
     unless the state is positive semidefinite.
     """
-    if not state.is_psd(1e-8):
+    # an exact state's numerators serve both the PSD test and the gather
+    if state.exact:
+        data, den = integer_numerators(state.data)
+        psd = exact_psd(data)
+    else:
+        data, psd = state.data, state.is_psd(1e-8)
+    if not psd:
         raise NotPSD("shared state must be positive semidefinite")
-    data, den = integer_numerators(state.data) if state.exact else (state.data, None)
     # entry k of pair (i, j)'s trace is data[k, map[k]]; Python sum over k
     # adds the 16 columns left to right, so float data rounds as a left-to-right
     # sum (numpy's pairwise .sum() would move the last digits)

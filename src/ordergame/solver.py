@@ -21,8 +21,15 @@ matrix and its factor only span the touched coordinates.
 
 The affine step is the cached-factorisation projection
 w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2) over the t touched
-columns: one thin SVD cut to the rank r gives a t x r factor F and the
+columns: a thin SVD of A cut to the rank r gives a t x r factor F and the
 step (w F - y) Fᵀ, 2tr flops a row (256x203 for the non-signaling LP).
+The SVD is taken per group of rows, where a group is a connected
+component of the nonzero pattern of A Aᵀ.  Rows of different groups are
+orthogonal, so the groups' right singular vectors together are an
+orthonormal basis of A's row space, and the rank cut uses the largest
+singular value over all groups.  A row orthogonal to every other is its
+own singular vector and needs no SVD: the LP's 225 rows are 129 such rows
+and two groups of 48, so its factor takes two 48-row SVDs.
 Each row is multiplied alone, as a stack of 1 x t products, so a row's
 step has the same bits in a batch as alone and a batched solve repeats
 the single solves exactly.
@@ -284,20 +291,58 @@ class _AffineSet:
     singular values with ``σ² > 1e-15 σ_max²`` kept (the rank ``pinv`` of
     ``A Aᵀ`` keeps), ``F = V_r`` and ``y = U_rᵀ b / σ_r`` give
     ``Aᵀ(A Aᵀ)⁺(A w - b) = (w F - y) Fᵀ``: ``Aᵀ(A Aᵀ)⁺ = A⁺``, so the step
-    holds for every ``b``, consistent or not.  ``columns`` stays for the
-    equality gap.  A program with no equality rows has an empty factor, an
-    identity step and a gap of 0.
+    holds for every ``b``, consistent or not.
+
+    The SVD is taken one group of rows at a time.  Two rows are linked
+    when their float inner product is nonzero, and a group is a connected
+    component of those links.  Rows of different groups are orthogonal, so
+    ``A Aᵀ`` is block diagonal over the groups, and each group's right
+    singular vectors lie in the span of its own rows, orthogonal to every
+    other group's.  The groups' SVDs together are therefore an SVD of
+    ``A``: their ``V`` columns form one orthonormal basis of A's row space,
+    and the rank rule applies with one ``σ_max`` over all groups.  A row
+    linked to no other is its own right singular vector, with ``u = 1`` and
+    ``σ`` its norm; every other group gets its own thin SVD, over the
+    columns it touches.  A product that rounding leaves nonzero only merges
+    two groups, which is safe; one that rounds to exactly 0 is at most
+    about ``t·ε·|a_i||a_j|``, so those two rows are orthogonal to working
+    precision.
+
+    ``cols`` is a slice when every column is touched, so the step then
+    needs no gather or scatter; ``columns`` stays for the equality gap.  A
+    program with no equality rows has an empty factor, an identity step
+    and a gap of 0.
     """
 
     def __init__(self, problem: ConicProblem):
-        self.cols = np.flatnonzero(problem.a.any(axis=0))
+        touched = problem.a.any(axis=0)
+        self.cols = slice(None) if touched.all() else np.flatnonzero(touched)
         self.columns = problem.a[:, self.cols]
         self.b = problem.b
-        u, sigma, vt = np.linalg.svd(self.columns, full_matrices=False)
-        # sigma[:1] is empty, and the rank 0, when no equality touches a column
-        rank = np.count_nonzero(sigma**2 > 1e-15 * sigma[:1] ** 2)
-        self.F = np.ascontiguousarray(vt[:rank].T)
-        self.y = (u[:, :rank].T @ self.b) / sigma[:rank]
+        gram = self.columns @ self.columns.T
+        linked = gram != 0
+        # an all-zero row links nothing, not even itself, and spans nothing
+        nonzero = linked.diagonal()
+        lone = nonzero & (np.count_nonzero(linked, axis=1) == 1)
+        norms = np.sqrt(gram.diagonal()[lone])
+        sigmas, vts, ubs = [norms], [self.columns[lone] / norms[:, None]], [self.b[lone]]
+        left = nonzero & ~lone
+        while left.any():
+            # grow the first remaining row's links until the group is closed
+            group = linked[np.argmax(left)]
+            while not np.array_equal(grown := linked[group].any(axis=0), group):
+                group = grown
+            left &= ~group
+            span = self.columns[group].any(axis=0)
+            u, sigma, vt = np.linalg.svd(self.columns[np.ix_(group, span)], full_matrices=False)
+            vts.append(np.zeros((sigma.size, span.size)))
+            vts[-1][:, span] = vt
+            sigmas.append(sigma)
+            ubs.append(u.T @ self.b[group])
+        sigma = np.concatenate(sigmas)
+        keep = sigma**2 > 1e-15 * sigma.max(initial=0.0) ** 2
+        self.F = np.ascontiguousarray(np.concatenate(vts)[keep].T)
+        self.y = np.concatenate(ubs)[keep] / sigma[keep]
 
     def project(self, x: np.ndarray) -> None:
         """Project each row of ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b).

@@ -194,10 +194,10 @@ class LabeledOperator:
 
     def is_psd(self, atol: float = HERMITIAN_ATOL) -> bool:
         """PSD test: exact rational elimination, or eigenvalue floor for floats."""
+        if self.exact:
+            return exact_psd(integer_numerators(self.data)[0])
         if not self.is_hermitian(atol):
             return False
-        if self.exact:
-            return _exact_psd(self.data)
         w = np.linalg.eigvalsh(self.data)
         return bool(w[0] >= -max(atol, 1e-10))
 
@@ -411,7 +411,7 @@ def _components(a: list[list[int]]) -> list[list[int]]:
 
 
 def _bareiss_psd(a: list[list[int]]) -> bool:
-    """Symmetric Bareiss elimination on an integer matrix's upper triangle (see :func:`_exact_psd`)."""
+    """Symmetric Bareiss elimination on an integer matrix's upper triangle (see :func:`exact_psd`)."""
     n = len(a)
     prev = 1
     for k in range(n):
@@ -430,13 +430,14 @@ def _bareiss_psd(a: list[list[int]]) -> bool:
     return True
 
 
-def _exact_psd(mat: np.ndarray) -> bool:
-    """Exact PSD test for real-rational symmetric data: symmetric Bareiss elimination per block.
+def exact_psd(nums: np.ndarray) -> bool:
+    """Exact PSD test for real-rational data: symmetry, then symmetric Bareiss elimination per block.
 
-    Runs on the integer numerators over the common denominator, so no
-    fraction is formed.  Step k replaces each upper-triangle entry (i, j)
-    below the pivot p = a[k][k] by (p a[i][j] - a[k][i] a[k][j]) / prev,
-    an exact division by the previous pivot (Bareiss, Math. Comp. 22,
+    Takes the data's :func:`integer_numerators`, which share one positive
+    denominator: no fraction is formed, and the data is symmetric, or PSD,
+    exactly when the numerators are.  Step k replaces each upper-triangle
+    entry (i, j) below the pivot p = a[k][k] by
+    (p a[i][j] - a[k][i] a[k][j]) / prev, an exact division by the previous pivot (Bareiss, Math. Comp. 22,
     1968).  The diagonal then carries the LDL pivots times a positive
     leading minor, so it has their signs.  A negative pivot means
     indefinite; a zero pivot forces its row to vanish (otherwise
@@ -448,7 +449,9 @@ def _exact_psd(mat: np.ndarray) -> bool:
     symmetric matrix is a permuted block diagonal of those components, and
     is PSD exactly when every block is.
     """
-    a = integer_numerators(mat)[0].tolist()
+    if not np.array_equal(nums, nums.T):
+        return False
+    a = nums.tolist()
     return all(_bareiss_psd([[a[i][j] for j in block] for i in block]) for block in _components(a))
 
 

@@ -60,3 +60,55 @@ def test_factor_step_matches_dense_formula_and_is_idempotent(problem, seed):
     twice = once.copy()
     affine.project(twice)
     assert np.max(np.abs(twice - once)) <= 1e-10 * scale
+
+
+#: Mutually orthogonal ±1 patterns: rows built on different ones are orthogonal.
+SIGNS = np.array([[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]], dtype=float)
+
+
+@st.composite
+def orthogonal_group_programs(draw):
+    """Equalities made of mutually orthogonal row groups over shared columns.
+
+    Each group repeats an integer block along one row of ``SIGNS``, so rows
+    of different groups cancel exactly, pairwise, on the shared columns.  A
+    group may be one row or have dependent or repeated rows, an all-zero
+    row may be added, ``b`` is consistent or drawn at random (then
+    generally inconsistent), and there may be no rows at all.
+    """
+    width = draw(st.integers(1, 4))
+    groups = []
+    for pattern in SIGNS[: draw(st.integers(0, 4))]:
+        base = int_matrix(draw, draw(st.integers(1, 3)), width)
+        mix = int_matrix(draw, draw(st.integers(0, 2)), base.shape[0], st.integers(-2, 2))
+        block = np.vstack([base, mix @ base])
+        if draw(st.booleans()):
+            block = np.vstack([block, block[:1]])
+        groups.append(np.kron(pattern, block))
+    rows = np.vstack(groups + [np.zeros((draw(st.integers(0, 1)), 4 * width))])
+    rows = rows[np.array(draw(st.permutations(range(len(rows)))), dtype=int)]
+    dim = rows.shape[1] + draw(st.integers(0, 2))
+    coords = np.array(draw(st.permutations(range(dim))))[: rows.shape[1]]
+    a = np.zeros((len(rows), dim))
+    a[:, coords] = rows
+    if draw(st.booleans()):
+        b = a @ int_matrix(draw, dim, 1).ravel()
+    else:
+        b = int_matrix(draw, 1, len(rows)).ravel()
+    return ConicProblem(blocks=[NonnegOrthant(dim)], objective=np.zeros(dim), a=a, b=b)
+
+
+@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.given(orthogonal_group_programs(), st.integers(0, 2**32 - 1))
+def test_grouped_factor_is_an_orthonormal_basis_of_the_row_space(problem, seed):
+    a = problem.a
+    x = np.random.default_rng(seed).normal(size=(3, problem.dim)) * 4
+    # integer rows: nonzero singular values stay far above the 1e-10 cut
+    want = x - (x @ a.T - problem.b) @ np.linalg.pinv(a, rcond=1e-10).T
+    affine = _AffineSet(problem)
+    got = x.copy()
+    affine.project(got)
+    assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+    rank = affine.F.shape[1]
+    assert np.max(np.abs(affine.F.T @ affine.F - np.eye(rank)), initial=0.0) <= 1e-12
+    assert rank == np.linalg.matrix_rank(a)

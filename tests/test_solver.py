@@ -554,6 +554,27 @@ class TestAffineSet:
         # 225 rows of rank 203 over the 256 summed-diagonal columns
         assert _AffineSet(nonsignaling_program()).F.shape == (256, 203)
 
+    def test_nonsignaling_rows_factor_as_129_lone_rows_and_two_groups_of_48(self, monkeypatch):
+        from ordergame.network import nonsignaling_program
+
+        shapes = []
+        svd = np.linalg.svd
+
+        def recording_svd(a, *args, **kwargs):
+            shapes.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording_svd)
+        problem = nonsignaling_program()
+        affine = _AffineSet(problem)
+        # the 96 party rows: two groups of 48, each over the 128 columns it touches
+        assert shapes == [(48, 128), (48, 128)]
+        # the other 129 rows are orthogonal to every row and are, normalized,
+        # columns of the factor
+        units = problem.a / np.linalg.norm(problem.a, axis=1, keepdims=True)
+        lone = np.flatnonzero(np.isclose(units @ affine.F, 1.0, rtol=0.0, atol=1e-14).any(axis=1))
+        assert lone.tolist() == list(range(128)) + [224]
+
 
 class TestPinnedSolves:
     """Iteration counts and values the affine-step arithmetic must not move."""

@@ -38,6 +38,20 @@ def test_package_imports_only_the_standard_library_and_numpy():
     assert found == []
 
 
+def test_package_does_not_call_np_unique():
+    # numpy's first `unique` call in a process costs about 15 ms and 1.6 MB
+    # of peak RSS, which every CLI run and benchmark pass would pay
+    root = Path(ordergame.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Attribute) and node.attr == "unique")
+        or (isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(a.name == "unique" for a in node.names))
+    ]
+    assert found == []
+
+
 def test_package_has_no_unused_imports():
     # a name bound by an import must be read somewhere in its module or listed in __all__
     root = Path(ordergame.__file__).parent
