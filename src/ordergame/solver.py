@@ -12,12 +12,18 @@ PSD blocks are carried inside the real variable vector through an isometric
 the upper triangle), so trace inner products and Euclidean norms transfer
 exactly.
 
-The algorithm is plain ADMM on the consensus splitting between the affine
-set {Ax = b} and the cone, with fixed penalty RHO and over-relaxation
-OVER_RELAXATION.  No adaptive scaling, no randomized initialization: a solve
-is a pure function of the problem and the settings.  Coordinates that no
-equality touches pass through the affine step unchanged, so the equality
-matrix and its factor only span the touched coordinates.
+The algorithm is ADMM on the consensus splitting between the affine set
+{Ax = b} and the cone, with fixed penalty RHO and over-relaxation
+OVER_RELAXATION, accelerated by safeguarded type-II Anderson acceleration
+of its fixed-point map (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011;
+Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30(4), 2020).  Each row extrapolates
+its state (z, u) from the last ANDERSON_MEMORY steps, and drops an
+extrapolated state whose fixed-point residual grew, for the plain step of
+its last accepted state.  No adaptive scaling, no randomized
+initialization: a solve is a pure function of the problem and the
+settings.  Coordinates that no equality touches pass through the affine
+step unchanged, so the equality matrix and its factor only span the
+touched coordinates.
 
 The affine step is the cached-factorisation projection
 w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2) over the t touched
@@ -44,6 +50,8 @@ only decide convergence on rows whose |x - z| and dual residual already
 meet the tolerance, so it is computed on those rows only, and once more
 on the rows still unconverged when the iteration cap ends the loop: the
 convergence decisions and reported residuals are those of the full test.
+The test is applied to every evaluation of the map, extrapolated or not,
+and the reported solution is always the evaluation's cone projection.
 """
 
 from __future__ import annotations
@@ -64,6 +72,12 @@ _SQRT2 = math.sqrt(2.0)
 #: ADMM penalty and over-relaxation; fixed for every solve.
 RHO = 1.0
 OVER_RELAXATION = 1.5
+
+#: Anderson acceleration, fixed for every solve: how many past steps each
+#: row keeps, and the ridge on their Gram matrix as a multiple of its trace.
+ANDERSON_MEMORY = 10
+ANDERSON_RIDGE = 1e-12
+_RIDGE_FLOOR = np.finfo(float).tiny
 
 
 class ProblemMalformed(ValueError):
@@ -149,6 +163,7 @@ class SolveReport:
     dual_residual: float
     iterations: int
     solution: np.ndarray
+    rejected: int = 0  # extrapolated states the safeguard dropped
 
     def jsonable(self) -> dict:
         return {
@@ -360,12 +375,35 @@ class _AffineSet:
 
 
 def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings):
+    """Anderson-accelerated ADMM, one independent row per objective.
+
+    Each iteration evaluates the ADMM map ``F(z, u) = (z', u')`` once per
+    row, at that row's state ``s = (z, u)``, and applies the convergence
+    test to the evaluation.  The test holds for any input state, and the
+    reported solution is the cone projection ``z'``.
+
+    The next state is type-II Anderson acceleration (Walker & Ni, 2011) of
+    ``F``: with ``g = F(s) - s`` and the differences ``ΔF``, ``ΔG`` of
+    ``F`` and ``g`` over the last ``ANDERSON_MEMORY`` accepted states, it
+    is ``F(s) - ΔF γ`` with ``γ = (ΔGᵀΔG + λI)⁻¹ ΔGᵀ g``, where ``λ`` is
+    ``ANDERSON_RIDGE`` times the trace of ``ΔGᵀΔG``.  An empty history
+    gives ``γ = 0``, the plain ADMM step.  The safeguard (Zhang,
+    O'Donoghue & Boyd, 2020): an extrapolated state whose ``|g|`` exceeds
+    that of the last accepted state is rejected; its row takes the plain
+    step ``F`` of the last accepted state, which is already known, and
+    restarts its history.  Each evaluation counts as one iteration,
+    rejected or not.
+
+    All per-row work is stacked matrix products and one stacked solve, so
+    a row gets the same bits in a batch as alone.
+    """
     if settings.max_iters < 1 or not 0 < settings.tolerance < math.inf:
         raise ProblemMalformed("settings need a finite positive tolerance and max_iters >= 1")
     affine = _AffineSet(problem)
     groups = _group_blocks(problem.blocks)
     batch, n = objectives.shape
-    rho, alpha, tol = RHO, OVER_RELAXATION, settings.tolerance
+    rho, alpha, tol, memory = RHO, OVER_RELAXATION, settings.tolerance, ANDERSON_MEMORY
+    eye = np.eye(memory)
 
     # a row gets its report, at its batch position, on the iteration it
     # converges or the cap ends it, and then drops out of the working
@@ -373,42 +411,78 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
     reports = [None] * batch
     live = np.arange(batch)
     shift = objectives / rho
-    z = np.zeros((batch, n))
-    u = np.zeros((batch, n))
+    # per row: the state s = (z, u) F is evaluated at; F, g and |g|² at the
+    # last accepted state; whether s is extrapolated; the differences of F
+    # and g between accepted states, in a ring of slots shared by all rows,
+    # with the Gram matrix of the g differences; and the rejection count
+    s = np.zeros((batch, 2 * n))
+    f_acc, g_acc, gg_acc = np.zeros((batch, 2 * n)), np.zeros((batch, 2 * n)), np.zeros(batch)
+    extrapolated = np.zeros(batch, dtype=bool)
+    d_f, d_g = np.zeros((batch, memory, 2 * n)), np.zeros((batch, memory, 2 * n))
+    gram = np.zeros((batch, memory, memory))
+    rejections = np.zeros(batch, dtype=int)
 
     k = 0
     while live.size:
         k += 1
+        z, u = s[:, :n], s[:, n:]
         x = z - u + shift
         affine.project(x)
         xh = alpha * x + (1.0 - alpha) * z
         z_new = _project_batch(xh + u, groups)
-        u = u + xh - z_new
+        f = np.concatenate((z_new, u + xh - z_new), axis=1)
         dual = rho * np.abs(z_new - z).max(axis=1)
-        z = z_new
         # the primal residual is max(|x - z|, equality gap); the gap can
         # only decide convergence on rows that meet the tolerance without it
-        primal = np.abs(x - z).max(axis=1)
+        primal = np.abs(x - z_new).max(axis=1)
         conv = (primal <= tol) & (dual <= tol)
         if conv.any():
-            primal[conv] = np.maximum(primal[conv], affine.gap(z[conv]))
+            primal[conv] = np.maximum(primal[conv], affine.gap(z_new[conv]))
             conv &= primal <= tol
         if k == settings.max_iters:
-            primal[~conv] = np.maximum(primal[~conv], affine.gap(z[~conv]))
+            primal[~conv] = np.maximum(primal[~conv], affine.gap(z_new[~conv]))
         finished = conv | (k == settings.max_iters)
         if finished.any():
             for row, i in zip(np.flatnonzero(finished), live[finished]):
                 reports[i] = SolveReport(
                     status="optimal" if conv[row] else "max_iters",
-                    objective_value=float(objectives[i] @ z[row]),
+                    objective_value=float(objectives[i] @ z_new[row]),
                     primal_residual=float(primal[row]),
                     dual_residual=float(dual[row]),
                     iterations=k,
-                    solution=z[row].copy(),
+                    solution=z_new[row].copy(),
+                    rejected=int(rejections[row]),
                 )
             keep = ~finished
             live = live[keep]
-            z, u, shift = z[keep], u[keep], shift[keep]
+            if not live.size:
+                break
+            s, f, shift = s[keep], f[keep], shift[keep]
+            f_acc, g_acc, gg_acc, extrapolated = f_acc[keep], g_acc[keep], gg_acc[keep], extrapolated[keep]
+            d_f, d_g, gram, rejections = d_f[keep], d_g[keep], gram[keep], rejections[keep]
+
+        g = f - s
+        gg = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
+        rejected = extrapolated & (gg > gg_acc)
+        if rejected.any():
+            rejections += rejected
+            f[rejected], g[rejected], gg[rejected] = f_acc[rejected], g_acc[rejected], gg_acc[rejected]
+            d_f[rejected] = d_g[rejected] = gram[rejected] = 0.0
+        if k > 1:
+            # a rejected row pushes zero differences, which leave γ = 0
+            slot = k % memory
+            np.subtract(f, f_acc, out=d_f[:, slot])
+            np.subtract(g, g_acc, out=d_g[:, slot])
+            column = (d_g @ d_g[:, slot, :, None])[:, :, 0]
+            gram[:, slot] = gram[:, :, slot] = column
+            extrapolated = ~rejected
+        f_acc, g_acc, gg_acc = f, g, gg
+        # an empty slot has a zero row and column in the Gram matrix and a
+        # zero right-hand side, so its γ is 0; the ridge is floored so that
+        # an empty history still solves
+        ridge = np.maximum(ANDERSON_RIDGE * gram.trace(axis1=1, axis2=2), _RIDGE_FLOOR)
+        gamma = np.linalg.solve(gram + ridge[:, None, None] * eye, d_g @ g[:, :, None])
+        s = f - (gamma.transpose(0, 2, 1) @ d_f)[:, 0]
     return reports
 
 
@@ -432,7 +506,8 @@ def solve_within_bound(
     """
     settings = settings or SolveSettings()
     slack = 10 * settings.tolerance
-    report = solve(problem, replace(settings, tolerance=solve_tolerance or settings.tolerance))
+    tolerance = settings.tolerance if solve_tolerance is None else solve_tolerance
+    report = solve(problem, replace(settings, tolerance=tolerance))
     if report.status != "optimal":
         raise SolverFailed(f"{name} solve ended with status {report.status}", report)
     if report.objective_value > bound + slack:

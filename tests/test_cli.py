@@ -227,6 +227,11 @@ class TestMain:
         assert main(["--scenario", "quantum-memoryless", "--max-iters", "5"]) == 2
         assert "quantum-memoryless    FAILED" in capsys.readouterr().out
 
+    def test_halved_tolerance_that_underflows_exits_2(self, capsys):
+        # the shared-state solve runs at half the tolerance, here 0.0
+        assert main(["--scenario", "lose-sdp", "--tolerance", "5e-324"]) == 2
+        assert "lose-sdp              FAILED: settings need a finite positive tolerance" in capsys.readouterr().out
+
     def test_sampled_check_ignores_solver_flags(self, capsys):
         checks = []
         for flags in ([], ["--max-iters", "100"], ["--tolerance", "1e-4"]):

@@ -259,9 +259,10 @@ class TestSolve:
         assert np.array_equal(r1.solution, r2.solution)
 
     def test_max_iters_status(self):
-        report = solve(trivial_lp(), SolveSettings(tolerance=1e-16, max_iters=5))
+        # the accelerated solve reaches x = 1 exactly, residuals 0.0, at iteration 4
+        report = solve(trivial_lp(), SolveSettings(tolerance=1e-16, max_iters=3))
         assert report.status == "max_iters"
-        assert report.iterations == 5
+        assert report.iterations == 3
 
     @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("inf"), float("nan")])
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
@@ -422,6 +423,17 @@ class TestSolveWithinBound:
         self.stub_solve(monkeypatch, "optimal", 1.0 + 11e-3)
         with pytest.raises(SolverFailed, match="shared-state feasibility value"):
             solve_shared_state_feasibility(flip, settings, layout=(Space("Q0", 2),))
+
+    def test_zero_solve_tolerance_is_not_taken_as_absent(self, monkeypatch):
+        # half the smallest subnormal tolerance rounds to 0.0, which must
+        # reach the solver and be refused there
+        assert 5e-324 / 2.0 == 0.0
+        tolerances = self.stub_solve(monkeypatch, "optimal", 1.0)
+        solve_within_bound("toy", trivial_lp(), Fraction(1), solve_tolerance=0.0)
+        assert tolerances == [0.0]
+        monkeypatch.undo()
+        with pytest.raises(ProblemMalformed, match="finite positive tolerance"):
+            solve_within_bound("toy", trivial_lp(), Fraction(1), solve_tolerance=0.0)
 
 
 class TestTableau:
@@ -584,12 +596,12 @@ class TestPinnedSolves:
 
         report = solve(nonsignaling_program())
         assert report.status == "optimal"
-        assert report.iterations == 108
-        # the merged 256-column LP ends 4.7e-10 above 5/6 at tolerance 1e-8
-        assert abs(report.objective_value - 0.8333333338032456) <= 1e-12
+        assert report.iterations == 37
+        # the merged 256-column LP ends 2.1e-10 above 5/6 at tolerance 1e-8
+        assert abs(report.objective_value - 0.8333333335392052) <= 1e-12
         accurate = solve(nonsignaling_program(), SolveSettings(tolerance=1e-10))
         assert accurate.status == "optimal"
-        assert accurate.iterations == 126
+        assert accurate.iterations == 45
         assert abs(accurate.objective_value - 5.0 / 6.0) <= 1e-11
 
     def test_discrimination_program(self):
@@ -597,7 +609,7 @@ class TestPinnedSolves:
 
         report = solve(discrimination_program(unbiased_order_states()))
         assert report.status == "optimal"
-        assert report.iterations == 69
+        assert report.iterations == 11
 
     def test_shared_state_program(self):
         from ordergame.quantum import routing_pair_products
@@ -606,7 +618,7 @@ class TestPinnedSolves:
             (pp.name, p.name): op.to_float().data for (pp, p), op in routing_pair_products().items()
         }
         _, report = solve_shared_state_feasibility(pair_ops)
-        assert report.iterations == 34
+        assert report.iterations == 14
 
     @pytest.mark.parametrize("name", ["nonsignaling", "planted"])
     def test_capped_solve_reports_the_equality_gap(self, name):
@@ -617,14 +629,15 @@ class TestPinnedSolves:
         assert report.primal_residual >= gap * (1.0 - 1e-12)
 
     def test_batch_with_every_row_capped_keeps_positions_and_gaps(self):
+        # alone, each row converges at iteration 4
         problem = small_sdp()
         objectives = np.stack([scale * problem.objective for scale in (1.0, -1.0, 0.5)])
-        settings = SolveSettings(max_iters=5)
+        settings = SolveSettings(max_iters=3)
         batch = solve_same_constraints(problem, objectives, settings)
         assert len(batch) == 3
         for objective, got in zip(objectives, batch):
             want = solve(replace(problem, objective=objective), settings)
-            assert (got.status, got.iterations) == ("max_iters", 5)
+            assert (got.status, got.iterations) == ("max_iters", 3)
             assert got.objective_value == objective @ got.solution
             assert np.max(np.abs(got.solution - want.solution)) <= 1e-12
             gap = np.max(np.abs(problem.a @ got.solution - problem.b))
@@ -634,14 +647,14 @@ class TestPinnedSolves:
         assert len({got.objective_value for got in batch}) == 3
 
     def test_batch_converging_at_different_iterations_matches_single_solves(self):
-        # alone, these objectives converge after 47, 54, 56 and 132 iterations:
-        # at the cap of 56 one row converges on the last iteration and one
+        # alone, these objectives converge after 9, 13, 16 and 36 iterations:
+        # at the cap of 16 one row converges on the last iteration and one
         # is still live
         problem = small_sdp()
-        objectives = np.stack([scale * problem.objective for scale in (0.1, 1.0, 2.0, -1.0)])
-        settings = SolveSettings(max_iters=56)
+        objectives = np.stack([scale * problem.objective for scale in (0.1, 0.2, 0.05, 0.02)])
+        settings = SolveSettings(max_iters=16)
         batch = solve_same_constraints(problem, objectives, settings)
-        assert [r.iterations for r in batch] == [47, 54, 56, 56]
+        assert [r.iterations for r in batch] == [9, 13, 16, 16]
         assert [r.status for r in batch][:3] == ["optimal"] * 3
         assert batch[3].status != "optimal"
         for objective, got in zip(objectives, batch):
@@ -652,6 +665,64 @@ class TestPinnedSolves:
             assert np.isclose(got.primal_residual, want.primal_residual, rtol=1e-9, atol=1e-15)
             assert np.isclose(got.dual_residual, want.dual_residual, rtol=1e-9, atol=1e-15)
             assert np.max(np.abs(got.solution - want.solution)) <= 1e-12
+
+
+def exactly_in_cone(problem, z):
+    """Whether z lies in the problem's cone, in exact arithmetic.
+
+    Orthant entries are compared with 0; each PSD block is decoded to its
+    Hermitian float matrix, lifted to Fractions, and tested through its
+    real embedding [[Re, -Im], [Im, Re]], which is PSD exactly when the
+    block is.
+    """
+    from ordergame.tensor import exact_psd, integer_numerators
+
+    at = 0
+    for block in problem.blocks:
+        part = z[at : at + block.dim]
+        at += block.dim
+        if isinstance(block, NonnegOrthant):
+            if not np.all(part >= 0.0):
+                return False
+            continue
+        h = unsvec(part, block.side)
+        real = np.block([[h.real, -h.imag], [h.imag, h.real]])
+        exact = np.array([Fraction(x) for x in real.ravel()], dtype=object).reshape(real.shape)
+        if not exact_psd(integer_numerators(exact)[0]):
+            return False
+    return True
+
+
+class TestAcceleratedLoop:
+    """The Anderson-accelerated loop's safeguard, batch bits and reports."""
+
+    def test_safeguard_rejections_keep_the_batch_bits(self):
+        # alone, the 0.1 and 0.02 rows each drop at least one extrapolated
+        # state and still converge; the other two never drop one
+        problem = small_sdp()
+        objectives = np.stack([scale * problem.objective for scale in (0.1, 0.2, 1.0, 0.02)])
+        batch = solve_same_constraints(problem, objectives)
+        assert [r.rejected > 0 for r in batch] == [True, False, False, True]
+        for objective, got in zip(objectives, batch):
+            want = solve(replace(problem, objective=objective))
+            assert got.status == want.status == "optimal"
+            assert (got.iterations, got.rejected) == (want.iterations, want.rejected)
+            assert got.objective_value == want.objective_value
+            assert (got.primal_residual, got.dual_residual) == (want.primal_residual, want.dual_residual)
+            assert got.solution.tobytes() == want.solution.tobytes()
+            assert abs(got.objective_value - max(objective @ problem.objective, 0.0) / 2) <= 1e-7
+
+    @pytest.mark.parametrize("tolerance", [1e-8, 1e-10])
+    @pytest.mark.parametrize(
+        "name, value", [("nonsignaling", 5 / 6), ("discrimination", 1 / 3), ("shared-state", 1.0)]
+    )
+    def test_reports_recheck_independently(self, name, value, tolerance):
+        problem = programs_with_duplicate_columns()[name]
+        report = solve(problem, SolveSettings(tolerance=tolerance))
+        assert report.status == "optimal"
+        assert np.max(np.abs(problem.a @ report.solution - problem.b)) <= tolerance
+        assert exactly_in_cone(problem, report.solution)
+        assert abs(report.objective_value - value) <= 10 * tolerance
 
 
 class TestNoEqualities:
