@@ -8,25 +8,30 @@ one integer run table (:func:`_run_table`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
 from .game import Perm3, ScenarioResult, all_orders, optimal_decoder
+from .tensor import FrozenRecord
 
 
-@dataclass(frozen=True)
-class BitStrategy:
+class BitStrategy(FrozenRecord):
     """A party's deterministic bit map, given by its outputs on 0 and 1.
 
     The same type serves both searches: under :func:`run_losr` the party
     also records the bit it received.
     """
 
-    on_zero: int
-    on_one: int
+    __slots__ = ("on_zero", "on_one")
+
+    def __init__(self, on_zero: int, on_one: int):
+        object.__setattr__(self, "on_zero", on_zero)
+        object.__setattr__(self, "on_one", on_one)
+
+    def _values(self) -> tuple:
+        return self.on_zero, self.on_one
 
     def __call__(self, x: int) -> int:
         return self.on_one if x else self.on_zero

@@ -9,7 +9,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -27,44 +26,77 @@ from .quantum import (
     verify_perfect_discrimination,
 )
 from .solver import SolveSettings, SolverFailed, dump_tableau, solve_shared_state_feasibility
-from .tensor import operator_jsonable, ratio_str
+from .tensor import FrozenRecord, operator_jsonable, ratio_str
 
 #: ``--check`` slack for solver scenarios; independent of ``--tolerance``.
 CHECK_SLACK = 1e-6
 
+#: The report formats of ``--output``.
+OUTPUTS = ("text", "json", "csv")
 
-@dataclass
+
 class RunConfig:
-    scenario: str = "all"
-    tolerance: float = 1e-8
-    max_iters: int = 200_000
-    seed: int = 42
-    output: str = "text"
-    dump_matrices: bool = False
-    check: bool = False
-
-    def __post_init__(self):
-        if not 0 < self.tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, not {self.tolerance}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, not {self.max_iters}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, not {self.seed}")
-        if self.scenario != "all" and self.scenario not in SCENARIOS:
-            raise ValueError(f"unknown scenario: {self.scenario}")
+    def __init__(
+        self,
+        scenario: str = "all",
+        tolerance: float = 1e-8,
+        max_iters: int = 200_000,
+        seed: int = 42,
+        output: str = "text",
+        dump_matrices: bool = False,
+        check: bool = False,
+    ):
+        if not 0 < tolerance < math.inf:
+            raise ValueError(f"tolerance must be finite and positive, not {tolerance}")
+        if max_iters < 1:
+            raise ValueError(f"max_iters must be at least 1, not {max_iters}")
+        if seed < 0:
+            raise ValueError(f"seed must be nonnegative, not {seed}")
+        if scenario != "all" and scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario: {scenario}")
+        if output not in OUTPUTS:
+            raise ValueError(f"unknown output format: {output}")
+        self.scenario = scenario
+        self.tolerance = tolerance
+        self.max_iters = max_iters
+        self.seed = seed
+        self.output = output
+        self.dump_matrices = dump_matrices
+        self.check = check
 
     def solver_settings(self) -> SolveSettings:
         return SolveSettings(tolerance=self.tolerance, max_iters=self.max_iters)
 
+    def jsonable(self) -> dict:
+        return {
+            "scenario": self.scenario,
+            "tolerance": self.tolerance,
+            "max_iters": self.max_iters,
+            "seed": self.seed,
+            "output": self.output,
+            "dump_matrices": self.dump_matrices,
+            "check": self.check,
+        }
 
-@dataclass
+
 class Report:
-    results: list[ScenarioResult]
-    versions: str
-    settings: RunConfig
-    wall_time_ms: dict[str, float] = field(default_factory=dict)
-    failures: dict[str, str] = field(default_factory=dict)
-    files_written: list[str] = field(default_factory=list)
+    """The results of one run; the timings, failures and files written start as new empty containers."""
+
+    def __init__(
+        self,
+        results: list[ScenarioResult],
+        versions: str,
+        settings: RunConfig,
+        wall_time_ms: dict[str, float] | None = None,
+        failures: dict[str, str] | None = None,
+        files_written: list[str] | None = None,
+    ):
+        self.results = results
+        self.versions = versions
+        self.settings = settings
+        self.wall_time_ms = {} if wall_time_ms is None else wall_time_ms
+        self.failures = {} if failures is None else failures
+        self.files_written = [] if files_written is None else files_written
 
 
 def _quantum_memoryless(config: RunConfig) -> ScenarioResult:
@@ -95,16 +127,30 @@ def _lose_sdp(config: RunConfig) -> ScenarioResult:
     return result
 
 
-@dataclass(frozen=True)
-class Scenario:
-    """How to run one scenario, and what ``--check`` and the text report expect."""
+class Scenario(FrozenRecord):
+    """How to run one scenario, and what ``--check`` and the text report expect.
 
-    run: Callable[[RunConfig], ScenarioResult]
-    expected: Fraction
-    #: compared as an exact rational, not as a solver float within CHECK_SLACK
-    exact: bool
-    #: label in the text report's headline line, or None to leave it out
-    headline: str | None = None
+    ``exact`` compares the value as an exact rational, not as a solver float
+    within CHECK_SLACK; ``headline`` labels it in the text report's headline
+    line, or is None to leave it out.
+    """
+
+    __slots__ = ("run", "expected", "exact", "headline")
+
+    def __init__(
+        self,
+        run: Callable[[RunConfig], ScenarioResult],
+        expected: Fraction,
+        exact: bool,
+        headline: str | None = None,
+    ):
+        object.__setattr__(self, "run", run)
+        object.__setattr__(self, "expected", expected)
+        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "headline", headline)
+
+    def _values(self) -> tuple:
+        return self.run, self.expected, self.exact, self.headline
 
 
 #: Every scenario, in headline order.
@@ -221,7 +267,7 @@ def emit(report: Report, fmt: str) -> str:
             ],
             "failures": report.failures,
             "versions": report.versions,
-            "settings": asdict(report.settings),
+            "settings": report.settings.jsonable(),
             "files_written": report.files_written,
         }
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -288,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--tolerance", type=float, default=1e-8, help="solver tolerance")
     parser.add_argument("--max-iters", type=int, default=200_000, help="solver iteration cap")
     parser.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
-    parser.add_argument("--output", choices=("text", "json", "csv"), default="text")
+    parser.add_argument("--output", choices=OUTPUTS, default="text")
     parser.add_argument(
         "--dump-matrices",
         action="store_true",

@@ -11,11 +11,10 @@ three parties exchanging a trit).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Hashable, Mapping
 
-from .tensor import ratio_str
+from .tensor import FrozenRecord, ratio_str
 
 PARTIES = ("A", "B", "C")
 
@@ -28,15 +27,33 @@ class TranscriptMismatch(RuntimeError):
     """A warm-up game's run does not end as its strategy claims."""
 
 
-@dataclass(frozen=True, order=True)
-class Perm3:
-    """A hidden order: the parties listed first-mover first."""
+class Perm3(FrozenRecord):
+    """A hidden order: the parties listed first-mover first.
 
-    order: tuple[str, str, str]
+    Orders compare as their ``order`` tuples, so they sort lexicographically.
+    """
 
-    def __post_init__(self):
-        if sorted(self.order) != sorted(PARTIES):
-            raise ValueError(f"not an ordering of {PARTIES}: {self.order}")
+    __slots__ = ("order",)
+
+    def __init__(self, order: tuple[str, str, str]):
+        if sorted(order) != sorted(PARTIES):
+            raise ValueError(f"not an ordering of {PARTIES}: {order}")
+        object.__setattr__(self, "order", order)
+
+    def _values(self) -> tuple:
+        return (self.order,)
+
+    def __lt__(self, other):
+        return self.order < other.order if other.__class__ is self.__class__ else NotImplemented
+
+    def __le__(self, other):
+        return self.order <= other.order if other.__class__ is self.__class__ else NotImplemented
+
+    def __gt__(self, other):
+        return self.order > other.order if other.__class__ is self.__class__ else NotImplemented
+
+    def __ge__(self, other):
+        return self.order >= other.order if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def name(self) -> str:
@@ -76,20 +93,23 @@ def all_orders() -> list[Perm3]:
     return list(_ORDERS)
 
 
-@dataclass(frozen=True)
-class OrderPrior:
+class OrderPrior(FrozenRecord):
     """Probability weights over the six orders."""
 
-    weights: Mapping[Perm3, Fraction | float]
+    __slots__ = ("weights",)
 
-    def __post_init__(self):
-        total = sum(self.weights.values())
+    def __init__(self, weights: Mapping[Perm3, Fraction | float]):
+        total = sum(weights.values())
         if isinstance(total, Fraction):
             ok = total == 1
         else:
             ok = abs(float(total) - 1.0) <= 1e-12
-        if not ok or set(self.weights) != set(all_orders()):
+        if not ok or set(weights) != set(all_orders()):
             raise NotADistribution("prior must put weight on all six orders and sum to 1")
+        object.__setattr__(self, "weights", weights)
+
+    def _values(self) -> tuple:
+        return (self.weights,)
 
     @classmethod
     def uniform(cls) -> "OrderPrior":
@@ -99,19 +119,20 @@ class OrderPrior:
         return self.weights[pi]
 
 
-@dataclass
 class ScenarioResult:
-    """One solved scenario: the headline probability plus its evidence."""
+    """One solved scenario: the headline probability plus its evidence.
 
-    scenario: str
-    probability: Fraction | float
-    strategy: str
-    certificate: dict = field(default_factory=dict)
+    ``certificate`` defaults to a new empty dict per result.
+    """
 
-    def __post_init__(self):
-        p = float(self.probability)
+    def __init__(self, scenario: str, probability: Fraction | float, strategy: str, certificate: dict | None = None):
+        p = float(probability)
         if not 0.0 <= p <= 1.0 + 1e-9:
-            raise ValueError(f"probability out of range: {self.probability}")
+            raise ValueError(f"probability out of range: {probability}")
+        self.scenario = scenario
+        self.probability = probability
+        self.strategy = strategy
+        self.certificate = {} if certificate is None else certificate
 
     @property
     def probability_float(self) -> float:

@@ -1,4 +1,4 @@
-"""Non-signaling network scenario: wiring operators and the classical program.
+"""Non-signaling network scenario: wiring diagonals and the classical program.
 
 Each hidden order corresponds to a rank-one wiring operator on the eight
 network wires (the input wire, each party's in/out pair, the final wire)
@@ -9,7 +9,10 @@ probability.  The optimum over all non-signaling classical strategies is a
 linear program.  A classical strategy is unchanged by dephasing in the
 computational basis, and dephasing maps a PSD guess block to its diagonal,
 which is PSD exactly when it is nonnegative; the guess probabilities and
-the non-signaling equalities then read only the diagonals.
+the non-signaling equalities then read only the diagonals.  So this module
+builds only the wiring operators' diagonals (:func:`wiring_diagonal`); the
+full operators and their contraction with a strategy block are the test
+suite's reference (``tests/network_reference.py``).
 
 Every equality reads only the summed diagonal d = sum_k D_k of the six
 blocks, so the LP is built over d: 256 variables, not 1536.  Any d >= 0 is
@@ -23,14 +26,14 @@ condition on u with the uniform bit flipped, so :func:`constraint_rows`
 states each condition once: 225 rows, not 449.  The affine set is the same
 (rank 203).  The 128 final-wire rows and the trace row are orthogonal to
 every other row, and the 96 party rows form two mutually orthogonal
-groups of 48 (16 rows of each party, rank 37 each), so the solver factors
-the rows as 129 lone rows and two 48-row SVDs.
+groups of 48 (16 rows of each party, rank 37 each) with the same
+coefficients over the columns they touch, so the solver factors the rows as
+129 lone rows and one 48-row SVD that serves both groups.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping
 
@@ -55,12 +58,7 @@ from .tensor import (
     C_OUT,
     S_FINAL,
     S_PREP,
-    LabeledOperator,
-    LayoutMismatch,
-    NotHermitian,
     Space,
-    kron,
-    permute_to_layout,
 )
 
 IN_WIRE = {"A": A_IN, "B": B_IN, "C": C_IN}
@@ -72,20 +70,6 @@ _N_BLOCKS = 6
 _TOTAL_TRACE = 16
 
 
-def max_entangled_projector(left: Space, right: Space) -> LabeledOperator:
-    """Unnormalized projector sum_ij |ii><jj| across a wire pair (exact 0/1)."""
-    ket = np.eye(left.dim, dtype=int).reshape(-1)  # unequal wires: LayoutMismatch
-    return LabeledOperator((left, right), np.outer(ket, ket), exact=True)
-
-
-@dataclass(frozen=True)
-class OrderProcess:
-    """Wiring operator of one hidden order on the canonical network layout."""
-
-    pi: Perm3
-    op: LabeledOperator
-
-
 def _wire_pairs(pi: Perm3) -> list[tuple[Space, Space]]:
     """The four wire pairs an order connects, from preparation to final wire."""
     first, second, third = pi.order
@@ -95,39 +79,6 @@ def _wire_pairs(pi: Perm3) -> list[tuple[Space, Space]]:
         (OUT_WIRE[second], IN_WIRE[third]),
         (OUT_WIRE[third], S_FINAL),
     ]
-
-
-def order_process(pi: Perm3) -> OrderProcess:
-    """Chain the four wire pairs of the order and align to the canonical layout."""
-    op = None
-    for left, right in _wire_pairs(pi):
-        factor = max_entangled_projector(left, right)
-        op = factor if op is None else kron(op, factor)
-    op = permute_to_layout(op, NETWORK_LAYOUT)
-    # the contraction below uses plain products, which needs entrywise
-    # symmetry; it holds because every factor is real 0/1
-    if not np.all(op.data == op.data.T):
-        raise NotHermitian(f"wiring operator of {pi.name} is not entrywise symmetric")
-    return OrderProcess(pi=pi, op=op)
-
-
-@dataclass(frozen=True)
-class NetworkBlock:
-    """One guess block of a strategy: a Hermitian operator on the network wires."""
-
-    pi: Perm3
-    op: LabeledOperator
-
-
-def link_probability(block: NetworkBlock, process: OrderProcess) -> float:
-    """Contract a strategy block with a wiring operator: trace of their product."""
-    op = block.op
-    if set(op.layout) != set(NETWORK_LAYOUT):
-        raise LayoutMismatch("network block must live on the eight network wires")
-    op = permute_to_layout(op, NETWORK_LAYOUT)
-    lhs = np.asarray(op.to_float().data)
-    rhs = np.asarray(process.op.to_float().data)
-    return float(np.real(np.trace(lhs @ rhs)))
 
 
 #: Row i holds the bit of wire i of the canonical layout in every basis index.

@@ -21,7 +21,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -38,6 +37,7 @@ from .solver import (
 from .tensor import (
     ENTANGLED_LAYOUT,
     SHARED,
+    FrozenRecord,
     LabeledOperator,
     NotPSD,
     Space,
@@ -66,22 +66,24 @@ class ZeroTrace(ValueError):
 UNITARY_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class UnitaryChannel:
+class UnitaryChannel(FrozenRecord):
     """A unitary map given by its single Kraus operator on a declared layout."""
 
-    kraus: np.ndarray
-    layout: tuple[Space, ...]
+    __slots__ = ("kraus", "layout")
 
-    def __post_init__(self):
-        mat = np.asarray(self.kraus)
-        side = math.prod(s.dim for s in self.layout)
+    def __init__(self, kraus: np.ndarray, layout: tuple[Space, ...]):
+        mat = np.asarray(kraus)
+        side = math.prod(s.dim for s in layout)
         if mat.shape != (side, side):
             raise ValueError(f"kraus shape {mat.shape} does not match layout side {side}")
         gram = np.asarray(mat, dtype=complex)
         if np.max(np.abs(gram.conj().T @ gram - np.eye(side))) > UNITARY_ATOL:
             raise ValueError("kraus operator is not unitary")
         object.__setattr__(self, "kraus", mat)
+        object.__setattr__(self, "layout", layout)
+
+    def _values(self) -> tuple:
+        return self.kraus, self.layout
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         return np.asarray(self.kraus, dtype=complex) @ np.asarray(vec, dtype=complex)
@@ -197,14 +199,14 @@ def haar_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
     return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
 
 
-@dataclass
 class SampledBoundScan:
     """Certified discrimination optima, one per instance, and the largest violations of their certificates."""
 
-    values: np.ndarray
-    max_primal_residual: float
-    max_dual_violation: float
-    max_gap: float
+    def __init__(self, values: np.ndarray, max_primal_residual: float, max_dual_violation: float, max_gap: float):
+        self.values = values
+        self.max_primal_residual = max_primal_residual
+        self.max_dual_violation = max_dual_violation
+        self.max_gap = max_gap
 
     @property
     def max_value(self) -> float:
@@ -327,12 +329,17 @@ def _permutation_operator(index_map: np.ndarray) -> LabeledOperator:
     return LabeledOperator(ENTANGLED_LAYOUT, data, exact=True)
 
 
-@dataclass(frozen=True)
-class SystemPermutation:
+class SystemPermutation(FrozenRecord):
     """Routing unitary of one hidden order: an exact 0/1 factor-permutation matrix on the entangled layout."""
 
-    pi: Perm3
-    op: LabeledOperator
+    __slots__ = ("pi", "op")
+
+    def __init__(self, pi: Perm3, op: LabeledOperator):
+        object.__setattr__(self, "pi", pi)
+        object.__setattr__(self, "op", op)
+
+    def _values(self) -> tuple:
+        return self.pi, self.op
 
 
 def routing_matrix(pi: Perm3) -> SystemPermutation:

