@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import operator
 import sys
 import time
 from fractions import Fraction
@@ -48,6 +49,10 @@ class RunConfig:
     ):
         if not 0 < tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and positive, not {tolerance}")
+        try:
+            max_iters = operator.index(max_iters)
+        except TypeError:
+            raise ValueError(f"max_iters must be an integer, not {max_iters!r}") from None
         if max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, not {max_iters}")
         if seed < 0:

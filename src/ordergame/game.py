@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping
+from typing import Callable, Hashable, Mapping, Sequence
 
 from .tensor import FrozenRecord, ratio_str
 
@@ -35,7 +35,8 @@ class Perm3(FrozenRecord):
 
     __slots__ = ("order",)
 
-    def __init__(self, order: tuple[str, str, str]):
+    def __init__(self, order: Sequence[str]):
+        order = tuple(order)
         if sorted(order) != sorted(PARTIES):
             raise ValueError(f"not an ordering of {PARTIES}: {order}")
         object.__setattr__(self, "order", order)

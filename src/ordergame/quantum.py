@@ -130,14 +130,18 @@ def unbiased_basis_channels() -> tuple[UnitaryChannel, UnitaryChannel, UnitaryCh
 
 
 def _order_kets(unitaries: Mapping[str, np.ndarray]) -> np.ndarray:
-    """|0> through each party's unitary in each hidden order, first mover first: one row per order."""
+    """|0> through each party's unitary in each hidden order, first mover first.
+
+    Each party's unitaries may carry leading axes ``(..., 2, 2)``; the kets
+    come out as ``(..., 6, 2)``, one row per order.
+    """
     kets = []
     for pi in all_orders():
-        vec = KET["0"]
+        vec = KET["0"][:, None]
         for party in pi.order:
             vec = unitaries[party] @ vec
-        kets.append(vec)
-    return np.array(kets)
+        kets.append(vec[..., 0])
+    return np.stack(kets, axis=-2)
 
 
 def unbiased_order_states() -> dict[Perm3, Vec]:
@@ -192,11 +196,17 @@ def quantum_memoryless_optimum(
     )
 
 
-def haar_qubit_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random 2x2 unitary via QR of a complex Gaussian matrix."""
-    z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-    q, r = np.linalg.qr(z)
-    return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+def haar_qubit_unitary(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-random 2x2 unitaries of shape ``(*shape, 2, 2)``, via QR of complex Gaussian matrices.
+
+    Each matrix takes eight normals from ``rng``, the real parts then the
+    imaginary parts, so a batch draws the same matrices as that many
+    single draws in turn.
+    """
+    z = rng.normal(size=(*shape, 2, 2, 2))
+    q, r = np.linalg.qr(z[..., 0, :, :] + 1j * z[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q @ (np.eye(2) * (d / np.abs(d))[..., None, :])
 
 
 class SampledBoundScan:
@@ -289,9 +299,8 @@ def sampled_discrimination_values(n_samples: int = 1000, seed: int = 42) -> Samp
     """Closed-form certified optima for seeded Haar-random unitary triples, with no solver call."""
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, not {n_samples}")
-    rng = np.random.default_rng(seed)
-    kets = [_order_kets({p: haar_qubit_unitary(rng) for p in "ABC"}) for _ in range(n_samples)]
-    return certify_discrimination(np.array(kets))
+    unitaries = haar_qubit_unitary(np.random.default_rng(seed), (n_samples, 3))
+    return certify_discrimination(_order_kets(dict(zip("ABC", np.moveaxis(unitaries, 1, 0)))))
 
 
 # ---------------------------------------------------------------------------

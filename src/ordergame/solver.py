@@ -16,7 +16,7 @@ The algorithm is ADMM on the consensus splitting between the affine set
 {Ax = b} and the cone, with fixed penalty RHO and over-relaxation
 OVER_RELAXATION, accelerated by safeguarded type-II Anderson acceleration
 of its fixed-point map (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011;
-Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30(4), 2020).  Each row extrapolates
+Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30(4), 2020).  A solve extrapolates
 its state (z, u) from the last ANDERSON_MEMORY steps, and drops an
 extrapolated state whose fixed-point residual grew, for the plain step of
 its last accepted state.  No adaptive scaling, no randomized
@@ -28,7 +28,8 @@ touched coordinates.
 The affine step is the cached-factorisation projection
 w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2) over the t touched
 columns: a thin SVD of A cut to the rank r gives a t x r factor F and the
-step (w F - y) Fᵀ, 2tr flops a row (256x203 for the non-signaling LP).
+step (w F - y) Fᵀ, two matrix-vector products of 2tr flops together
+(256x203 for the non-signaling LP).
 The SVD is taken per group of rows, where a group is a connected
 component of the nonzero pattern of A Aᵀ.  Rows of different groups are
 orthogonal, so the groups' right singular vectors together are an
@@ -38,9 +39,6 @@ own singular vector and needs no SVD, and a group whose submatrix has the
 same bits as an earlier group's reuses that group's SVD: the LP's 225 rows
 are 129 such rows and two equal groups of 48, so its factor takes one
 48-row SVD.
-Each row is multiplied alone, as a stack of 1 x t products, so a row's
-step has the same bits in a batch as alone and a batched solve repeats
-the single solves exactly.
 
 The cone step projects orthant blocks by clipping, 2x2 PSD blocks in
 closed form (their eigenvalues are mean ± radius of the svec entries;
@@ -48,12 +46,16 @@ Parikh & Boyd, *Proximal Algorithms*, 2014, §6.3) and larger PSD blocks
 through ``eigh``.
 
 The primal residual is max(|x - z|, max|A z - b|).  The equality gap can
-only decide convergence on rows whose |x - z| and dual residual already
-meet the tolerance, so it is computed on those rows only, and once more
-on the rows still unconverged when the iteration cap ends the loop: the
-convergence decisions and reported residuals are those of the full test.
-The test is applied to every evaluation of the map, extrapolated or not,
-and the reported solution is always the evaluation's cone projection.
+only decide convergence once |x - z| and the dual residual already meet
+the tolerance, so it is computed only then, or when the iteration cap ends
+the loop: the convergence decision and reported residuals are those of
+the full test.  The test is applied to every evaluation of the map,
+extrapolated or not, and the reported solution is always the evaluation's
+cone projection.
+
+The loop solves one program at a time on a 1-D state, so each iteration
+is a fixed handful of matrix-vector products and its decisions are taken
+on Python scalars.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -310,7 +313,7 @@ def project_cone(x: np.ndarray, blocks: Sequence[Cone]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# ADMM core (batched over objectives that share constraints and cones)
+# ADMM core
 # ---------------------------------------------------------------------------
 
 
@@ -388,27 +391,30 @@ class _AffineSet:
             col += len(kept)
 
     def project(self, x: np.ndarray) -> None:
-        """Project each row of ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b).
+        """Project the vector ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b).
 
-        The products run row by row (a stack of 1 x t matrices), so a row
-        gets the same bits whatever batch it is in.
+        The last axis holds the coordinates, so a matrix projects row by row.
         """
-        w = x[:, self.cols]
-        x[:, self.cols] = w - ((w[:, None, :] @ self.F - self.y) @ self.F.T)[:, 0]
+        w = x[..., self.cols]
+        x[..., self.cols] = w - (w @ self.F - self.y) @ self.F.T
 
-    def gap(self, z: np.ndarray) -> np.ndarray:
-        """Largest equality violation of each row of ``z``; 0 with no equalities."""
-        residual = z[:, self.cols] @ self.columns.T - self.b
-        return np.abs(residual).max(axis=1, initial=0.0)
+    def gap(self, z: np.ndarray) -> float:
+        """Largest equality violation of the vector ``z``; 0 with no equalities.
+
+        A matrix gets one value per row.
+        """
+        residual = z[..., self.cols] @ self.columns.T - self.b
+        return np.abs(residual).max(axis=-1, initial=0.0)
 
 
-def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings):
-    """Anderson-accelerated ADMM, one independent row per objective.
+def _admm(problem: ConicProblem, objective: np.ndarray, settings: SolveSettings, affine: _AffineSet) -> SolveReport:
+    """Anderson-accelerated ADMM for ``problem`` with the objective vector ``objective``.
 
-    Each iteration evaluates the ADMM map ``F(z, u) = (z', u')`` once per
-    row, at that row's state ``s = (z, u)``, and applies the convergence
-    test to the evaluation.  The test holds for any input state, and the
-    reported solution is the cone projection ``z'``.
+    ``affine`` is ``_AffineSet(problem)``, which programs differing only in
+    the objective share.  Each iteration evaluates the ADMM map
+    ``F(z, u) = (z', u')`` once, at the state ``s = (z, u)``, and applies
+    the convergence test to the evaluation.  The test holds for any input
+    state, and the reported solution is the cone projection ``z'``.
 
     The next state is type-II Anderson acceleration (Walker & Ni, 2011) of
     ``F``: with ``g = F(s) - s`` and the differences ``ΔF``, ``ΔG`` of
@@ -417,107 +423,85 @@ def _admm(problem: ConicProblem, objectives: np.ndarray, settings: SolveSettings
     ``ANDERSON_RIDGE`` times the trace of ``ΔGᵀΔG``.  An empty history
     gives ``γ = 0``, the plain ADMM step.  The safeguard (Zhang,
     O'Donoghue & Boyd, 2020): an extrapolated state whose ``|g|`` exceeds
-    that of the last accepted state is rejected; its row takes the plain
+    that of the last accepted state is rejected; the solve takes the plain
     step ``F`` of the last accepted state, which is already known, and
     restarts its history.  Each evaluation counts as one iteration,
     rejected or not.
-
-    All per-row work is stacked matrix products and one stacked solve, so
-    a row gets the same bits in a batch as alone.
     """
-    if settings.max_iters < 1 or not 0 < settings.tolerance < math.inf:
+    try:
+        max_iters = operator.index(settings.max_iters)
+    except TypeError:
+        raise ProblemMalformed(f"max_iters must be an integer, not {settings.max_iters!r}") from None
+    if max_iters < 1 or not 0 < settings.tolerance < math.inf:
         raise ProblemMalformed("settings need a finite positive tolerance and max_iters >= 1")
-    affine = _AffineSet(problem)
     groups = _group_blocks(problem.blocks)
-    batch, n = objectives.shape
+    n = problem.dim
     rho, alpha, tol, memory = RHO, OVER_RELAXATION, settings.tolerance, ANDERSON_MEMORY
     eye = np.eye(memory)
 
-    # a row gets its report, at its batch position, on the iteration it
-    # converges or the cap ends it, and then drops out of the working
-    # arrays; `live` maps the remaining rows back to their batch positions
-    reports = [None] * batch
-    live = np.arange(batch)
-    shift = objectives / rho
-    # per row: the state s = (z, u) F is evaluated at; F, g and |g|² at the
-    # last accepted state; whether s is extrapolated; the differences of F
-    # and g between accepted states, in a ring of slots shared by all rows,
-    # with the Gram matrix of the g differences; and the rejection count
-    s = np.zeros((batch, 2 * n))
-    f_acc, g_acc, gg_acc = np.zeros((batch, 2 * n)), np.zeros((batch, 2 * n)), np.zeros(batch)
-    extrapolated = np.zeros(batch, dtype=bool)
-    d_f, d_g = np.zeros((batch, memory, 2 * n)), np.zeros((batch, memory, 2 * n))
-    gram = np.zeros((batch, memory, memory))
-    rejections = np.zeros(batch, dtype=int)
+    shift = objective / rho
+    # the state s = (z, u) F is evaluated at; F, g and |g|² at the last
+    # accepted state; whether s is extrapolated; the differences of F and g
+    # between accepted states, in a ring of slots, with the Gram matrix of
+    # the g differences; and the rejection count
+    s = np.zeros(2 * n)
+    f_acc, g_acc, gg_acc = s, s, 0.0
+    extrapolated = False
+    d_f, d_g = np.zeros((memory, 2 * n)), np.zeros((memory, 2 * n))
+    gram = np.zeros((memory, memory))
+    rejections = 0
 
-    k = 0
-    while live.size:
-        k += 1
-        z, u = s[:, :n], s[:, n:]
+    for k in range(1, max_iters + 1):
+        z, u = s[:n], s[n:]
         x = z - u + shift
         affine.project(x)
         xh = alpha * x + (1.0 - alpha) * z
-        z_new = _project_batch(xh + u, groups)
-        f = np.concatenate((z_new, u + xh - z_new), axis=1)
-        dual = rho * np.abs(z_new - z).max(axis=1)
+        z_new = _project_batch((xh + u)[None, :], groups)[0]
+        dual = rho * float(np.abs(z_new - z).max())
         # the primal residual is max(|x - z|, equality gap); the gap can
-        # only decide convergence on rows that meet the tolerance without it
-        primal = np.abs(x - z_new).max(axis=1)
-        conv = (primal <= tol) & (dual <= tol)
-        if conv.any():
-            primal[conv] = np.maximum(primal[conv], affine.gap(z_new[conv]))
-            conv &= primal <= tol
-        if k == settings.max_iters:
-            primal[~conv] = np.maximum(primal[~conv], affine.gap(z_new[~conv]))
-        finished = conv | (k == settings.max_iters)
-        if finished.any():
-            for row, i in zip(np.flatnonzero(finished), live[finished]):
-                reports[i] = SolveReport(
-                    status="optimal" if conv[row] else "max_iters",
-                    objective_value=float(objectives[i] @ z_new[row]),
-                    primal_residual=float(primal[row]),
-                    dual_residual=float(dual[row]),
+        # only decide convergence once the tolerance is met without it
+        primal = float(np.abs(x - z_new).max())
+        if (primal <= tol and dual <= tol) or k == max_iters:
+            primal = max(primal, float(affine.gap(z_new)))
+            converged = primal <= tol and dual <= tol
+            if converged or k == max_iters:
+                return SolveReport(
+                    status="optimal" if converged else "max_iters",
+                    objective_value=float(objective @ z_new),
+                    primal_residual=primal,
+                    dual_residual=dual,
                     iterations=k,
-                    solution=z_new[row].copy(),
-                    rejected=int(rejections[row]),
+                    solution=z_new,
+                    rejected=rejections,
                 )
-            keep = ~finished
-            live = live[keep]
-            if not live.size:
-                break
-            s, f, shift = s[keep], f[keep], shift[keep]
-            f_acc, g_acc, gg_acc, extrapolated = f_acc[keep], g_acc[keep], gg_acc[keep], extrapolated[keep]
-            d_f, d_g, gram, rejections = d_f[keep], d_g[keep], gram[keep], rejections[keep]
 
+        f = np.concatenate((z_new, u + xh - z_new))
         g = f - s
-        gg = (g[:, None, :] @ g[:, :, None])[:, 0, 0]
-        rejected = extrapolated & (gg > gg_acc)
-        if rejected.any():
-            rejections += rejected
-            f[rejected], g[rejected], gg[rejected] = f_acc[rejected], g_acc[rejected], gg_acc[rejected]
-            d_f[rejected] = d_g[rejected] = gram[rejected] = 0.0
+        gg = float(g @ g)
+        rejected = extrapolated and gg > gg_acc
+        if rejected:
+            rejections += 1
+            f, g, gg = f_acc, g_acc, gg_acc
+            d_f[:] = d_g[:] = gram[:] = 0.0
         if k > 1:
-            # a rejected row pushes zero differences, which leave γ = 0
+            # a rejection pushes zero differences, which leave γ = 0
             slot = k % memory
-            np.subtract(f, f_acc, out=d_f[:, slot])
-            np.subtract(g, g_acc, out=d_g[:, slot])
-            column = (d_g @ d_g[:, slot, :, None])[:, :, 0]
-            gram[:, slot] = gram[:, :, slot] = column
-            extrapolated = ~rejected
+            np.subtract(f, f_acc, out=d_f[slot])
+            np.subtract(g, g_acc, out=d_g[slot])
+            gram[slot] = gram[:, slot] = d_g @ d_g[slot]
+            extrapolated = not rejected
         f_acc, g_acc, gg_acc = f, g, gg
         # an empty slot has a zero row and column in the Gram matrix and a
         # zero right-hand side, so its γ is 0; the ridge is floored so that
         # an empty history still solves
-        ridge = np.maximum(ANDERSON_RIDGE * gram.trace(axis1=1, axis2=2), _RIDGE_FLOOR)
-        gamma = np.linalg.solve(gram + ridge[:, None, None] * eye, d_g @ g[:, :, None])
-        s = f - (gamma.transpose(0, 2, 1) @ d_f)[:, 0]
-    return reports
+        ridge = max(ANDERSON_RIDGE * float(gram.trace()), _RIDGE_FLOOR)
+        gamma = np.linalg.solve(gram + ridge * eye, d_g @ g)
+        s = f - gamma @ d_f
 
 
 def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> SolveReport:
     """Solve one cone program; the returned point is exactly cone-feasible."""
-    settings = settings or SolveSettings()
-    return _admm(problem, problem.objective[None, :], settings)[0]
+    return _admm(problem, problem.objective, settings or SolveSettings(), _AffineSet(problem))
 
 
 def solve_within_bound(
@@ -550,8 +534,8 @@ def solve_same_constraints(
 ) -> list[SolveReport]:
     """Solve many programs differing only in the objective vector.
 
-    The affine and cone structure (and its factorization) is shared; each
-    objective row gets its own independent iterate and report.
+    The factorization of the equalities is shared; each objective row is
+    then solved alone, and its report is the one :func:`solve` gives.
     """
     settings = settings or SolveSettings()
     objectives = np.asarray(objectives, dtype=float)
@@ -559,7 +543,8 @@ def solve_same_constraints(
         raise ProblemMalformed(f"objectives must have shape (batch, {problem.dim})")
     if not np.all(np.isfinite(objectives)):
         raise ProblemMalformed("non-finite objective")
-    return _admm(problem, objectives, settings)
+    affine = _AffineSet(problem)
+    return [_admm(problem, objective, settings, affine) for objective in objectives]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,18 @@ class TestRun:
         with pytest.raises(ValueError):
             RunConfig(max_iters=0)
 
+    @pytest.mark.parametrize("max_iters", [50.5, 50.0, "50"])
+    def test_non_integer_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValueError, match="integer"):
+            RunConfig(max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        import numpy as np
+
+        config = RunConfig(max_iters=np.int64(50))
+        assert type(config.max_iters) is int and config.max_iters == 50
+        assert json.loads(json.dumps(config.jsonable()))["max_iters"] == 50
+
     def test_unknown_output_rejected(self):
         # emit would otherwise fall through to the text report
         with pytest.raises(ValueError, match="xml"):

@@ -47,6 +47,20 @@ class TestPerm3:
         with pytest.raises(ValueError):
             Perm3(("A", "A", "B"))
 
+    def test_any_spelling_is_the_same_order(self):
+        spellings = [Perm3(("B", "C", "A")), Perm3(["B", "C", "A"]), Perm3("BCA")]
+        assert all(pi == spellings[0] for pi in spellings)
+        assert {hash(pi) for pi in spellings} == {hash(spellings[0])}
+        assert all(pi.order == ("B", "C", "A") for pi in spellings)
+        for other in all_orders():
+            assert {pi < other for pi in spellings} == {spellings[0] < other}
+            assert {pi > other for pi in spellings} == {spellings[0] > other}
+        assert sorted([Perm3("CBA"), Perm3(["A", "C", "B"]), Perm3(("B", "A", "C"))]) == [
+            Perm3("ACB"),
+            Perm3("BAC"),
+            Perm3("CBA"),
+        ]
+
     def test_group_laws(self):
         orders = all_orders()
         for a, b in itertools.product(orders, repeat=2):

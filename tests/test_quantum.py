@@ -239,6 +239,37 @@ class TestDiscrimination:
         u = haar_qubit_unitary(rng)
         assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
 
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("n_samples", [100, 1000])
+    def test_batched_draw_matches_the_per_instance_loop_bits(self, monkeypatch, seed, n_samples):
+        import ordergame.quantum as quantum
+
+        def per_instance_unitary(rng):
+            z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            q, r = np.linalg.qr(z)
+            return q @ np.diag(np.diag(r) / np.abs(np.diag(r)))
+
+        seen = []
+        monkeypatch.setattr(quantum, "certify_discrimination", seen.append)
+        sampled_discrimination_values(n_samples=n_samples, seed=seed)
+        # the reference draws one instance at a time, each party's unitary
+        # alone, and moves |0> through them as matrix-vector products
+        rng = np.random.default_rng(seed)
+        want = []
+        for _ in range(n_samples):
+            us = {p: per_instance_unitary(rng) for p in ("A", "B", "C")}
+            for pi in all_orders():
+                vec = KET["0"]
+                for party in pi.order:
+                    vec = us[party] @ vec
+                want.append(vec)
+        assert seen[0].shape == (n_samples, 6, 2)
+        assert seen[0].tobytes() == np.array(want).tobytes()
+        # one unitary drawn alone, as the benchmark's scan draws them
+        assert haar_qubit_unitary(np.random.default_rng(seed)).tobytes() == (
+            per_instance_unitary(np.random.default_rng(seed)).tobytes()
+        )
+
 
 class TestSwapRouting:
     def test_routing_is_composition_of_swaps(self):

@@ -125,3 +125,19 @@ def test_every_package_name_is_read():
         if name not in read and not (name.startswith("__") and name.endswith("__"))
     ]
     assert found == []
+
+
+def test_package_does_not_call_solve_same_constraints():
+    # the ADMM loop is written for one program at a time, on a 1-D state, on
+    # the assumption that every package caller solves one instance;
+    # solve_same_constraints only shares the factorization and then runs that
+    # loop once per objective row, so a batch through it is no faster
+    root = Path(ordergame.__file__).parent
+    found = [
+        f"{path.relative_to(root)}:{node.lineno}"
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_same_constraints"
+    ]
+    assert found == []
