@@ -55,6 +55,10 @@ class RunConfig:
             raise ValueError(f"max_iters must be an integer, not {max_iters!r}") from None
         if max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, not {max_iters}")
+        try:
+            seed = operator.index(seed)
+        except TypeError:
+            raise ValueError(f"seed must be an integer, not {seed!r}") from None
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, not {seed}")
         if scenario != "all" and scenario not in SCENARIOS:

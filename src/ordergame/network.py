@@ -15,20 +15,28 @@ full operators and their contraction with a strategy block are the test
 suite's reference (``tests/network_reference.py``).
 
 Every equality reads only the summed diagonal d = sum_k D_k of the six
-blocks, so the LP is built over d: 256 variables, not 1536.  Any d >= 0 is
+blocks, so the LP is stated over d: 256 entries, not 1536.  Any d >= 0 is
 reached by putting each d(v) on the block whose wiring diagonal is largest
-at v, and no split of d(v) scores more, so the LP's objective weights d(v)
-by max_k wiring_k(v) / 6 and :func:`solution_blocks` lifts d back onto that
-block.
+at v, and no split of d(v) scores more, so the objective weights d(v) by
+max_k wiring_k(v) / 6.
 
 Each marginal's non-signaling condition on key u is the negative of its
 condition on u with the uniform bit flipped, so :func:`constraint_rows`
-states each condition once: 225 rows, not 449.  The affine set is the same
-(rank 203).  The 128 final-wire rows and the trace row are orthogonal to
-every other row, and the 96 party rows form two mutually orthogonal
-groups of 48 (16 rows of each party, rank 37 each) with the same
-coefficients over the columns they touch, so the solver factors the rows as
-129 lone rows and one 48-row SVD that serves both groups.
+states each condition once: 225 rows over d, not 449, of the same rank 203.
+The exact witness check reads those rows.
+
+The program is invariant under 12 maps of the wire bits: the six
+relabelings of the parties, which move each party's in/out wire pair onto
+another's, each with or without the flip of all eight bits.  Each map
+permutes the entries of d so that the rows go to themselves up to sign and
+the right-hand side and the objective stay fixed, so the average of an
+optimal d over the 12 maps is optimal and constant on every orbit of the
+maps (Gatermann & Parrilo, JPAA 192, 2004).  :func:`nonsignaling_program`
+is therefore the LP over the 40 orbit values: the value of an orbit is the
+value of d at each of its members, so ``solution[_orbit_labels()]`` is d.
+Its rows are the doubled integer coordinates of the 225 rows summed over
+each orbit and halved, so they stay dyadic; zero rows and rows that repeat
+an earlier one up to sign are dropped, which leaves 31 rows of rank 31.
 """
 
 from __future__ import annotations
@@ -40,11 +48,10 @@ from typing import Mapping
 import numpy as np
 
 from .classical import BitStrategy, losr_canonical_witness, run_losr
-from .game import Perm3, ScenarioResult, all_orders, optimal_decoder
+from .game import PARTIES, Perm3, ScenarioResult, all_orders, optimal_decoder
 from .solver import (
     ConicProblem,
     NonnegOrthant,
-    SolveReport,
     SolveSettings,
     solve_within_bound,
 )
@@ -66,7 +73,6 @@ OUT_WIRE = {"A": A_OUT, "B": B_OUT, "C": C_OUT}
 
 _POS = {space: i for i, space in enumerate(NETWORK_LAYOUT)}
 _SIDE = 256
-_N_BLOCKS = 6
 _TOTAL_TRACE = 16
 
 
@@ -173,14 +179,58 @@ def objective_diagonals() -> np.ndarray:
     return _wiring_diagonals(all_orders())
 
 
+@functools.lru_cache(maxsize=None)
+def _orbit_labels() -> np.ndarray:
+    """The orbit of every entry of the summed diagonal under the program's 12 symmetries, read-only.
+
+    A party relabeling moves each party's in and out wire bits onto the
+    wires of its image, and the flip complements all eight bits.  The 40
+    orbits are numbered from 0 in increasing order of their smallest member.
+    """
+    # row k, column i: the place value of the wire that relabeling k moves wire i to
+    values = []
+    for rho in all_orders():
+        target = {wire[party]: wire[rho.apply(party)] for wire in (IN_WIRE, OUT_WIRE) for party in PARTIES}
+        values.append([1 << (7 - _POS[target.get(s, s)]) for s in NETWORK_LAYOUT])
+    images = np.array(values) @ _BITS
+    # the smallest of each index's 12 images: each relabeling's, and its flip
+    smallest = np.minimum(images, images ^ (_SIDE - 1)).min(axis=0)
+    labels = np.cumsum(smallest == np.arange(_SIDE))[smallest] - 1
+    labels.flags.writeable = False
+    return labels
+
+
 def nonsignaling_program() -> ConicProblem:
-    """The non-signaling optimum as an LP over the summed diagonal of the six guess blocks."""
-    rows, rhs = constraint_rows()
+    """The non-signaling optimum as an LP over the 40 orbit values of the summed diagonal.
+
+    Each row of :func:`_doubled_constraints` is summed over every orbit of
+    :func:`_orbit_labels` on its integer coordinates.  A row that is zero
+    with its right-hand side, or that repeats an earlier row with it up to
+    sign, is dropped: each line of row and right-hand side is compared as
+    integers, negated if its first nonzero is negative, so no signed zero
+    can tell two lines apart.  The rows and right-hand side left are then
+    halved, and the objective sums max_k wiring_k(v) / 6 over each orbit.
+    """
+    labels = _orbit_labels()
+    n_orbits = int(labels.max()) + 1
+    row, coef, rhs = _doubled_constraints()
+    summed = np.zeros((len(rhs), n_orbits + 1), dtype=int)
+    np.add.at(summed, (row, labels), coef)
+    summed[:, -1] = rhs
+    # the sign of each line's first nonzero, 0 for a zero line
+    sign = np.sign(summed[np.arange(len(rhs)), np.argmax(summed != 0, axis=1)])
+    canonical = summed * sign[:, None]
+    # each line's bytes as one hashable key
+    keys = canonical.view(np.dtype((np.void, canonical.itemsize * canonical.shape[1]))).ravel().tolist()
+    first = {}
+    kept = [
+        r for r, (nonzero, key) in enumerate(zip(sign.tolist(), keys)) if nonzero and first.setdefault(key, r) == r
+    ]
     return ConicProblem(
-        blocks=[NonnegOrthant(_SIDE)],
-        objective=objective_diagonals().max(axis=0) / 6.0,
-        a=rows,
-        b=rhs,
+        blocks=[NonnegOrthant(n_orbits)],
+        objective=np.bincount(labels, weights=objective_diagonals().max(axis=0)) / 6.0,
+        a=summed[kept, :-1] / 2,
+        b=summed[kept, -1] / 2,
     )
 
 
@@ -194,17 +244,6 @@ def solve_nonsignaling(settings: SolveSettings | None = None) -> ScenarioResult:
         "classical strategies",
         certificate={"solver": report.jsonable(), "min_entry": float(report.solution.min())},
     )
-
-
-def solution_blocks(report: SolveReport) -> dict[Perm3, np.ndarray]:
-    """Lift a summed-diagonal solution onto per-order diagonal blocks.
-
-    Each entry goes on the block whose wiring diagonal is largest there (the
-    first on ties), so the blocks sum to the solution and score its objective.
-    """
-    best = objective_diagonals().argmax(axis=0)
-    blocks = np.where(best == np.arange(_N_BLOCKS)[:, None], report.solution, 0.0)
-    return dict(zip(all_orders(), blocks))
 
 
 # ---------------------------------------------------------------------------

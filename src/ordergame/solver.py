@@ -6,7 +6,7 @@ Problems have the shape
     subject to  A x = b,    x in K,
 
 where K is a product of nonnegative-orthant blocks and Hermitian-PSD blocks,
-and A is held as one dense matrix: the largest program here is 225 x 256.
+and A is held as one dense matrix: the largest program here is 61 x 257.
 PSD blocks are carried inside the real variable vector through an isometric
 "svec" encoding (diagonal first, then sqrt(2)-scaled real/imaginary parts of
 the upper triangle), so trace inner products and Euclidean norms transfer
@@ -29,16 +29,15 @@ The affine step is the cached-factorisation projection
 w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2) over the t touched
 columns: a thin SVD of A cut to the rank r gives a t x r factor F and the
 step (w F - y) Fᵀ, two matrix-vector products of 2tr flops together
-(256x203 for the non-signaling LP).
+(40x31 for the non-signaling LP).
 The SVD is taken per group of rows, where a group is a connected
 component of the nonzero pattern of A Aᵀ.  Rows of different groups are
 orthogonal, so the groups' right singular vectors together are an
 orthonormal basis of A's row space, and the rank cut uses the largest
 singular value over all groups.  A row orthogonal to every other is its
-own singular vector and needs no SVD, and a group whose submatrix has the
-same bits as an earlier group's reuses that group's SVD: the LP's 225 rows
-are 129 such rows and two equal groups of 48, so its factor takes one
-48-row SVD.
+own singular vector and needs no SVD: the LP's 31 rows are 20 such rows
+and one group of 11, so its factor takes one 11x40 SVD.  A group whose
+submatrix has the same bits as an earlier group's reuses that group's SVD.
 
 The cone step projects orthant blocks by clipping, 2x2 PSD blocks in
 closed form (their eigenvalues are mean ± radius of the svec entries;
@@ -131,7 +130,7 @@ class ConicProblem:
     """Cone blocks, a linear objective to maximize, and affine equalities.
 
     ``a`` is the dense ``(len(b), dim)`` equality matrix: every program
-    here is small (the largest, the non-signaling LP, is 225 x 256).
+    here is small (the largest, the shared-state program, is 61 x 257).
     """
 
     def __init__(self, blocks: list[Cone], objective: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -632,7 +631,7 @@ def dump_tableau(problem: ConicProblem) -> str:
 _TABLEAU_FIELDS = {"rows": (int,), "cone": (str, int), "o": (int, float), "a": (int, int, float), "rhs": (int, float)}
 
 #: The most entries a parsed tableau may hold, counted as the (rows + 1) x
-#: (dim + 1) matrix [[A, b], [c, 0]]; the non-signaling LP holds 58 082.
+#: (dim + 1) matrix [[A, b], [c, 0]]; the shared-state program holds 15 996.
 _MAX_TABLEAU_ENTRIES = 2**24
 
 

@@ -5,7 +5,8 @@ The package builds only the wiring operators' diagonals
 order's full 256x256 wiring operator is built from unnormalized maximally
 entangled projectors across the wire pairs the order connects, and a
 strategy block is contracted with it by the link-product rule: the trace
-of their product.
+of their product.  The 256-column LP the package reduces to its 40 symmetry
+orbits, and the lift of a solution back onto six guess blocks, are here too.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ordergame.game import Perm3
-from ordergame.network import _wire_pairs
+from ordergame.game import Perm3, all_orders
+from ordergame.network import _orbit_labels, _wire_pairs, constraint_rows, objective_diagonals
+from ordergame.solver import ConicProblem, NonnegOrthant, SolveReport
 from ordergame.tensor import (
     NETWORK_LAYOUT,
     LabeledOperator,
@@ -72,3 +74,28 @@ def link_probability(block: NetworkBlock, process: OrderProcess) -> float:
     lhs = np.asarray(op.to_float().data)
     rhs = np.asarray(process.op.to_float().data)
     return float(np.real(np.trace(lhs @ rhs)))
+
+
+def full_nonsignaling_program() -> ConicProblem:
+    """The non-signaling LP over all 256 entries of the summed diagonal, before the orbit reduction."""
+    rows, rhs = constraint_rows()
+    return ConicProblem(
+        blocks=[NonnegOrthant(rows.shape[1])],
+        objective=objective_diagonals().max(axis=0) / 6.0,
+        a=rows,
+        b=rhs,
+    )
+
+
+def solution_blocks(report: SolveReport) -> dict[Perm3, np.ndarray]:
+    """Lift a solution of the package's orbit LP onto per-order diagonal blocks.
+
+    Each orbit value goes on every entry of its orbit, which gives the
+    summed diagonal; each entry then goes on the block whose wiring
+    diagonal is largest there (the first on ties), so the blocks sum to the
+    summed diagonal and score its objective.
+    """
+    summed = report.solution[_orbit_labels()]
+    best = objective_diagonals().argmax(axis=0)
+    blocks = np.where(best == np.arange(len(all_orders()))[:, None], summed, 0.0)
+    return dict(zip(all_orders(), blocks))

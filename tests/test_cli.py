@@ -58,6 +58,19 @@ class TestRun:
         assert type(config.max_iters) is int and config.max_iters == 50
         assert json.loads(json.dumps(config.jsonable()))["max_iters"] == 50
 
+    @pytest.mark.parametrize("seed", [1.5, "3"])
+    def test_non_integer_seed_rejected(self, seed):
+        # 1.5 would reach numpy's SeedSequence, and "3" the sign test, as a TypeError
+        with pytest.raises(ValueError, match="integer"):
+            RunConfig(scenario="quantum-memoryless", seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        import numpy as np
+
+        config = RunConfig(scenario="quantum-memoryless", seed=np.int64(7))
+        assert type(config.seed) is int and config.seed == 7
+        assert json.loads(json.dumps(config.jsonable()))["seed"] == 7
+
     def test_unknown_output_rejected(self):
         # emit would otherwise fall through to the text report
         with pytest.raises(ValueError, match="xml"):

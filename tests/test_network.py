@@ -10,13 +10,13 @@ from ordergame.game import Perm3, all_orders, optimal_decoder
 from ordergame import network
 from ordergame.network import (
     _doubled_constraints,
+    _orbit_labels,
     IN_WIRE,
     OUT_WIRE,
     InexactConstraint,
     constraint_rows,
     nonsignaling_program,
     objective_diagonals,
-    solution_blocks,
     solve_nonsignaling,
     strategy_network_blocks,
     wiring_diagonal,
@@ -40,7 +40,14 @@ from ordergame.tensor import (
 )
 
 import network_reference
-from network_reference import NetworkBlock, link_probability, max_entangled_projector, order_process
+from network_reference import (
+    NetworkBlock,
+    full_nonsignaling_program,
+    link_probability,
+    max_entangled_projector,
+    order_process,
+    solution_blocks,
+)
 
 
 @pytest.fixture(scope="module")
@@ -140,9 +147,13 @@ class TestLinkProbability:
 
 class TestProgramStructure:
     def test_variable_count(self):
+        # one variable per entry of the summed diagonal, then one per orbit of those
+        assert full_nonsignaling_program().blocks == [NonnegOrthant(256)]
         program = nonsignaling_program()
-        assert program.dim == 256
-        assert program.blocks == [NonnegOrthant(256)]
+        assert program.dim == 40
+        assert program.blocks == [NonnegOrthant(40)]
+        assert program.a.shape == (31, 40)
+        assert np.linalg.matrix_rank(program.a) == 31
 
     def test_trace_constraint_rhs(self):
         _, rhs = constraint_rows()
@@ -219,8 +230,13 @@ class TestProgramStructure:
         assert (doubled_rhs / 2).tobytes() == rhs.tobytes()
 
     def test_tableau_pinned(self):
-        # fa9de381... with all 449 rows, before each negated row was dropped
+        # 13d2f88b... is the 225x256 LP the orbit reduction starts from;
+        # fa9de381... had all 449 rows, before each negated row was dropped
         text = dump_tableau(nonsignaling_program())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "ac129986f5f09457a53b7bfdd5d50a843e60e5b76a438a5c0cafc97f7fa7f6d8"
+        )
+        text = dump_tableau(full_nonsignaling_program())
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "13d2f88bda2b8580f2c1cdc3800dab8ba06652697a425cf09088f879057d40e3"
         )
@@ -237,6 +253,88 @@ class TestProgramStructure:
             Fraction(int(v)) * uniform for v in objective_diagonals().reshape(-1)
         )
         assert objective / 6 == Fraction(1, 6)
+
+
+def symmetry_maps():
+    """The 12 column maps, one index at a time: each party relabeling, with and without the flip of all eight bits."""
+    pos = {space: i for i, space in enumerate(NETWORK_LAYOUT)}
+    maps = []
+    for rho in all_orders():
+        for flip in (0, 255):
+            image = []
+            for v in range(256):
+                bits = {space: (v >> (7 - p)) & 1 for space, p in pos.items()}
+                moved = dict(bits)
+                for party in "ABC":
+                    moved[IN_WIRE[rho.apply(party)]] = bits[IN_WIRE[party]]
+                    moved[OUT_WIRE[rho.apply(party)]] = bits[OUT_WIRE[party]]
+                image.append(sum(bit << (7 - pos[space]) for space, bit in moved.items()) ^ flip)
+            maps.append(np.array(image))
+    return maps
+
+
+def signed_rows(a, b):
+    """The rows of [a b] with the sign of each first nonzero cleared and signed zeros made 0.0, as sorted bytes."""
+    lines = np.column_stack([a, b])
+    first = lines[np.arange(len(lines)), np.argmax(lines != 0, axis=1)]
+    return sorted(line.tobytes() for line in lines * np.where(first < 0, -1.0, 1.0)[:, None] + 0.0)
+
+
+class TestOrbitReduction:
+    def test_each_symmetry_maps_the_full_program_onto_itself(self):
+        full = full_nonsignaling_program()
+        want = signed_rows(full.a, full.b)
+        maps = symmetry_maps()
+        assert len({g.tobytes() for g in maps}) == 12
+        for g in maps:
+            assert sorted(g.tolist()) == list(range(256))
+            # column v of the mapped rows is column g(v)'s
+            moved = np.empty_like(full.a)
+            moved[:, g] = full.a
+            assert signed_rows(moved, full.b) == want
+            assert np.array_equal(full.objective[g], full.objective)
+
+    def test_labels_are_the_orbits_numbered_by_smallest_member(self):
+        labels = _orbit_labels()
+        maps = symmetry_maps()
+        orbits = {frozenset(int(g[v]) for g in maps) for v in range(256)}
+        assert len(orbits) == 40
+        for orbit in orbits:
+            assert {int(labels[v]) for v in orbit} == {int(labels[min(orbit)])}
+        smallest = sorted(min(orbit) for orbit in orbits)
+        assert [int(labels[v]) for v in smallest] == list(range(40))
+
+    def test_rows_are_the_doubled_coordinates_summed_per_orbit_and_halved(self):
+        # one Python int at a time, then every zero line and every line that
+        # repeats an earlier one up to sign dropped
+        row, coef, rhs = _doubled_constraints()
+        labels = _orbit_labels()
+        lines = [[0] * 40 + [int(value)] for value in rhs]
+        for m, v in itertools.product(range(row.shape[0]), range(256)):
+            lines[row[m, v]][labels[v]] += int(coef[m, v])
+        kept, seen = [], set()
+        for line in lines:
+            nonzero = [x for x in line if x]
+            signed = tuple(x if nonzero and nonzero[0] > 0 else -x for x in line)
+            if nonzero and signed not in seen:
+                seen.add(signed)
+                kept.append(line)
+        program = nonsignaling_program()
+        assert program.a.tobytes() == (np.array([line[:40] for line in kept]) / 2).tobytes()
+        assert program.b.tobytes() == (np.array([line[40] for line in kept]) / 2).tobytes()
+        weights = objective_diagonals().max(axis=0)
+        counts = [sum(int(weights[v]) for v in range(256) if labels[v] == k) for k in range(40)]
+        assert program.objective.tolist() == [float(Fraction(count, 6)) for count in counts]
+
+    @pytest.mark.parametrize("tolerance", [1e-8, 1e-10])
+    def test_lifted_solution_meets_the_full_rows_and_scores_the_objective(self, tolerance):
+        report = solve(nonsignaling_program(), SolveSettings(tolerance=tolerance))
+        assert report.status == "optimal"
+        full = full_nonsignaling_program()
+        lifted = report.solution[_orbit_labels()]
+        assert lifted.min() >= 0.0
+        assert np.max(np.abs(full.a @ lifted - full.b)) <= 10 * tolerance
+        assert abs(full.objective @ lifted - report.objective_value) <= 1e-12
 
 
 class TestWitnessEmbedding:
@@ -372,7 +470,7 @@ class TestSolveNonsignaling:
         blocks = solution_blocks(lp_report)
         stacked = np.array([blocks[pi] for pi in all_orders()])
         assert np.all(stacked >= 0.0)
-        assert np.array_equal(stacked.sum(axis=0), lp_report.solution)
+        assert np.array_equal(stacked.sum(axis=0), lp_report.solution[_orbit_labels()])
         score = sum(blocks[pi] @ wiring_diagonal(pi) for pi in all_orders()) / 6
         assert abs(score - lp_report.objective_value) <= 1e-12
 

@@ -526,6 +526,7 @@ def planted_duplicates_program(seed=5):
 
 
 def programs_with_duplicate_columns():
+    from network_reference import full_nonsignaling_program
     from ordergame.network import nonsignaling_program
     from ordergame.quantum import discrimination_program, routing_pair_products, unbiased_order_states
     from ordergame.solver import shared_state_program
@@ -535,6 +536,7 @@ def programs_with_duplicate_columns():
     }
     return {
         "nonsignaling": nonsignaling_program(),
+        "nonsignaling-full": full_nonsignaling_program(),
         "discrimination": discrimination_program(unbiased_order_states()),
         "shared-state": shared_state_program(pair_ops),
         "planted": planted_duplicates_program(),
@@ -542,7 +544,9 @@ def programs_with_duplicate_columns():
 
 
 class TestAffineSet:
-    @pytest.mark.parametrize("name", ["nonsignaling", "discrimination", "shared-state", "planted"])
+    @pytest.mark.parametrize(
+        "name", ["nonsignaling", "nonsignaling-full", "discrimination", "shared-state", "planted"]
+    )
     def test_grouped_step_matches_dense_formula(self, name):
         problem = programs_with_duplicate_columns()[name]
         affine = _AffineSet(problem)
@@ -560,13 +564,16 @@ class TestAffineSet:
             assert np.isclose(affine.gap(row), want, rtol=1e-13, atol=1e-13)
 
     def test_nonsignaling_factor_has_the_rank_of_the_equalities(self):
+        from network_reference import full_nonsignaling_program
         from ordergame.network import nonsignaling_program
 
         # 225 rows of rank 203 over the 256 summed-diagonal columns
-        assert _AffineSet(nonsignaling_program()).F.shape == (256, 203)
+        assert _AffineSet(full_nonsignaling_program()).F.shape == (256, 203)
+        # 31 rows of rank 31 over their 40 orbits
+        assert _AffineSet(nonsignaling_program()).F.shape == (40, 31)
 
     def test_nonsignaling_rows_factor_as_129_lone_rows_and_two_groups_of_48(self, monkeypatch):
-        from ordergame.network import nonsignaling_program
+        from network_reference import full_nonsignaling_program
 
         shapes = []
         svd = np.linalg.svd
@@ -576,7 +583,7 @@ class TestAffineSet:
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        problem = nonsignaling_program()
+        problem = full_nonsignaling_program()
         affine = _AffineSet(problem)
         # the 96 party rows: two groups of 48, each over the 128 columns it
         # touches, with the same bits, so one SVD serves both
@@ -601,16 +608,29 @@ class TestPinnedSolves:
     """Iteration counts and values the affine-step arithmetic must not move."""
 
     def test_nonsignaling_lp(self):
-        from ordergame.network import nonsignaling_program
+        from network_reference import full_nonsignaling_program
 
-        report = solve(nonsignaling_program())
+        report = solve(full_nonsignaling_program())
         assert report.status == "optimal"
         assert report.iterations == 37
         # the merged 256-column LP ends 2.1e-10 above 5/6 at tolerance 1e-8
         assert abs(report.objective_value - 0.8333333335392052) <= 1e-12
-        accurate = solve(nonsignaling_program(), SolveSettings(tolerance=1e-10))
+        accurate = solve(full_nonsignaling_program(), SolveSettings(tolerance=1e-10))
         assert accurate.status == "optimal"
         assert accurate.iterations == 45
+        assert abs(accurate.objective_value - 5.0 / 6.0) <= 1e-11
+
+    def test_nonsignaling_orbit_lp(self):
+        from ordergame.network import nonsignaling_program
+
+        report = solve(nonsignaling_program())
+        assert report.status == "optimal"
+        assert report.iterations == 29
+        # the 40-orbit LP ends 3.5e-10 below 5/6 at tolerance 1e-8
+        assert abs(report.objective_value - 0.8333333329855042) <= 1e-12
+        accurate = solve(nonsignaling_program(), SolveSettings(tolerance=1e-10))
+        assert accurate.status == "optimal"
+        assert accurate.iterations == 36
         assert abs(accurate.objective_value - 5.0 / 6.0) <= 1e-11
 
     def test_discrimination_program(self):
@@ -629,7 +649,7 @@ class TestPinnedSolves:
         _, report = solve_shared_state_feasibility(pair_ops)
         assert report.iterations == 14
 
-    @pytest.mark.parametrize("name", ["nonsignaling", "planted"])
+    @pytest.mark.parametrize("name", ["nonsignaling", "nonsignaling-full", "planted"])
     def test_capped_solve_reports_the_equality_gap(self, name):
         problem = programs_with_duplicate_columns()[name]
         report = solve(problem, SolveSettings(max_iters=5))
@@ -723,7 +743,8 @@ class TestAcceleratedLoop:
 
     @pytest.mark.parametrize("tolerance", [1e-8, 1e-10])
     @pytest.mark.parametrize(
-        "name, value", [("nonsignaling", 5 / 6), ("discrimination", 1 / 3), ("shared-state", 1.0)]
+        "name, value",
+        [("nonsignaling", 5 / 6), ("nonsignaling-full", 5 / 6), ("discrimination", 1 / 3), ("shared-state", 1.0)],
     )
     def test_reports_recheck_independently(self, name, value, tolerance):
         problem = programs_with_duplicate_columns()[name]
