@@ -7,6 +7,7 @@ import csv
 import io
 import json
 import math
+import numbers
 import operator
 import sys
 import time
@@ -47,6 +48,8 @@ class RunConfig:
         dump_matrices: bool = False,
         check: bool = False,
     ):
+        if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+            raise ValueError(f"tolerance must be a real number, not {tolerance!r}")
         if not 0 < tolerance < math.inf:
             raise ValueError(f"tolerance must be finite and positive, not {tolerance}")
         try:

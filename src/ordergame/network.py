@@ -21,9 +21,11 @@ at v, and no split of d(v) scores more, so the objective weights d(v) by
 max_k wiring_k(v) / 6.
 
 Each marginal's non-signaling condition on key u is the negative of its
-condition on u with the uniform bit flipped, so :func:`constraint_rows`
-states each condition once: 225 rows over d, not 449, of the same rank 203.
-The exact witness check reads those rows.
+condition on u with the uniform bit flipped, so :func:`_doubled_constraints`
+states each condition once: 225 rows over d, not 449, of the same rank 203,
+held as their integer coordinates doubled.  The exact witness check sums
+those coordinates and builds no float row; the dense float rows are the
+test suite's reference (``tests/network_reference.py``).
 
 The program is invariant under 12 maps of the wire bits: the six
 relabelings of the parties, which move each party's in/out wire pair onto
@@ -156,24 +158,6 @@ def _doubled_constraints() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return arrays
 
 
-def constraint_rows() -> tuple[np.ndarray, np.ndarray]:
-    """Equality rows acting on the summed diagonal of the six guess blocks.
-
-    Returns (rows, rhs) with rows of shape (225, 256): 128 final-wire
-    marginal rows, 32 per party, and one total-trace row.  A marginal's
-    condition on key u reads +1 where the key is u, less 1/2 where it equals
-    u up to the bit that must be uniform; the conditions on u and u ^ bit are
-    exact negatives, so each is stated once, on the u with the bit clear, as
-    1/2 where the key is u and -1/2 where it is u | bit.  The rows and rhs
-    are :func:`_doubled_constraints` halved, so every coefficient is dyadic
-    and the float rows convert losslessly to exact rationals.
-    """
-    row, coef, rhs = _doubled_constraints()
-    rows = np.zeros((len(rhs), _SIDE))
-    np.put(rows, row * _SIDE + np.arange(_SIDE), coef / 2)
-    return rows, rhs / 2
-
-
 def objective_diagonals() -> np.ndarray:
     """Per-order wiring diagonals stacked as a (6, 256) array."""
     return _wiring_diagonals(all_orders())
@@ -282,27 +266,15 @@ def strategy_network_blocks(
     return {pi: np.where(reached & (guess == k), 1, 0).astype(object) for k, pi in enumerate(orders)}
 
 
-class InexactConstraint(ValueError):
-    """The float constraint program is not its exact integer coordinates halved, so its exact value is unknown."""
-
-
 def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
     """Exact feasibility and objective of diagonal guess blocks.
 
     The left-hand sides are summed exactly over the integer coordinates of
-    :func:`_doubled_constraints`; the float program of
-    :func:`constraint_rows` must be those coordinates halved, with no other
-    nonzero, or :class:`InexactConstraint` is raised.  The objective sums
-    each block over its exact 0/1 wiring diagonal and divides once by 6.
+    :func:`_doubled_constraints`, and their violation is halved once.  The
+    objective sums each block over its exact 0/1 wiring diagonal and
+    divides once by 6.
     """
-    rows, rhs = constraint_rows()
     row, doubled, doubled_rhs = _doubled_constraints()
-    if not (
-        np.array_equal(rows.take(row * _SIDE + np.arange(_SIDE)), doubled / 2)
-        and np.count_nonzero(rows != 0) == doubled.size
-        and np.array_equal(rhs, doubled_rhs / 2)
-    ):
-        raise InexactConstraint("the constraint rows are not the doubled integer coefficients halved")
     summed = sum(np.asarray(diag, dtype=object) for diag in blocks.values())
     lhs = np.zeros(len(doubled_rhs), dtype=object)
     np.add.at(lhs, row.ravel(), (doubled.astype(object) * summed).ravel())

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -297,6 +298,10 @@ def certify_discrimination(kets: np.ndarray) -> SampledBoundScan:
 
 def sampled_discrimination_values(n_samples: int = 1000, seed: int = 42) -> SampledBoundScan:
     """Closed-form certified optima for seeded Haar-random unitary triples, with no solver call."""
+    try:
+        n_samples, seed = operator.index(n_samples), operator.index(seed)
+    except TypeError:
+        raise ValueError(f"n_samples and seed must be integers, not {n_samples!r} and {seed!r}") from None
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, not {n_samples}")
     unitaries = haar_qubit_unitary(np.random.default_rng(seed), (n_samples, 3))

@@ -36,8 +36,7 @@ orthogonal, so the groups' right singular vectors together are an
 orthonormal basis of A's row space, and the rank cut uses the largest
 singular value over all groups.  A row orthogonal to every other is its
 own singular vector and needs no SVD: the LP's 31 rows are 20 such rows
-and one group of 11, so its factor takes one 11x40 SVD.  A group whose
-submatrix has the same bits as an earlier group's reuses that group's SVD.
+and one group of 11, so its factor takes one 11x40 SVD.
 
 The cone step projects orthant blocks by clipping, 2x2 PSD blocks in
 closed form (their eigenvalues are mean ± radius of the svec entries;
@@ -52,9 +51,10 @@ the full test.  The test is applied to every evaluation of the map,
 extrapolated or not, and the reported solution is always the evaluation's
 cone projection.
 
-The loop solves one program at a time on a 1-D state, so each iteration
-is a fixed handful of matrix-vector products and its decisions are taken
-on Python scalars.
+:func:`solve` is the one ADMM loop.  It solves one program on a 1-D
+state, and its affine and cone steps each take one vector, so each
+iteration is a fixed handful of matrix-vector products and its decisions
+are taken on Python scalars.
 """
 
 from __future__ import annotations
@@ -62,6 +62,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -76,8 +77,8 @@ _SQRT2 = math.sqrt(2.0)
 RHO = 1.0
 OVER_RELAXATION = 1.5
 
-#: Anderson acceleration, fixed for every solve: how many past steps each
-#: row keeps, and the ridge on their Gram matrix as a multiple of its trace.
+#: Anderson acceleration, fixed for every solve: how many past steps a
+#: solve keeps, and the ridge on their Gram matrix as a multiple of its trace.
 ANDERSON_MEMORY = 10
 ANDERSON_RIDGE = 1e-12
 _RIDGE_FLOOR = np.finfo(float).tiny
@@ -267,38 +268,36 @@ def _group_blocks(blocks: Sequence[Cone]) -> list[tuple[Cone, int, slice]]:
     return groups
 
 
-def _project_batch(
-    v: np.ndarray, groups: Sequence[tuple[Cone, int, slice]]
-) -> np.ndarray:
+def _project(v: np.ndarray, groups: Sequence[tuple[Cone, int, slice]]) -> np.ndarray:
+    """Project the vector ``v`` onto the product cone of the block runs ``groups``."""
     out = np.empty_like(v)
-    batch = v.shape[0]
     for block, count, span in groups:
         if isinstance(block, NonnegOrthant):
-            np.maximum(v[:, span], 0.0, out=out[:, span])
+            np.maximum(v[span], 0.0, out=out[span])
         elif block.side == 2:
             # svec (a, b, c, d) has eigenvalues mean ± radius: a PSD block
             # stays, and any other keeps max(mean + radius, 0) times the top
             # eigenprojector, whose svec is (radius + half, radius - half, c, d)
             # over 2 radius: the Lorentz-cone projection in closed form
-            blocks = v[:, span].reshape(batch, count, 4)
-            a, b, c, d = blocks.transpose(2, 0, 1)
+            blocks = v[span].reshape(count, 4)
+            a, b, c, d = blocks.T
             mean, half = (a + b) / 2, (a - b) / 2
             radius = np.sqrt(half * half + (c * c + d * d) / 2)
             # a radius-0 block is a multiple of I: kept, or zero through top = 0
             top = np.maximum(mean + radius, 0.0)
             scale = top / (2 * radius + (radius == 0))
-            clipped = blocks * scale[..., None]
-            np.multiply(radius + half, scale, out=clipped[..., 0])
-            np.multiply(radius - half, scale, out=clipped[..., 1])
-            np.copyto(clipped, blocks, where=(mean >= radius)[..., None])
-            out[:, span] = clipped.reshape(batch, 4 * count)
+            clipped = blocks * scale[:, None]
+            np.multiply(radius + half, scale, out=clipped[:, 0])
+            np.multiply(radius - half, scale, out=clipped[:, 1])
+            np.copyto(clipped, blocks, where=(mean >= radius)[:, None])
+            out[span] = clipped.ravel()
         else:
             side = block.side
-            h = unsvec(v[:, span].reshape(batch * count, side * side), side)
+            h = unsvec(v[span].reshape(count, side * side), side)
             w, vec = np.linalg.eigh(h)
             np.maximum(w, 0.0, out=w)
             clipped = (vec * w[:, None, :]) @ vec.conj().transpose(0, 2, 1)
-            out[:, span] = svec(clipped).reshape(batch, count * side * side)
+            out[span] = svec(clipped).ravel()
     return out
 
 
@@ -308,7 +307,7 @@ def project_cone(x: np.ndarray, blocks: Sequence[Cone]) -> np.ndarray:
     dim = sum(block.dim for block in blocks)
     if x.shape != (dim,):
         raise ProblemMalformed(f"vector length {x.shape} does not match cones ({dim})")
-    return _project_batch(x[None, :], _group_blocks(blocks))[0]
+    return _project(x, _group_blocks(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +318,7 @@ def project_cone(x: np.ndarray, blocks: Sequence[Cone]) -> np.ndarray:
 class _AffineSet:
     """The set {x : A x = b}, held as one rank-r factor of A's touched columns.
 
-    Over ``w = x[:, cols]``, with ``A[:, cols] = U Σ Vᵀ`` and only the
+    Over ``w = x[cols]``, with ``A[:, cols] = U Σ Vᵀ`` and only the
     singular values with ``σ² > 1e-15 σ_max²`` kept (the rank ``pinv`` of
     ``A Aᵀ`` keeps), ``F = V_r`` and ``y = U_rᵀ b / σ_r`` give
     ``Aᵀ(A Aᵀ)⁺(A w - b) = (w F - y) Fᵀ``: ``Aᵀ(A Aᵀ)⁺ = A⁺``, so the step
@@ -335,12 +334,10 @@ class _AffineSet:
     and the rank rule applies with one ``σ_max`` over all groups.  A row
     linked to no other is its own right singular vector, with ``u = 1`` and
     ``σ`` its norm; every other group gets a thin SVD over the columns it
-    touches, shared by the groups whose submatrices there have the same
-    bits, since the SVD reads nothing else.  ``F`` is written once, in its
-    ``(t, r)`` layout.  A product that rounding leaves nonzero only merges
-    two groups, which is safe; one that rounds to exactly 0 is at most
-    about ``t·ε·|a_i||a_j|``, so those two rows are orthogonal to working
-    precision.
+    touches.  ``F`` is written once, in its ``(t, r)`` layout.  A product
+    that rounding leaves nonzero only merges two groups, which is safe; one
+    that rounds to exactly 0 is at most about ``t·ε·|a_i||a_j|``, so those
+    two rows are orthogonal to working precision.
 
     ``cols`` is a slice when every column is touched, so the step then
     needs no gather or scatter; ``columns`` stays for the equality gap.  A
@@ -362,7 +359,6 @@ class _AffineSet:
         # each part of the factor: the columns it spans, its right singular
         # vectors over them, its singular values and its Uᵀb
         parts = [(slice(None), self.columns[lone] / norms[:, None], norms, self.b[lone])]
-        svds = {}
         left = nonzero & ~lone
         while left.any():
             # grow the first remaining row's links until the group is closed
@@ -371,12 +367,7 @@ class _AffineSet:
                 group = grown
             left &= ~group
             span = self.columns[group].any(axis=0)
-            sub = self.columns[np.ix_(group, span)]
-            # a group with the same bits as an earlier one has its SVD
-            key = sub.shape, sub.tobytes()
-            if key not in svds:
-                svds[key] = np.linalg.svd(sub, full_matrices=False)
-            u, sigma, vt = svds[key]
+            u, sigma, vt = np.linalg.svd(self.columns[np.ix_(group, span)], full_matrices=False)
             parts.append((span, vt, sigma, u.T @ self.b[group]))
         sigma = np.concatenate([part[2] for part in parts])
         keep = sigma**2 > 1e-15 * sigma.max(initial=0.0) ** 2
@@ -390,30 +381,26 @@ class _AffineSet:
             col += len(kept)
 
     def project(self, x: np.ndarray) -> None:
-        """Project the vector ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b).
-
-        The last axis holds the coordinates, so a matrix projects row by row.
-        """
-        w = x[..., self.cols]
-        x[..., self.cols] = w - (w @ self.F - self.y) @ self.F.T
+        """Project the vector ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b)."""
+        w = x[self.cols]
+        x[self.cols] = w - (w @ self.F - self.y) @ self.F.T
 
     def gap(self, z: np.ndarray) -> float:
-        """Largest equality violation of the vector ``z``; 0 with no equalities.
-
-        A matrix gets one value per row.
-        """
-        residual = z[..., self.cols] @ self.columns.T - self.b
-        return np.abs(residual).max(axis=-1, initial=0.0)
+        """Largest equality violation of the vector ``z``; 0 with no equalities."""
+        return float(np.abs(z[self.cols] @ self.columns.T - self.b).max(initial=0.0))
 
 
-def _admm(problem: ConicProblem, objective: np.ndarray, settings: SolveSettings, affine: _AffineSet) -> SolveReport:
-    """Anderson-accelerated ADMM for ``problem`` with the objective vector ``objective``.
+def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> SolveReport:
+    """Solve one cone program by Anderson-accelerated ADMM.
 
-    ``affine`` is ``_AffineSet(problem)``, which programs differing only in
-    the objective share.  Each iteration evaluates the ADMM map
-    ``F(z, u) = (z', u')`` once, at the state ``s = (z, u)``, and applies
-    the convergence test to the evaluation.  The test holds for any input
-    state, and the reported solution is the cone projection ``z'``.
+    Each iteration evaluates the ADMM map ``F(z, u) = (z', u')`` once, at
+    the state ``s = (z, u)``, and applies the convergence test to the
+    evaluation.  The test holds for any input state, and the reported
+    solution is the cone projection ``z'``: its orthant blocks are exactly
+    nonnegative, and its PSD blocks are PSD up to rounding.  A block the
+    projection puts on the cone's boundary can have, in exact arithmetic,
+    a smallest eigenvalue below 0 by a rounding error: at most about 1e-16
+    of its trace on random 2x2 and 16x16 blocks.
 
     The next state is type-II Anderson acceleration (Walker & Ni, 2011) of
     ``F``: with ``g = F(s) - s`` and the differences ``ΔF``, ``ΔG`` of
@@ -427,15 +414,20 @@ def _admm(problem: ConicProblem, objective: np.ndarray, settings: SolveSettings,
     restarts its history.  Each evaluation counts as one iteration,
     rejected or not.
     """
+    settings = settings or SolveSettings()
     try:
         max_iters = operator.index(settings.max_iters)
     except TypeError:
         raise ProblemMalformed(f"max_iters must be an integer, not {settings.max_iters!r}") from None
-    if max_iters < 1 or not 0 < settings.tolerance < math.inf:
+    tol = settings.tolerance
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ProblemMalformed(f"tolerance must be a real number, not {tol!r}")
+    if max_iters < 1 or not 0 < tol < math.inf:
         raise ProblemMalformed("settings need a finite positive tolerance and max_iters >= 1")
+    affine = _AffineSet(problem)
     groups = _group_blocks(problem.blocks)
-    n = problem.dim
-    rho, alpha, tol, memory = RHO, OVER_RELAXATION, settings.tolerance, ANDERSON_MEMORY
+    objective, n = problem.objective, problem.dim
+    rho, alpha, memory = RHO, OVER_RELAXATION, ANDERSON_MEMORY
     eye = np.eye(memory)
 
     shift = objective / rho
@@ -455,13 +447,13 @@ def _admm(problem: ConicProblem, objective: np.ndarray, settings: SolveSettings,
         x = z - u + shift
         affine.project(x)
         xh = alpha * x + (1.0 - alpha) * z
-        z_new = _project_batch((xh + u)[None, :], groups)[0]
+        z_new = _project(xh + u, groups)
         dual = rho * float(np.abs(z_new - z).max())
         # the primal residual is max(|x - z|, equality gap); the gap can
         # only decide convergence once the tolerance is met without it
         primal = float(np.abs(x - z_new).max())
         if (primal <= tol and dual <= tol) or k == max_iters:
-            primal = max(primal, float(affine.gap(z_new)))
+            primal = max(primal, affine.gap(z_new))
             converged = primal <= tol and dual <= tol
             if converged or k == max_iters:
                 return SolveReport(
@@ -498,11 +490,6 @@ def _admm(problem: ConicProblem, objective: np.ndarray, settings: SolveSettings,
         s = f - gamma @ d_f
 
 
-def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> SolveReport:
-    """Solve one cone program; the returned point is exactly cone-feasible."""
-    return _admm(problem, problem.objective, settings or SolveSettings(), _AffineSet(problem))
-
-
 def solve_within_bound(
     name: str,
     problem: ConicProblem,
@@ -516,12 +503,11 @@ def solve_within_bound(
     when one is given; the slack still follows ``settings.tolerance``.
     """
     settings = settings or SolveSettings()
-    slack = 10 * settings.tolerance
     tolerance = settings.tolerance if solve_tolerance is None else solve_tolerance
     report = solve(problem, SolveSettings(tolerance, settings.max_iters))
     if report.status != "optimal":
         raise SolverFailed(f"{name} solve ended with status {report.status}", report)
-    if report.objective_value > bound + slack:
+    if report.objective_value > bound + 10 * settings.tolerance:
         raise SolverFailed(f"{name} value {report.objective_value} exceeds the {bound} bound", report)
     return report
 
@@ -531,19 +517,8 @@ def solve_same_constraints(
     objectives: np.ndarray,
     settings: SolveSettings | None = None,
 ) -> list[SolveReport]:
-    """Solve many programs differing only in the objective vector.
-
-    The factorization of the equalities is shared; each objective row is
-    then solved alone, and its report is the one :func:`solve` gives.
-    """
-    settings = settings or SolveSettings()
-    objectives = np.asarray(objectives, dtype=float)
-    if objectives.ndim != 2 or objectives.shape[1] != problem.dim:
-        raise ProblemMalformed(f"objectives must have shape (batch, {problem.dim})")
-    if not np.all(np.isfinite(objectives)):
-        raise ProblemMalformed("non-finite objective")
-    affine = _AffineSet(problem)
-    return [_admm(problem, objective, settings, affine) for objective in objectives]
+    """One :func:`solve` per row of ``objectives``, of ``problem`` with that row as its objective."""
+    return [solve(ConicProblem(problem.blocks, row, problem.a, problem.b), settings) for row in objectives]
 
 
 # ---------------------------------------------------------------------------

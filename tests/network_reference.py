@@ -5,8 +5,9 @@ The package builds only the wiring operators' diagonals
 order's full 256x256 wiring operator is built from unnormalized maximally
 entangled projectors across the wire pairs the order connects, and a
 strategy block is contracted with it by the link-product rule: the trace
-of their product.  The 256-column LP the package reduces to its 40 symmetry
-orbits, and the lift of a solution back onto six guess blocks, are here too.
+of their product.  The dense float constraint rows, the 256-column LP the
+package reduces to its 40 symmetry orbits, and the lift of a solution back
+onto six guess blocks, are here too.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ordergame.game import Perm3, all_orders
-from ordergame.network import _orbit_labels, _wire_pairs, constraint_rows, objective_diagonals
+from ordergame.network import _doubled_constraints, _orbit_labels, _wire_pairs, objective_diagonals
 from ordergame.solver import ConicProblem, NonnegOrthant, SolveReport
 from ordergame.tensor import (
     NETWORK_LAYOUT,
@@ -74,6 +75,26 @@ def link_probability(block: NetworkBlock, process: OrderProcess) -> float:
     lhs = np.asarray(op.to_float().data)
     rhs = np.asarray(process.op.to_float().data)
     return float(np.real(np.trace(lhs @ rhs)))
+
+
+def constraint_rows() -> tuple[np.ndarray, np.ndarray]:
+    """Equality rows acting on the summed diagonal of the six guess blocks.
+
+    Returns (rows, rhs) with rows of shape (225, 256): 128 final-wire
+    marginal rows, 32 per party, and one total-trace row.  A marginal's
+    condition on key u reads +1 where the key is u, less 1/2 where it equals
+    u up to the bit that must be uniform; the conditions on u and u ^ bit are
+    exact negatives, so each is stated once, on the u with the bit clear, as
+    1/2 where the key is u and -1/2 where it is u | bit.  The rows and rhs
+    are :func:`ordergame.network._doubled_constraints` halved, so every
+    coefficient is dyadic and the float rows convert losslessly to exact
+    rationals.
+    """
+    row, coef, rhs = _doubled_constraints()
+    side = row.shape[1]
+    rows = np.zeros((len(rhs), side))
+    np.put(rows, row * side + np.arange(side), coef / 2)
+    return rows, rhs / 2
 
 
 def full_nonsignaling_program() -> ConicProblem:

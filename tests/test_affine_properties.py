@@ -55,10 +55,12 @@ def test_factor_step_matches_dense_formula_and_is_idempotent(problem, seed):
     scale = max(1.0, np.max(np.abs(want)))
     affine = _AffineSet(problem)
     once = x.copy()
-    affine.project(once)
+    for row in once:
+        affine.project(row)
     assert np.max(np.abs(once - want)) <= 1e-10 * scale
     twice = once.copy()
-    affine.project(twice)
+    for row in twice:
+        affine.project(row)
     assert np.max(np.abs(twice - once)) <= 1e-10 * scale
 
 
@@ -107,7 +109,8 @@ def test_grouped_factor_is_an_orthonormal_basis_of_the_row_space(problem, seed):
     want = x - (x @ a.T - problem.b) @ np.linalg.pinv(a, rcond=1e-10).T
     affine = _AffineSet(problem)
     got = x.copy()
-    affine.project(got)
+    for row in got:
+        affine.project(row)
     assert np.max(np.abs(got - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
     rank = affine.F.shape[1]
     assert np.max(np.abs(affine.F.T @ affine.F - np.eye(rank)), initial=0.0) <= 1e-12

@@ -46,6 +46,18 @@ class TestRun:
         with pytest.raises(ValueError):
             RunConfig(max_iters=0)
 
+    @pytest.mark.parametrize("tolerance", ["1e-8", None, True])
+    def test_non_real_tolerance_rejected(self, tolerance):
+        # "1e-8" and None reached the range test's `<` as a TypeError, and True passed it as 1
+        with pytest.raises(ValueError, match="real number"):
+            RunConfig(tolerance=tolerance)
+
+    def test_numpy_float_tolerance_accepted(self):
+        import numpy as np
+
+        for tolerance in (np.float64(1e-8), np.float32(1e-6)):
+            assert RunConfig(tolerance=tolerance).tolerance == tolerance
+
     @pytest.mark.parametrize("max_iters", [50.5, 50.0, "50"])
     def test_non_integer_max_iters_rejected(self, max_iters):
         with pytest.raises(ValueError, match="integer"):

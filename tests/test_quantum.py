@@ -196,6 +196,18 @@ class TestDiscrimination:
         with pytest.raises(ValueError, match="n_samples"):
             sampled_discrimination_values(n_samples=n_samples)
 
+    @pytest.mark.parametrize("bad", [1.5, "3"])
+    @pytest.mark.parametrize("argument", ["n_samples", "seed"])
+    def test_scan_arguments_must_be_integers(self, argument, bad):
+        # 1.5 and "3" reached numpy as TypeErrors
+        with pytest.raises(ValueError, match="integers"):
+            sampled_discrimination_values(**{"n_samples": 20, "seed": 42, argument: bad})
+
+    def test_scan_accepts_numpy_integers(self):
+        got = sampled_discrimination_values(n_samples=np.int64(20), seed=np.int64(42))
+        want = sampled_discrimination_values(n_samples=20, seed=42)
+        assert got.values.tobytes() == want.values.tobytes()
+
     def test_certificate_that_does_not_verify_raises(self):
         # a ket of norm 2 has a Bloch vector of length 4, outside every unit-ball certificate
         kets = np.array([[2 * KET["0"]] + [KET["1"]] * 5])

@@ -184,15 +184,6 @@ class TestProjectPsd2:
             assert np.array_equal(project_cone(x, [HermitianPSD(2)]), np.zeros(4))
         assert np.max(np.abs(project_cone(cases[4], [HermitianPSD(2)]))) <= 1e-15
 
-    def test_batch_matches_single_bits(self):
-        from ordergame.solver import _group_blocks, _project_batch
-
-        cases = psd2_cases()
-        groups = _group_blocks([HermitianPSD(2)] * 3)
-        batch = _project_batch(cases[:201].reshape(67, 12), groups)
-        for i, row in enumerate(cases[:201].reshape(67, 12)):
-            assert _project_batch(row[None, :], groups).tobytes() == batch[i : i + 1].tobytes()
-
     def test_mixed_with_other_blocks(self):
         blocks = [NonnegOrthant(3), HermitianPSD(2), HermitianPSD(2), HermitianPSD(1), HermitianPSD(4), HermitianPSD(2), NonnegOrthant(2)]
         rng = np.random.default_rng(13)
@@ -273,13 +264,18 @@ class TestSolve:
         report = solve(trivial_lp(), SolveSettings(tolerance=1e-16, max_iters=np.int64(3)))
         assert (report.status, report.iterations) == ("max_iters", 3)
 
-    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("inf"), float("nan")])
+    # "1e-8" and None reached the range test's `<` as a TypeError, and True passed it as 1
+    @pytest.mark.parametrize("tolerance", [0.0, -1.0, float("inf"), float("nan"), "1e-8", None, True])
     def test_tolerance_must_be_finite_and_positive(self, tolerance):
         from ordergame.quantum import discrimination_program, unbiased_order_states
 
         problem = discrimination_program(unbiased_order_states())
         with pytest.raises(ProblemMalformed):
             solve(problem, SolveSettings(tolerance=tolerance, max_iters=50))
+
+    def test_numpy_float_tolerance(self):
+        report = solve(trivial_lp(), SolveSettings(tolerance=np.float32(1e-6)))
+        assert report.status == "optimal"
 
     def test_malformed(self):
         cases = [
@@ -586,7 +582,7 @@ class TestAffineSet:
         problem = full_nonsignaling_program()
         affine = _AffineSet(problem)
         # the 96 party rows: two groups of 48, each over the 128 columns it
-        # touches, with the same bits, so one SVD serves both
+        # touches, with the same bits; each group takes its own SVD
         party = problem.a[128:224]
         linked = party @ party.T != 0
         group = linked[0]
@@ -596,7 +592,7 @@ class TestAffineSet:
         assert [sub.shape for sub in subs] == [(48, 128), (48, 128)]
         assert not linked[np.ix_(group, ~group)].any()
         assert subs[0].tobytes() == subs[1].tobytes()
-        assert shapes == [(48, 128)]
+        assert shapes == [(48, 128), (48, 128)]
         # the other 129 rows are orthogonal to every row and are, normalized,
         # columns of the factor
         units = problem.a / np.linalg.norm(problem.a, axis=1, keepdims=True)
@@ -766,8 +762,8 @@ class TestNoEqualities:
     def test_affine_set_is_the_whole_space(self):
         problem = ConicProblem(blocks=[NonnegOrthant(3)], objective=np.zeros(3), a=np.zeros((0, 3)), b=[])
         affine = _AffineSet(problem)
-        x = np.random.default_rng(3).normal(size=(2, 3))
-        projected = x.copy()
-        affine.project(projected)
-        assert np.array_equal(projected, x)
-        assert np.array_equal(affine.gap(x), np.zeros(2))
+        for row in np.random.default_rng(3).normal(size=(2, 3)):
+            projected = row.copy()
+            affine.project(projected)
+            assert np.array_equal(projected, row)
+            assert affine.gap(row) == 0.0
