@@ -11,13 +11,11 @@ exact arithmetic).
 
 __version__ = "0.1.0"
 
-from .classical import losr_histogram, search_losr, search_memoryless
+from .classical import search_losr, search_memoryless
 from .game import (
-    OrderPrior,
     Perm3,
     ScenarioResult,
     all_orders,
-    success_probability,
     trit_game,
     two_party_game,
 )
@@ -31,12 +29,10 @@ from .quantum import (
 from .solver import SolveSettings, solve, solve_shared_state_feasibility
 
 __all__ = [
-    "OrderPrior",
     "Perm3",
     "ScenarioResult",
     "SolveSettings",
     "all_orders",
-    "losr_histogram",
     "perfect_discrimination_state",
     "quantum_memoryless_optimum",
     "search_losr",
@@ -44,7 +40,6 @@ __all__ = [
     "solve",
     "solve_nonsignaling",
     "solve_shared_state_feasibility",
-    "success_probability",
     "trit_game",
     "two_party_game",
     "unbiased_order_states",

@@ -165,12 +165,6 @@ def search_losr() -> ScenarioResult:
     )
 
 
-def losr_histogram() -> dict[int, int]:
-    """How many of the 64 memory triples reach each distinct-tuple count."""
-    hist = np.bincount(_distinct(_run_table())[0], minlength=7)
-    return {k: int(hist[k]) for k in range(1, 7)}
-
-
 def losr_canonical_witness() -> tuple[BitStrategy, BitStrategy, BitStrategy]:
     """The canonical optimum: a forwards 0 always, b and c forward 1 always."""
     return (BitStrategy(0, 0), BitStrategy(1, 1), BitStrategy(1, 1))

@@ -3,24 +3,20 @@
 Three parties A, B, C are arranged in a hidden order (an element of S3),
 each applies a local map to a system passed down the line, and afterwards
 they jointly guess the order from whatever they can observe.  This module
-holds the permutation type, the uniform prior over the six orders, the
-success-probability functional and the two warm-up games (two parties, and
-three parties exchanging a trit).
+holds the permutation type, the result record, the optimal decoder for
+deterministic outputs and the two warm-up games (two parties, and three
+parties exchanging a trit).
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from typing import Callable, Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, Sequence
 
 from .tensor import FrozenRecord, ratio_str
 
 PARTIES = ("A", "B", "C")
-
-
-class NotADistribution(ValueError):
-    """An outcome distribution does not sum to one."""
 
 
 class TranscriptMismatch(RuntimeError):
@@ -60,30 +56,12 @@ class Perm3(FrozenRecord):
     def name(self) -> str:
         return "".join(self.order)
 
-    @property
-    def composition_name(self) -> str:
-        """Function-composition spelling: last mover written first, lowercase."""
-        return "".join(p.lower() for p in reversed(self.order))
-
     def apply(self, party: str) -> str:
         """Image of a party label under this permutation (A,B,C) -> order."""
         return self.order[PARTIES.index(party)]
 
-    def compose(self, other: "Perm3") -> "Perm3":
-        """self after other, as bijections of the party labels."""
-        return Perm3(tuple(self.apply(p) for p in other.order))
-
-    def inverse(self) -> "Perm3":
-        inv = [None, None, None]
-        for i, p in enumerate(self.order):
-            inv[PARTIES.index(p)] = PARTIES[i]
-        return Perm3(tuple(inv))
-
     def __str__(self) -> str:
         return self.name
-
-
-IDENTITY = Perm3(("A", "B", "C"))
 
 
 _ORDERS = tuple(Perm3(order) for order in itertools.permutations(PARTIES))
@@ -92,32 +70,6 @@ _ORDERS = tuple(Perm3(order) for order in itertools.permutations(PARTIES))
 def all_orders() -> list[Perm3]:
     """The six orders, lexicographic in the party labels: a new list on each call."""
     return list(_ORDERS)
-
-
-class OrderPrior(FrozenRecord):
-    """Probability weights over the six orders."""
-
-    __slots__ = ("weights",)
-
-    def __init__(self, weights: Mapping[Perm3, Fraction | float]):
-        total = sum(weights.values())
-        if isinstance(total, Fraction):
-            ok = total == 1
-        else:
-            ok = abs(float(total) - 1.0) <= 1e-12
-        if not ok or set(weights) != set(all_orders()):
-            raise NotADistribution("prior must put weight on all six orders and sum to 1")
-        object.__setattr__(self, "weights", weights)
-
-    def _values(self) -> tuple:
-        return (self.weights,)
-
-    @classmethod
-    def uniform(cls) -> "OrderPrior":
-        return cls({pi: Fraction(1, 6) for pi in all_orders()})
-
-    def __getitem__(self, pi: Perm3):
-        return self.weights[pi]
 
 
 class ScenarioResult:
@@ -149,37 +101,6 @@ class ScenarioResult:
 Outcome = Hashable
 
 
-def deterministic(outcome: Outcome) -> dict[Outcome, Fraction]:
-    """Point distribution on a single outcome."""
-    return {outcome: Fraction(1)}
-
-
-def success_probability(
-    outputs: Mapping[Perm3, Mapping[Outcome, Fraction | float]],
-    decoder: Mapping[Outcome, Perm3] | Callable[[Outcome], Perm3],
-    prior: OrderPrior | None = None,
-):
-    """Average probability that the decoded outcome names the true order.
-
-    ``outputs[pi]`` is the outcome distribution produced when the true order
-    is ``pi``; the decoder maps each outcome to a guessed order.
-    """
-    prior = prior or OrderPrior.uniform()
-    decode = decoder if callable(decoder) else decoder.__getitem__
-    total = 0
-    for pi in all_orders():
-        dist = outputs[pi]
-        mass = sum(dist.values())
-        if isinstance(mass, Fraction):
-            if mass != 1:
-                raise NotADistribution(f"distribution for {pi} sums to {mass}")
-        elif abs(float(mass) - 1.0) > 1e-12:
-            raise NotADistribution(f"distribution for {pi} sums to {mass}")
-        hit = sum(p for outcome, p in dist.items() if decode(outcome) == pi)
-        total = total + prior[pi] * hit
-    return total
-
-
 def optimal_decoder(outputs: Mapping[Perm3, Outcome]) -> dict[Outcome, Perm3]:
     """Best guess per outcome for deterministic outputs.
 
@@ -193,12 +114,6 @@ def optimal_decoder(outputs: Mapping[Perm3, Outcome]) -> dict[Outcome, Perm3]:
         if outcome not in table or pi < table[outcome]:
             table[outcome] = pi
     return table
-
-
-def deterministic_success(outputs: Mapping[Perm3, Outcome], prior: OrderPrior | None = None):
-    """success_probability for deterministic outputs under the optimal decoder."""
-    dists = {pi: deterministic(outcome) for pi, outcome in outputs.items()}
-    return success_probability(dists, optimal_decoder(outputs), prior)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ linear program.  A classical strategy is unchanged by dephasing in the
 computational basis, and dephasing maps a PSD guess block to its diagonal,
 which is PSD exactly when it is nonnegative; the guess probabilities and
 the non-signaling equalities then read only the diagonals.  So this module
-builds only the wiring operators' diagonals (:func:`wiring_diagonal`); the
+builds only the wiring operators' diagonals (:func:`_wiring_diagonals`); the
 full operators and their contraction with a strategy block are the test
 suite's reference (``tests/network_reference.py``).
 
@@ -109,11 +109,6 @@ def _wiring_diagonals(orders: list[Perm3]) -> np.ndarray:
     """
     pairs = np.array([[(_POS[left], _POS[right]) for left, right in _wire_pairs(pi)] for pi in orders])
     return (_BITS[pairs[..., 0]] == _BITS[pairs[..., 1]]).all(axis=1).astype(float)
-
-
-def wiring_diagonal(pi: Perm3) -> np.ndarray:
-    """Diagonal of the order's wiring operator in the computational basis (see :func:`_wiring_diagonals`)."""
-    return _wiring_diagonals([pi])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -43,11 +43,8 @@ from .tensor import (
     NotPSD,
     Space,
     Vec,
-    eig_hermitian,
-    env,
     exact_psd,
     integer_numerators,
-    vectorize,
 )
 
 
@@ -85,9 +82,6 @@ class UnitaryChannel(FrozenRecord):
 
     def _values(self) -> tuple:
         return self.kraus, self.layout
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return np.asarray(self.kraus, dtype=complex) @ np.asarray(vec, dtype=complex)
 
 
 # ---------------------------------------------------------------------------
@@ -469,29 +463,6 @@ def verify_perfect_discrimination(
             "exact": state.exact,
         },
     )
-
-
-def _sqrt_for_purification(state: LabeledOperator) -> np.ndarray:
-    if not state.is_psd(1e-8):
-        raise NotPSD("shared state must be positive semidefinite")
-    w, v = eig_hermitian(state)
-    return (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-
-
-def entangled_output_states(state: LabeledOperator) -> dict[Perm3, Vec]:
-    """Unit vectors routed from the purified shared state, one per order.
-
-    The purification lives on the state's own layout plus a same-sized
-    auxiliary space; the routing acts on the first factor only.
-    """
-    layout = state.layout
-    sqrt_mat = _sqrt_for_purification(state)
-    aux = (env(state.side),)
-    out = {}
-    for pi in all_orders():
-        routed = np.asarray(routing_matrix(pi).op.to_float().data) @ sqrt_mat
-        out[pi] = vectorize(routed, layout, aux)
-    return out
 
 
 def output_gram(state: LabeledOperator) -> np.ndarray:

@@ -390,6 +390,24 @@ class _AffineSet:
         return float(np.abs(z[self.cols] @ self.columns.T - self.b).max(initial=0.0))
 
 
+def _checked_settings(settings: SolveSettings) -> tuple[float, int]:
+    """The settings' tolerance and iteration cap.
+
+    Raises :class:`ProblemMalformed` unless the tolerance is a finite
+    positive real number and the cap an integer of at least 1.
+    """
+    try:
+        max_iters = operator.index(settings.max_iters)
+    except TypeError:
+        raise ProblemMalformed(f"max_iters must be an integer, not {settings.max_iters!r}") from None
+    tol = settings.tolerance
+    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
+        raise ProblemMalformed(f"tolerance must be a real number, not {tol!r}")
+    if max_iters < 1 or not 0 < tol < math.inf:
+        raise ProblemMalformed("settings need a finite positive tolerance and max_iters >= 1")
+    return tol, max_iters
+
+
 def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> SolveReport:
     """Solve one cone program by Anderson-accelerated ADMM.
 
@@ -414,16 +432,7 @@ def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> Solve
     restarts its history.  Each evaluation counts as one iteration,
     rejected or not.
     """
-    settings = settings or SolveSettings()
-    try:
-        max_iters = operator.index(settings.max_iters)
-    except TypeError:
-        raise ProblemMalformed(f"max_iters must be an integer, not {settings.max_iters!r}") from None
-    tol = settings.tolerance
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-        raise ProblemMalformed(f"tolerance must be a real number, not {tol!r}")
-    if max_iters < 1 or not 0 < tol < math.inf:
-        raise ProblemMalformed("settings need a finite positive tolerance and max_iters >= 1")
+    tol, max_iters = _checked_settings(settings or SolveSettings())
     affine = _AffineSet(problem)
     groups = _group_blocks(problem.blocks)
     objective, n = problem.objective, problem.dim
@@ -500,14 +509,15 @@ def solve_within_bound(
     """Solve a scenario's program, which must converge to at most ``bound + 10 * settings.tolerance``.
 
     Raises :class:`SolverFailed` otherwise.  The solve runs to ``solve_tolerance``
-    when one is given; the slack still follows ``settings.tolerance``.
+    when one is given; the slack still follows ``settings.tolerance``, which
+    is checked as :func:`solve` checks it.
     """
     settings = settings or SolveSettings()
-    tolerance = settings.tolerance if solve_tolerance is None else solve_tolerance
-    report = solve(problem, SolveSettings(tolerance, settings.max_iters))
+    tolerance, _ = _checked_settings(settings)
+    report = solve(problem, SolveSettings(tolerance if solve_tolerance is None else solve_tolerance, settings.max_iters))
     if report.status != "optimal":
         raise SolverFailed(f"{name} solve ended with status {report.status}", report)
-    if report.objective_value > bound + 10 * settings.tolerance:
+    if report.objective_value > bound + 10 * tolerance:
         raise SolverFailed(f"{name} value {report.objective_value} exceeds the {bound} bound", report)
     return report
 
@@ -566,22 +576,24 @@ def solve_shared_state_feasibility(
 
     The internal tolerance is halved so that the modulus of each complex
     pair trace (combining its two real witnesses) still meets the requested
-    tolerance.
+    tolerance.  Settings that :func:`solve` would refuse raise
+    :class:`ProblemMalformed` before the halving.
     """
     settings = settings or SolveSettings()
+    tolerance, _ = _checked_settings(settings)
     side = math.prod(s.dim for s in layout)
     report = solve_within_bound(
         "shared-state feasibility",
         shared_state_program(pair_ops, side=side),
         Fraction(1),
         settings,
-        solve_tolerance=settings.tolerance / 2.0,
+        solve_tolerance=tolerance / 2.0,
     )
     return LabeledOperator(layout, unsvec(report.solution[: side * side], side)), report
 
 
 # ---------------------------------------------------------------------------
-# plain-text tableau dump / parse (for external cross-checks)
+# plain-text tableau dump (for external cross-checks)
 # ---------------------------------------------------------------------------
 
 
@@ -600,56 +612,3 @@ def dump_tableau(problem: ConicProblem) -> str:
     for r, v in enumerate(problem.b):
         lines.append(f"rhs {r} {float(v)!r}")
     return "\n".join(lines) + "\n"
-
-
-#: The fields after each tableau line's keyword, by type.
-_TABLEAU_FIELDS = {"rows": (int,), "cone": (str, int), "o": (int, float), "a": (int, int, float), "rhs": (int, float)}
-
-#: The most entries a parsed tableau may hold, counted as the (rows + 1) x
-#: (dim + 1) matrix [[A, b], [c, 0]]; the shared-state program holds 15 996.
-_MAX_TABLEAU_ENTRIES = 2**24
-
-
-def parse_tableau(text: str) -> ConicProblem:
-    """Inverse of :func:`dump_tableau`; malformed text raises ProblemMalformed.
-
-    ``a`` lines on the same entry add up; an ``o`` or ``rhs`` index given
-    twice is malformed.
-    """
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != "conic-tableau v1":
-        raise ProblemMalformed("not a conic-tableau v1 dump")
-    entries: dict[str, list[list]] = {key: [] for key in _TABLEAU_FIELDS}
-    for ln in lines[1:]:
-        key, *fields = ln.split()
-        types = _TABLEAU_FIELDS.get(key)
-        if types is None or len(fields) != len(types):
-            raise ProblemMalformed(f"malformed tableau line: {ln}")
-        try:
-            entries[key].append([kind(field) for kind, field in zip(types, fields)])
-        except ValueError as exc:
-            raise ProblemMalformed(f"malformed tableau line: {ln}") from exc
-    if len(entries["rows"]) != 1 or entries["rows"][0][0] < 0:
-        raise ProblemMalformed("need one rows header with a count >= 0")
-    blocks: list[Cone] = []
-    for kind, size in entries["cone"]:
-        if kind not in ("orthant", "psd") or size < 0:
-            raise ProblemMalformed(f"bad cone: {kind} {size}")
-        blocks.append(NonnegOrthant(size) if kind == "orthant" else HermitianPSD(size))
-    n_rows, dim = entries["rows"][0][0], sum(block.dim for block in blocks)
-    if (n_rows + 1) * (dim + 1) > _MAX_TABLEAU_ENTRIES:
-        raise ProblemMalformed(f"{n_rows} rows over {dim} variables exceed {_MAX_TABLEAU_ENTRIES} entries")
-    objective, a, b = np.zeros(dim), np.zeros((n_rows, dim)), np.zeros(n_rows)
-    for key, target in (("o", objective), ("rhs", b)):
-        indices = [i for i, _ in entries[key]]
-        if len(set(indices)) != len(indices):
-            raise ProblemMalformed(f"repeated {key} index")
-        for i, v in entries[key]:
-            if not 0 <= i < len(target):
-                raise ProblemMalformed(f"{key} index {i} out of range")
-            target[i] = v
-    for r, c, v in entries["a"]:
-        if not (0 <= r < n_rows and 0 <= c < dim):
-            raise ProblemMalformed(f"a index {r} {c} out of range")
-        a[r, c] += v
-    return ConicProblem(blocks=blocks, objective=objective, a=a, b=b)

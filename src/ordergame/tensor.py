@@ -8,9 +8,9 @@ is ``sum(i_j * prod(later dims))``.
 
 Two scalar kinds are supported and never mixed silently: complex floats
 (``complex128`` arrays) and exact rationals (object arrays holding Python
-ints / ``fractions.Fraction``).  Conversions are explicit via
-:meth:`LabeledOperator.to_float` / :meth:`LabeledOperator.to_exact`.
-Exact construction (``exact=True``) converts numbers losslessly: bools and
+ints / ``fractions.Fraction``).  Conversions are explicit: floats via
+:meth:`LabeledOperator.to_float`, and exact scalars only through exact
+construction (``exact=True``), which converts numbers losslessly: bools and
 ints become Python ints and each float the ``Fraction`` equal to its binary
 value; data with a nonzero imaginary part or a non-finite entry raises
 ``ValueError``.  Object data goes through the same rules entry by entry:
@@ -120,11 +120,6 @@ C_IN = Space("C_I", 2)
 C_OUT = Space("C_O", 2)
 
 
-def env(dim: int) -> Space:
-    """Auxiliary purification space of caller-chosen dimension."""
-    return Space("E", dim)
-
-
 #: Factor order shared by every network-scenario operator.
 NETWORK_LAYOUT = (S_PREP, A_IN, A_OUT, B_IN, B_OUT, C_IN, C_OUT, S_FINAL)
 
@@ -225,9 +220,6 @@ class LabeledOperator:
         """Matrix trace; a Fraction/int for exact data, complex for floats."""
         return np.trace(self.data)
 
-    def adjoint(self) -> "LabeledOperator":
-        return LabeledOperator(self.layout, self.data.conj().T)
-
     def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
         if self.exact:
             return bool(np.all(self.data == self.data.T))
@@ -246,16 +238,6 @@ class LabeledOperator:
 
     def to_float(self) -> "LabeledOperator":
         return LabeledOperator(self.layout, self.data, exact=False) if self.exact else self
-
-    def to_exact(self) -> "LabeledOperator":
-        """Lift float data to exact scalars, losslessly.
-
-        Each entry becomes the Fraction equal to its binary float value
-        (so 0.1 becomes 3602879701896397/36028797018963968, not 1/10);
-        raises ``ValueError`` if any entry has a nonzero imaginary part or
-        is not finite.  Exact data is returned as an equal operator.
-        """
-        return LabeledOperator(self.layout, self.data, exact=True)
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -315,22 +297,6 @@ class Vec:
     def exact(self) -> bool:
         return self.data.dtype == object
 
-    def norm(self) -> float:
-        return float(np.linalg.norm(np.asarray(self.data, dtype=complex)))
-
-    def inner(self, other: "Vec"):
-        """Hermitian inner product <self|other>."""
-        if self.layout != other.layout:
-            raise LayoutMismatch("inner product requires identical layouts")
-        a = np.asarray(self.data, dtype=complex)
-        b = np.asarray(other.data, dtype=complex)
-        return complex(np.vdot(a, b))
-
-    def projector(self) -> LabeledOperator:
-        """|v><v| on the same layout (float scalars)."""
-        a = np.asarray(self.data, dtype=complex)
-        return LabeledOperator(self.layout, np.outer(a, a.conj()))
-
     def __repr__(self) -> str:
         return f"Vec({[s.name for s in self.layout]}, len={self.data.shape[0]})"
 
@@ -385,21 +351,6 @@ def partial_trace(op: LabeledOperator, labels: Iterable[Space]) -> LabeledOperat
 def dephase(op: LabeledOperator) -> LabeledOperator:
     """Zero all off-diagonal entries (idempotent, trace preserving)."""
     return LabeledOperator(op.layout, np.diag(np.diag(op.data)))
-
-
-def vectorize(m, out_layout: Sequence[Space], in_layout: Sequence[Space]) -> Vec:
-    """Column-stack a matrix m: in -> out as the vector (m (x) I) sum_i |ii>.
-
-    The resulting layout is out_layout followed by in_layout, matching the
-    convention that vec(|i><j|) = |i>|j>.
-    """
-    out_layout = tuple(out_layout)
-    in_layout = tuple(in_layout)
-    mat = np.asarray(m, dtype=complex)
-    dy, dx = _side(out_layout), _side(in_layout)
-    if mat.shape != (dy, dx):
-        raise LayoutMismatch(f"matrix shape {mat.shape} does not match ({dy}, {dx})")
-    return Vec(out_layout + in_layout, mat.reshape(dy * dx))
 
 
 def eig_hermitian(op: LabeledOperator) -> tuple[np.ndarray, np.ndarray]:

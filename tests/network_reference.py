@@ -1,7 +1,7 @@
 """Reference operators of the network scenario, kept as the tests' physics oracles.
 
 The package builds only the wiring operators' diagonals
-(:func:`ordergame.network.wiring_diagonal`) and the LP over them.  Here each
+(:func:`ordergame.network.objective_diagonals`) and the LP over them.  Here each
 order's full 256x256 wiring operator is built from unnormalized maximally
 entangled projectors across the wire pairs the order connects, and a
 strategy block is contracted with it by the link-product rule: the trace

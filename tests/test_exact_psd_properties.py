@@ -101,14 +101,14 @@ def test_zero_pivot_with_a_nonzero_row_is_indefinite(b, data):
 @settings
 @hypothesis.given(factors(floats))
 def test_large_denominators_from_floats(b):
-    # to_exact() of binary floats such as 0.1 gives denominators up to 2**60
+    # exact construction from binary floats such as 0.1 gives denominators up to 2**60
     b = b.astype(float)
     n = b.shape[0]
     product = b @ b.T
-    lifted = LabeledOperator((Space("M", n),), (product + product.T) / 2).to_exact().data
+    lifted = LabeledOperator((Space("M", n),), (product + product.T) / 2, exact=True).data
     for mat in (lifted, lifted - np.eye(n, dtype=int) * Fraction(1, 3)):
         assert verdict(mat) == fraction_psd(mat.tolist())
-    exact_b = LabeledOperator((Space("M", b.size),), np.diag(b.ravel())).to_exact().data.diagonal()
+    exact_b = LabeledOperator((Space("M", b.size),), np.diag(b.ravel()), exact=True).data.diagonal()
     assert verdict(gram(exact_b.reshape(b.shape)))
 
 

@@ -16,10 +16,9 @@ from ordergame.network import (
     objective_diagonals,
     solve_nonsignaling,
     strategy_network_blocks,
-    wiring_diagonal,
     witness_feasibility,
 )
-from ordergame.solver import ConicProblem, NonnegOrthant, SolveSettings, dump_tableau, parse_tableau, solve
+from ordergame.solver import ConicProblem, NonnegOrthant, SolveSettings, dump_tableau, solve
 from ordergame.tensor import (
     NETWORK_LAYOUT,
     A_IN,
@@ -46,6 +45,7 @@ from network_reference import (
     order_process,
     solution_blocks,
 )
+from reference import read_tableau
 
 
 @pytest.fixture(scope="module")
@@ -111,7 +111,7 @@ class TestWiringOperator:
                 tuple(mapping.get(s, s) for s in op.layout), op.data
             )
             aligned = permute_to_layout(relabeled, NETWORK_LAYOUT)
-            assert np.all(aligned.data == order_process(rho.compose(pi)).op.data)
+            assert np.all(aligned.data == order_process(Perm3(tuple(rho.apply(p) for p in pi.order))).op.data)
 
 
 class TestLinkProbability:
@@ -160,13 +160,12 @@ class TestProgramStructure:
         assert program.b[-1] == 16.0
 
     def test_wiring_diagonal_weight(self):
-        for pi in all_orders():
-            assert wiring_diagonal(pi).sum() == 16.0
+        for diagonal in objective_diagonals():
+            assert diagonal.sum() == 16.0
 
     def test_wiring_diagonal_is_the_operator_diagonal(self):
-        for pi in all_orders():
+        for pi, got in zip(all_orders(), objective_diagonals()):
             want = np.real(np.diag(order_process(pi).op.to_float().data))
-            got = wiring_diagonal(pi)
             assert got.dtype == want.dtype
             assert np.array_equal(got, want)
 
@@ -418,7 +417,8 @@ class TestWitnessViolation:
         assert check["max_violation"] == want
         # the objective, one Fraction per support entry
         objective = sum(
-            sum(Fraction(blocks[guess][u]) for u in np.flatnonzero(wiring_diagonal(guess))) for guess in all_orders()
+            sum(Fraction(blocks[guess][u]) for u in np.flatnonzero(diagonal))
+            for guess, diagonal in zip(all_orders(), objective_diagonals())
         ) / 6
         assert isinstance(check["objective"], Fraction)
         assert check["objective"] == objective
@@ -438,8 +438,7 @@ class TestSolveNonsignaling:
     def test_outcome_normalization_constant_across_orders(self, lp_report):
         blocks = solution_blocks(lp_report)
         totals = []
-        for pi in all_orders():
-            diag_w = wiring_diagonal(pi)
+        for diag_w in objective_diagonals():
             totals.append(sum(blocks[guess] @ diag_w for guess in all_orders()))
         assert max(totals) - min(totals) <= 1e-6
 
@@ -448,7 +447,7 @@ class TestSolveNonsignaling:
         stacked = np.array([blocks[pi] for pi in all_orders()])
         assert np.all(stacked >= 0.0)
         assert np.array_equal(stacked.sum(axis=0), lp_report.solution[_orbit_labels()])
-        score = sum(blocks[pi] @ wiring_diagonal(pi) for pi in all_orders()) / 6
+        score = sum(blocks[pi] @ diagonal for pi, diagonal in zip(all_orders(), objective_diagonals())) / 6
         assert abs(score - lp_report.objective_value) <= 1e-12
 
     def test_summed_diagonal_lp_solves_the_six_block_lp(self, lp_report):
@@ -474,7 +473,7 @@ class TestSolveNonsignaling:
 class TestTableauExport:
     def test_round_trips_and_solves(self):
         program = nonsignaling_program()
-        back = parse_tableau(dump_tableau(program))
+        back = read_tableau(dump_tableau(program))
         assert np.array_equal(back.a, program.a)
         report = solve(back, SolveSettings(tolerance=1e-6, max_iters=5000))
         assert abs(report.objective_value - 5.0 / 6.0) <= 1e-5

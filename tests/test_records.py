@@ -1,5 +1,6 @@
-"""Value semantics of the package's record types: equality, hashing, order,
-repr, immutability, copies and per-instance containers."""
+"""Value semantics of the package's record types, and of the tests' order
+prior built on the same base: equality, hashing, order, repr, immutability,
+copies and per-instance containers."""
 
 import copy
 import pickle
@@ -10,10 +11,11 @@ import pytest
 
 from ordergame.classical import BitStrategy
 from ordergame.cli import Report, RunConfig, Scenario, build_parser
-from ordergame.game import OrderPrior, Perm3, ScenarioResult, all_orders
+from ordergame.game import Perm3, ScenarioResult, all_orders
 from ordergame.quantum import UnitaryChannel, routing_matrix
 from ordergame.solver import HermitianPSD, NonnegOrthant, _group_blocks
 from ordergame.tensor import A_IN, SHARED, Space
+from reference import OrderPrior
 
 PERM = Perm3(("B", "A", "C"))
 KRAUS = np.array([[0, 1], [1, 0]], dtype=complex)

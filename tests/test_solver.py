@@ -15,7 +15,6 @@ from ordergame.solver import (
     SolverFailed,
     SolveSettings,
     dump_tableau,
-    parse_tableau,
     project_cone,
     shared_state_program,
     solve,
@@ -25,6 +24,7 @@ from ordergame.solver import (
     svec,
     unsvec,
 )
+from reference import read_tableau
 
 
 def rand_hermitian(rng, side):
@@ -379,6 +379,16 @@ class TestSharedStateFeasibility:
             "4a036673fc8079ae2f7e2539b8b3f49103157c8104d35816581defdeba3a1f7b"
         )
 
+    # "1e-8" and None raised TypeError when the tolerance was halved, and True
+    # was halved to a valid 0.5
+    @pytest.mark.parametrize("tolerance", ["1e-8", None, True])
+    def test_malformed_tolerance_is_refused_before_it_is_halved(self, tolerance):
+        from ordergame.tensor import Space
+
+        flip = {("p", "q"): np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)}
+        with pytest.raises(ProblemMalformed, match="tolerance"):
+            solve_shared_state_feasibility(flip, SolveSettings(tolerance=tolerance), layout=(Space("Q0", 2),))
+
     def test_rejects_bad_shape(self):
         with pytest.raises(ProblemMalformed):
             from ordergame.tensor import Space
@@ -429,6 +439,13 @@ class TestSolveWithinBound:
         with pytest.raises(SolverFailed, match="shared-state feasibility value"):
             solve_shared_state_feasibility(flip, settings, layout=(Space("Q0", 2),))
 
+    # with a solve tolerance given, "1e-8" and None raised TypeError in the
+    # slack after the solve, and True gave a slack of 10
+    @pytest.mark.parametrize("tolerance", ["1e-8", None, True])
+    def test_malformed_tolerance_is_refused_with_a_solve_tolerance(self, tolerance):
+        with pytest.raises(ProblemMalformed, match="tolerance"):
+            solve_within_bound("toy", trivial_lp(), Fraction(1), SolveSettings(tolerance=tolerance), solve_tolerance=1e-8)
+
     def test_zero_solve_tolerance_is_not_taken_as_absent(self, monkeypatch):
         # half the smallest subnormal tolerance rounds to 0.0, which must
         # reach the solver and be refused there
@@ -441,11 +458,24 @@ class TestSolveWithinBound:
             solve_within_bound("toy", trivial_lp(), Fraction(1), solve_tolerance=0.0)
 
 
+def package_programs():
+    """The three programs the package builds, by name."""
+    from ordergame.network import nonsignaling_program
+    from ordergame.quantum import discrimination_program, routing_pair_products, unbiased_order_states
+
+    pair_ops = {(pp.name, p.name): op.to_float().data for (pp, p), op in routing_pair_products().items()}
+    return {
+        "nonsignaling": nonsignaling_program(),
+        "discrimination": discrimination_program(unbiased_order_states()),
+        "shared-state": shared_state_program(pair_ops),
+    }
+
+
 class TestTableau:
     def test_round_trip(self):
         problem = small_sdp()
         text = dump_tableau(problem)
-        back = parse_tableau(text)
+        back = read_tableau(text)
         assert back.blocks == problem.blocks
         assert np.array_equal(back.objective, problem.objective)
         assert np.array_equal(back.a, problem.a)
@@ -453,51 +483,16 @@ class TestTableau:
 
     def test_parsed_problem_solves_identically(self):
         problem = small_sdp()
-        back = parse_tableau(dump_tableau(problem))
+        back = read_tableau(dump_tableau(problem))
         assert solve(back).objective_value == solve(problem).objective_value
 
-    def test_rejects_garbage(self):
-        with pytest.raises(ProblemMalformed):
-            parse_tableau("bogus\n")
-
-    @pytest.mark.parametrize(
-        "body",
-        [
-            "rows 1\ncone orthant 1\na 0 0\n",  # truncated triplet
-            "rows 1\ncone orthant 2\na 1 0 1.0\n",  # a row past the rows
-            "rows 1\ncone orthant 2\na 0 2 1.0\n",  # a column past the 2 coordinates
-            "rows 1\ncone orthant 2\na -1 0 1.0\n",  # negative a row: would wrap to the last
-            "rows 1\ncone orthant 2\na 0 -1 1.0\n",  # negative a column
-            "rows 1\ncone psd 2\no 9 1.0\n",  # objective index past the 4 coordinates
-            "rows 1\ncone orthant 1\nrhs 5 1.0\n",  # right-hand side past the rows
-            "rows 1\ncone orthant x\n",  # non-integer size
-            "rows -1\ncone orthant 1\n",  # negative row count
-            "rows 1\ncone soc 3\n",  # unknown cone kind
-            "rows 1\ncone orthant 2\no 0 1.0\no 0 5.0\n",  # repeated objective index: would overwrite
-            "rows 1\ncone orthant 2\nrhs 0 1.0\nrhs 0 5.0\n",  # repeated right-hand side
-        ],
-        ids=[
-            "short-a", "a-row", "a-column", "a-negative-row", "a-negative-column",
-            "objective-index", "rhs-index", "cone-size", "negative-rows", "cone-kind",
-            "repeated-objective", "repeated-rhs",
-        ],
-    )
-    def test_malformed_text_raises_problem_malformed(self, body):
-        with pytest.raises(ProblemMalformed):
-            parse_tableau("conic-tableau v1\n" + body)
-
-    def test_oversized_header_is_rejected_before_allocating(self, monkeypatch):
-        # 2**20 rows over a side-256 PSD block (2**16 variables) would be 2**36 floats
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("allocated an oversized tableau")
-
-        monkeypatch.setattr(np, "zeros", no_allocation)
-        with pytest.raises(ProblemMalformed, match="exceed"):
-            parse_tableau("conic-tableau v1\nrows 1048576\ncone psd 256\n")
-
-    def test_repeated_entries_add_up(self):
-        text = "conic-tableau v1\nrows 1\ncone orthant 2\na 0 1 1.5\na 0 1 0.25\na 0 0 1.0\nrhs 0 2.0\n"
-        assert parse_tableau(text).a.tolist() == [[1.0, 1.75]]
+    @pytest.mark.parametrize("name", ["nonsignaling", "discrimination", "shared-state"])
+    def test_package_programs_read_back_bit_for_bit(self, name):
+        problem = package_programs()[name]
+        back = read_tableau(dump_tableau(problem))
+        assert back.blocks == problem.blocks
+        for field in ("objective", "a", "b"):
+            assert getattr(back, field).tobytes() == getattr(problem, field).tobytes()
 
 
 def dense_affine_projection(problem, x, rcond=1e-15):

@@ -91,75 +91,69 @@ def test_package_has_no_unused_imports():
 
 
 def _definitions(tree: ast.Module):
-    """The name of each top-level function, class, method and module-level assignment."""
+    """Each top-level function, class and module-level assignment as ``(name, False)``, and each method as ``(name, True)``."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name
+            yield node.name, False
         if isinstance(node, ast.ClassDef):
-            yield from (item.name for item in node.body if isinstance(item, ast.FunctionDef))
+            yield from ((item.name, True) for item in node.body if isinstance(item, ast.FunctionDef))
         if isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            yield from (t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
+            yield from ((t.id, False) for target in targets for t in ast.walk(target) if isinstance(t, ast.Name))
 
 
-def _names_read(paths) -> set[str]:
-    """Every name the files read, as a name, an attribute or an import."""
-    read = set()
+def _names_read(paths) -> tuple[set[str], set[str]]:
+    """The names the files read as a name or an import, and the attributes they read.
+
+    The package's ``__init__.py`` only re-exports, so its imports are not reads.
+    """
+    names, attributes = set(), set()
     for path in paths:
+        if path == REPO / "src" / "ordergame" / "__init__.py":
+            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                read.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                read.add(node.attr)
+                attributes.add(node.attr)
             elif isinstance(node, ast.alias):
-                read.add(node.name.rpartition(".")[2])
-    return read
+                names.add(node.name.rpartition(".")[2])
+    return names, attributes
 
 
-def _package_names_not_read(read: set[str]) -> list[str]:
-    """Each package definition, as ``module name``, whose name is not in ``read``; dunder names are read by the language."""
-    package = Path(ordergame.__file__).parent
+def _package_names_not_read(paths) -> list[str]:
+    """Each package definition, as ``module name``, that the files do not read.
+
+    A method counts as read only through an attribute, so a local variable
+    of the same name does not hide it; dunder names are read by the language.
+    """
+    names, attributes = _names_read(paths)
     return [
-        f"{path.relative_to(package)} {name}"
-        for path in sorted(package.rglob("*.py"))
-        for name in _definitions(ast.parse(path.read_text(), filename=str(path)))
-        if name not in read and not (name.startswith("__") and name.endswith("__"))
+        f"{path.relative_to(PACKAGE)} {name}"
+        for path in sorted(PACKAGE.rglob("*.py"))
+        for name, method in _definitions(ast.parse(path.read_text(), filename=str(path)))
+        if name not in attributes
+        and (method or name not in names)
+        and not (name.startswith("__") and name.endswith("__"))
     ]
 
 
 REPO = Path(__file__).resolve().parents[1]
+PACKAGE = Path(ordergame.__file__).parent
 
 
 def test_every_package_name_is_read():
     # a package name no code reads is dead
     directories = ("src", "tests", "perfbench")
-    read = _names_read(path for directory in directories for path in sorted((REPO / directory).rglob("*.py")))
-    assert _package_names_not_read(read) == []
-
-
-#: Package names that only tests other than the acceptance test read: the
-#: tests' oracles and helpers still defined in the package.  The list may
-#: only shrink, as they move into the tests or gain a package reader.
-TEST_ONLY_NAMES = [
-    "game.py composition_name",
-    "game.py compose",
-    "game.py IDENTITY",
-    "game.py deterministic_success",
-    "network.py wiring_diagonal",
-    "quantum.py entangled_output_states",
-    "solver.py parse_tableau",
-    "tensor.py to_exact",
-    "tensor.py inner",
-    "tensor.py projector",
-]
+    paths = [path for directory in directories for path in sorted((REPO / directory).rglob("*.py"))]
+    assert _package_names_not_read(paths) == []
 
 
 def test_package_names_are_read_outside_the_unit_tests():
     # the package, the acceptance test or the benchmark must read each name;
     # a name that only unit tests read is test-only residue
     paths = [*sorted((REPO / "src").rglob("*.py")), REPO / "tests" / "test_acceptance.py"]
-    read = _names_read(paths + sorted((REPO / "perfbench").rglob("*.py")))
-    assert _package_names_not_read(read) == TEST_ONLY_NAMES
+    assert _package_names_not_read(paths + sorted((REPO / "perfbench").rglob("*.py"))) == []
 
 
 def test_package_does_not_call_solve_same_constraints():
