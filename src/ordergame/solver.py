@@ -13,17 +13,24 @@ the upper triangle), so trace inner products and Euclidean norms transfer
 exactly.
 
 The algorithm is ADMM on the consensus splitting between the affine set
-{Ax = b} and the cone, with fixed penalty RHO and over-relaxation
-OVER_RELAXATION, accelerated by safeguarded type-II Anderson acceleration
-of its fixed-point map (Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011;
-Zhang, O'Donoghue & Boyd, SIAM J. Optim. 30(4), 2020).  A solve extrapolates
-its state (z, u) from the last ANDERSON_MEMORY steps, and drops an
-extrapolated state whose fixed-point residual grew, for the plain step of
-its last accepted state.  No adaptive scaling, no randomized
-initialization: a solve is a pure function of the problem and the
-settings.  Coordinates that no equality touches pass through the affine
-step unchanged, so the equality matrix and its factor only span the
-touched coordinates.
+{Ax = b} and the cone, with over-relaxation OVER_RELAXATION, accelerated
+by safeguarded type-II Anderson acceleration of its fixed-point map
+(Walker & Ni, SIAM J. Numer. Anal. 49(4), 2011; Zhang, O'Donoghue & Boyd,
+SIAM J. Optim. 30(4), 2020).  A solve extrapolates its state (z, u) from
+the last ANDERSON_MEMORY steps, and drops an extrapolated state whose
+fixed-point residual grew, for the plain step of its last accepted state.
+No adaptive rescaling within a solve, no randomized initialization: a
+solve is a pure function of the problem and the settings.  Coordinates
+that no equality touches pass through the affine step unchanged, so the
+equality matrix and its factor only span the touched coordinates.
+
+The penalty is scaled to the objective, rho = |c|₂/2 (Boyd et al.,
+*ADMM*, 2011, §3.4.1), and the map reads the objective only as c/rho.
+Scaling c by a power of two therefore leaves every iterate (z, u) the
+same to the bit, and scales the objective value and the dual residual
+rho·max|z' - z| exactly.  The tolerance is absolute, so a solve whose
+stop the dual test decides can stop at another iteration.  A zero
+objective keeps rho = 1: its iterates do not depend on rho.
 
 The affine step is the cached-factorisation projection
 w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2) over the t touched
@@ -40,8 +47,9 @@ and one group of 11, so its factor takes one 11x40 SVD.
 
 The cone step projects orthant blocks by clipping, 2x2 PSD blocks in
 closed form (their eigenvalues are mean ± radius of the svec entries;
-Parikh & Boyd, *Proximal Algorithms*, 2014, §6.3) and larger PSD blocks
-through ``eigh``.
+Parikh & Boyd, *Proximal Algorithms*, 2014, §6.3; a rank-one output is
+rounded towards the inside of the cone) and larger PSD blocks through
+``eigh``.
 
 The primal residual is max(|x - z|, max|A z - b|).  The equality gap can
 only decide convergence once |x - z| and the dual residual already meet
@@ -72,9 +80,10 @@ import numpy as np
 from .tensor import ENTANGLED_LAYOUT, FrozenRecord, LabeledOperator, Space
 
 _SQRT2 = math.sqrt(2.0)
+_EPS = math.ulp(1.0)
 
-#: ADMM penalty and over-relaxation; fixed for every solve.
-RHO = 1.0
+#: ADMM over-relaxation, fixed for every solve; the penalty follows the
+#: objective (see the module docstring).
 OVER_RELAXATION = 1.5
 
 #: Anderson acceleration, fixed for every solve: how many past steps a
@@ -135,6 +144,18 @@ class ConicProblem:
     """
 
     def __init__(self, blocks: list[Cone], objective: np.ndarray, a: np.ndarray, b: np.ndarray):
+        if not blocks:
+            raise ProblemMalformed("a program needs at least one cone block")
+        for block in blocks:
+            if not isinstance(block, Cone):
+                raise ProblemMalformed(f"{block!r} is not a cone block")
+            size = block.n if isinstance(block, NonnegOrthant) else block.side
+            try:
+                valid = not isinstance(size, bool) and operator.index(size) >= 1
+            except TypeError:
+                valid = False
+            if not valid:
+                raise ProblemMalformed(f"cone block {block!r} needs an integer size of at least 1")
         self.blocks = blocks
         self.objective = np.asarray(objective, dtype=float)
         self.a = np.asarray(a, dtype=float)
@@ -281,14 +302,21 @@ def _project(v: np.ndarray, groups: Sequence[tuple[Cone, int, slice]]) -> np.nda
             # over 2 radius: the Lorentz-cone projection in closed form
             blocks = v[span].reshape(count, 4)
             a, b, c, d = blocks.T
-            mean, half = (a + b) / 2, (a - b) / 2
-            radius = np.sqrt(half * half + (c * c + d * d) / 2)
+            mean, half, q = (a + b) / 2, (a - b) / 2, (c * c + d * d) / 2
+            radius = np.sqrt(half * half + q)
             # a radius-0 block is a multiple of I: kept, or zero through top = 0
+            flat = radius == 0
             top = np.maximum(mean + radius, 0.0)
-            scale = top / (2 * radius + (radius == 0))
-            clipped = blocks * scale[:, None]
-            np.multiply(radius + half, scale, out=clipped[:, 0])
-            np.multiply(radius - half, scale, out=clipped[:, 1])
+            scale = top / (2 * radius + flat)
+            # radius - |half| would cancel, so the smaller diagonal entry is
+            # q / (radius + |half|), and the off-diagonal entries shrink by a
+            # factor 1 - 8ε: the output is then PSD in exact arithmetic
+            big = radius + np.abs(half)
+            small = q / (big + flat)
+            clipped = blocks * (scale * (1.0 - 8 * _EPS))[:, None]
+            upper = half >= 0
+            np.multiply(np.where(upper, big, small), scale, out=clipped[:, 0])
+            np.multiply(np.where(upper, small, big), scale, out=clipped[:, 1])
             np.copyto(clipped, blocks, where=(mean >= radius)[:, None])
             out[span] = clipped.ravel()
         else:
@@ -415,10 +443,11 @@ def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> Solve
     the state ``s = (z, u)``, and applies the convergence test to the
     evaluation.  The test holds for any input state, and the reported
     solution is the cone projection ``z'``: its orthant blocks are exactly
-    nonnegative, and its PSD blocks are PSD up to rounding.  A block the
-    projection puts on the cone's boundary can have, in exact arithmetic,
-    a smallest eigenvalue below 0 by a rounding error: at most about 1e-16
-    of its trace on random 2x2 and 16x16 blocks.
+    nonnegative, a 2x2 block that the closed form changes is PSD in exact
+    arithmetic, and the other PSD blocks are PSD up to rounding.  A 16x16
+    block the projection puts on the cone's boundary can have, in exact
+    arithmetic, a smallest eigenvalue below 0 by a rounding error: at most
+    about 1e-16 of its trace on random blocks.
 
     The next state is type-II Anderson acceleration (Walker & Ni, 2011) of
     ``F``: with ``g = F(s) - s`` and the differences ``ΔF``, ``ΔG`` of
@@ -436,7 +465,9 @@ def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> Solve
     affine = _AffineSet(problem)
     groups = _group_blocks(problem.blocks)
     objective, n = problem.objective, problem.dim
-    rho, alpha, memory = RHO, OVER_RELAXATION, ANDERSON_MEMORY
+    # the penalty follows the objective's scale; see the module docstring
+    rho = float(np.linalg.norm(objective)) / 2 or 1.0
+    alpha, memory = OVER_RELAXATION, ANDERSON_MEMORY
     eye = np.eye(memory)
 
     shift = objective / rho

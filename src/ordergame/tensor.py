@@ -276,13 +276,13 @@ class LabeledOperator:
 
 
 class Vec:
-    """Column vector on an ordered list of named tensor factors."""
+    """Complex float column vector on an ordered list of named tensor factors."""
 
     __slots__ = ("layout", "data")
 
-    def __init__(self, layout: Sequence[Space], data, *, exact: bool | None = None):
+    def __init__(self, layout: Sequence[Space], data):
         layout = _check_layout(layout)
-        arr = _coerce(data, exact)
+        arr = np.asarray(data, dtype=complex)
         if arr.shape != (_side(layout),):
             raise LayoutMismatch(
                 f"vector length {arr.shape} does not match layout side {_side(layout)}"
@@ -292,10 +292,6 @@ class Vec:
 
     def __setattr__(self, name, value):
         raise AttributeError("Vec is immutable")
-
-    @property
-    def exact(self) -> bool:
-        return self.data.dtype == object
 
     def __repr__(self) -> str:
         return f"Vec({[s.name for s in self.layout]}, len={self.data.shape[0]})"

@@ -124,8 +124,8 @@ class TestEmit:
         assert rows[1][-1] == ""
 
     def test_csv_names_a_failed_scenario(self, capsys):
-        # a tolerance of 10 stops the LP far from its optimum, out of [0, 1]
-        assert main(["--scenario", "nonsignaling", "--tolerance", "10", "--output", "csv"]) == 2
+        # a tolerance of 100 stops the LP far from its optimum, out of [0, 1]
+        assert main(["--scenario", "nonsignaling", "--tolerance", "100", "--output", "csv"]) == 2
         rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
         assert len(rows) == 1
         assert rows[0]["scenario"] == "nonsignaling"
@@ -266,7 +266,8 @@ class TestMain:
         assert "FAILED" in capsys.readouterr().out
 
     def test_unconverged_solve_exit_code(self, capsys):
-        assert main(["--scenario", "quantum-memoryless", "--max-iters", "5"]) == 2
+        # the discrimination solve converges at iteration 4
+        assert main(["--scenario", "quantum-memoryless", "--max-iters", "3"]) == 2
         assert "quantum-memoryless    FAILED" in capsys.readouterr().out
 
     def test_halved_tolerance_that_underflows_exits_2(self, capsys):
@@ -288,7 +289,7 @@ class TestMain:
         assert main(["--scenario", "nonsignaling", "--tolerance", "0.5", "--check"]) == 1
         assert "check failed: nonsignaling" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("tolerance", ["10", "1e300"])
+    @pytest.mark.parametrize("tolerance", ["100", "1e300"])
     def test_scenario_error_exit_code(self, tolerance, capsys):
         # a loose tolerance stops the LP above 1, and the out-of-range
         # probability is recorded as a failure, not raised

@@ -122,8 +122,9 @@ class TestDiscrimination:
         assert abs(closed_form_value(unbiased_order_states()) - 1.0 / 3.0) <= 1e-12
 
     def test_unconverged_solve_raises(self):
+        # the solve converges at iteration 4
         with pytest.raises(SolverFailed) as info:
-            quantum_memoryless_optimum(unbiased_order_states(), SolveSettings(max_iters=5))
+            quantum_memoryless_optimum(unbiased_order_states(), SolveSettings(max_iters=3))
         assert info.value.report.status != "optimal"
 
     def test_bound_slack_follows_tolerance(self):

@@ -289,6 +289,26 @@ class TestSolve:
             with pytest.raises(ProblemMalformed):
                 ConicProblem(blocks=[NonnegOrthant(1)], objective=objective, a=a, b=b)
 
+    # -2 and 2.0 ended in numpy errors, the empty list and size 0 in a
+    # zero-size reduction, and True solved as a 1-orthant
+    @pytest.mark.parametrize(
+        "blocks, n",
+        [
+            ([HermitianPSD(-2)], 4),
+            ([NonnegOrthant(2.0)], 2),
+            ([], 0),
+            ([NonnegOrthant(0)], 0),
+            ([HermitianPSD(0)], 0),
+            ([NonnegOrthant(True)], 1),
+            (["psd"], 1),
+        ],
+        ids=["negative-side", "float-size", "no-blocks", "empty-orthant", "empty-psd", "bool-size", "not-a-block"],
+    )
+    def test_malformed_blocks(self, blocks, n):
+        # n is the length the blocks' dims add up to, so only the block check can refuse them
+        with pytest.raises(ProblemMalformed, match="block"):
+            ConicProblem(blocks=blocks, objective=np.ones(n), a=np.zeros((0, n)), b=[])
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_batch_rejects_non_finite_objective_rows(self, bad):
         from ordergame.quantum import discrimination_program, unbiased_order_states
@@ -347,6 +367,20 @@ class TestSolve:
         assert abs(got.objective_value - np.maximum(c[0], c[1] / 2).sum()) <= 1e-6
         assert np.max(np.abs(got.solution[diag] - want.solution)) <= 1e-12
         assert np.max(np.abs(np.delete(got.solution, diag))) <= 1e-12
+
+
+def small_sdp_directions():
+    """Seeded objectives for :func:`small_sdp` that differ in direction, not only in scale."""
+    return np.random.default_rng(0).normal(size=(8, 5))
+
+
+def small_sdp_optimum(c):
+    """The optimum of :func:`small_sdp` under the objective ``c``.
+
+    Its feasible states are [[t, w], [w*, t]] with |w| <= t and slack
+    1 - 2t, so the value is linear in t on [0, 1/2] and peaks at an end.
+    """
+    return max(c[4], (c[0] + c[1] + math.sqrt(2.0) * math.hypot(c[2], c[3])) / 2)
 
 
 def z_mat():
@@ -603,25 +637,26 @@ class TestPinnedSolves:
 
         report = solve(full_nonsignaling_program())
         assert report.status == "optimal"
-        assert report.iterations == 37
-        # the merged 256-column LP ends 2.1e-10 above 5/6 at tolerance 1e-8
-        assert abs(report.objective_value - 0.8333333335392052) <= 1e-12
+        assert report.iterations == 31
+        # the merged 256-column LP ends 4.4e-10 above 5/6 at tolerance 1e-8
+        assert abs(report.objective_value - 0.833333333772225) <= 1e-12
         accurate = solve(full_nonsignaling_program(), SolveSettings(tolerance=1e-10))
         assert accurate.status == "optimal"
-        assert accurate.iterations == 45
-        assert abs(accurate.objective_value - 5.0 / 6.0) <= 1e-11
+        assert accurate.iterations == 37
+        # and 1.2e-11 below 5/6 at tolerance 1e-10
+        assert abs(accurate.objective_value - 0.8333333333209474) <= 1e-12
 
     def test_nonsignaling_orbit_lp(self):
         from ordergame.network import nonsignaling_program
 
         report = solve(nonsignaling_program())
         assert report.status == "optimal"
-        assert report.iterations == 29
-        # the 40-orbit LP ends 3.5e-10 below 5/6 at tolerance 1e-8
-        assert abs(report.objective_value - 0.8333333329855042) <= 1e-12
+        assert report.iterations == 30
+        # the 40-orbit LP ends 3.0e-11 below 5/6 at tolerance 1e-8
+        assert abs(report.objective_value - 0.8333333333028483) <= 1e-12
         accurate = solve(nonsignaling_program(), SolveSettings(tolerance=1e-10))
         assert accurate.status == "optimal"
-        assert accurate.iterations == 36
+        assert accurate.iterations == 37
         assert abs(accurate.objective_value - 5.0 / 6.0) <= 1e-11
 
     def test_discrimination_program(self):
@@ -629,7 +664,7 @@ class TestPinnedSolves:
 
         report = solve(discrimination_program(unbiased_order_states()))
         assert report.status == "optimal"
-        assert report.iterations == 11
+        assert report.iterations == 4
 
     def test_shared_state_program(self):
         from ordergame.quantum import routing_pair_products
@@ -638,7 +673,7 @@ class TestPinnedSolves:
             (pp.name, p.name): op.to_float().data for (pp, p), op in routing_pair_products().items()
         }
         _, report = solve_shared_state_feasibility(pair_ops)
-        assert report.iterations == 14
+        assert report.iterations == 4
 
     @pytest.mark.parametrize("name", ["nonsignaling", "nonsignaling-full", "planted"])
     def test_capped_solve_reports_the_equality_gap(self, name):
@@ -667,14 +702,14 @@ class TestPinnedSolves:
         assert len({got.objective_value for got in batch}) == 3
 
     def test_batch_converging_at_different_iterations_matches_single_solves(self):
-        # alone, these objectives converge after 9, 13, 16 and 36 iterations:
-        # at the cap of 16 one row converges on the last iteration and one
-        # is still live
+        # alone, these four directions converge after 5, 10, 11 and 13
+        # iterations: at the cap of 11 one row converges on the last
+        # iteration and one is still live
         problem = small_sdp()
-        objectives = np.stack([scale * problem.objective for scale in (0.1, 0.2, 0.05, 0.02)])
-        settings = SolveSettings(max_iters=16)
+        objectives = small_sdp_directions()[[0, 4, 3, 1]]
+        settings = SolveSettings(max_iters=11)
         batch = solve_same_constraints(problem, objectives, settings)
-        assert [r.iterations for r in batch] == [9, 13, 16, 16]
+        assert [r.iterations for r in batch] == [5, 10, 11, 11]
         assert [r.status for r in batch][:3] == ["optimal"] * 3
         assert batch[3].status != "optimal"
         for objective, got in zip(objectives, batch):
@@ -717,12 +752,12 @@ class TestAcceleratedLoop:
     """The Anderson-accelerated loop's safeguard, batch bits and reports."""
 
     def test_safeguard_rejections_keep_the_batch_bits(self):
-        # alone, the 0.1 and 0.02 rows each drop at least one extrapolated
-        # state and still converge; the other two never drop one
+        # alone, the last two directions each drop an extrapolated state and
+        # still converge; the first two never drop one
         problem = small_sdp()
-        objectives = np.stack([scale * problem.objective for scale in (0.1, 0.2, 1.0, 0.02)])
+        objectives = small_sdp_directions()[[0, 1, 3, 4]]
         batch = solve_same_constraints(problem, objectives)
-        assert [r.rejected > 0 for r in batch] == [True, False, False, True]
+        assert [r.rejected > 0 for r in batch] == [False, False, True, True]
         for objective, got in zip(objectives, batch):
             want = solve(ConicProblem(problem.blocks, objective, problem.a, problem.b))
             assert got.status == want.status == "optimal"
@@ -730,7 +765,23 @@ class TestAcceleratedLoop:
             assert got.objective_value == want.objective_value
             assert (got.primal_residual, got.dual_residual) == (want.primal_residual, want.dual_residual)
             assert got.solution.tobytes() == want.solution.tobytes()
-            assert abs(got.objective_value - max(objective @ problem.objective, 0.0) / 2) <= 1e-7
+            assert abs(got.objective_value - small_sdp_optimum(objective)) <= 1e-7
+
+    def test_discrimination_solutions_are_exactly_in_the_cone(self):
+        # 200 seeded Haar triples, drawn as the discrimination scan draws
+        # them; a rank-one 2x2 output whose smaller diagonal entry is taken
+        # as the cancelling radius - |half| is indefinite by an ulp in 117
+        from ordergame.game import all_orders
+        from ordergame.quantum import _order_kets, discrimination_program, haar_qubit_unitary
+        from ordergame.tensor import SHARED, Vec
+
+        rng = np.random.default_rng(42)
+        for _ in range(200):
+            kets = _order_kets({party: haar_qubit_unitary(rng) for party in "ABC"})
+            problem = discrimination_program({pi: Vec((SHARED,), ket) for pi, ket in zip(all_orders(), kets)})
+            report = solve(problem)
+            assert report.status == "optimal"
+            assert exactly_in_cone(problem, report.solution)
 
     @pytest.mark.parametrize("tolerance", [1e-8, 1e-10])
     @pytest.mark.parametrize(
@@ -744,6 +795,35 @@ class TestAcceleratedLoop:
         assert np.max(np.abs(problem.a @ report.solution - problem.b)) <= tolerance
         assert exactly_in_cone(problem, report.solution)
         assert abs(report.objective_value - value) <= 10 * tolerance
+
+
+class TestObjectiveScaledPenalty:
+    """The penalty is |c|/2, so the ADMM map reads c only as c/rho."""
+
+    # the primal test stops the discrimination and shared-state solves at
+    # every scale; the LP's stop is decided by its dual residual, which
+    # scales with c against an absolute tolerance (from 8c on it stops
+    # after 31-34 iterations, not 30), so it is compared at a cap of 20
+    @pytest.mark.parametrize("name, max_iters", [("discrimination", 200_000), ("shared-state", 200_000), ("nonsignaling", 20)])
+    def test_power_of_two_scaling_keeps_every_iterate(self, name, max_iters):
+        problem = package_programs()[name]
+        settings = SolveSettings(max_iters=max_iters)
+        base = solve(problem, settings)
+        for k in range(-6, 7):
+            scale = 2.0**k
+            got = solve(ConicProblem(problem.blocks, scale * problem.objective, problem.a, problem.b), settings)
+            assert (got.status, got.iterations, got.rejected) == (base.status, base.iterations, base.rejected)
+            assert got.solution.tobytes() == base.solution.tobytes()
+            assert got.primal_residual == base.primal_residual
+            assert got.objective_value == scale * base.objective_value
+            assert got.dual_residual == scale * base.dual_residual
+        assert base.status == ("max_iters" if name == "nonsignaling" else "optimal")
+
+    def test_zero_objective_is_a_feasibility_solve(self):
+        problem = small_sdp()
+        report = solve(ConicProblem(problem.blocks, np.zeros(problem.dim), problem.a, problem.b))
+        assert report.status == "optimal" and report.objective_value == 0.0
+        assert np.max(np.abs(problem.a @ report.solution - problem.b)) <= 1e-8
 
 
 class TestNoEqualities:

@@ -15,7 +15,6 @@ from ordergame.tensor import (
     NotHermitian,
     Space,
     UnknownLabel,
-    Vec,
     dephase,
     eig_hermitian,
     integer_numerators,
@@ -221,7 +220,6 @@ class TestScalarKinds:
 
     @pytest.mark.parametrize("cls, data", [
         (LabeledOperator, [[0.5, 0.1], [0.1, 1.0 / 3.0]]),
-        (Vec, [0.1, -2.5]),
     ])
     def test_exact_construction_converts_floats_losslessly(self, cls, data):
         obj = cls((Q0,), data, exact=True)
@@ -239,11 +237,9 @@ class TestScalarKinds:
     def test_exact_construction_keeps_ints(self):
         op = LabeledOperator((Q0,), np.array([[True, False], [False, True]]), exact=True)
         assert all(type(x) is int for x in np.ravel(op.data))
-        assert Vec((Q0,), np.array([3, -1]), exact=True).data.tolist() == [3, -1]
 
     @pytest.mark.parametrize("cls, data", [
         (LabeledOperator, [[0.5, 0.5j], [-0.5j, 0.5]]),
-        (Vec, np.array([1.0, 1j]) / np.sqrt(2)),
     ])
     def test_exact_construction_rejects_complex(self, cls, data):
         with pytest.raises(ValueError):
@@ -256,13 +252,10 @@ class TestScalarKinds:
         with pytest.raises(ValueError):
             LabeledOperator((Q0,), np.array([[1.0, 0.0], [0.0, bad]], dtype=complex), exact=True)
 
-    @pytest.mark.parametrize("cls", [LabeledOperator, Vec])
+    @pytest.mark.parametrize("cls", [LabeledOperator])
     def test_object_data_follows_the_exact_rules(self, cls):
         entries = [np.float64(0.5), True, 3, Fraction(1, 3)]
-        if cls is Vec:
-            layout, data = (Q0, Q1), np.array(entries, dtype=object)
-        else:
-            layout, data = (Q0,), np.array([entries[:2], entries[2:]], dtype=object)
+        layout, data = (Q0,), np.array([entries[:2], entries[2:]], dtype=object)
         for obj in (cls(layout, data), cls(layout, data, exact=True)):
             assert obj.exact
             assert [type(x) for x in np.ravel(obj.data)] == [Fraction, int, int, Fraction]
@@ -280,8 +273,6 @@ class TestScalarKinds:
         data[0, 1] = data[1, 0] = bad
         with pytest.raises(ValueError):
             LabeledOperator((Q0,), data)
-        with pytest.raises(ValueError):
-            Vec((Q0,), np.array([Fraction(1, 2), bad], dtype=object), exact=True)
 
     def test_integer_numerators(self):
         data = np.array([[Fraction(1, 6), 2], [Fraction(-3, 4), 0]], dtype=object)
