@@ -36,14 +36,7 @@ The affine step is the cached-factorisation projection
 w - Aᵀ(A Aᵀ)⁺(A w - b) (Boyd et al., *ADMM*, 2011, §4.2) over the t touched
 columns: a thin SVD of A cut to the rank r gives a t x r factor F and the
 step (w F - y) Fᵀ, two matrix-vector products of 2tr flops together
-(40x31 for the non-signaling LP).
-The SVD is taken per group of rows, where a group is a connected
-component of the nonzero pattern of A Aᵀ.  Rows of different groups are
-orthogonal, so the groups' right singular vectors together are an
-orthonormal basis of A's row space, and the rank cut uses the largest
-singular value over all groups.  A row orthogonal to every other is its
-own singular vector and needs no SVD: the LP's 31 rows are 20 such rows
-and one group of 11, so its factor takes one 11x40 SVD.
+(40x31 for the non-signaling LP, 68x12 for the shared-state program).
 
 The cone step projects orthant blocks by clipping, 2x2 PSD blocks in
 closed form (their eigenvalues are mean ± radius of the svec entries;
@@ -140,7 +133,8 @@ class ConicProblem:
     """Cone blocks, a linear objective to maximize, and affine equalities.
 
     ``a`` is the dense ``(len(b), dim)`` equality matrix: every program
-    here is small (the largest, the shared-state program, is 61 x 257).
+    here is small (the largest, the shared-state program, is 61 x 257 for
+    30 distinct pair operators).
     """
 
     def __init__(self, blocks: list[Cone], objective: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -211,6 +205,7 @@ class SolveReport:
             "primal_residual": self.primal_residual,
             "dual_residual": self.dual_residual,
             "iterations": self.iterations,
+            "rejected": self.rejected,
         }
 
 
@@ -346,31 +341,16 @@ def project_cone(x: np.ndarray, blocks: Sequence[Cone]) -> np.ndarray:
 class _AffineSet:
     """The set {x : A x = b}, held as one rank-r factor of A's touched columns.
 
-    Over ``w = x[cols]``, with ``A[:, cols] = U Σ Vᵀ`` and only the
-    singular values with ``σ² > 1e-15 σ_max²`` kept (the rank ``pinv`` of
-    ``A Aᵀ`` keeps), ``F = V_r`` and ``y = U_rᵀ b / σ_r`` give
+    Over ``w = x[cols]``, with the thin SVD ``A[:, cols] = U Σ Vᵀ`` and only
+    the singular values with ``σ² > 1e-15 σ_max²`` kept (the rank ``pinv``
+    of ``A Aᵀ`` keeps), ``F = V_r`` and ``y = U_rᵀ b / σ_r`` give
     ``Aᵀ(A Aᵀ)⁺(A w - b) = (w F - y) Fᵀ``: ``Aᵀ(A Aᵀ)⁺ = A⁺``, so the step
     holds for every ``b``, consistent or not.
 
-    The SVD is taken one group of rows at a time.  Two rows are linked
-    when their float inner product is nonzero, and a group is a connected
-    component of those links.  Rows of different groups are orthogonal, so
-    ``A Aᵀ`` is block diagonal over the groups, and each group's right
-    singular vectors lie in the span of its own rows, orthogonal to every
-    other group's.  The groups' SVDs together are therefore an SVD of
-    ``A``: their ``V`` columns form one orthonormal basis of A's row space,
-    and the rank rule applies with one ``σ_max`` over all groups.  A row
-    linked to no other is its own right singular vector, with ``u = 1`` and
-    ``σ`` its norm; every other group gets a thin SVD over the columns it
-    touches.  ``F`` is written once, in its ``(t, r)`` layout.  A product
-    that rounding leaves nonzero only merges two groups, which is safe; one
-    that rounds to exactly 0 is at most about ``t·ε·|a_i||a_j|``, so those
-    two rows are orthogonal to working precision.
-
     ``cols`` is a slice when every column is touched, so the step then
     needs no gather or scatter; ``columns`` stays for the equality gap.  A
-    program with no equality rows has an empty factor, an identity step
-    and a gap of 0.
+    program with no equality rows, or only zero rows, has an empty factor
+    and an identity step.
     """
 
     def __init__(self, problem: ConicProblem):
@@ -378,35 +358,10 @@ class _AffineSet:
         self.cols = slice(None) if touched.all() else np.flatnonzero(touched)
         self.columns = problem.a[:, self.cols]
         self.b = problem.b
-        gram = self.columns @ self.columns.T
-        linked = gram != 0
-        # an all-zero row links nothing, not even itself, and spans nothing
-        nonzero = linked.diagonal()
-        lone = nonzero & (np.count_nonzero(linked, axis=1) == 1)
-        norms = np.sqrt(gram.diagonal()[lone])
-        # each part of the factor: the columns it spans, its right singular
-        # vectors over them, its singular values and its Uᵀb
-        parts = [(slice(None), self.columns[lone] / norms[:, None], norms, self.b[lone])]
-        left = nonzero & ~lone
-        while left.any():
-            # grow the first remaining row's links until the group is closed
-            group = linked[np.argmax(left)]
-            while not np.array_equal(grown := linked[group].any(axis=0), group):
-                group = grown
-            left &= ~group
-            span = self.columns[group].any(axis=0)
-            u, sigma, vt = np.linalg.svd(self.columns[np.ix_(group, span)], full_matrices=False)
-            parts.append((span, vt, sigma, u.T @ self.b[group]))
-        sigma = np.concatenate([part[2] for part in parts])
+        u, sigma, vt = np.linalg.svd(self.columns, full_matrices=False)
         keep = sigma**2 > 1e-15 * sigma.max(initial=0.0) ** 2
-        self.y = np.concatenate([part[3] for part in parts])[keep] / sigma[keep]
-        self.F = np.zeros((self.columns.shape[1], self.y.size))
-        at = col = 0
-        for span, vt, part_sigma, _ in parts:
-            kept = vt[keep[at : at + part_sigma.size]]
-            self.F[span, col : col + len(kept)] = kept.T
-            at += part_sigma.size
-            col += len(kept)
+        self.F = vt[keep].T
+        self.y = u[:, keep].T @ self.b / sigma[keep]
 
     def project(self, x: np.ndarray) -> None:
         """Project the vector ``x`` onto the set, in place: w - Aᵀ(A Aᵀ)⁺(A w - b)."""
@@ -572,17 +527,22 @@ def shared_state_program(
 ) -> ConicProblem:
     """Cone program: maximize tr(state) with tr(op . state) = 0 per pair.
 
-    Each (generally non-Hermitian) pair operator contributes two real
-    equalities through its Hermitian and anti-Hermitian witnesses; the trace
-    cap tr(state) <= 1 is carried by one orthant slack variable.
+    Each distinct (generally non-Hermitian) pair operator contributes two
+    real equalities through its Hermitian and anti-Hermitian witnesses.
+    Operators are taken in ``str(key)`` order, and one bit-identical to an
+    earlier operator states the same constraint, so it adds no rows.  The
+    trace cap tr(state) <= 1 is carried by one orthant slack variable.
     """
-    ops = [np.asarray(op, dtype=complex) for _, op in sorted(pair_ops.items(), key=lambda kv: str(kv[0]))]
-    if any(op.shape != (side, side) for op in ops):
-        raise ProblemMalformed(f"pair operator must be {side}x{side}")
-    ops = np.array(ops, dtype=complex).reshape(len(ops), side, side)
+    distinct: dict[bytes, np.ndarray] = {}
+    for _, op in sorted(pair_ops.items(), key=lambda kv: str(kv[0])):
+        op = np.asarray(op, dtype=complex)
+        if op.shape != (side, side):
+            raise ProblemMalformed(f"pair operator must be {side}x{side}")
+        distinct.setdefault(op.tobytes(), op)
+    ops = np.array(list(distinct.values()), dtype=complex).reshape(len(distinct), side, side)
     adjoint = ops.conj().transpose(0, 2, 1)
-    # rows 2k and 2k + 1 hold the witnesses of the k-th operator; the last
-    # row is tr(state) + slack = 1
+    # rows 2k and 2k + 1 hold the witnesses of the k-th distinct operator;
+    # the last row is tr(state) + slack = 1
     coeffs = np.zeros((2 * len(ops) + 1, side * side + 1))
     witnesses = np.stack([(ops + adjoint) / 2.0, (ops - adjoint) / 2.0j], axis=1)
     coeffs[:-1, :-1] = svec(witnesses.reshape(-1, side, side))

@@ -102,7 +102,7 @@ def orthogonal_group_programs(draw):
 
 @hypothesis.settings(max_examples=150, deadline=None)
 @hypothesis.given(orthogonal_group_programs(), st.integers(0, 2**32 - 1))
-def test_grouped_factor_is_an_orthonormal_basis_of_the_row_space(problem, seed):
+def test_factor_is_an_orthonormal_basis_of_the_row_space(problem, seed):
     a = problem.a
     x = np.random.default_rng(seed).normal(size=(3, problem.dim)) * 4
     # integer rows: nonzero singular values stay far above the 1e-10 cut

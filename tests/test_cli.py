@@ -203,6 +203,19 @@ class TestMain:
         parsed = json.loads(capsys.readouterr().out)
         assert parsed["results"][0]["probability"] == 1.0
 
+    def test_json_solver_fields_count_rejected_extrapolations(self, capsys):
+        assert main(["--scenario", "all", "--output", "json"]) == 0
+        parsed = json.loads(capsys.readouterr().out)
+        solvers = {r["scenario"]: r["certificate"].get("solver") for r in parsed["results"]}
+        fields = {"status", "objective_value", "primal_residual", "dual_residual", "iterations", "rejected"}
+        for name in ("nonsignaling", "quantum-memoryless", "lose-sdp"):
+            solver = solvers.pop(name)
+            assert set(solver) == fields
+            # none of the three solves drops an extrapolated state
+            assert solver["rejected"] == 0
+        # the exact scenarios run no solver
+        assert set(solvers.values()) == {None}
+
     def test_dump_matrices(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert main(["--scenario", "lose-verify", "--dump-matrices"]) == 0

@@ -383,6 +383,13 @@ def small_sdp_optimum(c):
     return max(c[4], (c[0] + c[1] + math.sqrt(2.0) * math.hypot(c[2], c[3])) / 2)
 
 
+def routing_pair_ops():
+    """The entangled scenario's 30 pair products, as float arrays keyed by order names."""
+    from ordergame.quantum import routing_pair_products
+
+    return {(pp.name, p.name): op.to_float().data for (pp, p), op in routing_pair_products().items()}
+
+
 def z_mat():
     return np.diag([1.0, -1.0]).astype(complex)
 
@@ -402,16 +409,37 @@ class TestSharedStateFeasibility:
         assert np.linalg.eigvalsh(state.data)[0] >= -1e-10
 
     def test_program_tableau_pinned(self):
-        # the entangled scenario's program, as built one witness at a time
-        from ordergame.quantum import routing_pair_products
-
-        pair_ops = {
-            (pp.name, p.name): op.to_float().data for (pp, p), op in routing_pair_products().items()
-        }
-        text = dump_tableau(shared_state_program(pair_ops))
+        # the entangled scenario's program: one witness pair per distinct operator
+        text = dump_tableau(shared_state_program(routing_pair_ops()))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "4a036673fc8079ae2f7e2539b8b3f49103157c8104d35816581defdeba3a1f7b"
+            "e7a1c0327c7922b7551ae461b1a734d3e6dd2be2943e9f6703401beb28ffca73"
         )
+
+    def test_duplicate_operators_under_extra_keys_change_nothing(self):
+        pair_ops = routing_pair_ops()
+        # the extra keys sort after every routing key, so each operator's
+        # first copy keeps its place
+        extra = dict(pair_ops)
+        extra.update({("zz", i): op.copy() for i, op in enumerate(pair_ops.values())})
+        base, more = shared_state_program(pair_ops), shared_state_program(extra)
+        for field in ("a", "b", "objective"):
+            assert getattr(more, field).tobytes() == getattr(base, field).tobytes()
+        (state, report), (state2, report2) = (solve_shared_state_feasibility(ops) for ops in (pair_ops, extra))
+        assert state2.data.tobytes() == state.data.tobytes()
+        assert report2.solution.tobytes() == report.solution.tobytes()
+        assert report2.jsonable() == report.jsonable()
+
+    def test_routing_products_build_one_row_pair_per_distinct_permutation(self):
+        # 30 products, 11 distinct qubit permutations: 22 witness rows and
+        # the trace row, of rank 12
+        problem = shared_state_program(routing_pair_ops())
+        assert problem.a.shape == (23, 257)
+        assert _AffineSet(problem).F.shape == (68, 12)
+
+    def test_distinct_arbitrary_operators_each_build_two_rows(self):
+        rng = np.random.default_rng(26)
+        pair_ops = {k: rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16)) for k in range(30)}
+        assert shared_state_program(pair_ops).a.shape == (61, 257)
 
     # "1e-8" and None raised TypeError when the tolerance was halved, and True
     # was halved to a valid 0.5
@@ -495,13 +523,12 @@ class TestSolveWithinBound:
 def package_programs():
     """The three programs the package builds, by name."""
     from ordergame.network import nonsignaling_program
-    from ordergame.quantum import discrimination_program, routing_pair_products, unbiased_order_states
+    from ordergame.quantum import discrimination_program, unbiased_order_states
 
-    pair_ops = {(pp.name, p.name): op.to_float().data for (pp, p), op in routing_pair_products().items()}
     return {
         "nonsignaling": nonsignaling_program(),
         "discrimination": discrimination_program(unbiased_order_states()),
-        "shared-state": shared_state_program(pair_ops),
+        "shared-state": shared_state_program(routing_pair_ops()),
     }
 
 
@@ -552,18 +579,10 @@ def planted_duplicates_program(seed=5):
 
 def programs_with_duplicate_columns():
     from network_reference import full_nonsignaling_program
-    from ordergame.network import nonsignaling_program
-    from ordergame.quantum import discrimination_program, routing_pair_products, unbiased_order_states
-    from ordergame.solver import shared_state_program
 
-    pair_ops = {
-        (pp.name, p.name): op.to_float().data for (pp, p), op in routing_pair_products().items()
-    }
     return {
-        "nonsignaling": nonsignaling_program(),
+        **package_programs(),
         "nonsignaling-full": full_nonsignaling_program(),
-        "discrimination": discrimination_program(unbiased_order_states()),
-        "shared-state": shared_state_program(pair_ops),
         "planted": planted_duplicates_program(),
     }
 
@@ -572,7 +591,7 @@ class TestAffineSet:
     @pytest.mark.parametrize(
         "name", ["nonsignaling", "nonsignaling-full", "discrimination", "shared-state", "planted"]
     )
-    def test_grouped_step_matches_dense_formula(self, name):
+    def test_step_matches_dense_formula(self, name):
         problem = programs_with_duplicate_columns()[name]
         affine = _AffineSet(problem)
         x = np.random.default_rng(11).normal(size=(3, problem.dim))
@@ -597,36 +616,23 @@ class TestAffineSet:
         # 31 rows of rank 31 over their 40 orbits
         assert _AffineSet(nonsignaling_program()).F.shape == (40, 31)
 
-    def test_nonsignaling_rows_factor_as_129_lone_rows_and_two_groups_of_48(self, monkeypatch):
-        from network_reference import full_nonsignaling_program
-
-        shapes = []
+    @pytest.mark.parametrize(
+        "name", ["nonsignaling", "nonsignaling-full", "discrimination", "shared-state", "planted"]
+    )
+    def test_factor_takes_one_svd_of_the_touched_columns(self, name, monkeypatch):
+        problem = programs_with_duplicate_columns()[name]
+        calls = []
         svd = np.linalg.svd
 
         def recording_svd(a, *args, **kwargs):
-            shapes.append(a.shape)
+            calls.append(np.array(a))
             return svd(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, "svd", recording_svd)
-        problem = full_nonsignaling_program()
-        affine = _AffineSet(problem)
-        # the 96 party rows: two groups of 48, each over the 128 columns it
-        # touches, with the same bits; each group takes its own SVD
-        party = problem.a[128:224]
-        linked = party @ party.T != 0
-        group = linked[0]
-        while not np.array_equal(grown := linked[group].any(axis=0), group):
-            group = grown
-        subs = [party[rows][:, party[rows].any(axis=0)] for rows in (group, ~group)]
-        assert [sub.shape for sub in subs] == [(48, 128), (48, 128)]
-        assert not linked[np.ix_(group, ~group)].any()
-        assert subs[0].tobytes() == subs[1].tobytes()
-        assert shapes == [(48, 128), (48, 128)]
-        # the other 129 rows are orthogonal to every row and are, normalized,
-        # columns of the factor
-        units = problem.a / np.linalg.norm(problem.a, axis=1, keepdims=True)
-        lone = np.flatnonzero(np.isclose(units @ affine.F, 1.0, rtol=0.0, atol=1e-14).any(axis=1))
-        assert lone.tolist() == list(range(128)) + [224]
+        _AffineSet(problem)
+        touched = problem.a[:, problem.a.any(axis=0)]
+        assert [call.tobytes() for call in calls] == [touched.tobytes()]
+        assert calls[0].shape == touched.shape
 
 
 class TestPinnedSolves:
@@ -667,13 +673,28 @@ class TestPinnedSolves:
         assert report.iterations == 4
 
     def test_shared_state_program(self):
-        from ordergame.quantum import routing_pair_products
-
-        pair_ops = {
-            (pp.name, p.name): op.to_float().data for (pp, p), op in routing_pair_products().items()
-        }
-        _, report = solve_shared_state_feasibility(pair_ops)
+        _, report = solve_shared_state_feasibility(routing_pair_ops())
         assert report.iterations == 4
+
+    @pytest.mark.parametrize("name", ["nonsignaling", "discrimination", "shared-state"])
+    def test_package_programs_converge_at_1e_14(self, name):
+        settings = SolveSettings(tolerance=1e-14, max_iters=1000)
+        if name == "shared-state":
+            _, report = solve_shared_state_feasibility(routing_pair_ops(), settings)
+        else:
+            report = solve(package_programs()[name], settings)
+        assert report.status == "optimal"
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="one SVD of the 225x256 reference LP leaves an equality gap of about 6e-14 "
+        "after each affine step; a factor per group of orthogonal rows reached 1e-14 in 49 iterations",
+    )
+    def test_reference_lp_converges_at_1e_14(self):
+        from network_reference import full_nonsignaling_program
+
+        report = solve(full_nonsignaling_program(), SolveSettings(tolerance=1e-14, max_iters=1000))
+        assert report.status == "optimal"
 
     @pytest.mark.parametrize("name", ["nonsignaling", "nonsignaling-full", "planted"])
     def test_capped_solve_reports_the_equality_gap(self, name):
@@ -758,6 +779,7 @@ class TestAcceleratedLoop:
         objectives = small_sdp_directions()[[0, 1, 3, 4]]
         batch = solve_same_constraints(problem, objectives)
         assert [r.rejected > 0 for r in batch] == [False, False, True, True]
+        assert [r.jsonable()["rejected"] for r in batch] == [r.rejected for r in batch]
         for objective, got in zip(objectives, batch):
             want = solve(ConicProblem(problem.blocks, objective, problem.a, problem.b))
             assert got.status == want.status == "optimal"
@@ -837,6 +859,16 @@ class TestNoEqualities:
     def test_affine_set_is_the_whole_space(self):
         problem = ConicProblem(blocks=[NonnegOrthant(3)], objective=np.zeros(3), a=np.zeros((0, 3)), b=[])
         affine = _AffineSet(problem)
+        for row in np.random.default_rng(3).normal(size=(2, 3)):
+            projected = row.copy()
+            affine.project(projected)
+            assert np.array_equal(projected, row)
+            assert affine.gap(row) == 0.0
+
+    def test_zero_rows_give_an_empty_factor_and_an_identity_step(self):
+        problem = ConicProblem(blocks=[NonnegOrthant(3)], objective=np.zeros(3), a=np.zeros((2, 3)), b=np.zeros(2))
+        affine = _AffineSet(problem)
+        assert affine.F.size == affine.y.size == 0
         for row in np.random.default_rng(3).normal(size=(2, 3)):
             projected = row.copy()
             affine.project(projected)
