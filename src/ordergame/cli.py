@@ -6,7 +6,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import numbers
 import operator
 import sys
@@ -48,20 +47,9 @@ class RunConfig:
         dump_matrices: bool = False,
         check: bool = False,
     ):
-        if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
-            raise ValueError(f"tolerance must be a real number, not {tolerance!r}")
-        if not 0 < tolerance < math.inf:
-            raise ValueError(f"tolerance must be finite and positive, not {tolerance}")
-        try:
-            max_iters = operator.index(max_iters)
-        except TypeError:
-            raise ValueError(f"max_iters must be an integer, not {max_iters!r}") from None
-        if max_iters < 1:
-            raise ValueError(f"max_iters must be at least 1, not {max_iters}")
-        try:
-            seed = operator.index(seed)
-        except TypeError:
-            raise ValueError(f"seed must be an integer, not {seed!r}") from None
+        self.solver_settings = SolveSettings(tolerance, max_iters)
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, not {seed!r}")
         if seed < 0:
             raise ValueError(f"seed must be nonnegative, not {seed}")
         if scenario != "all" and scenario not in SCENARIOS:
@@ -69,15 +57,18 @@ class RunConfig:
         if output not in OUTPUTS:
             raise ValueError(f"unknown output format: {output}")
         self.scenario = scenario
-        self.tolerance = tolerance
-        self.max_iters = max_iters
-        self.seed = seed
+        self.seed = operator.index(seed)
         self.output = output
         self.dump_matrices = dump_matrices
         self.check = check
 
-    def solver_settings(self) -> SolveSettings:
-        return SolveSettings(tolerance=self.tolerance, max_iters=self.max_iters)
+    @property
+    def tolerance(self) -> float:
+        return self.solver_settings.tolerance
+
+    @property
+    def max_iters(self) -> int:
+        return self.solver_settings.max_iters
 
     def jsonable(self) -> dict:
         return {
@@ -94,26 +85,18 @@ class RunConfig:
 class Report:
     """The results of one run; the timings, failures and files written start as new empty containers."""
 
-    def __init__(
-        self,
-        results: list[ScenarioResult],
-        versions: str,
-        settings: RunConfig,
-        wall_time_ms: dict[str, float] | None = None,
-        failures: dict[str, str] | None = None,
-        files_written: list[str] | None = None,
-    ):
+    def __init__(self, results: list[ScenarioResult], versions: str, settings: RunConfig):
         self.results = results
         self.versions = versions
         self.settings = settings
-        self.wall_time_ms = {} if wall_time_ms is None else wall_time_ms
-        self.failures = {} if failures is None else failures
-        self.files_written = [] if files_written is None else files_written
+        self.wall_time_ms: dict[str, float] = {}
+        self.failures: dict[str, str] = {}
+        self.files_written: list[str] = []
 
 
 def _quantum_memoryless(config: RunConfig) -> ScenarioResult:
     """The solver's optimum for the unbiased states; the sampled check is closed form and takes no solver flags."""
-    result = quantum_memoryless_optimum(unbiased_order_states(), config.solver_settings())
+    result = quantum_memoryless_optimum(unbiased_order_states(), config.solver_settings)
     scan = sampled_discrimination_values(n_samples=100, seed=config.seed)
     result.certificate["sampled_check"] = {
         "samples": 100,
@@ -133,7 +116,7 @@ def _lose_sdp(config: RunConfig) -> ScenarioResult:
         (pp.name, p.name): op.to_float().data
         for (pp, p), op in routing_pair_products().items()
     }
-    state, solver_report = solve_shared_state_feasibility(pair_ops, config.solver_settings())
+    state, solver_report = solve_shared_state_feasibility(pair_ops, config.solver_settings)
     result = verify_perfect_discrimination(state, atol=CHECK_SLACK, scenario="lose-sdp")
     result.certificate["solver"] = solver_report.jsonable()
     return result
@@ -174,7 +157,7 @@ SCENARIOS: dict[str, Scenario] = {
     ),
     "losr": Scenario(lambda _: search_losr(), Fraction(5, 6), True, "shared randomness"),
     "nonsignaling": Scenario(
-        lambda config: solve_nonsignaling(config.solver_settings()),
+        lambda config: solve_nonsignaling(config.solver_settings),
         Fraction(5, 6),
         False,
         "non-signaling",
@@ -356,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--check",
         action="store_true",
         help="exit 1 unless every scenario matches its expected value "
-        "(exactly for exact scenarios, within a fixed 1e-6 for solver "
+        f"(exactly for exact scenarios, within a fixed {CHECK_SLACK:g} for solver "
         "scenarios, whatever --tolerance is)",
     )
     return parser

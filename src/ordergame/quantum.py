@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import numbers
 import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -255,8 +256,11 @@ def certify_discrimination(kets: np.ndarray) -> SampledBoundScan:
     supports = np.array([s + s[:1] * (4 - len(s)) for k in range(1, 5) for s in itertools.combinations(range(6), k)])
     d = r[:, supports[:, 1:]] - r[:, supports[:, :1]]  # a padded point is a zero row
     gram = d @ d.swapaxes(-1, -2) + (supports[:, 1:] == supports[:, :1])[..., None] * np.eye(3)
+    # a support with two points closer than sqrt(tiny) is skipped: its
+    # subnormal Gram entries keep too few bits for the 1e-9 checks
+    diagonal = np.diagonal(gram, axis1=-2, axis2=-1)
     with np.errstate(divide="ignore"):  # det takes the log of a zero pivot
-        solvable = np.linalg.det(gram) > 1e-12 * np.diagonal(gram, axis1=-2, axis2=-1).prod(-1)
+        solvable = (np.linalg.det(gram) > 1e-12 * diagonal.prod(-1)) & (diagonal.min(-1) >= np.finfo(float).tiny)
     gram[~solvable] = np.eye(3)
     # the centre x, seen from the first point, is equidistant from all: 2 d_i.x = |d_i|^2
     lam = np.linalg.solve(gram, (d**2).sum(-1)[..., None] / 2)[..., 0]
@@ -292,10 +296,9 @@ def certify_discrimination(kets: np.ndarray) -> SampledBoundScan:
 
 def sampled_discrimination_values(n_samples: int = 1000, seed: int = 42) -> SampledBoundScan:
     """Closed-form certified optima for seeded Haar-random unitary triples, with no solver call."""
-    try:
-        n_samples, seed = operator.index(n_samples), operator.index(seed)
-    except TypeError:
-        raise ValueError(f"n_samples and seed must be integers, not {n_samples!r} and {seed!r}") from None
+    if any(isinstance(v, bool) or not isinstance(v, numbers.Integral) for v in (n_samples, seed)):
+        raise ValueError(f"n_samples and seed must be integers, not {n_samples!r} and {seed!r}")
+    n_samples, seed = operator.index(n_samples), operator.index(seed)
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, not {n_samples}")
     unitaries = haar_qubit_unitary(np.random.default_rng(seed), (n_samples, 3))

@@ -55,7 +55,9 @@ cone projection.
 :func:`solve` is the one ADMM loop.  It solves one program on a 1-D
 state, and its affine and cone steps each take one vector, so each
 iteration is a fixed handful of matrix-vector products and its decisions
-are taken on Python scalars.
+are taken on Python scalars.  Its tolerance and iteration cap are one
+:class:`SolveSettings` record, which checks them when it is built; the
+solve functions take the record as given.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .tensor import ENTANGLED_LAYOUT, FrozenRecord, LabeledOperator, Space
+from .tensor import ENTANGLED_LAYOUT, FrozenRecord, LabeledOperator
 
 _SQRT2 = math.sqrt(2.0)
 _EPS = math.ulp(1.0)
@@ -84,6 +86,9 @@ OVER_RELAXATION = 1.5
 ANDERSON_MEMORY = 10
 ANDERSON_RIDGE = 1e-12
 _RIDGE_FLOOR = np.finfo(float).tiny
+
+#: Side of the shared-state program's state: the four qubits of ENTANGLED_LAYOUT.
+_STATE_SIDE = math.prod(space.dim for space in ENTANGLED_LAYOUT)
 
 
 class ProblemMalformed(ValueError):
@@ -173,10 +178,34 @@ class ConicProblem:
         return self.b.shape[0]
 
 
-class SolveSettings:
+class SolveSettings(FrozenRecord):
+    """A solve's tolerance and iteration cap, and the one place they are checked.
+
+    Raises :class:`ProblemMalformed` unless the tolerance is a finite
+    positive real number and the cap an integer of at least 1; a bool is
+    neither.  Numpy scalars pass and are stored as ``float`` and ``int``.
+    """
+
+    __slots__ = ("tolerance", "max_iters")
+
     def __init__(self, tolerance: float = 1e-8, max_iters: int = 200_000):
-        self.tolerance = tolerance
-        self.max_iters = max_iters
+        if isinstance(max_iters, bool) or not isinstance(max_iters, numbers.Integral):
+            raise ProblemMalformed(f"max_iters must be an integer, not {max_iters!r}")
+        if max_iters < 1:
+            raise ProblemMalformed(f"max_iters must be at least 1, not {max_iters}")
+        if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+            raise ProblemMalformed(f"tolerance must be a real number, not {tolerance!r}")
+        try:
+            tol = float(tolerance)
+        except OverflowError:  # an int or Fraction past the float range
+            tol = math.inf
+        if not 0 < tol < math.inf:
+            raise ProblemMalformed(f"tolerance must be finite and positive, not {tolerance}")
+        object.__setattr__(self, "tolerance", tol)
+        object.__setattr__(self, "max_iters", operator.index(max_iters))
+
+    def _values(self) -> tuple:
+        return self.tolerance, self.max_iters
 
 
 class SolveReport:
@@ -373,24 +402,6 @@ class _AffineSet:
         return float(np.abs(z[self.cols] @ self.columns.T - self.b).max(initial=0.0))
 
 
-def _checked_settings(settings: SolveSettings) -> tuple[float, int]:
-    """The settings' tolerance and iteration cap.
-
-    Raises :class:`ProblemMalformed` unless the tolerance is a finite
-    positive real number and the cap an integer of at least 1.
-    """
-    try:
-        max_iters = operator.index(settings.max_iters)
-    except TypeError:
-        raise ProblemMalformed(f"max_iters must be an integer, not {settings.max_iters!r}") from None
-    tol = settings.tolerance
-    if isinstance(tol, bool) or not isinstance(tol, numbers.Real):
-        raise ProblemMalformed(f"tolerance must be a real number, not {tol!r}")
-    if max_iters < 1 or not 0 < tol < math.inf:
-        raise ProblemMalformed("settings need a finite positive tolerance and max_iters >= 1")
-    return tol, max_iters
-
-
 def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> SolveReport:
     """Solve one cone program by Anderson-accelerated ADMM.
 
@@ -416,7 +427,8 @@ def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> Solve
     restarts its history.  Each evaluation counts as one iteration,
     rejected or not.
     """
-    tol, max_iters = _checked_settings(settings or SolveSettings())
+    settings = settings or SolveSettings()
+    tol, max_iters = settings.tolerance, settings.max_iters
     affine = _AffineSet(problem)
     groups = _group_blocks(problem.blocks)
     objective, n = problem.objective, problem.dim
@@ -490,20 +502,19 @@ def solve_within_bound(
     problem: ConicProblem,
     bound: Fraction,
     settings: SolveSettings | None = None,
-    solve_tolerance: float | None = None,
 ) -> SolveReport:
     """Solve a scenario's program, which must converge to at most ``bound + 10 * settings.tolerance``.
 
-    Raises :class:`SolverFailed` otherwise.  The solve runs to ``solve_tolerance``
-    when one is given; the slack still follows ``settings.tolerance``, which
-    is checked as :func:`solve` checks it.
+    Raises :class:`SolverFailed` otherwise.  The slack follows the one
+    tolerance the solve runs to: a converged solve meets every equality
+    within it, so its value may overshoot the bound by that order, and a
+    tighter solve is held to a tighter bound.
     """
     settings = settings or SolveSettings()
-    tolerance, _ = _checked_settings(settings)
-    report = solve(problem, SolveSettings(tolerance if solve_tolerance is None else solve_tolerance, settings.max_iters))
+    report = solve(problem, settings)
     if report.status != "optimal":
         raise SolverFailed(f"{name} solve ended with status {report.status}", report)
-    if report.objective_value > bound + 10 * tolerance:
+    if report.objective_value > bound + 10 * settings.tolerance:
         raise SolverFailed(f"{name} value {report.objective_value} exceeds the {bound} bound", report)
     return report
 
@@ -522,17 +533,18 @@ def solve_same_constraints(
 # ---------------------------------------------------------------------------
 
 
-def shared_state_program(
-    pair_ops: Mapping[object, np.ndarray], side: int = 16
-) -> ConicProblem:
+def shared_state_program(pair_ops: Mapping[object, np.ndarray]) -> ConicProblem:
     """Cone program: maximize tr(state) with tr(op . state) = 0 per pair.
 
-    Each distinct (generally non-Hermitian) pair operator contributes two
-    real equalities through its Hermitian and anti-Hermitian witnesses.
-    Operators are taken in ``str(key)`` order, and one bit-identical to an
-    earlier operator states the same constraint, so it adds no rows.  The
-    trace cap tr(state) <= 1 is carried by one orthant slack variable.
+    The state is 16x16, on ``ENTANGLED_LAYOUT``, and every pair operator
+    must be 16x16 too.  Each distinct (generally non-Hermitian) pair
+    operator contributes two real equalities through its Hermitian and
+    anti-Hermitian witnesses.  Operators are taken in ``str(key)`` order,
+    and one bit-identical to an earlier operator states the same
+    constraint, so it adds no rows.  The trace cap tr(state) <= 1 is
+    carried by one orthant slack variable.
     """
+    side = _STATE_SIDE
     distinct: dict[bytes, np.ndarray] = {}
     for _, op in sorted(pair_ops.items(), key=lambda kv: str(kv[0])):
         op = np.asarray(op, dtype=complex)
@@ -561,26 +573,25 @@ def shared_state_program(
 def solve_shared_state_feasibility(
     pair_ops: Mapping[object, np.ndarray],
     settings: SolveSettings | None = None,
-    layout: Sequence[Space] = ENTANGLED_LAYOUT,
 ) -> tuple[LabeledOperator, SolveReport]:
-    """Find a unit-trace PSD state annihilating every supplied pair operator.
+    """Find a unit-trace PSD state on ``ENTANGLED_LAYOUT`` annihilating every supplied pair operator.
 
-    The internal tolerance is halved so that the modulus of each complex
-    pair trace (combining its two real witnesses) still meets the requested
-    tolerance.  Settings that :func:`solve` would refuse raise
-    :class:`ProblemMalformed` before the halving.
+    The solve runs to half the tolerance, so each complex pair trace, two
+    witness rows met within tol/2, has a modulus within tol/sqrt(2); a half
+    that underflows to 0.0 raises :class:`ProblemMalformed`.  The bound's
+    slack, 10 x tol/2, never rejects a converged solve: its value tr(state)
+    is at most 1 + tol/2 (up to rounding), since the trace row's gap is at
+    most tol/2 and the slack variable is >= 0.
     """
     settings = settings or SolveSettings()
-    tolerance, _ = _checked_settings(settings)
-    side = math.prod(s.dim for s in layout)
     report = solve_within_bound(
         "shared-state feasibility",
-        shared_state_program(pair_ops, side=side),
+        shared_state_program(pair_ops),
         Fraction(1),
-        settings,
-        solve_tolerance=tolerance / 2.0,
+        SolveSettings(settings.tolerance / 2, settings.max_iters),
     )
-    return LabeledOperator(layout, unsvec(report.solution[: side * side], side)), report
+    # the solution's last entry is the trace slack
+    return LabeledOperator(ENTANGLED_LAYOUT, unsvec(report.solution[:-1], _STATE_SIDE)), report
 
 
 # ---------------------------------------------------------------------------

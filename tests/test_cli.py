@@ -56,7 +56,10 @@ class TestRun:
         import numpy as np
 
         for tolerance in (np.float64(1e-8), np.float32(1e-6)):
-            assert RunConfig(tolerance=tolerance).tolerance == tolerance
+            config = RunConfig(tolerance=tolerance)
+            assert type(config.tolerance) is float and config.tolerance == tolerance
+            # a float32 tolerance raised TypeError in json.dumps
+            assert json.loads(json.dumps(config.jsonable()))["tolerance"] == config.tolerance
 
     @pytest.mark.parametrize("max_iters", [50.5, 50.0, "50"])
     def test_non_integer_max_iters_rejected(self, max_iters):
@@ -75,6 +78,13 @@ class TestRun:
         # 1.5 would reach numpy's SeedSequence, and "3" the sign test, as a TypeError
         with pytest.raises(ValueError, match="integer"):
             RunConfig(scenario="quantum-memoryless", seed=seed)
+
+    # True ran seed 1 and False seed 0; True ran max_iters 1
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("field", ["seed", "max_iters"])
+    def test_bool_integer_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            RunConfig(scenario="quantum-memoryless", **{field: value})
 
     def test_numpy_integer_seed_accepted(self):
         import numpy as np
@@ -284,9 +294,10 @@ class TestMain:
         assert "quantum-memoryless    FAILED" in capsys.readouterr().out
 
     def test_halved_tolerance_that_underflows_exits_2(self, capsys):
-        # the shared-state solve runs at half the tolerance, here 0.0
+        # the shared-state solve runs at half the tolerance, here 0.0, which
+        # its settings refuse when they are built
         assert main(["--scenario", "lose-sdp", "--tolerance", "5e-324"]) == 2
-        assert "lose-sdp              FAILED: settings need a finite positive tolerance" in capsys.readouterr().out
+        assert "lose-sdp              FAILED: tolerance must be finite and positive, not 0.0" in capsys.readouterr().out
 
     def test_sampled_check_ignores_solver_flags(self, capsys):
         checks = []

@@ -36,6 +36,8 @@ def six_kets(draw):
 
 @settings
 @hypothesis.given(st.lists(six_kets(), min_size=1, max_size=4), st.integers(0, 2**32 - 1))
+# a nudge of 1e-159: the pair's subnormal Gram entry left a primal residual of 5.9e-7
+@hypothesis.example([np.array([KET["0"], [1.0, 9.82528408e-160], *[KET["0"]] * 4], dtype=complex)], 0)
 def test_every_certificate_verifies(instances, seed):
     kets = np.array(instances)
     # certify_discrimination raises unless every check holds within 1e-9

@@ -204,6 +204,12 @@ class TestDiscrimination:
         with pytest.raises(ValueError, match="integers"):
             sampled_discrimination_values(**{"n_samples": 20, "seed": 42, argument: bad})
 
+    # True drew one sample, and a bool seed ran seed 0 or 1
+    @pytest.mark.parametrize("argument", ["n_samples", "seed"])
+    def test_scan_arguments_must_not_be_bools(self, argument):
+        with pytest.raises(ValueError, match="integers"):
+            sampled_discrimination_values(**{"n_samples": 20, "seed": 42, argument: True})
+
     def test_scan_accepts_numpy_integers(self):
         got = sampled_discrimination_values(n_samples=np.int64(20), seed=np.int64(42))
         want = sampled_discrimination_values(n_samples=20, seed=42)

@@ -13,7 +13,7 @@ from ordergame.classical import BitStrategy
 from ordergame.cli import Report, RunConfig, Scenario, build_parser
 from ordergame.game import Perm3, ScenarioResult, all_orders
 from ordergame.quantum import UnitaryChannel, routing_matrix
-from ordergame.solver import HermitianPSD, NonnegOrthant, _group_blocks
+from ordergame.solver import HermitianPSD, NonnegOrthant, SolveSettings, _group_blocks
 from ordergame.tensor import A_IN, SHARED, Space
 from reference import OrderPrior
 
@@ -34,6 +34,7 @@ def frozen_records():
         "BitStrategy": (BitStrategy(1, 0), (1, 0), "BitStrategy(on_zero=1, on_one=0)"),
         "NonnegOrthant": (NonnegOrthant(4), (4,), "NonnegOrthant(n=4)"),
         "HermitianPSD": (HermitianPSD(2), (2,), "HermitianPSD(side=2)"),
+        "SolveSettings": (SolveSettings(1e-6, 50), (1e-6, 50), "SolveSettings(tolerance=1e-06, max_iters=50)"),
         "UnitaryChannel": (channel, (channel.kraus, (SHARED,)), f"UnitaryChannel(kraus={channel.kraus!r}, layout=(S(2),))"),
         "SystemPermutation": (
             route,
@@ -84,7 +85,7 @@ def test_assignment_raises(name):
     assert getattr(record, field) is before
 
 
-@pytest.mark.parametrize("name", ["Space", "Perm3", "BitStrategy", "NonnegOrthant", "HermitianPSD"])
+@pytest.mark.parametrize("name", ["Space", "Perm3", "BitStrategy", "NonnegOrthant", "HermitianPSD", "SolveSettings"])
 def test_equal_fields_equal_records_and_copies(name):
     record, fields, _ = frozen_records()[name]
     again = type(record)(*fields)

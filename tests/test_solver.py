@@ -24,6 +24,7 @@ from ordergame.solver import (
     svec,
     unsvec,
 )
+from ordergame.tensor import ENTANGLED_LAYOUT
 from reference import read_tableau
 
 
@@ -260,6 +261,12 @@ class TestSolve:
         with pytest.raises(ProblemMalformed, match="integer"):
             solve(trivial_lp(), SolveSettings(max_iters=max_iters))
 
+    # True ran one iteration, and False was refused only as a cap below 1
+    @pytest.mark.parametrize("max_iters", [True, False])
+    def test_bool_max_iters_is_refused(self, max_iters):
+        with pytest.raises(ProblemMalformed, match="max_iters must be an integer"):
+            SolveSettings(max_iters=max_iters)
+
     def test_numpy_integer_max_iters(self):
         report = solve(trivial_lp(), SolveSettings(tolerance=1e-16, max_iters=np.int64(3)))
         assert (report.status, report.iterations) == ("max_iters", 3)
@@ -272,6 +279,12 @@ class TestSolve:
         problem = discrimination_program(unbiased_order_states())
         with pytest.raises(ProblemMalformed):
             solve(problem, SolveSettings(tolerance=tolerance, max_iters=50))
+
+    # 10**400 overflows float() and 1/10**400 rounds to 0.0: both are refused
+    @pytest.mark.parametrize("tolerance", [10**400, Fraction(1, 10**400)])
+    def test_tolerance_is_checked_as_the_float_it_runs_as(self, tolerance):
+        with pytest.raises(ProblemMalformed, match="finite and positive"):
+            SolveSettings(tolerance=tolerance)
 
     def test_numpy_float_tolerance(self):
         report = solve(trivial_lp(), SolveSettings(tolerance=np.float32(1e-6)))
@@ -394,15 +407,17 @@ def z_mat():
     return np.diag([1.0, -1.0]).astype(complex)
 
 
+def x_flip():
+    """The X flip of the first qubit of the 16x16 entangled layout."""
+    return np.kron(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex), np.eye(8))
+
+
 class TestSharedStateFeasibility:
     def test_two_level_toy(self):
-        # annihilate the X flip: any diagonal state works; optimum trace 1
-        flip = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        from ordergame.tensor import Space
-
-        state, report = solve_shared_state_feasibility(
-            {("p", "q"): flip}, layout=(Space("Q0", 2),)
-        )
+        # annihilate the X flip of the first qubit: any diagonal state works; optimum trace 1
+        flip = x_flip()
+        state, report = solve_shared_state_feasibility({("p", "q"): flip})
+        assert state.layout == ENTANGLED_LAYOUT
         assert report.status == "optimal"
         assert abs(report.objective_value - 1.0) <= 1e-6
         assert abs(np.trace(flip @ state.data)) <= 1e-8
@@ -442,22 +457,23 @@ class TestSharedStateFeasibility:
         assert shared_state_program(pair_ops).a.shape == (61, 257)
 
     # "1e-8" and None raised TypeError when the tolerance was halved, and True
-    # was halved to a valid 0.5
+    # was halved to a valid 0.5; the settings record now refuses them when it
+    # is built and cannot be made to hold them, so the halving only meets a
+    # checked float
     @pytest.mark.parametrize("tolerance", ["1e-8", None, True])
     def test_malformed_tolerance_is_refused_before_it_is_halved(self, tolerance):
-        from ordergame.tensor import Space
-
-        flip = {("p", "q"): np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)}
-        with pytest.raises(ProblemMalformed, match="tolerance"):
-            solve_shared_state_feasibility(flip, SolveSettings(tolerance=tolerance), layout=(Space("Q0", 2),))
+        with pytest.raises(ProblemMalformed, match="tolerance must be a real number"):
+            SolveSettings(tolerance=tolerance)
+        settings = SolveSettings()
+        with pytest.raises(AttributeError):
+            settings.tolerance = tolerance
+        assert type(settings.tolerance) is float
 
     def test_rejects_bad_shape(self):
-        with pytest.raises(ProblemMalformed):
-            from ordergame.tensor import Space
-
-            solve_shared_state_feasibility(
-                {("p", "q"): np.eye(3)}, layout=(Space("Q0", 2),)
-            )
+        # the state is always 16x16, so the two-level flip is refused like a 3x3
+        for op in (np.eye(3), np.eye(2)[::-1], x_flip()[:, :8]):
+            with pytest.raises(ProblemMalformed, match="16x16"):
+                solve_shared_state_feasibility({("p", "q"): op})
 
 
 class TestSolveWithinBound:
@@ -489,35 +505,44 @@ class TestSolveWithinBound:
         with pytest.raises(SolverFailed, match="exceeds the 1 bound"):
             solve_within_bound("toy", trivial_lp(), Fraction(1), settings)
 
-    def test_shared_state_solves_to_half_the_tolerance_with_the_full_slack(self, monkeypatch):
-        from ordergame.tensor import Space
-
-        flip = {("p", "q"): np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)}
+    def test_shared_state_solves_and_bounds_at_half_the_tolerance(self, monkeypatch):
+        # the slack is 10 x the halved tolerance, 5e-3 here; a converged
+        # solve's value is at most 1 + 5e-4, well inside it
+        flip = {("p", "q"): x_flip()}
         settings = SolveSettings(tolerance=1e-3)
-        tolerances = self.stub_solve(monkeypatch, "optimal", 1.0 + 9e-3)
-        solve_shared_state_feasibility(flip, settings, layout=(Space("Q0", 2),))
+        tolerances = self.stub_solve(monkeypatch, "optimal", 1.0 + 4.9e-3)
+        solve_shared_state_feasibility(flip, settings)
         assert tolerances == [5e-4]
-        self.stub_solve(monkeypatch, "optimal", 1.0 + 11e-3)
+        self.stub_solve(monkeypatch, "optimal", 1.0 + 5.1e-3)
         with pytest.raises(SolverFailed, match="shared-state feasibility value"):
-            solve_shared_state_feasibility(flip, settings, layout=(Space("Q0", 2),))
+            solve_shared_state_feasibility(flip, settings)
+
+    def test_converged_shared_state_value_is_within_half_the_tolerance(self):
+        # the trace row tr(state) + slack = 1 is met within tolerance / 2 and
+        # the slack variable is >= 0, so the value is at most 1 + tolerance / 2
+        for tolerance in (1e-3, 1e-6, 1e-8):
+            _, report = solve_shared_state_feasibility({("p", "q"): x_flip()}, SolveSettings(tolerance))
+            assert report.status == "optimal"
+            assert report.solution[-1] >= 0.0
+            assert report.objective_value <= 1.0 + tolerance / 2
 
     # with a solve tolerance given, "1e-8" and None raised TypeError in the
-    # slack after the solve, and True gave a slack of 10
+    # slack after the solve, and True gave a slack of 10; the solve and the
+    # slack now read the one settings record, which refuses them when built
     @pytest.mark.parametrize("tolerance", ["1e-8", None, True])
     def test_malformed_tolerance_is_refused_with_a_solve_tolerance(self, tolerance):
-        with pytest.raises(ProblemMalformed, match="tolerance"):
-            solve_within_bound("toy", trivial_lp(), Fraction(1), SolveSettings(tolerance=tolerance), solve_tolerance=1e-8)
+        with pytest.raises(ProblemMalformed, match="tolerance must be a real number"):
+            SolveSettings(tolerance=tolerance)
 
     def test_zero_solve_tolerance_is_not_taken_as_absent(self, monkeypatch):
-        # half the smallest subnormal tolerance rounds to 0.0, which must
-        # reach the solver and be refused there
+        # half the smallest subnormal tolerance rounds to 0.0, which is
+        # refused when the halved settings are built, not replaced by the
+        # default tolerance, and no solve runs
         assert 5e-324 / 2.0 == 0.0
         tolerances = self.stub_solve(monkeypatch, "optimal", 1.0)
-        solve_within_bound("toy", trivial_lp(), Fraction(1), solve_tolerance=0.0)
-        assert tolerances == [0.0]
-        monkeypatch.undo()
-        with pytest.raises(ProblemMalformed, match="finite positive tolerance"):
-            solve_within_bound("toy", trivial_lp(), Fraction(1), solve_tolerance=0.0)
+        with pytest.raises(ProblemMalformed, match="tolerance must be finite and positive, not 0.0"):
+            solve_shared_state_feasibility({("p", "q"): x_flip()}, SolveSettings(5e-324))
+        assert tolerances == []
 
 
 def package_programs():
