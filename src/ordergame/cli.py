@@ -255,7 +255,7 @@ def emit(report: Report, fmt: str) -> str:
                     "probability": r.probability_float,
                     "exact": r.probability_exact,
                     "strategy": r.strategy,
-                    "certificate": _jsonable(r.certificate),
+                    "certificate": r.certificate,
                     "wall_time_ms": report.wall_time_ms.get(r.scenario, 0.0),
                 }
                 for r in report.results
@@ -265,7 +265,7 @@ def emit(report: Report, fmt: str) -> str:
             "settings": report.settings.jsonable(),
             "files_written": report.files_written,
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return json.dumps(payload, indent=2, sort_keys=True, default=_exact_jsonable) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         # a failed scenario gets a row of its name and message, the other fields empty
@@ -308,16 +308,11 @@ def emit(report: Report, fmt: str) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
+def _exact_jsonable(obj) -> str:
+    """JSON's hook for what it cannot write: a ``Fraction`` as "p/q"; anything else raises ``TypeError``."""
     if isinstance(obj, Fraction):
         return ratio_str(obj)
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
+    raise TypeError(f"a report cannot hold the {type(obj).__name__} value {obj!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:

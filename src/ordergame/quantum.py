@@ -42,7 +42,6 @@ from .tensor import (
     FrozenRecord,
     LabeledOperator,
     NotPSD,
-    Space,
     Vec,
     exact_psd,
     integer_numerators,
@@ -60,29 +59,6 @@ class NotOrthogonal(ValueError):
 
 class ZeroTrace(ValueError):
     """The shared state has no positive trace, so it routes no outputs to tell apart."""
-
-
-UNITARY_ATOL = 1e-12
-
-
-class UnitaryChannel(FrozenRecord):
-    """A unitary map given by its single Kraus operator on a declared layout."""
-
-    __slots__ = ("kraus", "layout")
-
-    def __init__(self, kraus: np.ndarray, layout: tuple[Space, ...]):
-        mat = np.asarray(kraus)
-        side = math.prod(s.dim for s in layout)
-        if mat.shape != (side, side):
-            raise ValueError(f"kraus shape {mat.shape} does not match layout side {side}")
-        gram = np.asarray(mat, dtype=complex)
-        if np.max(np.abs(gram.conj().T @ gram - np.eye(side))) > UNITARY_ATOL:
-            raise ValueError("kraus operator is not unitary")
-        object.__setattr__(self, "kraus", mat)
-        object.__setattr__(self, "layout", layout)
-
-    def _values(self) -> tuple:
-        return self.kraus, self.layout
 
 
 # ---------------------------------------------------------------------------
@@ -112,16 +88,13 @@ ORDER_TO_BASIS_STATE = {
 BASIS_OF_STATE = {"0": "Z", "1": "Z", "+": "X", "-": "X", "i": "Y", "-i": "Y"}
 
 
-def unbiased_basis_channels() -> tuple[UnitaryChannel, UnitaryChannel, UnitaryChannel]:
-    """The three fixed single-qubit unitaries of the memoryless construction."""
+def unbiased_basis_unitaries() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The three fixed single-qubit unitaries of the memoryless construction, as 2x2 arrays for A, B and C."""
     inv = 1.0 / math.sqrt(2)
-    a = inv * np.array([[1, -1j], [-1, -1j]], dtype=complex)
-    b = inv * np.array([[1, 1j], [-1, 1j]], dtype=complex)
-    c = inv * np.array([[0, 1 - 1j], [1 + 1j, 0]], dtype=complex)
     return (
-        UnitaryChannel(a, (SHARED,)),
-        UnitaryChannel(b, (SHARED,)),
-        UnitaryChannel(c, (SHARED,)),
+        inv * np.array([[1, -1j], [-1, -1j]], dtype=complex),
+        inv * np.array([[1, 1j], [-1, 1j]], dtype=complex),
+        inv * np.array([[0, 1 - 1j], [1 + 1j, 0]], dtype=complex),
     )
 
 
@@ -142,7 +115,7 @@ def _order_kets(unitaries: Mapping[str, np.ndarray]) -> np.ndarray:
 
 def unbiased_order_states() -> dict[Perm3, Vec]:
     """Apply the six hidden orders to |0>; the outputs tile three MUBs."""
-    kets = _order_kets(dict(zip("ABC", (chan.kraus for chan in unbiased_basis_channels()))))
+    kets = _order_kets(dict(zip("ABC", unbiased_basis_unitaries())))
     return {pi: Vec((SHARED,), ket) for pi, ket in zip(all_orders(), kets)}
 
 
@@ -341,21 +314,29 @@ def _permutation_operator(index_map: np.ndarray) -> LabeledOperator:
 
 
 class SystemPermutation(FrozenRecord):
-    """Routing unitary of one hidden order: an exact 0/1 factor-permutation matrix on the entangled layout."""
+    """Routing unitary of one hidden order, a value of that order alone.
 
-    __slots__ = ("pi", "op")
+    Equal orders give equal records with equal hashes; ``op`` builds the
+    exact 0/1 factor-permutation matrix on the entangled layout afresh on
+    each read.
+    """
 
-    def __init__(self, pi: Perm3, op: LabeledOperator):
+    __slots__ = ("pi",)
+
+    def __init__(self, pi: Perm3):
         object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "op", op)
 
     def _values(self) -> tuple:
-        return self.pi, self.op
+        return (self.pi,)
+
+    @property
+    def op(self) -> LabeledOperator:
+        return _permutation_operator(_routing_map(self.pi))
 
 
 def routing_matrix(pi: Perm3) -> SystemPermutation:
     """Compose the three shared-wire swaps in temporal order."""
-    return SystemPermutation(pi=pi, op=_permutation_operator(_routing_map(pi)))
+    return SystemPermutation(pi)
 
 
 def _pair_index_table() -> np.ndarray:

@@ -577,13 +577,17 @@ def solve_shared_state_feasibility(
     """Find a unit-trace PSD state on ``ENTANGLED_LAYOUT`` annihilating every supplied pair operator.
 
     The solve runs to half the tolerance, so each complex pair trace, two
-    witness rows met within tol/2, has a modulus within tol/sqrt(2); a half
-    that underflows to 0.0 raises :class:`ProblemMalformed`.  The bound's
-    slack, 10 x tol/2, never rejects a converged solve: its value tr(state)
-    is at most 1 + tol/2 (up to rounding), since the trace row's gap is at
-    most tol/2 and the slack variable is >= 0.
+    witness rows met within tol/2, has a modulus within tol/sqrt(2); a
+    tolerance whose half underflows to 0.0 raises :class:`ProblemMalformed`
+    naming it.  The bound's slack, 10 x tol/2, never rejects a converged
+    solve: its value tr(state) is at most 1 + tol/2 (up to rounding), since
+    the trace row's gap is at most tol/2 and the slack variable is >= 0.
     """
     settings = settings or SolveSettings()
+    if settings.tolerance / 2 == 0.0:
+        raise ProblemMalformed(
+            f"tolerance {settings.tolerance!r} is too small: the shared-state solve runs to half of it, which is 0.0"
+        )
     report = solve_within_bound(
         "shared-state feasibility",
         shared_state_program(pair_ops),

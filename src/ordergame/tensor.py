@@ -53,16 +53,33 @@ class NotPSD(ValueError):
     """Operation requires a positive semidefinite input."""
 
 
-class FrozenRecord:
-    """Base of the package's immutable record types.
+class Immutable:
+    """Base of every immutable type in the package: no attribute can be set or deleted.
 
-    A subclass lists its fields as ``__slots__``, sets them through
-    ``object.__setattr__`` in ``__init__`` and returns them, in that order,
-    from ``_values``.  Records of the same class are equal when their field
-    tuples are, the hash is that of the field tuple, and the repr names each
-    field.  Written once here, not generated per class by ``dataclasses``,
-    whose code generation took about a quarter of the package's import from
-    source and half of it with cached bytecode.
+    A subclass lists its fields as ``__slots__`` and sets each once, in
+    ``__init__``, through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+
+class FrozenRecord(Immutable):
+    """Base of the package's hashable values.
+
+    A subclass returns its fields, in ``__slots__`` order, from ``_values``,
+    and each field compares and hashes by value: no arrays, no mutable
+    containers.  Records of the same class are equal when their field tuples
+    are, the hash is that of the field tuple, the repr names each field, and
+    copies and pickles rebuild through ``__init__``.  Written once here, not
+    generated per class by ``dataclasses``, whose code generation took about
+    a quarter of the package's import from source and half of it with cached
+    bytecode.
     """
 
     __slots__ = ()
@@ -78,12 +95,6 @@ class FrozenRecord:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
         return f"{type(self).__qualname__}({fields})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
         # copy and pickle rebuild through __init__, not by setting slots
@@ -183,7 +194,7 @@ def _coerce(data, exact: bool | None) -> np.ndarray:
     return np.asarray(np.frompyfunc(Fraction, 1, 1)(arr.astype(float)), dtype=object)
 
 
-class LabeledOperator:
+class LabeledOperator(Immutable):
     """Square matrix on an ordered list of named tensor factors."""
 
     __slots__ = ("layout", "data")
@@ -198,9 +209,6 @@ class LabeledOperator:
             )
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "data", mat)
-
-    def __setattr__(self, name, value):  # immutable value semantics
-        raise AttributeError("LabeledOperator is immutable")
 
     # -- basic queries -----------------------------------------------------
 
@@ -275,7 +283,7 @@ class LabeledOperator:
         return f"LabeledOperator({[s.name for s in self.layout]}, side={self.side}, {kind})"
 
 
-class Vec:
+class Vec(Immutable):
     """Complex float column vector on an ordered list of named tensor factors."""
 
     __slots__ = ("layout", "data")
@@ -289,9 +297,6 @@ class Vec:
             )
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "data", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Vec is immutable")
 
     def __repr__(self) -> str:
         return f"Vec({[s.name for s in self.layout]}, len={self.data.shape[0]})"

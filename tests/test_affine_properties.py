@@ -45,7 +45,7 @@ def programs(draw):
     return ConicProblem(blocks=[NonnegOrthant(dim)], objective=np.zeros(dim), a=a, b=b)
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(programs(), st.integers(0, 2**32 - 1))
 def test_factor_step_matches_dense_formula_and_is_idempotent(problem, seed):
     x = np.random.default_rng(seed).normal(size=(3, problem.dim)) * 4
@@ -100,7 +100,7 @@ def orthogonal_group_programs(draw):
     return ConicProblem(blocks=[NonnegOrthant(dim)], objective=np.zeros(dim), a=a, b=b)
 
 
-@hypothesis.settings(max_examples=150, deadline=None)
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
 @hypothesis.given(orthogonal_group_programs(), st.integers(0, 2**32 - 1))
 def test_factor_is_an_orthonormal_basis_of_the_row_space(problem, seed):
     a = problem.a

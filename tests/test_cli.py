@@ -4,6 +4,7 @@ import io
 import json
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from ordergame.cli import (
@@ -114,6 +115,16 @@ class TestEmit:
         a = json.loads(emit(run(RunConfig(scenario="losr")), "json"))
         b = json.loads(emit(run(RunConfig(scenario="losr")), "json"))
         assert strip_wall_times(a) == strip_wall_times(b)
+
+    def test_json_writes_fractions_and_refuses_what_it_cannot_write(self):
+        def payload(certificate):
+            result = ScenarioResult("trit", Fraction(1), "made up", certificate)
+            return emit(Report(results=[result], versions="0", settings=RunConfig()), "json")
+
+        assert json.loads(payload({"value": Fraction(1, 3)}))["results"][0]["certificate"] == {"value": "1/3"}
+        # a numpy integer is no JSON value, and is not written as the string "3"
+        with pytest.raises(TypeError, match="int64"):
+            payload({"count": np.int64(3)})
 
     def test_csv_header_and_rows(self):
         report = run(RunConfig(scenario="trit"))
@@ -294,10 +305,13 @@ class TestMain:
         assert "quantum-memoryless    FAILED" in capsys.readouterr().out
 
     def test_halved_tolerance_that_underflows_exits_2(self, capsys):
-        # the shared-state solve runs at half the tolerance, here 0.0, which
-        # its settings refuse when they are built
+        # the shared-state solve runs at half the tolerance, here 0.0; the
+        # refusal names the tolerance given, not its half
         assert main(["--scenario", "lose-sdp", "--tolerance", "5e-324"]) == 2
-        assert "lose-sdp              FAILED: tolerance must be finite and positive, not 0.0" in capsys.readouterr().out
+        assert (
+            "lose-sdp              FAILED: tolerance 5e-324 is too small: "
+            "the shared-state solve runs to half of it, which is 0.0"
+        ) in capsys.readouterr().out
 
     def test_sampled_check_ignores_solver_flags(self, capsys):
         checks = []

@@ -10,7 +10,7 @@ st = pytest.importorskip("hypothesis.strategies")
 from ordergame.quantum import KET, certify_discrimination, haar_qubit_unitary  # noqa: E402
 
 unit = st.floats(-1, 1, allow_nan=False, allow_infinity=False)
-settings = hypothesis.settings(max_examples=60, deadline=None)
+settings = hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
 
 
 @st.composite

@@ -15,7 +15,6 @@ from ordergame.quantum import (
     CertificateFailed,
     ORDER_TO_BASIS_STATE,
     NotOrthogonal,
-    UnitaryChannel,
     bloch_coordinates,
     certify_discrimination,
     discrimination_program,
@@ -29,7 +28,7 @@ from ordergame.quantum import (
     routing_pair_products,
     sampled_discrimination_values,
     symmetric_projector,
-    unbiased_basis_channels,
+    unbiased_basis_unitaries,
     unbiased_order_states,
     verify_perfect_discrimination,
     ZeroTrace,
@@ -57,23 +56,18 @@ from reference import entangled_output_states
 
 class TestChannels:
     def test_unitarity(self):
-        for chan in unbiased_basis_channels():
-            u = np.asarray(chan.kraus, dtype=complex)
+        for u in unbiased_basis_unitaries():
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) <= 1e-12
 
     def test_first_channel_sends_zero_to_minus(self):
-        a, _, _ = unbiased_basis_channels()
-        out = a.kraus @ KET["0"]
+        a, _, _ = unbiased_basis_unitaries()
+        out = a @ KET["0"]
         overlap = abs(np.vdot(KET["-"], out))
         assert abs(overlap - 1.0) <= 1e-12
 
     def test_third_channel_zero_diagonal(self):
-        _, _, c = unbiased_basis_channels()
-        assert c.kraus[0, 0] == 0 and c.kraus[1, 1] == 0
-
-    def test_rejects_non_unitary(self):
-        with pytest.raises(ValueError):
-            UnitaryChannel(np.array([[1.0, 0.0], [0.0, 2.0]]), (SHARED,))
+        _, _, c = unbiased_basis_unitaries()
+        assert c[0, 0] == 0 and c[1, 1] == 0
 
 
 class TestOrderStates:

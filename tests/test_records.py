@@ -3,29 +3,28 @@ prior built on the same base: equality, hashing, order, repr, immutability,
 copies and per-instance containers."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
+import ordergame
 from ordergame.classical import BitStrategy
 from ordergame.cli import Report, RunConfig, Scenario, build_parser
 from ordergame.game import Perm3, ScenarioResult, all_orders
-from ordergame.quantum import UnitaryChannel, routing_matrix
+from ordergame.quantum import routing_matrix
 from ordergame.solver import HermitianPSD, NonnegOrthant, SolveSettings, _group_blocks
-from ordergame.tensor import A_IN, SHARED, Space
+from ordergame.tensor import A_IN, FrozenRecord, Space
 from reference import OrderPrior
 
 PERM = Perm3(("B", "A", "C"))
-KRAUS = np.array([[0, 1], [1, 0]], dtype=complex)
 
 
 def frozen_records():
     """One record of each frozen type, with its field tuple and its repr."""
     prior = OrderPrior.uniform()
-    channel = UnitaryChannel(KRAUS, (SHARED,))
-    route = routing_matrix(PERM)
     scenario = Scenario(len, Fraction(1, 3), True, "label")
     return {
         "Space": (A_IN, ("A_I", 2), "A_I(2)"),
@@ -35,12 +34,7 @@ def frozen_records():
         "NonnegOrthant": (NonnegOrthant(4), (4,), "NonnegOrthant(n=4)"),
         "HermitianPSD": (HermitianPSD(2), (2,), "HermitianPSD(side=2)"),
         "SolveSettings": (SolveSettings(1e-6, 50), (1e-6, 50), "SolveSettings(tolerance=1e-06, max_iters=50)"),
-        "UnitaryChannel": (channel, (channel.kraus, (SHARED,)), f"UnitaryChannel(kraus={channel.kraus!r}, layout=(S(2),))"),
-        "SystemPermutation": (
-            route,
-            (PERM, route.op),
-            f"SystemPermutation(pi=Perm3(order=('B', 'A', 'C')), op={route.op!r})",
-        ),
+        "SystemPermutation": (routing_matrix(PERM), (PERM,), "SystemPermutation(pi=Perm3(order=('B', 'A', 'C')))"),
         "Scenario": (
             scenario,
             (len, Fraction(1, 3), True, "label"),
@@ -52,13 +46,28 @@ def frozen_records():
 NAMES = list(frozen_records())
 
 
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_package_record_type_has_an_entry():
+    # a record type with no entry above would skip every value test here
+    for module in pkgutil.iter_modules(ordergame.__path__):
+        importlib.import_module(f"ordergame.{module.name}")
+    covered = {type(record) for record, _, _ in frozen_records().values()}
+    package = {cls for cls in _subclasses(FrozenRecord) if cls.__module__.startswith("ordergame.")}
+    assert sorted(cls.__qualname__ for cls in package - covered) == []
+
+
 @pytest.mark.parametrize("name", NAMES)
 def test_hash_is_the_hash_of_the_field_tuple(name):
     record, fields, _ = frozen_records()[name]
     try:
         want = hash(fields)
     except TypeError:
-        # a dict or array field: unhashable, as the tuple is
+        # the prior's dict field: unhashable, as the tuple is
         with pytest.raises(TypeError):
             hash(record)
     else:
@@ -85,7 +94,8 @@ def test_assignment_raises(name):
     assert getattr(record, field) is before
 
 
-@pytest.mark.parametrize("name", ["Space", "Perm3", "BitStrategy", "NonnegOrthant", "HermitianPSD", "SolveSettings"])
+# the tests' own OrderPrior holds a dict, so it has no hash and is left out
+@pytest.mark.parametrize("name", [name for name in NAMES if name != "OrderPrior"])
 def test_equal_fields_equal_records_and_copies(name):
     record, fields, _ = frozen_records()[name]
     again = type(record)(*fields)

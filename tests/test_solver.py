@@ -536,11 +536,11 @@ class TestSolveWithinBound:
 
     def test_zero_solve_tolerance_is_not_taken_as_absent(self, monkeypatch):
         # half the smallest subnormal tolerance rounds to 0.0, which is
-        # refused when the halved settings are built, not replaced by the
-        # default tolerance, and no solve runs
+        # refused, naming the tolerance given, not replaced by the default
+        # tolerance, and no solve runs
         assert 5e-324 / 2.0 == 0.0
         tolerances = self.stub_solve(monkeypatch, "optimal", 1.0)
-        with pytest.raises(ProblemMalformed, match="tolerance must be finite and positive, not 0.0"):
+        with pytest.raises(ProblemMalformed, match=r"tolerance 5e-324 is too small: .* runs to half of it, which is 0\.0"):
             solve_shared_state_feasibility({("p", "q"): x_flip()}, SolveSettings(5e-324))
         assert tolerances == []
 

@@ -15,6 +15,7 @@ from ordergame.tensor import (
     NotHermitian,
     Space,
     UnknownLabel,
+    Vec,
     dephase,
     eig_hermitian,
     integer_numerators,
@@ -322,6 +323,23 @@ class TestSerialization:
         d = operator_jsonable(op)
         assert d["data"][0][0] == "1/3"
         assert d["data"][1][1] == "2/1"
+
+
+class TestImmutable:
+    @pytest.mark.parametrize(
+        "value",
+        [LabeledOperator((Q0,), np.eye(2)), Vec((Q0,), [1, 0])],
+        ids=["LabeledOperator", "Vec"],
+    )
+    def test_fields_cannot_be_set_or_deleted(self, value):
+        data = value.data
+        with pytest.raises(AttributeError):
+            value.data = np.zeros_like(data)
+        with pytest.raises(AttributeError):
+            del value.data
+        with pytest.raises(AttributeError):
+            value.extra = 1
+        assert value.data is data
 
 
 def test_invariant_sweep_1000_seeded_instances():
