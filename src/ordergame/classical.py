@@ -8,6 +8,7 @@ one integer run table (:func:`_run_table`).
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -64,8 +65,9 @@ def run_memoryless(pi: Perm3, a: BitStrategy, b: BitStrategy, c: BitStrategy, in
     return state
 
 
+@functools.lru_cache(maxsize=None)
 def _run_table() -> np.ndarray:
-    """Record codes of every run, indexed ``[input_bit, order, triple]``: shape ``(2, 6, 64)``.
+    """Record codes of every run, indexed ``[input_bit, order, triple]``: shape ``(2, 6, 64)``, read-only.
 
     Triple ``16a + 4b + c`` holds the strategies at indices a, b, c of
     :func:`all_bit_strategies`, the order of ``product(all_bit_strategies(),
@@ -81,7 +83,9 @@ def _run_table() -> np.ndarray:
     for party in movers.T:
         codes |= state << (2 - party)[:, None]
         state = (strategy[party] >> (1 - state)) & 1
-    return codes | state << 3
+    codes |= state << 3
+    codes.flags.writeable = False
+    return codes
 
 
 def _distinct(codes: np.ndarray) -> np.ndarray:

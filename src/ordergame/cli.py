@@ -112,10 +112,10 @@ def _quantum_memoryless(config: RunConfig) -> ScenarioResult:
 
 
 def _lose_sdp(config: RunConfig) -> ScenarioResult:
-    pair_ops = {
-        (pp.name, p.name): op.to_float().data
-        for (pp, p), op in routing_pair_products().items()
-    }
+    products = routing_pair_products()
+    # equal pair products are one shared operator: convert each once
+    floats = {op: op.to_float().data for op in dict.fromkeys(products.values())}
+    pair_ops = {(pp.name, p.name): floats[op] for (pp, p), op in products.items()}
     state, solver_report = solve_shared_state_feasibility(pair_ops, config.solver_settings)
     result = verify_perfect_discrimination(state, atol=CHECK_SLACK, scenario="lose-sdp")
     result.certificate["solver"] = solver_report.jsonable()

@@ -339,8 +339,9 @@ def routing_matrix(pi: Perm3) -> SystemPermutation:
     return SystemPermutation(pi)
 
 
+@functools.lru_cache(maxsize=None)
 def _pair_index_table() -> np.ndarray:
-    """Index maps of every adjoint(routing(pi')) @ routing(pi), shape ``(6, 6, 16)``.
+    """Index maps of every adjoint(routing(pi')) @ routing(pi), shape ``(6, 6, 16)``, read-only.
 
     Entry ``[i, j]`` is the map with order i of :func:`all_orders` as pi'
     and order j as pi: the inverse of the first order's map read at the
@@ -349,13 +350,26 @@ def _pair_index_table() -> np.ndarray:
     maps = np.array([_routing_map(pi) for pi in all_orders()])
     inverse = np.empty_like(maps)
     inverse[np.arange(6)[:, None], maps] = np.arange(16)
-    return inverse[:, maps]
+    table = inverse[:, maps]
+    table.flags.writeable = False
+    return table
 
 
 def routing_pair_products() -> dict[tuple[Perm3, Perm3], LabeledOperator]:
-    """All 30 ordered products adjoint(routing(pi')) @ routing(pi), exact."""
+    """All 30 ordered products adjoint(routing(pi')) @ routing(pi), exact.
+
+    Only 11 of the products differ, and equal products are one shared
+    operator: the 30 keys map to 11 objects.
+    """
     table, order = _pair_index_table(), all_orders()
-    return {(order[i], order[j]): _permutation_operator(table[i, j]) for i, j in itertools.permutations(range(6), 2)}
+    shared: dict[bytes, LabeledOperator] = {}
+    products = {}
+    for i, j in itertools.permutations(range(6), 2):
+        key = table[i, j].tobytes()
+        if key not in shared:
+            shared[key] = _permutation_operator(table[i, j])
+        products[order[i], order[j]] = shared[key]
+    return products
 
 
 def factor_permutation_operator(positions: Sequence[int]) -> LabeledOperator:
@@ -381,7 +395,7 @@ _WEIGHT = np.array([bin(i).count("1") for i in range(16)])
 
 def _weight_class_data(values) -> np.ndarray:
     """Entry (i, j) is values[k] when strings i and j both have k excitations, else 0."""
-    return np.where(_WEIGHT[:, None] == _WEIGHT, np.array(values, dtype=object)[_WEIGHT], 0)
+    return np.where(_WEIGHT[:, None] == _WEIGHT, np.asarray(values)[_WEIGHT], 0)
 
 
 def symmetric_projector() -> LabeledOperator:
@@ -394,11 +408,14 @@ def symmetric_projector() -> LabeledOperator:
 def perfect_discrimination_state() -> LabeledOperator:
     """The shared 4-qubit state 1/12 - (1/15) * (sum of Dicke projectors), exact.
 
-    Built per Hamming-weight class: -1/(15 C(4, k)) within class k, plus
-    1/12 on the diagonal.
+    Built per Hamming-weight class as integer numerators over 180:
+    -12/C(4, k) within class k, plus 15 on the diagonal.  Each distinct
+    nonzero numerator becomes one ``Fraction``, shared by its entries, and
+    the zeros stay Python int 0.
     """
-    data = _weight_class_data([Fraction(-1, 15 * math.comb(4, k)) for k in range(5)])
-    return LabeledOperator(ENTANGLED_LAYOUT, data + np.diag([Fraction(1, 12)] * 16), exact=True)
+    nums = 15 * np.eye(16, dtype=int) - _weight_class_data([12 // math.comb(4, k) for k in range(5)])
+    values = {n: Fraction(n, 180) if n else 0 for n in set(nums.ravel().tolist())}
+    return LabeledOperator(ENTANGLED_LAYOUT, np.frompyfunc(values.__getitem__, 1, 1)(nums), exact=True)
 
 
 # ---------------------------------------------------------------------------
@@ -474,5 +491,7 @@ def output_gram(state: LabeledOperator) -> np.ndarray:
     # sum (numpy's pairwise .sum() would move the last digits)
     gram = sum(np.moveaxis(data[np.arange(16), _pair_index_table()], -1, 0))
     if state.exact:
-        return np.array([[Fraction(val, den) for val in row] for row in gram.tolist()], dtype=object)
+        # one Fraction per distinct numerator, shared by its entries
+        values = {n: Fraction(n, den) for n in set(gram.ravel().tolist())}
+        return np.frompyfunc(values.__getitem__, 1, 1)(gram)
     return gram

@@ -20,6 +20,11 @@ type) raises ``ValueError``.  So exact data always holds Python
 ints and ``Fraction``s, and :func:`integer_numerators` can write it as
 integers over one common denominator; the exact PSD test runs on those
 integers.
+
+Every operator and vector owns its ``data``, a fresh array made at
+construction and marked read-only: a write into it raises ``ValueError``,
+and a later write into the array it was built from does not reach it.  So
+equal values can be built once and shared.
 """
 
 from __future__ import annotations
@@ -168,14 +173,14 @@ def _exact_scalar(x):
 
 
 def _coerce(data, exact: bool | None) -> np.ndarray:
-    """The package's one float->exact conversion (see the module docstring).
+    """The package's one float->exact conversion (see the module docstring), into a fresh array.
 
     ``exact=None`` keeps an object array exact and makes anything else float.
     """
     if exact is None:
         exact = isinstance(data, np.ndarray) and data.dtype == object
     if not exact:
-        return np.asarray(data, dtype=complex)
+        return np.array(data, dtype=complex)
     arr = np.asarray(data)
     if arr.dtype == object:
         if _EXACT_TYPES.issuperset(map(type, arr.flat)):
@@ -195,7 +200,11 @@ def _coerce(data, exact: bool | None) -> np.ndarray:
 
 
 class LabeledOperator(Immutable):
-    """Square matrix on an ordered list of named tensor factors."""
+    """Square matrix on an ordered list of named tensor factors.
+
+    ``data`` is an owned, read-only array: a copy of what was passed in,
+    converted as the module docstring says.
+    """
 
     __slots__ = ("layout", "data")
 
@@ -207,6 +216,7 @@ class LabeledOperator(Immutable):
             raise LayoutMismatch(
                 f"data shape {mat.shape} does not match layout side {side}"
             )
+        mat.flags.writeable = False
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "data", mat)
 
@@ -284,17 +294,21 @@ class LabeledOperator(Immutable):
 
 
 class Vec(Immutable):
-    """Complex float column vector on an ordered list of named tensor factors."""
+    """Complex float column vector on an ordered list of named tensor factors.
+
+    ``data`` is an owned, read-only copy of what was passed in.
+    """
 
     __slots__ = ("layout", "data")
 
     def __init__(self, layout: Sequence[Space], data):
         layout = _check_layout(layout)
-        arr = np.asarray(data, dtype=complex)
+        arr = np.array(data, dtype=complex)
         if arr.shape != (_side(layout),):
             raise LayoutMismatch(
                 f"vector length {arr.shape} does not match layout side {_side(layout)}"
             )
+        arr.flags.writeable = False
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "data", arr)
 
@@ -375,7 +389,7 @@ def integer_numerators(data: np.ndarray) -> tuple[np.ndarray, int]:
     of Python ints of the same shape.
     """
     flat = data.ravel().tolist()
-    den = math.lcm(*(x.denominator for x in flat))
+    den = math.lcm(*{x.denominator for x in flat})
     nums = [x.numerator * (den // x.denominator) for x in flat]
     return np.array(nums, dtype=object).reshape(data.shape), den
 

@@ -10,6 +10,7 @@ from ordergame.game import Perm3, all_orders
 from ordergame.quantum import (
     _order_kets,
     _pair_index_table,
+    _permutation_operator,
     BASIS_OF_STATE,
     KET,
     CertificateFailed,
@@ -49,6 +50,7 @@ from ordergame.tensor import (
     NotPSD,
     Vec,
     eig_hermitian,
+    integer_numerators,
     permute_to_layout,
 )
 from reference import entangled_output_states
@@ -335,6 +337,58 @@ class TestSwapRouting:
         }
         for op in routing_pair_products().values():
             assert any(np.array_equal(op.data, mat) for mat in perms.values())
+
+
+class TestSharedExactValues:
+    """The exact values built once and shared equal the per-entry constructions they replaced."""
+
+    def test_pair_products_are_one_operator_per_distinct_product(self):
+        products = routing_pair_products()
+        order, table = all_orders(), _pair_index_table()
+        pairs = list(itertools.permutations(range(6), 2))
+        assert list(products) == [(order[i], order[j]) for i, j in pairs]
+        assert len({id(op) for op in products.values()}) == 11
+        assert len({table[i, j].tobytes() for i, j in pairs}) == 11
+        for i, j in pairs:
+            # the per-pair construction that the shared operators replaced
+            want = _permutation_operator(table[i, j])
+            got = products[order[i], order[j]]
+            assert got.layout == want.layout and got.exact
+            assert [type(x) for x in got.data.flat] == [type(x) for x in want.data.flat]
+            assert got.data.tolist() == want.data.tolist()
+        for (i, j), (k, m) in itertools.combinations(pairs, 2):
+            same_map = np.array_equal(table[i, j], table[k, m])
+            assert (products[order[i], order[j]] is products[order[k], order[m]]) == same_map
+
+    def test_state_matches_the_fraction_construction(self):
+        # the Fraction-per-entry construction that the integer numerators replaced
+        weight = np.array([bin(i).count("1") for i in range(16)])
+        classes = np.array([Fraction(-1, 15 * math.comb(4, k)) for k in range(5)], dtype=object)[weight]
+        want = np.where(weight[:, None] == weight, classes, 0) + np.diag([Fraction(1, 12)] * 16)
+        got = perfect_discrimination_state().data
+        assert [type(x) for x in got.flat] == [type(x) for x in want.flat]
+        assert got.tolist() == want.tolist()
+        # one Fraction per distinct nonzero value, shared by its entries
+        assert len({id(x) for x in got.flat if x}) == len({x for x in got.flat if x}) == 5
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            perfect_discrimination_state(),
+            LabeledOperator(ENTANGLED_LAYOUT, np.diag([Fraction(k + 1, 136) for k in range(16)])),
+            LabeledOperator(ENTANGLED_LAYOUT, np.full((16, 16), Fraction(1, 48)) + np.diag([Fraction(1, 3)] * 16)),
+        ],
+        ids=["closed-form", "diagonal", "thirds"],
+    )
+    def test_gram_matches_a_fraction_per_entry(self, state):
+        # the Fraction-per-entry construction that the shared Fractions replaced
+        nums, den = integer_numerators(state.data)
+        sums = sum(np.moveaxis(nums[np.arange(16), _pair_index_table()], -1, 0))
+        want = [[Fraction(val, den) for val in row] for row in sums.tolist()]
+        gram = output_gram(state)
+        assert gram.shape == (6, 6)
+        assert all(type(x) is Fraction for x in gram.flat)
+        assert gram.tolist() == want
 
 
 class TestSymmetricProjector:

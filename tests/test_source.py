@@ -1,8 +1,13 @@
 import ast
+import importlib
+import inspect
 import sys
 from pathlib import Path
 
+import numpy as np
+
 import ordergame
+from ordergame.game import all_orders
 
 
 def test_no_assert_statements_in_package():
@@ -169,3 +174,53 @@ def test_package_does_not_call_solve_same_constraints():
         and getattr(node.func, "id", getattr(node.func, "attr", None)) == "solve_same_constraints"
     ]
     assert found == []
+
+
+def _cached_functions():
+    """Each function in the package decorated with ``functools.lru_cache`` or ``functools.cache``, as ``(module, name)``."""
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = "ordergame." + path.relative_to(PACKAGE).with_suffix("").as_posix().replace("/", ".")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.FunctionDef):
+                decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+                if any(getattr(d, "attr", getattr(d, "id", None)) in ("lru_cache", "cache") for d in decorators):
+                    yield module, node.name
+
+
+def _arrays_and_other_leaves(value):
+    """The leaves of nested tuples: each array, and anything else as ``None``."""
+    if isinstance(value, tuple):
+        for item in value:
+            yield from _arrays_and_other_leaves(item)
+    else:
+        yield value if isinstance(value, np.ndarray) else None
+
+
+#: Arguments to call each cached function that takes any, one tuple a call.
+CACHED_CALL_ARGUMENTS = {
+    "_routing_map": [(pi,) for pi in all_orders()],
+    "_svec_map": [(2,), (16,)],
+    "_unsvec_map": [(2,), (16,)],
+}
+
+
+def test_cached_functions_return_only_read_only_arrays():
+    # every caller in the process shares what a cached function returns, so
+    # a writable array there is mutable shared state
+    found, checked = [], []
+    for module, name in _cached_functions():
+        fn = getattr(importlib.import_module(module), name)
+        if inspect.signature(fn).parameters:
+            calls = CACHED_CALL_ARGUMENTS.get(name)
+            if calls is None:
+                found.append(f"{module}.{name}: add its arguments to CACHED_CALL_ARGUMENTS")
+                continue
+        else:
+            calls = [()]
+        for args in calls:
+            for leaf in _arrays_and_other_leaves(fn(*args)):
+                if leaf is None or leaf.flags.writeable:
+                    found.append(f"{module}.{name}{args}")
+        checked.append(name)
+    assert found == []
+    assert {"_run_table", "_pair_index_table", "_doubled_constraints", "_orbit_labels", *CACHED_CALL_ARGUMENTS} <= set(checked)

@@ -341,6 +341,41 @@ class TestImmutable:
             value.extra = 1
         assert value.data is data
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            LabeledOperator((Q0, Q1), np.eye(4)),
+            LabeledOperator.identity((Q0, Q1), exact=True),
+            Vec((Q0,), [1, 0]),
+        ],
+        ids=["float-LabeledOperator", "exact-LabeledOperator", "Vec"],
+    )
+    def test_data_is_owned_and_read_only(self, value):
+        before = value.data.tolist()
+        assert value.data.base is None
+        with pytest.raises(ValueError):
+            value.data[(0,) * value.data.ndim] = 7
+        with pytest.raises(ValueError):
+            value.data[...] = 0
+        assert value.data.tolist() == before
+
+    def test_exact_identity_keeps_its_trace(self):
+        e = LabeledOperator.identity((Q0, Q1, Q2, E), exact=True)
+        with pytest.raises(ValueError):
+            e.data[0, 0] = 7
+        assert e.trace() == 16
+
+    @pytest.mark.parametrize(
+        "build, index",
+        [(lambda a: LabeledOperator((Q0, Q1, Q2, E), a), (0, 0)), (lambda a: Vec((Q0, Q1, Q2, E), a[0]), (0,))],
+        ids=["LabeledOperator", "Vec"],
+    )
+    def test_writing_the_input_leaves_the_value_unchanged(self, build, index):
+        a = np.eye(16, dtype=complex)
+        value = build(a)
+        a[0, 0] = 5
+        assert value.data[index] == 1
+
 
 def test_invariant_sweep_1000_seeded_instances():
     """Trace multiplicativity, marginal preservation, dephasing idempotence
