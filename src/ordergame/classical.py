@@ -27,13 +27,6 @@ class BitStrategy(FrozenRecord):
 
     __slots__ = ("on_zero", "on_one")
 
-    def __init__(self, on_zero: int, on_one: int):
-        object.__setattr__(self, "on_zero", on_zero)
-        object.__setattr__(self, "on_one", on_one)
-
-    def _values(self) -> tuple:
-        return self.on_zero, self.on_one
-
     def __call__(self, x: int) -> int:
         return self.on_one if x else self.on_zero
 
@@ -58,11 +51,8 @@ def all_bit_strategies() -> list[BitStrategy]:
 
 
 def run_memoryless(pi: Perm3, a: BitStrategy, b: BitStrategy, c: BitStrategy, input_bit: int) -> int:
-    maps = {"A": a, "B": b, "C": c}
-    state = input_bit
-    for party in pi.order:
-        state = maps[party](state)
-    return state
+    """The final system bit: recording inputs changes no bit passed on, so it is :func:`run_losr`'s ``s_out``."""
+    return run_losr(pi, a, b, c, input_bit).s_out
 
 
 @functools.lru_cache(maxsize=None)

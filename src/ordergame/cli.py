@@ -35,13 +35,16 @@ CHECK_SLACK = 1e-6
 #: The report formats of ``--output``.
 OUTPUTS = ("text", "json", "csv")
 
+#: The solver's own defaults, which ``--tolerance`` and ``--max-iters`` start from.
+_SOLVE_DEFAULTS = SolveSettings()
+
 
 class RunConfig:
     def __init__(
         self,
         scenario: str = "all",
-        tolerance: float = 1e-8,
-        max_iters: int = 200_000,
+        tolerance: float = _SOLVE_DEFAULTS.tolerance,
+        max_iters: int = _SOLVE_DEFAULTS.max_iters,
         seed: int = 42,
         output: str = "text",
         dump_matrices: bool = False,
@@ -139,13 +142,7 @@ class Scenario(FrozenRecord):
         exact: bool,
         headline: str | None = None,
     ):
-        object.__setattr__(self, "run", run)
-        object.__setattr__(self, "expected", expected)
-        object.__setattr__(self, "exact", exact)
-        object.__setattr__(self, "headline", headline)
-
-    def _values(self) -> tuple:
-        return self.run, self.expected, self.exact, self.headline
+        super().__init__(run, expected, exact, headline)
 
 
 #: Every scenario, in headline order.
@@ -321,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Optimal strategies for the three-party order-guessing game.",
     )
     parser.add_argument("--scenario", choices=(*SCENARIOS, "all"), default="all")
-    parser.add_argument("--tolerance", type=float, default=1e-8, help="solver tolerance")
-    parser.add_argument("--max-iters", type=int, default=200_000, help="solver iteration cap")
+    parser.add_argument("--tolerance", type=float, default=_SOLVE_DEFAULTS.tolerance, help="solver tolerance")
+    parser.add_argument("--max-iters", type=int, default=_SOLVE_DEFAULTS.max_iters, help="solver iteration cap")
     parser.add_argument("--seed", type=int, default=42, help="seed for sampled checks")
     parser.add_argument("--output", choices=OUTPUTS, default="text")
     parser.add_argument(

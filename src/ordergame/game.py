@@ -10,6 +10,7 @@ parties exchanging a trit).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 from typing import Hashable, Mapping, Sequence
@@ -23,6 +24,7 @@ class TranscriptMismatch(RuntimeError):
     """A warm-up game's run does not end as its strategy claims."""
 
 
+@functools.total_ordering
 class Perm3(FrozenRecord):
     """A hidden order: the parties listed first-mover first.
 
@@ -35,22 +37,10 @@ class Perm3(FrozenRecord):
         order = tuple(order)
         if sorted(order) != sorted(PARTIES):
             raise ValueError(f"not an ordering of {PARTIES}: {order}")
-        object.__setattr__(self, "order", order)
-
-    def _values(self) -> tuple:
-        return (self.order,)
+        super().__init__(order)
 
     def __lt__(self, other):
         return self.order < other.order if other.__class__ is self.__class__ else NotImplemented
-
-    def __le__(self, other):
-        return self.order <= other.order if other.__class__ is self.__class__ else NotImplemented
-
-    def __gt__(self, other):
-        return self.order > other.order if other.__class__ is self.__class__ else NotImplemented
-
-    def __ge__(self, other):
-        return self.order >= other.order if other.__class__ is self.__class__ else NotImplemented
 
     @property
     def name(self) -> str:

@@ -10,7 +10,7 @@ linear program.  A classical strategy is unchanged by dephasing in the
 computational basis, and dephasing maps a PSD guess block to its diagonal,
 which is PSD exactly when it is nonnegative; the guess probabilities and
 the non-signaling equalities then read only the diagonals.  So this module
-builds only the wiring operators' diagonals (:func:`_wiring_diagonals`); the
+builds only the wiring operators' diagonals (:func:`objective_diagonals`); the
 full operators and their contraction with a strategy block are the test
 suite's reference (``tests/network_reference.py``).
 
@@ -99,15 +99,15 @@ def _bit(space: Space) -> np.ndarray:
     return _BITS[_POS[space]]
 
 
-def _wiring_diagonals(orders: list[Perm3]) -> np.ndarray:
-    """Diagonals of the orders' wiring operators in the computational basis, one row per order.
+def objective_diagonals() -> np.ndarray:
+    """The six orders' wiring diagonals in the computational basis, stacked as a (6, 256) array.
 
-    The diagonal of an unnormalized maximally entangled projector is 1 where
-    the pair's two bits agree and 0 elsewhere, so the diagonal of the chained
-    operator is the product of those indicators over the order's four wire
-    pairs; no operator is built.
+    Row k belongs to ``all_orders()[k]``.  The diagonal of an unnormalized
+    maximally entangled projector is 1 where the pair's two bits agree and 0
+    elsewhere, so the diagonal of the chained operator is the product of
+    those indicators over the order's four wire pairs; no operator is built.
     """
-    pairs = np.array([[(_POS[left], _POS[right]) for left, right in _wire_pairs(pi)] for pi in orders])
+    pairs = np.array([[(_POS[left], _POS[right]) for left, right in _wire_pairs(pi)] for pi in all_orders()])
     return (_BITS[pairs[..., 0]] == _BITS[pairs[..., 1]]).all(axis=1).astype(float)
 
 
@@ -151,11 +151,6 @@ def _doubled_constraints() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for arr in arrays:
         arr.flags.writeable = False
     return arrays
-
-
-def objective_diagonals() -> np.ndarray:
-    """Per-order wiring diagonals stacked as a (6, 256) array."""
-    return _wiring_diagonals(all_orders())
 
 
 @functools.lru_cache(maxsize=None)

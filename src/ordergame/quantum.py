@@ -65,6 +65,7 @@ class ZeroTrace(ValueError):
 # memoryless scenario
 # ---------------------------------------------------------------------------
 
+#: The six reference kets by name, read-only: every caller shares them.
 KET = {
     "0": np.array([1, 0], dtype=complex),
     "1": np.array([0, 1], dtype=complex),
@@ -73,6 +74,8 @@ KET = {
     "i": np.array([1, 1j], dtype=complex) / math.sqrt(2),
     "-i": np.array([1, -1j], dtype=complex) / math.sqrt(2),
 }
+for _ket in KET.values():
+    _ket.flags.writeable = False
 
 #: Which reference state each hidden order produces (up to global phase).
 ORDER_TO_BASIS_STATE = {
@@ -323,12 +326,6 @@ class SystemPermutation(FrozenRecord):
 
     __slots__ = ("pi",)
 
-    def __init__(self, pi: Perm3):
-        object.__setattr__(self, "pi", pi)
-
-    def _values(self) -> tuple:
-        return (self.pi,)
-
     @property
     def op(self) -> LabeledOperator:
         return _permutation_operator(_routing_map(self.pi))
@@ -391,6 +388,7 @@ def factor_permutation_operator(positions: Sequence[int]) -> LabeledOperator:
 
 #: Hamming weight of each 4-qubit basis string: the Dicke class of the index.
 _WEIGHT = np.array([bin(i).count("1") for i in range(16)])
+_WEIGHT.flags.writeable = False
 
 
 def _weight_class_data(values) -> np.ndarray:

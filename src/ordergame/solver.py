@@ -106,12 +106,6 @@ class SolverFailed(RuntimeError):
 class NonnegOrthant(FrozenRecord):
     __slots__ = ("n",)
 
-    def __init__(self, n: int):
-        object.__setattr__(self, "n", n)
-
-    def _values(self) -> tuple:
-        return (self.n,)
-
     @property
     def dim(self) -> int:
         return self.n
@@ -119,12 +113,6 @@ class NonnegOrthant(FrozenRecord):
 
 class HermitianPSD(FrozenRecord):
     __slots__ = ("side",)
-
-    def __init__(self, side: int):
-        object.__setattr__(self, "side", side)
-
-    def _values(self) -> tuple:
-        return (self.side,)
 
     @property
     def dim(self) -> int:
@@ -201,11 +189,7 @@ class SolveSettings(FrozenRecord):
             tol = math.inf
         if not 0 < tol < math.inf:
             raise ProblemMalformed(f"tolerance must be finite and positive, not {tolerance}")
-        object.__setattr__(self, "tolerance", tol)
-        object.__setattr__(self, "max_iters", operator.index(max_iters))
-
-    def _values(self) -> tuple:
-        return self.tolerance, self.max_iters
+        super().__init__(tol, operator.index(max_iters))
 
 
 class SolveReport:

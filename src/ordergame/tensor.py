@@ -30,6 +30,7 @@ equal values can be built once and shared.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -77,17 +78,36 @@ class Immutable:
 class FrozenRecord(Immutable):
     """Base of the package's hashable values.
 
-    A subclass returns its fields, in ``__slots__`` order, from ``_values``,
-    and each field compares and hashes by value: no arrays, no mutable
-    containers.  Records of the same class are equal when their field tuples
-    are, the hash is that of the field tuple, the repr names each field, and
-    copies and pickles rebuild through ``__init__``.  Written once here, not
-    generated per class by ``dataclasses``, whose code generation took about
-    a quarter of the package's import from source and half of it with cached
-    bytecode.
+    A subclass declares its fields once, in ``__slots__``, and each field
+    compares and hashes by value: no arrays, no mutable containers.  The
+    base's ``__init__`` takes one value per slot, in ``__slots__`` order;
+    a subclass that checks or defaults its arguments ends its own
+    ``__init__`` in ``super().__init__(...)``.  ``_values`` returns the
+    field tuple in that order.  Records of the same class are equal when
+    their field tuples are, the hash is that of the field tuple, the repr
+    names each field, and copies and pickles rebuild through ``__init__``.
+    Written once here, not generated per class by ``dataclasses``, whose
+    code generation took about a quarter of the package's import from
+    source and half of it with cached bytecode.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the field tuple is read in C: a generic getattr loop costs four
+        # times as much, on every hash and equality test
+        fields = operator.attrgetter(*cls.__slots__)
+        if len(cls.__slots__) == 1:
+            cls._values = lambda self: (fields(self),)
+        else:
+            cls._values = lambda self: fields(self)
+
+    def __init__(self, *values):
+        if len(values) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, not {len(values)}")
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -110,13 +130,6 @@ class Space(FrozenRecord):
     """A named subsystem wire with a fixed dimension."""
 
     __slots__ = ("name", "dim")
-
-    def __init__(self, name: str, dim: int):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "dim", dim)
-
-    def _values(self) -> tuple:
-        return self.name, self.dim
 
     def __repr__(self) -> str:
         return f"{self.name}({self.dim})"

@@ -45,10 +45,7 @@ class OrderPrior(FrozenRecord):
             ok = abs(float(total) - 1.0) <= 1e-12
         if not ok or set(weights) != set(all_orders()):
             raise NotADistribution("prior must put weight on all six orders and sum to 1")
-        object.__setattr__(self, "weights", weights)
-
-    def _values(self) -> tuple:
-        return (self.weights,)
+        super().__init__(weights)
 
     @classmethod
     def uniform(cls) -> "OrderPrior":

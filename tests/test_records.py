@@ -105,6 +105,23 @@ def test_equal_fields_equal_records_and_copies(name):
         assert type(twin) is type(record) and twin == record
 
 
+@pytest.mark.parametrize("name", NAMES)
+def test_values_follow_slot_order(name):
+    record, fields, _ = frozen_records()[name]
+    assert record._values() == tuple(getattr(record, slot) for slot in type(record).__slots__) == fields
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_wrong_field_count_raises(name):
+    record, fields, _ = frozen_records()[name]
+    with pytest.raises(TypeError):
+        type(record)(*fields, None)
+    # a record with its own __init__ may default its last fields
+    if type(record).__init__ is FrozenRecord.__init__:
+        with pytest.raises(TypeError, match=f"takes {len(fields)} fields, not {len(fields) - 1}"):
+            type(record)(*fields[:-1])
+
+
 def test_equality_needs_the_same_class():
     # both cones have dim 4, and a tuple with the same fields is no record
     assert NonnegOrthant(4) != HermitianPSD(2)

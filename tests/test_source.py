@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import pkgutil
 import sys
 from pathlib import Path
 
@@ -224,3 +225,47 @@ def test_cached_functions_return_only_read_only_arrays():
         checked.append(name)
     assert found == []
     assert {"_run_table", "_pair_index_table", "_doubled_constraints", "_orbit_labels", *CACHED_CALL_ARGUMENTS} <= set(checked)
+
+
+def _module_arrays():
+    """Each ndarray bound at the top level of a package module, directly or as a dict value, as ``(where, array)``."""
+    for info in pkgutil.iter_modules(ordergame.__path__):
+        module = importlib.import_module(f"ordergame.{info.name}")
+        for name, value in vars(module).items():
+            if isinstance(value, np.ndarray):
+                yield f"{module.__name__}.{name}", value
+            elif isinstance(value, dict):
+                yield from (
+                    (f"{module.__name__}.{name}[{key!r}]", item) for key, item in value.items() if isinstance(item, np.ndarray)
+                )
+
+
+def test_module_arrays_are_read_only():
+    # a module's arrays are shared by every caller in the process, so a
+    # writable one is mutable shared state
+    arrays = list(_module_arrays())
+    assert [where for where, arr in arrays if arr.flags.writeable] == []
+    assert {"ordergame.network._BITS", "ordergame.quantum._WEIGHT", "ordergame.quantum.KET['0']"} <= {where for where, _ in arrays}
+
+
+def test_records_declare_their_fields_only_in_slots():
+    # FrozenRecord derives the field tuple from __slots__ and stores the
+    # fields through its own __init__, so a record writes neither by hand
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef) or node.name == "FrozenRecord":
+                continue
+            if "FrozenRecord" not in {getattr(base, "id", getattr(base, "attr", None)) for base in node.bases}:
+                continue
+            found += [
+                f"{path.relative_to(PACKAGE)}:{item.lineno} {node.name}._values"
+                for item in node.body
+                if isinstance(item, ast.FunctionDef) and item.name == "_values"
+            ]
+            found += [
+                f"{path.relative_to(PACKAGE)}:{call.lineno} {node.name} sets a slot"
+                for call in ast.walk(node)
+                if isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__"
+            ]
+    assert found == []
