@@ -43,8 +43,7 @@ from .tensor import (
     LabeledOperator,
     NotPSD,
     Vec,
-    exact_psd,
-    integer_numerators,
+    rational_entries,
 )
 
 
@@ -288,8 +287,7 @@ def sampled_discrimination_values(n_samples: int = 1000, seed: int = 42) -> Samp
 
 def _factor_index_map(positions: Sequence[int]) -> np.ndarray:
     """Basis action of moving factor ``positions[i]`` of the entangled layout to slot ``i``."""
-    j = np.arange(16)
-    return sum(((j >> (3 - src)) & 1) << (3 - slot) for slot, src in enumerate(positions))
+    return (np.arange(16)[:, None] >> (3 - np.asarray(positions)) & 1) @ (8, 4, 2, 1)
 
 
 @functools.lru_cache(maxsize=None)
@@ -311,9 +309,9 @@ def _routing_map(pi: Perm3) -> np.ndarray:
 
 def _permutation_operator(index_map: np.ndarray) -> LabeledOperator:
     """The exact 0/1 matrix sending e_j to e_{index_map[j]} on the entangled layout."""
-    data = np.zeros((16, 16), dtype=int)
-    data[index_map, np.arange(16)] = 1
-    return LabeledOperator(ENTANGLED_LAYOUT, data, exact=True)
+    nums = np.zeros((16, 16), dtype=bool)
+    nums[index_map, np.arange(16)] = True
+    return LabeledOperator.from_numerators(ENTANGLED_LAYOUT, nums, 1)
 
 
 class SystemPermutation(FrozenRecord):
@@ -399,21 +397,19 @@ def _weight_class_data(values) -> np.ndarray:
 def symmetric_projector() -> LabeledOperator:
     """Exact rank-5 projector onto the span of the five 4-qubit Dicke states:
     entry (i, j) is 1/C(4, k) when strings i and j both have k excitations."""
-    data = _weight_class_data([Fraction(1, math.comb(4, k)) for k in range(5)])
-    return LabeledOperator(ENTANGLED_LAYOUT, data, exact=True)
+    nums = _weight_class_data([12 // math.comb(4, k) for k in range(5)])
+    return LabeledOperator.from_numerators(ENTANGLED_LAYOUT, nums, 12)
 
 
 def perfect_discrimination_state() -> LabeledOperator:
     """The shared 4-qubit state 1/12 - (1/15) * (sum of Dicke projectors), exact.
 
-    Built per Hamming-weight class as integer numerators over 180:
-    -12/C(4, k) within class k, plus 15 on the diagonal.  Each distinct
-    nonzero numerator becomes one ``Fraction``, shared by its entries, and
-    the zeros stay Python int 0.
+    Built per Hamming-weight class as int64 numerators over 180:
+    -12/C(4, k) within class k, plus 15 on the diagonal.  No ``Fraction`` is
+    made until something reads the state's ``data``.
     """
-    nums = 15 * np.eye(16, dtype=int) - _weight_class_data([12 // math.comb(4, k) for k in range(5)])
-    values = {n: Fraction(n, 180) if n else 0 for n in set(nums.ravel().tolist())}
-    return LabeledOperator(ENTANGLED_LAYOUT, np.frompyfunc(values.__getitem__, 1, 1)(nums), exact=True)
+    nums = 15 * np.eye(16, dtype=np.int64) - _weight_class_data([12 // math.comb(4, k) for k in range(5)])
+    return LabeledOperator.from_numerators(ENTANGLED_LAYOUT, nums, 180)
 
 
 # ---------------------------------------------------------------------------
@@ -471,25 +467,18 @@ def output_gram(state: LabeledOperator) -> np.ndarray:
     <vec(R_pi' S), vec(R_pi S)> = tr(S R_pi'^dag R_pi S) = tr(R_pi'^dag R_pi state).
     So entry (pi', pi) is a pair trace, with tr(state) on the diagonal, and
     no square root is taken: the entries are complex numbers for float
-    states, and for every exact state Fractions, each one integer sum of
-    the state's numerators over their common denominator
-    (:func:`~ordergame.tensor.integer_numerators`).  Raises :class:`NotPSD`
-    unless the state is positive semidefinite.
+    states, and for every exact state Fractions, each one sum of 16 of the
+    state's integer numerators over its denominator: the only ``Fraction``s
+    made.  Raises :class:`NotPSD` unless the state is PSD (an exact state's
+    verdict is worked out once).
     """
-    # an exact state's numerators serve both the PSD test and the gather
-    if state.exact:
-        data, den = integer_numerators(state.data)
-        psd = exact_psd(data)
-    else:
-        data, psd = state.data, state.is_psd(1e-8)
-    if not psd:
+    if not state.is_psd(1e-8):
         raise NotPSD("shared state must be positive semidefinite")
-    # entry k of pair (i, j)'s trace is data[k, map[k]]; Python sum over k
-    # adds the 16 columns left to right, so float data rounds as a left-to-right
-    # sum (numpy's pairwise .sum() would move the last digits)
-    gram = sum(np.moveaxis(data[np.arange(16), _pair_index_table()], -1, 0))
+    # entry k of pair (i, j)'s trace is data[k, map[k]]
+    gathered = (state.nums if state.exact else state.data)[np.arange(16), _pair_index_table()]
     if state.exact:
-        # one Fraction per distinct numerator, shared by its entries
-        values = {n: Fraction(n, den) for n in set(gram.ravel().tolist())}
-        return np.frompyfunc(values.__getitem__, 1, 1)(gram)
-    return gram
+        # at most 16 numerators of at most 2**53 each: no int64 sum wraps
+        return rational_entries(gathered.sum(-1), state.den, whole=Fraction)
+    # Python sum over k adds the 16 columns left to right, so float data rounds
+    # as a left-to-right sum (numpy's pairwise .sum() would move the last digits)
+    return sum(np.moveaxis(gathered, -1, 0))

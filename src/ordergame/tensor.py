@@ -7,24 +7,23 @@ the most significant tensor factor, i.e. the basis index of ``|i1 ... ik>``
 is ``sum(i_j * prod(later dims))``.
 
 Two scalar kinds are supported and never mixed silently: complex floats
-(``complex128`` arrays) and exact rationals (object arrays holding Python
-ints / ``fractions.Fraction``).  Conversions are explicit: floats via
-:meth:`LabeledOperator.to_float`, and exact scalars only through exact
-construction (``exact=True``), which converts numbers losslessly: bools and
-ints become Python ints and each float the ``Fraction`` equal to its binary
-value; data with a nonzero imaginary part or a non-finite entry raises
-``ValueError``.  Object data goes through the same rules entry by entry:
-ints and ``Fraction``s are kept, bools become ints, finite floats their
-``Fraction``s, and any other entry (complex, non-finite, or of another
-type) raises ``ValueError``.  So exact data always holds Python
-ints and ``Fraction``s, and :func:`integer_numerators` can write it as
-integers over one common denominator; the exact PSD test runs on those
-integers.
+(``complex128`` arrays) and exact rationals, held as integer numerators
+``nums`` over one positive denominator ``den``: int64 when every
+|numerator| and ``den`` are at most :data:`INT64_BOUND`, Python ints
+otherwise (a float converted exactly can carry a denominator up to
+2**1074).  An exact ``data``, Python ints for whole entries and
+``Fraction``s, is built from them only when read.  Conversions are
+explicit: floats via :meth:`LabeledOperator.to_float`, and exact scalars
+only through :meth:`LabeledOperator.from_numerators` or exact construction
+(``exact=True``), which is lossless: bools, ints and ``Fraction``s keep
+their values and each finite float becomes its binary value, entry by
+entry for object data; a nonzero imaginary part or any other entry
+(non-finite, or of another type) raises ``ValueError``.
 
-Every operator and vector owns its ``data``, a fresh array made at
-construction and marked read-only: a write into it raises ``ValueError``,
-and a later write into the array it was built from does not reach it.  So
-equal values can be built once and shared.
+Every operator and vector owns its arrays, made at construction and
+marked read-only: a write into one raises ``ValueError``, and a later
+write into the array it was built from does not reach it.  So equal values
+can be built once and shared.
 """
 
 from __future__ import annotations
@@ -63,7 +62,7 @@ class Immutable:
     """Base of every immutable type in the package: no attribute can be set or deleted.
 
     A subclass lists its fields as ``__slots__`` and sets each once, in
-    ``__init__``, through ``object.__setattr__``.
+    ``__init__`` (or on first use, for a cached value), through ``object.__setattr__``.
     """
 
     __slots__ = ()
@@ -171,13 +170,13 @@ def _check_layout(layout: Sequence[Space]) -> tuple[Space, ...]:
     return layout
 
 
-_EXACT_TYPES = {int, Fraction}
+#: Exact numerators within this bound, over a denominator within it, are int64: each
+#: converts to a float exactly, and a sum of up to 2**10 of them stays in range.
+INT64_BOUND = 2**53
 
 
 def _exact_scalar(x):
-    """One object entry as a Python int or ``Fraction`` (see the module docstring)."""
-    if isinstance(x, bool):
-        return int(x)
+    """One object entry as a Python int (or bool) or ``Fraction`` (see the module docstring)."""
     if isinstance(x, (int, Fraction)):
         return x
     if isinstance(x, float) and math.isfinite(x):
@@ -185,63 +184,79 @@ def _exact_scalar(x):
     raise ValueError(f"cannot convert the {type(x).__name__} entry {x!r} to an exact rational")
 
 
-def _coerce(data, exact: bool | None) -> np.ndarray:
-    """The package's one float->exact conversion (see the module docstring), into a fresh array.
+def _packed(nums: np.ndarray, den: int) -> np.ndarray:
+    """The numerators, copied: int64 if they and ``den`` are within :data:`INT64_BOUND`, else Python ints."""
+    fits = den <= INT64_BOUND and (nums.itemsize < 8 or -INT64_BOUND <= nums.min() <= nums.max() <= INT64_BOUND)
+    return nums.astype(np.int64 if fits else object)
 
-    ``exact=None`` keeps an object array exact and makes anything else float.
-    """
-    if exact is None:
-        exact = isinstance(data, np.ndarray) and data.dtype == object
-    if not exact:
-        return np.array(data, dtype=complex)
+
+def _numerators(data) -> tuple[np.ndarray, int]:
+    """The package's one float->exact conversion (see the module docstring): numerators and their denominator."""
     arr = np.asarray(data)
-    if arr.dtype == object:
-        if _EXACT_TYPES.issuperset(map(type, arr.flat)):
-            return arr.copy()
-        return np.asarray(np.frompyfunc(_exact_scalar, 1, 1)(arr), dtype=object)
-    if arr.dtype.kind == "b":
-        arr = arr.astype(int)
-    if arr.dtype.kind in "iu":
-        return arr.astype(object)
-    if np.iscomplexobj(arr):
-        if np.any(arr.imag):
+    if arr.dtype.kind in "biu":
+        return _packed(arr, 1), 1
+    if arr.dtype != object:
+        if np.iscomplexobj(arr) and np.any(arr.imag):
             raise ValueError("cannot convert complex data to exact rationals")
-        arr = arr.real
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("cannot convert non-finite data to exact rationals")
-    return np.asarray(np.frompyfunc(Fraction, 1, 1)(arr.astype(float)), dtype=object)
+        arr = arr.real.astype(object)
+    types = set(map(type, arr.flat))
+    if types == {int}:
+        return _packed(arr, 1), 1
+    nums, den = integer_numerators(arr if types <= {int, Fraction} else np.frompyfunc(_exact_scalar, 1, 1)(arr))
+    return _packed(nums, den), den
 
 
 class LabeledOperator(Immutable):
     """Square matrix on an ordered list of named tensor factors.
 
-    ``data`` is an owned, read-only array: a copy of what was passed in,
-    converted as the module docstring says.
+    A float operator holds ``data``, a complex array.  An exact one holds
+    ``nums`` over ``den`` (see the module docstring), and builds its ``data``
+    on first read and its PSD verdict on first use, keeping both.
     """
 
-    __slots__ = ("layout", "data")
+    __slots__ = ("layout", "nums", "den", "_data", "_psd")
 
     def __init__(self, layout: Sequence[Space], data, *, exact: bool | None = None):
+        if exact is None:
+            exact = isinstance(data, np.ndarray) and data.dtype == object
+        self._set(layout, *((None, *_numerators(data)) if exact else (np.array(data, dtype=complex), None, None)))
+
+    @classmethod
+    def from_numerators(cls, layout: Sequence[Space], nums, den: int) -> "LabeledOperator":
+        """The exact operator ``nums / den``, from an integer (or bool) array and a positive int: no ``Fraction``."""
+        nums = np.asarray(nums)
+        if nums.dtype.kind not in "biu" or type(den) is not int or den < 1:
+            raise ValueError(f"need integer numerators over a positive int, not {nums.dtype} over {den!r}")
+        op = cls.__new__(cls)
+        op._set(layout, None, _packed(nums, den), den)
+        return op
+
+    def _set(self, layout, data, nums, den) -> None:
         layout = _check_layout(layout)
-        mat = _coerce(data, exact)
-        side = _side(layout)
-        if mat.shape != (side, side):
-            raise LayoutMismatch(
-                f"data shape {mat.shape} does not match layout side {side}"
-            )
-        mat.flags.writeable = False
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "data", mat)
+        held = data if nums is None else nums
+        if held.shape != (_side(layout),) * 2:
+            raise LayoutMismatch(f"data shape {held.shape} does not match layout side {_side(layout)}")
+        held.flags.writeable = False
+        for name, value in zip(self.__slots__, (layout, nums, den, data, None)):
+            object.__setattr__(self, name, value)
 
     # -- basic queries -----------------------------------------------------
 
     @property
+    def data(self) -> np.ndarray:
+        """The matrix; exact entries are built by :func:`rational_entries` on first read."""
+        if self._data is None:
+            object.__setattr__(self, "_data", rational_entries(self.nums, self.den))
+            self._data.flags.writeable = False
+        return self._data
+
+    @property
     def side(self) -> int:
-        return self.data.shape[0]
+        return (self._data if self.nums is None else self.nums).shape[0]
 
     @property
     def exact(self) -> bool:
-        return self.data.dtype == object
+        return self.nums is not None
 
     @classmethod
     def identity(cls, layout: Sequence[Space], *, exact: bool = False) -> "LabeledOperator":
@@ -253,13 +268,15 @@ class LabeledOperator(Immutable):
 
     def is_hermitian(self, atol: float = HERMITIAN_ATOL) -> bool:
         if self.exact:
-            return bool(np.all(self.data == self.data.T))
+            return bool(np.array_equal(self.nums, self.nums.T))
         return bool(np.max(np.abs(self.data - self.data.conj().T)) <= atol)
 
     def is_psd(self, atol: float = HERMITIAN_ATOL) -> bool:
-        """PSD test: exact rational elimination, or eigenvalue floor for floats."""
+        """PSD test: exact elimination on the numerators, once per operator, or eigenvalue floor for floats."""
         if self.exact:
-            return exact_psd(integer_numerators(self.data)[0])
+            if self._psd is None:
+                object.__setattr__(self, "_psd", exact_psd(self.nums))
+            return self._psd
         if not self.is_hermitian(atol):
             return False
         w = np.linalg.eigvalsh(self.data)
@@ -268,7 +285,7 @@ class LabeledOperator(Immutable):
     # -- scalar-kind conversions (always explicit) ---------------------------
 
     def to_float(self) -> "LabeledOperator":
-        return LabeledOperator(self.layout, self.data, exact=False) if self.exact else self
+        return LabeledOperator(self.layout, self.nums / self.den, exact=False) if self.exact else self
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -335,11 +352,7 @@ class Vec(Immutable):
 
 
 def kron(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
-    """Tensor product; the layout is a's labels followed by b's."""
-    if set(a.layout) & set(b.layout):
-        raise LabelCollision(
-            f"layouts share labels: {set(a.layout) & set(b.layout)}"
-        )
+    """Tensor product; the layout is a's labels followed by b's, which must not share one."""
     if a.exact != b.exact:
         raise TypeError("exact and float operators do not mix implicitly")
     return LabeledOperator(a.layout + b.layout, np.kron(a.data, b.data))
@@ -392,6 +405,14 @@ def eig_hermitian(op: LabeledOperator) -> tuple[np.ndarray, np.ndarray]:
         raise NotHermitian("eig_hermitian requires a Hermitian operator")
     w, v = np.linalg.eigh(work.data)
     return w, v
+
+
+def rational_entries(nums: np.ndarray, den: int, *, whole=int) -> np.ndarray:
+    """The object array ``nums / den``: a shared ``Fraction`` per distinct value, or ``whole`` for whole ones."""
+    if den == 1 and whole is int:
+        return nums.astype(object)
+    values = {n: Fraction(n, den) if n % den else whole(n // den) for n in set(nums.ravel().tolist())}
+    return np.frompyfunc(values.__getitem__, 1, 1)(nums)
 
 
 def integer_numerators(data: np.ndarray) -> tuple[np.ndarray, int]:
@@ -453,9 +474,11 @@ def _bareiss_psd(a: list[list[int]]) -> bool:
 def exact_psd(nums: np.ndarray) -> bool:
     """Exact PSD test for real-rational data: symmetry, then symmetric Bareiss elimination per block.
 
-    Takes the data's :func:`integer_numerators`, which share one positive
-    denominator: no fraction is formed, and the data is symmetric, or PSD,
-    exactly when the numerators are.  Step k replaces each upper-triangle
+    Takes integer numerators over one positive denominator, an exact
+    operator's ``nums`` or :func:`integer_numerators` of its ``data``: no
+    fraction is formed, and the data is symmetric, or PSD, exactly when the
+    numerators are.  The elimination runs on Python ints, since its
+    products outgrow int64.  Step k replaces each upper-triangle
     entry (i, j) below the pivot p = a[k][k] by
     (p a[i][j] - a[k][i] a[k][j]) / prev, an exact division by the previous pivot (Bareiss, Math. Comp. 22,
     1968).  The diagonal then carries the LDL pivots times a positive
@@ -485,20 +508,8 @@ def ratio_str(x) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _scalar_jsonable(x, exact: bool):
-    if exact:
-        return ratio_str(x)
-    z = complex(x)
-    return [z.real, z.imag]
-
-
 def operator_jsonable(op: LabeledOperator) -> dict:
     """Nested-list form: float entries as [re, im], exact entries as "p/q"."""
-    return {
-        "layout": [s.name for s in op.layout],
-        "exact": op.exact,
-        "data": [
-            [_scalar_jsonable(op.data[i, j], op.exact) for j in range(op.side)]
-            for i in range(op.side)
-        ],
-    }
+    entry = ratio_str if op.exact else lambda z: [z.real, z.imag]
+    data = [list(map(entry, row)) for row in op.data.tolist()]
+    return {"layout": [s.name for s in op.layout], "exact": op.exact, "data": data}

@@ -99,6 +99,19 @@ def test_zero_pivot_with_a_nonzero_row_is_indefinite(b, data):
 
 
 @settings
+@hypothesis.given(factors(min_n=2), st.data())
+def test_a_non_symmetric_matrix_with_a_psd_upper_triangle_is_rejected(b, data):
+    # the elimination reads only the upper triangle, which stays PSD here;
+    # only the symmetry check sees the entry moved below the diagonal
+    mat = gram(b)
+    i = data.draw(st.integers(1, mat.shape[0] - 1))
+    j = data.draw(st.integers(0, i - 1))
+    mat[i, j] += data.draw(rationals.filter(bool))
+    assert verdict(np.triu(mat) + np.triu(mat, 1).T)
+    assert not verdict(mat)
+
+
+@settings
 @hypothesis.given(factors(floats))
 def test_large_denominators_from_floats(b):
     # exact construction from binary floats such as 0.1 gives denominators up to 2**60

@@ -43,8 +43,10 @@ from ordergame.solver import (
     solve_same_constraints,
     svec,
 )
+from ordergame import tensor
 from ordergame.tensor import (
     ENTANGLED_LAYOUT,
+    INT64_BOUND,
     SHARED,
     LabeledOperator,
     NotPSD,
@@ -454,6 +456,22 @@ class TestSharedState:
 
 
 class TestVerification:
+    def test_psd_verdict_is_worked_out_once_per_state(self, monkeypatch):
+        eliminated = []
+        bareiss = tensor._bareiss_psd
+        monkeypatch.setattr(tensor, "_bareiss_psd", lambda a: eliminated.append(len(a)) or bareiss(a))
+        state = perfect_discrimination_state()
+        verify_perfect_discrimination(state)
+        # one elimination of each weight class
+        assert eliminated == [1, 4, 6, 4, 1]
+        output_gram(state)
+        pair_trace_values(state)
+        assert state.is_psd()
+        assert eliminated == [1, 4, 6, 4, 1]
+        # the verdict lives on the instance: a new state works out its own
+        assert perfect_discrimination_state().is_psd()
+        assert eliminated == [1, 4, 6, 4, 1] * 2
+
     def test_exact_state_passes(self):
         result = verify_perfect_discrimination(perfect_discrimination_state())
         assert result.probability == Fraction(1)
@@ -551,6 +569,14 @@ def exact_diagonal_state(value):
     return LabeledOperator(ENTANGLED_LAYOUT, data)
 
 
+def per_entry_gram(state):
+    """The pair traces as Fraction sums over the state's data, one entry at a time."""
+    return [
+        [sum((Fraction(state.data[j, k]) for j, k in enumerate(index_map)), Fraction(0)) for index_map in maps]
+        for maps in _pair_index_table()
+    ]
+
+
 def random_density_matrix(seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
@@ -599,13 +625,25 @@ class TestOutputGram:
         state = LabeledOperator(ENTANGLED_LAYOUT, (m + m.T) / 2, exact=True) + exact_diagonal_state(Fraction(1, 3))
         denominators = {x.denominator for x in state.data.ravel()}
         assert len(denominators) > 5 and any(d % 3 == 0 for d in denominators)
-        want = [
-            [sum((Fraction(state.data[j, k]) for j, k in enumerate(index_map)), Fraction(0)) for index_map in maps]
-            for maps in _pair_index_table()
-        ]
+        assert state.den > INT64_BOUND and state.nums.dtype == object
         gram = output_gram(state)
         assert all(type(x) is Fraction for x in gram.ravel())
-        assert gram.tolist() == want
+        assert gram.tolist() == per_entry_gram(state)
+
+    @pytest.mark.parametrize(
+        "state",
+        [
+            # sixteen numerators of 2**62 sum past the int64 range
+            LabeledOperator.from_numerators(ENTANGLED_LAYOUT, np.diag(np.full(16, 2**62)), 1),
+            exact_diagonal_state(Fraction(1, 3**41)),
+        ],
+        ids=["large-numerators", "large-denominator"],
+    )
+    def test_numerators_past_the_int64_bound_are_python_ints(self, state):
+        assert state.nums.dtype == object
+        gram = output_gram(state)
+        assert all(type(x) is Fraction for x in gram.ravel())
+        assert gram.tolist() == per_entry_gram(state)
 
     def test_rejects_non_psd(self):
         with pytest.raises(NotPSD):
@@ -643,3 +681,17 @@ class TestOutputGram:
             # column j of a permutation matrix has its one 1 in row map[j]
             want = [next(r for r in range(16) if product[r, c] == 1) for c in range(16)]
             assert table[i, j].tolist() == want
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        perfect_discrimination_state(),
+        *dict.fromkeys(routing_pair_products().values()),
+        LabeledOperator((SHARED,), [[0.1, 0], [0, 1 / 3]], exact=True),
+        exact_diagonal_state(Fraction(1, 3**41)),
+    ],
+    ids=["closed-form", *(f"pair-product-{k}" for k in range(11)), "from-floats", "large-denominator"],
+)
+def test_to_float_rounds_each_entry_as_converting_it_does(op):
+    assert op.to_float().data.tobytes() == np.array(op.data, dtype=complex).tobytes()

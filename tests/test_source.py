@@ -177,6 +177,27 @@ def test_package_does_not_call_solve_same_constraints():
     assert found == []
 
 
+def test_only_tensor_builds_exact_entries():
+    # exact data is integer numerators over one denominator, turned into
+    # Python ints and Fractions in tensor.py alone: no other module maps an
+    # array through np.frompyfunc or makes Fractions in a comprehension
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        if path.name == "tensor.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if getattr(node, "attr", getattr(node, "id", None)) == "frompyfunc":
+                found.append(f"{path.name}:{node.lineno} frompyfunc")
+            if isinstance(node, comprehensions):
+                found += [
+                    f"{path.name}:{call.lineno} Fraction in a comprehension"
+                    for call in ast.walk(node)
+                    if isinstance(call, ast.Call) and getattr(call.func, "id", getattr(call.func, "attr", None)) == "Fraction"
+                ]
+    assert found == []
+
+
 def _cached_functions():
     """Each function in the package decorated with ``functools.lru_cache`` or ``functools.cache``, as ``(module, name)``."""
     for path in sorted(PACKAGE.rglob("*.py")):
