@@ -66,14 +66,16 @@ def _run_table() -> np.ndarray:
     the bits ``8 s_out + 4 x_a + 2 x_b + x_c``, so ``code >> 3`` is the
     memoryless final bit.
     """
-    strategy = (np.arange(64) >> np.array([[4], [2], [0]])) & 3  # (party, triple)
-    movers = np.array([["ABC".index(p) for p in pi.order] for pi in all_orders()])  # (order, step)
-    state = np.arange(2)[:, None, None]  # the input bit, broadcast over orders and triples
-    codes = np.zeros((2, 6, 64), dtype=np.int64)
-    for party in movers.T:
-        codes |= state << (2 - party)[:, None]
-        state = (strategy[party] >> (1 - state)) & 1
-    codes |= state << 3
+    # party p's output on bit x in triple t: bit 1 - x of its strategy, bit 5 - 2p - x of t
+    output = np.arange(64) >> np.array([[[5], [4]], [[3], [2]], [[1], [0]]]) & 1  # (party, x, triple)
+    movers = np.array([["ABC".index(p) for p in pi.order] for pi in all_orders()]).T[:, :, None]  # (step, order, 1)
+    triples = np.arange(64)
+    state = np.array([[[0]], [[1]]])  # the input bit, broadcast over orders and triples
+    codes = 0
+    for party in movers:
+        codes = codes | state << 2 - party
+        state = output[party, state, triples]
+    codes = codes | state << 3
     codes.flags.writeable = False
     return codes
 
@@ -81,11 +83,11 @@ def _run_table() -> np.ndarray:
 def _distinct(codes: np.ndarray) -> np.ndarray:
     """The number of distinct 4-bit codes along the order axis (axis 1) of ``codes``.
 
-    Each of the 16 codes counts once if any order reaches it.  A sort along
-    the axis gives the same counts, but pages in numpy's sort kernels, about
-    0.3 MB of a fresh interpreter's peak RSS.
+    Each code sets its bit of a 16-bit mask, and the mask's set bits are
+    counted.  A sort along the axis gives the same counts, but pages in
+    numpy's sort kernels, about 0.3 MB of a fresh interpreter's peak RSS.
     """
-    return (codes[:, :, None] == np.arange(16)[:, None]).any(axis=1).sum(axis=1)
+    return np.bitwise_count(np.bitwise_or.reduce(1 << codes, axis=1))
 
 
 def _triple(index: int) -> tuple[BitStrategy, BitStrategy, BitStrategy]:
@@ -96,12 +98,13 @@ def _triple(index: int) -> tuple[BitStrategy, BitStrategy, BitStrategy]:
 
 def search_memoryless() -> ScenarioResult:
     """Try both inputs and all 4^3 bit-map triples; best is 2 distinct outputs."""
-    counts = _distinct(_run_table() >> 3)
+    final = _run_table() >> 3
+    counts = _distinct(final)
     # the first maximum in search order: input 0 first, then triples in order
     input_bit, index = divmod(int(np.argmax(counts)), 64)
     count = int(counts[input_bit, index])
     a, b, c = _triple(index)
-    outputs = {pi: run_memoryless(pi, a, b, c, input_bit) for pi in all_orders()}
+    outputs = dict(zip(all_orders(), final[input_bit, :, index].tolist()))
     return ScenarioResult(
         scenario="classical-memoryless",
         probability=Fraction(count, 6),
@@ -136,12 +139,14 @@ def run_losr(
 
 def search_losr() -> ScenarioResult:
     """All 4^3 memory triples on input 0; input 1 is re-run as a cross-check."""
-    counts = _distinct(_run_table())
+    table = _run_table()
+    counts = _distinct(table)
     index = int(np.argmax(counts[0]))  # the first triple of a tie
     count, best_input1 = int(counts[0, index]), int(counts[1].max())
     a, b, c = _triple(index)
-    outputs = {pi: run_losr(pi, a, b, c, 0) for pi in all_orders()}
-    tuples = {pi: t.as_tuple() for pi, t in outputs.items()}
+    # each run's OutcomeTuple, read off its code's bits
+    codes = table[0, :, index].tolist()
+    tuples = {pi: (code >> 3, code >> 2 & 1, code >> 1 & 1, code & 1) for pi, code in zip(all_orders(), codes)}
     return ScenarioResult(
         scenario="losr",
         probability=Fraction(count, 6),

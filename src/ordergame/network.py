@@ -44,6 +44,8 @@ an earlier one up to sign are dropped, which leaves 31 rows of rank 31.
 from __future__ import annotations
 
 import functools
+import itertools
+import operator
 from fractions import Fraction
 from typing import Mapping
 
@@ -94,11 +96,6 @@ _BITS = (np.arange(_SIDE) >> (7 - np.arange(len(NETWORK_LAYOUT)))[:, None]) & 1
 _BITS.flags.writeable = False
 
 
-def _bit(space: Space) -> np.ndarray:
-    """The bit of ``space`` in every basis index of the canonical layout (read-only)."""
-    return _BITS[_POS[space]]
-
-
 def objective_diagonals() -> np.ndarray:
     """The six orders' wiring diagonals in the computational basis, stacked as a (6, 256) array.
 
@@ -129,28 +126,24 @@ def _doubled_constraints() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     clear and -1 when it is set; the trace row has 2 everywhere, and
     ``rhs`` is 0 but for twice the total trace on the trace row.
     """
-    # (key, uniform bit) per marginal: the final wire keys the whole index; a
-    # party keys the six bits left without S_F and its out wire, in wire order
-    marginals = [(np.arange(_SIDE), 1)]
-    for party in ("A", "B", "C"):
-        kept = [s for s in NETWORK_LAYOUT if s not in (OUT_WIRE[party], S_FINAL)]
-        key = sum(_bit(s) << (5 - i) for i, s in enumerate(kept))
-        marginals.append((key, 1 << (5 - kept.index(IN_WIRE[party]))))
-    row, coef = [], []
-    at = 0
-    for key, bit in marginals:
-        low = bit - 1
-        row.append(at + (((key >> 1) & ~low) | (key & low)))
-        coef.append(np.where(key & bit, -1, 1))
-        at += (int(key.max()) + 1) // 2
-    row.append(np.full(_SIDE, at))
-    coef.append(np.full(_SIDE, 2))
-    rhs = np.zeros(at + 1, dtype=int)
-    rhs[at] = 2 * _TOTAL_TRACE
-    arrays = np.array(row), np.array(coef), rhs
-    for arr in arrays:
-        arr.flags.writeable = False
-    return arrays
+    # a line's row and coefficient are affine in the wire bits: a marginal
+    # keys its rows by the wires left once its uniform wire and the wires it
+    # ignores are taken out, in wire order, and flips sign with its uniform wire
+    wires = range(len(NETWORK_LAYOUT))
+    lines, starts = [], [0]
+    for uniform, *ignored in [(S_FINAL,)] + [(IN_WIRE[p], OUT_WIRE[p], S_FINAL) for p in PARTIES]:
+        u, skipped = _POS[uniform], {_POS[s] for s in ignored}
+        kept = [i for i in wires if i != u and i not in skipped]
+        key = [1 << (len(kept) - 1 - kept.index(i)) if i in kept else 0 for i in wires]
+        lines.append((key, [-2 * (i == u) for i in wires]))
+        starts.append(starts[-1] + (1 << len(kept)))
+    # the trace row: 2 on every column
+    lines.append(([0] * len(wires),) * 2)
+    row_coef = np.array(lines).swapaxes(0, 1) @ _BITS + np.array([starts, [1] * (len(starts) - 1) + [2]])[..., None]
+    rhs = np.zeros(starts[-1] + 1, dtype=int)
+    rhs[-1] = 2 * _TOTAL_TRACE
+    row_coef.flags.writeable = rhs.flags.writeable = False
+    return (*row_coef, rhs)
 
 
 @functools.lru_cache(maxsize=None)
@@ -235,25 +228,29 @@ def strategy_network_blocks(
     The blocks encode: prepare 0 on the input wire, forward each party's
     map on its out wire, and decode the guess from the final bit together
     with the three received bits (read off the in wires).  Each block is a
-    0/1 mask over the wire-bit table :func:`_bit`, with Python ``int``
-    entries in an ``object`` array.
+    0/1 mask over the basis indices of :data:`NETWORK_LAYOUT`, with Python
+    ``int`` entries in an ``object`` array.  With no strategies the
+    blocks are :func:`losr_canonical_witness`'s; a partial triple raises
+    ``ValueError``.
     """
-    if a is None:
+    missing = [name for name, strategy in zip("abc", (a, b, c)) if strategy is None]
+    if len(missing) == 3:
         a, b, c = losr_canonical_witness()
+    elif missing:
+        raise ValueError(f"strategies {', '.join(missing)} are missing: give all three or none")
     orders = all_orders()
-    outcomes = {pi: run_losr(pi, a, b, c, 0).as_tuple() for pi in orders}
-    # the indices the strategy reaches: 0 on the input wire, and each out
-    # wire carrying its party's map of the in wire
-    reached = _bit(S_PREP) == 0
-    for party, strategy in (("A", a), ("B", b), ("C", c)):
-        reached &= _bit(OUT_WIRE[party]) == np.where(_bit(IN_WIRE[party]), strategy(1), strategy(0))
-    # tuples no wiring produces still need a guess, or the measurement is
-    # not a complete network: they get the first order, at no objective weight
-    observed = np.stack([_bit(s) for s in (S_FINAL, A_IN, B_IN, C_IN)], axis=1)
-    guess = np.zeros(_SIDE, dtype=int)
-    for outcome, pi in optimal_decoder(outcomes).items():
-        guess[np.all(observed == outcome, axis=1)] = orders.index(pi)
-    return {pi: np.where(reached & (guess == k), 1, 0).astype(object) for k, pi in enumerate(orders)}
+    decode = optimal_decoder({pi: run_losr(pi, a, b, c, 0) for pi in orders})
+    place = [1 << (7 - _POS[s]) for s in (A_IN, A_OUT, B_IN, B_OUT, C_IN, C_OUT, S_FINAL)]
+    blocks = np.zeros((len(orders), _SIDE), dtype=object)
+    # the strategy reaches 16 indices: 0 on the input wire, each out wire
+    # carrying its party's map of the in wire, and either final bit
+    for x_a, x_b, x_c, s_f in itertools.product((0, 1), repeat=4):
+        wires = (x_a, a(x_a), x_b, b(x_b), x_c, c(x_c), s_f)
+        # tuples no wiring produces still need a guess, or the measurement is
+        # not a complete network: they get the first order, at no objective weight
+        guess = decode.get((s_f, x_a, x_b, x_c), orders[0])
+        blocks[orders.index(guess), sum(map(operator.mul, wires, place))] = 1
+    return dict(zip(orders, blocks))
 
 
 def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
@@ -265,11 +262,10 @@ def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
     divides once by 6.
     """
     row, doubled, doubled_rhs = _doubled_constraints()
-    summed = sum(np.asarray(diag, dtype=object) for diag in blocks.values())
+    stacked = np.array([blocks[pi] for pi in all_orders()], dtype=object)
     lhs = np.zeros(len(doubled_rhs), dtype=object)
-    np.add.at(lhs, row.ravel(), (doubled.astype(object) * summed).ravel())
+    np.add.at(lhs, row, doubled * stacked.sum(axis=0))
     max_violation = Fraction(max(np.abs(lhs - doubled_rhs)), 2)
     # each wiring diagonal is exactly 0/1: sum the blocks over their supports, divide once
-    stacked = np.array([np.asarray(blocks[pi], dtype=object) for pi in all_orders()])
     objective = Fraction(stacked[objective_diagonals() != 0].sum(), 6)
     return {"feasible": max_violation == 0, "max_violation": max_violation, "objective": objective}

@@ -155,10 +155,9 @@ def quantum_memoryless_optimum(
     its value breaks the bound.
     """
     report = solve_within_bound("discrimination", discrimination_program(states), Fraction(1, 3), settings)
-    bloch = {
-        pi.name: [round(x, 12) for x in bloch_coordinates(vec.data).tolist()]
-        for pi, vec in sorted(states.items())
-    }
+    ordered = sorted(states.items())
+    coordinates = bloch_coordinates(np.array([vec.data for _, vec in ordered])).tolist()
+    bloch = {pi.name: [round(x, 12) for x in xyz] for (pi, _), xyz in zip(ordered, coordinates)}
     return ScenarioResult(
         scenario="quantum-memoryless",
         probability=report.objective_value,
@@ -285,14 +284,13 @@ def sampled_discrimination_values(n_samples: int = 1000, seed: int = 42) -> Samp
 # ---------------------------------------------------------------------------
 
 
-def _factor_index_map(positions: Sequence[int]) -> np.ndarray:
-    """Basis action of moving factor ``positions[i]`` of the entangled layout to slot ``i``."""
-    return (np.arange(16)[:, None] >> (3 - np.asarray(positions)) & 1) @ (8, 4, 2, 1)
+def _factor_index_map(positions) -> np.ndarray:
+    """Basis actions of moving factor ``positions[..., i]`` of the entangled layout to slot ``i``."""
+    return (np.arange(16)[:, None] >> (3 - np.asarray(positions)[..., None, :]) & 1) @ (8, 4, 2, 1)
 
 
-@functools.lru_cache(maxsize=None)
-def _routing_map(pi: Perm3) -> np.ndarray:
-    """Basis action e_j -> e_{map[j]} of the order's three swaps, first mover first.
+def _routing_positions(pi: Perm3) -> list[int]:
+    """The factor positions of the order's three swaps, first mover first.
 
     Each swap trades the shared qubit with a party's input, so the first
     mover's slot ends up holding S, the second's the first's input, the
@@ -302,16 +300,20 @@ def _routing_map(pi: Perm3) -> np.ndarray:
     first, second, third = ("ABC".index(party) for party in pi.order)
     positions = [0] * 4
     positions[first], positions[second], positions[third], positions[3] = 3, first, second, third
-    m = _factor_index_map(positions)
+    return positions
+
+
+@functools.lru_cache(maxsize=None)
+def _routing_map(pi: Perm3) -> np.ndarray:
+    """Basis action e_j -> e_{map[j]} of the order's three swaps (see :func:`_routing_positions`)."""
+    m = _factor_index_map(_routing_positions(pi))
     m.flags.writeable = False
     return m
 
 
 def _permutation_operator(index_map: np.ndarray) -> LabeledOperator:
     """The exact 0/1 matrix sending e_j to e_{index_map[j]} on the entangled layout."""
-    nums = np.zeros((16, 16), dtype=bool)
-    nums[index_map, np.arange(16)] = True
-    return LabeledOperator.from_numerators(ENTANGLED_LAYOUT, nums, 1)
+    return LabeledOperator.from_numerators(ENTANGLED_LAYOUT, np.arange(16)[:, None] == index_map, 1)
 
 
 class SystemPermutation(FrozenRecord):
@@ -342,10 +344,11 @@ def _pair_index_table() -> np.ndarray:
     and order j as pi: the inverse of the first order's map read at the
     second's, so the diagonal holds the identity map.
     """
-    maps = np.array([_routing_map(pi) for pi in all_orders()])
-    inverse = np.empty_like(maps)
-    inverse[np.arange(6)[:, None], maps] = np.arange(16)
-    table = inverse[:, maps]
+    positions = [_routing_positions(pi) for pi in all_orders()]
+    # a map's inverse moves each factor back: slot positions[i] takes factor i
+    inverse_positions = [[p.index(i) for i in range(4)] for p in positions]
+    both = _factor_index_map(positions + inverse_positions)
+    table = both[6:, both[:6]]
     table.flags.writeable = False
     return table
 
@@ -357,10 +360,11 @@ def routing_pair_products() -> dict[tuple[Perm3, Perm3], LabeledOperator]:
     operator: the 30 keys map to 11 objects.
     """
     table, order = _pair_index_table(), all_orders()
-    shared: dict[bytes, LabeledOperator] = {}
+    maps = table.tolist()
+    shared: dict[tuple, LabeledOperator] = {}
     products = {}
     for i, j in itertools.permutations(range(6), 2):
-        key = table[i, j].tobytes()
+        key = tuple(maps[i][j])
         if key not in shared:
             shared[key] = _permutation_operator(table[i, j])
         products[order[i], order[j]] = shared[key]

@@ -236,10 +236,9 @@ def _svec_map(side: int) -> tuple[np.ndarray, np.ndarray]:
     float-view entry ``at[j]``: a diagonal real part at scale 1, then the
     real and imaginary parts of each upper-triangle entry at sqrt(2).
     """
-    iu, ju = np.triu_indices(side, 1)
-    upper = 2 * (iu * side + ju)
-    at = np.concatenate([2 * (side + 1) * np.arange(side), np.stack([upper, upper + 1], axis=1).ravel()])
-    scale = np.repeat([1.0, _SQRT2], [side, side * side - side])
+    upper = [2 * (i * side + j) + part for i, j in itertools.combinations(range(side), 2) for part in (0, 1)]
+    at = np.array([2 * (side + 1) * i for i in range(side)] + upper)
+    scale = np.array([1.0] * side + [_SQRT2] * len(upper))
     for arr in (at, scale):
         arr.flags.writeable = False
     return at, scale
@@ -254,16 +253,13 @@ def _unsvec_map(side: int) -> tuple[np.ndarray, np.ndarray]:
     lower triangle's imaginary parts are negated.  The diagonal's imaginary
     parts read entry 0 and are then set to zero.
     """
-    at, scale = _svec_map(side)
-    iu, ju = np.triu_indices(side, 1)
-    lower = 2 * (ju * side + iu)
-    mirror = np.stack([lower, lower + 1], axis=1).ravel()
-    source = np.zeros(2 * side * side, dtype=int)
-    factor = np.ones(2 * side * side)
-    source[at] = np.arange(side * side)
-    factor[at] = 1.0 / scale
-    source[mirror] = np.arange(side, side * side)
-    factor[mirror] = np.tile([1.0, -1.0], len(iu)) / _SQRT2
+    source, factor = [0] * (2 * side * side), [1.0] * (2 * side * side)
+    source[:: 2 * side + 2] = range(side)
+    for n, (i, j) in enumerate(itertools.combinations(range(side), 2)):
+        upper, lower = 2 * (i * side + j), 2 * (j * side + i)
+        source[upper : upper + 2] = source[lower : lower + 2] = side + 2 * n, side + 2 * n + 1
+        factor[upper : upper + 2], factor[lower : lower + 2] = (1.0 / _SQRT2,) * 2, (1.0 / _SQRT2, -1.0 / _SQRT2)
+    source, factor = np.array(source), np.array(factor)
     for arr in (source, factor):
         arr.flags.writeable = False
     return source, factor
@@ -403,8 +399,10 @@ def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> Solve
     ``F``: with ``g = F(s) - s`` and the differences ``ΔF``, ``ΔG`` of
     ``F`` and ``g`` over the last ``ANDERSON_MEMORY`` accepted states, it
     is ``F(s) - ΔF γ`` with ``γ = (ΔGᵀΔG + λI)⁻¹ ΔGᵀ g``, where ``λ`` is
-    ``ANDERSON_RIDGE`` times the trace of ``ΔGᵀΔG``.  An empty history
-    gives ``γ = 0``, the plain ADMM step.  The safeguard (Zhang,
+    ``ANDERSON_RIDGE`` times the trace of ``ΔGᵀΔG``.  An empty history,
+    on the first iteration and on one that rejects a state, gives
+    ``γ = 0`` exactly, so the next state is the plain step, taken with no
+    ``np.linalg.solve``.  The safeguard (Zhang,
     O'Donoghue & Boyd, 2020): an extrapolated state whose ``|g|`` exceeds
     that of the last accepted state is rejected; the solve takes the plain
     step ``F`` of the last accepted state, which is already known, and
@@ -473,9 +471,12 @@ def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> Solve
             gram[slot] = gram[:, slot] = d_g @ d_g[slot]
             extrapolated = not rejected
         f_acc, g_acc, gg_acc = f, g, gg
+        if not extrapolated:  # an empty history: γ = 0 exactly, the plain step
+            s = f
+            continue
         # an empty slot has a zero row and column in the Gram matrix and a
         # zero right-hand side, so its γ is 0; the ridge is floored so that
-        # an empty history still solves
+        # differences whose Gram trace underflows still solve
         ridge = max(ANDERSON_RIDGE * float(gram.trace()), _RIDGE_FLOOR)
         gamma = np.linalg.solve(gram + ridge * eye, d_g @ g)
         s = f - gamma @ d_f

@@ -227,6 +227,11 @@ class LabeledOperator(Immutable):
         nums = np.asarray(nums)
         if nums.dtype.kind not in "biu" or type(den) is not int or den < 1:
             raise ValueError(f"need integer numerators over a positive int, not {nums.dtype} over {den!r}")
+        return cls._over(layout, nums, den)
+
+    @classmethod
+    def _over(cls, layout: Sequence[Space], nums: np.ndarray, den: int) -> "LabeledOperator":
+        """:meth:`from_numerators` unchecked: ``nums`` may also hold Python ints in an object array."""
         op = cls.__new__(cls)
         op._set(layout, None, _packed(nums, den), den)
         return op
@@ -355,7 +360,13 @@ def kron(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     """Tensor product; the layout is a's labels followed by b's, which must not share one."""
     if a.exact != b.exact:
         raise TypeError("exact and float operators do not mix implicitly")
-    return LabeledOperator(a.layout + b.layout, np.kron(a.data, b.data))
+    if not a.exact:
+        return LabeledOperator(a.layout + b.layout, np.kron(a.data, b.data))
+    # the numerators multiply in int64 only while no product can pass INT64_BOUND
+    den = a.den * b.den
+    fits = den <= INT64_BOUND and int(abs(a.nums).max()) * int(abs(b.nums).max()) <= INT64_BOUND
+    nums = np.kron(*(x.nums.astype(np.int64 if fits else object) for x in (a, b)))
+    return LabeledOperator._over(a.layout + b.layout, nums, den)
 
 
 def permute_to_layout(op: LabeledOperator, target: Sequence[Space]) -> LabeledOperator:
@@ -368,10 +379,10 @@ def permute_to_layout(op: LabeledOperator, target: Sequence[Space]) -> LabeledOp
     k = len(op.layout)
     dims = _dims(op.layout)
     perm = [op.layout.index(s) for s in target]
-    tens = op.data.reshape(dims + dims)
-    tens = tens.transpose(perm + [k + p for p in perm])
-    side = op.side
-    return LabeledOperator(target, tens.reshape(side, side))
+    tens = (op.nums if op.exact else op.data).reshape(dims + dims).transpose(perm + [k + p for p in perm])
+    tens = tens.reshape(op.side, op.side)
+    # a reorder moves the numerators over the same denominator
+    return LabeledOperator._over(target, tens, op.den) if op.exact else LabeledOperator(target, tens)
 
 
 def partial_trace(op: LabeledOperator, labels: Iterable[Space]) -> LabeledOperator:
@@ -390,7 +401,9 @@ def partial_trace(op: LabeledOperator, labels: Iterable[Space]) -> LabeledOperat
 
 
 def dephase(op: LabeledOperator) -> LabeledOperator:
-    """Zero all off-diagonal entries (idempotent, trace preserving)."""
+    """Zero all off-diagonal entries (idempotent, trace preserving); exact numerators keep their denominator."""
+    if op.exact:
+        return LabeledOperator._over(op.layout, np.diag(np.diag(op.nums)), op.den)
     return LabeledOperator(op.layout, np.diag(np.diag(op.data)))
 
 

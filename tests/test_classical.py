@@ -1,7 +1,11 @@
 import itertools
+import re
 from fractions import Fraction
 
+import numpy as np
+
 from ordergame.classical import (
+    _distinct,
     _run_table,
     BitStrategy,
     all_bit_strategies,
@@ -11,7 +15,7 @@ from ordergame.classical import (
     search_losr,
     search_memoryless,
 )
-from ordergame.game import Perm3, all_orders
+from ordergame.game import Perm3, all_orders, optimal_decoder
 from reference import deterministic_success
 
 CONST_ONE = BitStrategy(1, 1)
@@ -132,6 +136,57 @@ class TestRunTable:
         counts = [len({run_losr(pi, a, b, c, 0) for pi in all_orders()}) for a, b, c in triples]
         a, b, c = triples[counts.index(max(counts))]
         assert search_losr().strategy.startswith(f"input 0; a={a.describe()}, b={b.describe()}, c={c.describe()};")
+
+
+def reference_run_table():
+    """The run table as built before the gather: each party's strategy shifted by 1 - x, one step at a time."""
+    strategy = (np.arange(64) >> np.array([[4], [2], [0]])) & 3
+    movers = np.array([["ABC".index(p) for p in pi.order] for pi in all_orders()])
+    state = np.arange(2)[:, None, None]
+    codes = np.zeros((2, 6, 64), dtype=np.int64)
+    for party in movers.T:
+        codes |= state << (2 - party)[:, None]
+        state = (strategy[party] >> (1 - state)) & 1
+    codes |= state << 3
+    return codes
+
+
+class TestTableReferences:
+    """The searches' tables and results equal the constructions they replaced."""
+
+    def test_run_table_matches_the_shift_reference_bits(self):
+        got, want = _run_table(), reference_run_table()
+        assert (got.shape, got.dtype) == (want.shape, want.dtype)
+        assert got.tobytes() == want.tobytes()
+
+    def test_distinct_counts_match_the_comparison_reference(self):
+        # the one-hot comparison the bit-mask count replaced
+        for codes in (_run_table(), _run_table() >> 3):
+            want = (codes[:, :, None] == np.arange(16)[:, None]).any(axis=1).sum(axis=1)
+            got = _distinct(codes)
+            assert got.shape == want.shape == (2, 64)
+            assert got.tolist() == want.tolist()
+
+    def test_certificates_match_the_runs(self):
+        # the outputs and tuples the searches read off the run table, re-run
+        result = search_memoryless()
+        input_bit, a, b, c = strategy_of(result)
+        outputs = {pi: run_memoryless(pi, a, b, c, input_bit) for pi in all_orders()}
+        assert result.certificate["outputs"] == {pi.name: v for pi, v in sorted(outputs.items())}
+        assert all(type(v) is int for v in result.certificate["outputs"].values())
+        assert result.certificate["decoder"] == {str(o): pi.name for o, pi in optimal_decoder(outputs).items()}
+        result = search_losr()
+        input_bit, a, b, c = strategy_of(result)
+        tuples = {pi: run_losr(pi, a, b, c, input_bit).as_tuple() for pi in all_orders()}
+        assert result.certificate["tuples"] == {pi.name: t for pi, t in sorted(tuples.items())}
+        assert all(type(t) is tuple and all(type(x) is int for x in t) for t in result.certificate["tuples"].values())
+        assert result.certificate["decoder"] == {str(t): pi.name for t, pi in optimal_decoder(tuples).items()}
+
+
+def strategy_of(result):
+    """The input bit and the strategies a, b, c a search result names in its strategy text."""
+    input_bit = int(re.match(r"input (\d);", result.strategy).group(1))
+    return (input_bit, *(BitStrategy(int(z), int(o)) for z, o in re.findall(r"[abc]=\((\d),(\d)\)", result.strategy)))
 
 
 def losr_histogram():

@@ -226,6 +226,29 @@ class TestProgramStructure:
         assert halved == list(zip(r.tolist(), v.tolist(), rows[r, v].tolist()))
         assert (doubled_rhs / 2).tobytes() == rhs.tobytes()
 
+    def test_doubled_constraints_match_the_per_marginal_reference_bits(self):
+        # the per-marginal construction the one product replaced: each
+        # party's key from six shifts, then each marginal's row formula
+        bits = {space: (np.arange(256) >> (7 - i)) & 1 for i, space in enumerate(NETWORK_LAYOUT)}
+        marginals = [(np.arange(256), 1)]
+        for party in "ABC":
+            kept = [s for s in NETWORK_LAYOUT if s not in (OUT_WIRE[party], S_FINAL)]
+            key = sum(bits[s] << (5 - i) for i, s in enumerate(kept))
+            marginals.append((key, 1 << (5 - kept.index(IN_WIRE[party]))))
+        row, coef, at = [], [], 0
+        for key, bit in marginals:
+            low = bit - 1
+            row.append(at + (((key >> 1) & ~low) | (key & low)))
+            coef.append(np.where(key & bit, -1, 1))
+            at += (int(key.max()) + 1) // 2
+        row.append(np.full(256, at))
+        coef.append(np.full(256, 2))
+        rhs = np.zeros(at + 1, dtype=int)
+        rhs[at] = 32
+        for got, want in zip(_doubled_constraints(), (np.array(row), np.array(coef), rhs)):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
+            assert got.tobytes() == want.tobytes()
+
     def test_tableau_pinned(self):
         # 13d2f88b... is the 225x256 LP the orbit reduction starts from;
         # fa9de381... had all 449 rows, before each negated row was dropped
@@ -346,6 +369,19 @@ class TestWitnessEmbedding:
         blocks = strategy_network_blocks()
         total = sum(int(sum(diag)) for diag in blocks.values())
         assert total == 16
+
+    @pytest.mark.parametrize(
+        "given, missing",
+        [
+            ((None, BitStrategy(1, 1), BitStrategy(1, 1)), "a"),
+            ((BitStrategy(0, 0),), "b, c"),
+            ((None, None, BitStrategy(0, 1)), "a, b"),
+        ],
+    )
+    def test_partial_triple_is_refused(self, given, missing):
+        # a partial triple once fell back to the canonical witness, or called None
+        with pytest.raises(ValueError, match=f"strategies {missing} are missing"):
+            strategy_network_blocks(*given)
 
     def test_weaker_strategy_scores_lower(self):
         identity = BitStrategy(0, 1)

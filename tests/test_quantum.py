@@ -11,6 +11,7 @@ from ordergame.quantum import (
     _order_kets,
     _pair_index_table,
     _permutation_operator,
+    _routing_map,
     BASIS_OF_STATE,
     KET,
     CertificateFailed,
@@ -391,6 +392,57 @@ class TestSharedExactValues:
         assert gram.shape == (6, 6)
         assert all(type(x) is Fraction for x in gram.flat)
         assert gram.tolist() == want
+
+
+def reference_routing_map(pi):
+    """One order's map as built before the batched tables: its positions, then 16 index shifts and masks."""
+    first, second, third = ("ABC".index(party) for party in pi.order)
+    positions = [0] * 4
+    positions[first], positions[second], positions[third], positions[3] = 3, first, second, third
+    return (np.arange(16)[:, None] >> (3 - np.asarray(positions)) & 1) @ (8, 4, 2, 1)
+
+
+class TestBatchedTables:
+    """The tables built in one array step equal the per-order constructions they replaced, to the bit."""
+
+    def test_routing_maps_match_the_per_order_reference(self):
+        for pi in all_orders():
+            got, want = _routing_map(pi), reference_routing_map(pi)
+            assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((16,), np.dtype(np.int64))
+            assert got.tobytes() == want.tobytes()
+
+    def test_pair_table_matches_the_inverse_scatter_reference(self):
+        maps = np.array([reference_routing_map(pi) for pi in all_orders()])
+        inverse = np.empty_like(maps)
+        inverse[np.arange(6)[:, None], maps] = np.arange(16)
+        want = inverse[:, maps]
+        got = _pair_index_table()
+        assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((6, 6, 16), np.dtype(np.int64))
+        assert got.tobytes() == want.tobytes()
+
+    def test_permutation_operator_matches_the_scatter_reference(self):
+        for maps in _pair_index_table():
+            for index_map in maps:
+                want = np.zeros((16, 16), dtype=bool)
+                want[index_map, np.arange(16)] = True
+                got = _permutation_operator(index_map)
+                assert (got.nums.dtype, got.den) == (np.dtype(np.int64), 1)
+                assert got.nums.tobytes() == want.astype(np.int64).tobytes()
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_batched_bloch_certificate_matches_each_state_alone(self, seed):
+        states = unbiased_order_states()
+        if seed is not None:
+            rng = np.random.default_rng(seed)
+            kets = _order_kets({party: haar_qubit_unitary(rng) for party in "ABC"})
+            states = {pi: Vec((SHARED,), ket) for pi, ket in zip(all_orders(), kets)}
+        got = quantum_memoryless_optimum(states).certificate["bloch_coordinates"]
+        want = {
+            pi.name: [round(x, 12) for x in bloch_coordinates(vec.data).tolist()]
+            for pi, vec in sorted(states.items())
+        }
+        assert list(got) == list(want) and got == want
+        assert all(type(x) is float for xyz in got.values() for x in xyz)
 
 
 class TestSymmetricProjector:

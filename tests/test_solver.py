@@ -5,8 +5,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ordergame import solver
 from ordergame.solver import (
+    ANDERSON_MEMORY,
     _AffineSet,
+    _svec_map,
+    _unsvec_map,
     ConicProblem,
     HermitianPSD,
     NonnegOrthant,
@@ -112,6 +116,21 @@ class TestSvec:
             (unsvec(np.zeros(side * side), side), reference_unsvec(np.zeros(side * side), side)),
         ):
             assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("side", range(1, 17))
+    def test_maps_match_the_triu_reference_bits(self, side):
+        # the triu_indices construction the index lists replaced
+        iu, ju = np.triu_indices(side, 1)
+        upper, lower = 2 * (iu * side + ju), 2 * (ju * side + iu)
+        at = np.concatenate([2 * (side + 1) * np.arange(side), np.stack([upper, upper + 1], axis=1).ravel()])
+        scale = np.repeat([1.0, math.sqrt(2.0)], [side, side * side - side])
+        source, factor = np.zeros(2 * side * side, dtype=int), np.ones(2 * side * side)
+        source[at], factor[at] = np.arange(side * side), 1.0 / scale
+        mirror = np.stack([lower, lower + 1], axis=1).ravel()
+        source[mirror], factor[mirror] = np.arange(side, side * side), np.tile([1.0, -1.0], len(iu)) / math.sqrt(2.0)
+        for got, want in zip((*_svec_map(side), *_unsvec_map(side)), (at, scale, source, factor)):
+            assert (got.shape, got.dtype) == (want.shape, want.dtype)
             assert got.tobytes() == want.tobytes()
 
 
@@ -842,6 +861,50 @@ class TestAcceleratedLoop:
         assert np.max(np.abs(problem.a @ report.solution - problem.b)) <= tolerance
         assert exactly_in_cone(problem, report.solution)
         assert abs(report.objective_value - value) <= 10 * tolerance
+
+
+class TestAndersonStep:
+    """An empty history takes the plain step, with no solve for γ."""
+
+    @pytest.mark.parametrize("direction", [None, *range(8)])
+    def test_no_solve_on_the_first_iteration_or_after_a_rejection(self, direction, monkeypatch):
+        problem = small_sdp()
+        if direction is not None:
+            problem = ConicProblem(problem.blocks, small_sdp_directions()[direction], problem.a, problem.b)
+        # each evaluation of the map projects onto the cone once: count them,
+        # and record the evaluation and the filled history slots of each solve
+        evaluations, calls = [0], []
+        project, linalg_solve = solver._project, np.linalg.solve
+
+        def counting_project(v, groups):
+            evaluations[0] += 1
+            return project(v, groups)
+
+        def recording_solve(a, b):
+            # an empty history slot has a zero right-hand side entry
+            calls.append((evaluations[0], np.count_nonzero(b)))
+            return linalg_solve(a, b)
+
+        monkeypatch.setattr(solver, "_project", counting_project)
+        monkeypatch.setattr(np.linalg, "solve", recording_solve)
+        report = solve(problem)
+        assert report.status == "optimal" and report.iterations == evaluations[0]
+        solved = [k for k, _ in calls]
+        # the last evaluation converges and returns; every other one without
+        # a solve must be the first or one that rejected its state
+        rejections = [k for k in range(2, report.iterations) if k not in solved]
+        assert 1 not in solved and len(rejections) == report.rejected
+        # the history restarts with each rejection: it holds the states
+        # accepted since, up to ANDERSON_MEMORY
+        restarts = [1, *rejections]
+        want = [(k, min(k - max(r for r in restarts if r < k), ANDERSON_MEMORY)) for k in solved]
+        assert calls == want
+
+    def test_rejecting_directions_are_covered(self):
+        problem = small_sdp()
+        directions = small_sdp_directions()
+        rejected = [solve(ConicProblem(problem.blocks, c, problem.a, problem.b)).rejected for c in directions]
+        assert any(rejected) and not all(rejected)
 
 
 class TestObjectiveScaledPenalty:

@@ -15,6 +15,7 @@ from ordergame.tensor import (
     NotHermitian,
     Space,
     UnknownLabel,
+    INT64_BOUND,
     Vec,
     dephase,
     eig_hermitian,
@@ -171,6 +172,65 @@ class TestDephase:
         once = dephase(op)
         assert dephase(once).allclose(once, atol=0.0)
         assert np.isclose(once.trace(), op.trace())
+
+
+def exact_operators():
+    """Exact operators on (Q0, Q1): small Fractions, a denominator past INT64_BOUND, and a numerator past it."""
+    rng = np.random.default_rng(11)
+    pairs = zip(rng.integers(-9, 9, (4, 4)), rng.integers(1, 9, (4, 4)))
+    small = np.array([[Fraction(int(n), int(d)) for n, d in zip(*row)] for row in pairs], dtype=object)
+    tiny = np.diag([Fraction(1, 3**41), Fraction(2, 5), 0, 1]).astype(object)
+    # off the diagonal, so that dephasing it leaves int64 numerators
+    huge = np.array([[2, 2**60, 0, 0], [1, 3, 0, 0], [0, 0, 5, Fraction(1, 2)], [0, 0, Fraction(1, 2), 7]], object)
+    return [LabeledOperator((Q0, Q1), data) for data in (small, tiny, huge)]
+
+
+def assert_same_entries(got, want):
+    """Equal exact layouts and ``.data``, entry for entry: values and Python types."""
+    assert got.exact and want.exact and got.layout == want.layout
+    assert [type(x) for x in got.data.flat] == [type(x) for x in want.data.flat]
+    assert got.data.tolist() == want.data.tolist()
+    # nums are int64 exactly when they and den fit within INT64_BOUND
+    fits = got.den <= INT64_BOUND and all(abs(int(n)) <= INT64_BOUND for n in got.nums.flat)
+    assert got.nums.dtype == (np.int64 if fits else object)
+
+
+class TestExactNumeratorOps:
+    """kron, permute_to_layout and dephase act on the numerators; the .data formulas they replaced are the reference."""
+
+    @pytest.mark.parametrize("a", range(3))
+    @pytest.mark.parametrize("b", range(3))
+    def test_kron_matches_the_data_reference(self, a, b):
+        x, y = exact_operators()[a], LabeledOperator((Q2, E), exact_operators()[b].data)
+        got = kron(x, y)
+        assert got.den == x.den * y.den
+        assert_same_entries(got, LabeledOperator(x.layout + y.layout, np.kron(x.data, y.data)))
+
+    def test_kron_falls_back_to_python_ints_instead_of_wrapping(self):
+        big = LabeledOperator.from_numerators((Q0,), np.array([[2**40, 0], [0, 1]]), 1)
+        out = kron(big, LabeledOperator.from_numerators((Q1,), np.array([[2**40, 0], [0, 3]]), 1))
+        assert out.nums.dtype == object and out.data[0, 0] == 2**80
+        # int64 products of the same numerators wrap around
+        assert np.kron(big.nums, big.nums)[0, 0] != 2**80
+        over = LabeledOperator.from_numerators((Q0,), np.eye(2, dtype=int), 2**30)
+        out = kron(over, LabeledOperator.from_numerators((Q1,), np.eye(2, dtype=int), 2**30))
+        assert out.nums.dtype == object and out.den == 2**60 and out.data[0, 0] == Fraction(1, 2**60)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_permute_matches_the_data_reference(self, k):
+        op = exact_operators()[k]
+        # the reorder of .data that the reorder of the numerators replaced
+        want = LabeledOperator((Q1, Q0), op.data.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4))
+        got = permute_to_layout(op, (Q1, Q0))
+        assert got.den == op.den
+        assert_same_entries(got, want)
+
+    @pytest.mark.parametrize("k", range(3))
+    def test_dephase_matches_the_data_reference(self, k):
+        op = exact_operators()[k]
+        got = dephase(op)
+        assert got.den == op.den
+        assert_same_entries(got, LabeledOperator(op.layout, np.diag(np.diag(op.data))))
 
 
 class TestVectorize:
