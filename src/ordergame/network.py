@@ -24,8 +24,9 @@ Each marginal's non-signaling condition on key u is the negative of its
 condition on u with the uniform bit flipped, so :func:`_doubled_constraints`
 states each condition once: 225 rows over d, not 449, of the same rank 203,
 held as their integer coordinates doubled.  The exact witness check sums
-those coordinates and builds no float row; the dense float rows are the
-test suite's reference (``tests/network_reference.py``).
+those coordinates over the blocks' integer numerators and builds no float
+row; the dense float rows are the test suite's reference
+(``tests/network_reference.py``).
 
 The program is invariant under 12 maps of the wire bits: the six
 relabelings of the parties, which move each party's in/out wire pair onto
@@ -45,14 +46,13 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from fractions import Fraction
 from typing import Mapping
 
 import numpy as np
 
-from .classical import BitStrategy, losr_canonical_witness, run_losr
-from .game import PARTIES, Perm3, ScenarioResult, all_orders, optimal_decoder
+from .classical import BitStrategy, _run_table, losr_canonical_witness
+from .game import PARTIES, Perm3, ScenarioResult, all_orders
 from .solver import (
     ConicProblem,
     NonnegOrthant,
@@ -68,8 +68,8 @@ from .tensor import (
     C_IN,
     C_OUT,
     S_FINAL,
-    S_PREP,
-    Space,
+    _numerators,
+    _packed,
 )
 
 IN_WIRE = {"A": A_IN, "B": B_IN, "C": C_IN}
@@ -78,17 +78,6 @@ OUT_WIRE = {"A": A_OUT, "B": B_OUT, "C": C_OUT}
 _POS = {space: i for i, space in enumerate(NETWORK_LAYOUT)}
 _SIDE = 256
 _TOTAL_TRACE = 16
-
-
-def _wire_pairs(pi: Perm3) -> list[tuple[Space, Space]]:
-    """The four wire pairs an order connects, from preparation to final wire."""
-    first, second, third = pi.order
-    return [
-        (S_PREP, IN_WIRE[first]),
-        (OUT_WIRE[first], IN_WIRE[second]),
-        (OUT_WIRE[second], IN_WIRE[third]),
-        (OUT_WIRE[third], S_FINAL),
-    ]
 
 
 #: Row i holds the bit of wire i of the canonical layout in every basis index.
@@ -104,8 +93,12 @@ def objective_diagonals() -> np.ndarray:
     elsewhere, so the diagonal of the chained operator is the product of
     those indicators over the order's four wire pairs; no operator is built.
     """
-    pairs = np.array([[(_POS[left], _POS[right]) for left, right in _wire_pairs(pi)] for pi in all_orders()])
-    return (_BITS[pairs[..., 0]] == _BITS[pairs[..., 1]]).all(axis=1).astype(float)
+    # the wire positions each order passes, S_PREP to S_FINAL (party i's in and
+    # out wires are 2i + 1 and 2i + 2 of the layout): even and odd entries pair up
+    positions = np.array([[0, *(2 * "ABC".index(p) + w for p in pi.order for w in (1, 2)), 7] for pi in all_orders()])
+    bits = _BITS[positions]
+    # logical_and.reduce, not .all(): a fresh process pays about 20 µs more for its first .all()
+    return np.logical_and.reduce(bits[:, 0::2] == bits[:, 1::2], axis=1).astype(float)
 
 
 # ---------------------------------------------------------------------------
@@ -227,11 +220,11 @@ def strategy_network_blocks(
 
     The blocks encode: prepare 0 on the input wire, forward each party's
     map on its out wire, and decode the guess from the final bit together
-    with the three received bits (read off the in wires).  Each block is a
-    0/1 mask over the basis indices of :data:`NETWORK_LAYOUT`, with Python
-    ``int`` entries in an ``object`` array.  With no strategies the
-    blocks are :func:`losr_canonical_witness`'s; a partial triple raises
-    ``ValueError``.
+    with the three received bits (read off the in wires), as each order's
+    run is recorded in :func:`~ordergame.classical._run_table`.  Each block
+    is an int64 0/1 mask over the basis indices of :data:`NETWORK_LAYOUT`.
+    With no strategies the blocks are :func:`losr_canonical_witness`'s; a
+    partial triple raises ``ValueError``.
     """
     missing = [name for name, strategy in zip("abc", (a, b, c)) if strategy is None]
     if len(missing) == 3:
@@ -239,33 +232,43 @@ def strategy_network_blocks(
     elif missing:
         raise ValueError(f"strategies {', '.join(missing)} are missing: give all three or none")
     orders = all_orders()
-    decode = optimal_decoder({pi: run_losr(pi, a, b, c, 0) for pi in orders})
-    place = [1 << (7 - _POS[s]) for s in (A_IN, A_OUT, B_IN, B_OUT, C_IN, C_OUT, S_FINAL)]
-    blocks = np.zeros((len(orders), _SIDE), dtype=object)
+    # each order's run on input 0 as its record code 8 s_out + 4 x_a + 2 x_b + x_c,
+    # in the run table's column of the triple 16a + 4b + c, strategy s = 2 on_zero + on_one
+    triple = 16 * (2 * a.on_zero + a.on_one) + 4 * (2 * b.on_zero + b.on_one) + 2 * c.on_zero + c.on_one
+    decode = {}
+    for k, code in enumerate(_run_table()[0, :, triple].tolist()):
+        decode.setdefault(code, k)  # the first order of a tie, as optimal_decoder decodes
+    blocks = np.zeros((len(orders), _SIDE), dtype=np.int64)
     # the strategy reaches 16 indices: 0 on the input wire, each out wire
-    # carrying its party's map of the in wire, and either final bit
+    # carrying its party's map of the in wire, and either final bit; an
+    # index's bits, high to low, are the wires of NETWORK_LAYOUT
     for x_a, x_b, x_c, s_f in itertools.product((0, 1), repeat=4):
-        wires = (x_a, a(x_a), x_b, b(x_b), x_c, c(x_c), s_f)
-        # tuples no wiring produces still need a guess, or the measurement is
+        index = x_a << 6 | a(x_a) << 5 | x_b << 4 | b(x_b) << 3 | x_c << 2 | c(x_c) << 1 | s_f
+        # codes no wiring produces still need a guess, or the measurement is
         # not a complete network: they get the first order, at no objective weight
-        guess = decode.get((s_f, x_a, x_b, x_c), orders[0])
-        blocks[orders.index(guess), sum(map(operator.mul, wires, place))] = 1
+        blocks[decode.get(8 * s_f + 4 * x_a + 2 * x_b + x_c, 0), index] = 1
     return dict(zip(orders, blocks))
 
 
 def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
     """Exact feasibility and objective of diagonal guess blocks.
 
-    The left-hand sides are summed exactly over the integer coordinates of
-    :func:`_doubled_constraints`, and their violation is halved once.  The
-    objective sums each block over its exact 0/1 wiring diagonal and
-    divides once by 6.
+    The blocks become integer numerators over one denominator through
+    :func:`~ordergame.tensor._numerators`, so float entries convert exactly.
+    The left-hand sides are summed over the integer coordinates of
+    :func:`_doubled_constraints`, and their violation is halved once; the
+    objective sums each block over its 0/1 wiring diagonal and divides
+    once by 6.  The sums run in int64 while every column sum and the
+    denominator are within :data:`~ordergame.tensor.INT64_BOUND`, so that no
+    row of at most 2 x 256 of them can wrap, and in Python ints otherwise.
     """
     row, doubled, doubled_rhs = _doubled_constraints()
-    stacked = np.array([blocks[pi] for pi in all_orders()], dtype=object)
-    lhs = np.zeros(len(doubled_rhs), dtype=object)
-    np.add.at(lhs, row, doubled * stacked.sum(axis=0))
-    max_violation = Fraction(max(np.abs(lhs - doubled_rhs)), 2)
+    nums, den = _numerators(np.array([blocks[pi] for pi in all_orders()]))
+    # six numerators within INT64_BOUND cannot wrap int64; past it they are Python ints
+    columns = _packed(nums.sum(axis=0), den)
+    lhs = np.zeros(len(doubled_rhs), dtype=columns.dtype)
+    np.add.at(lhs, row, doubled * columns)
+    max_violation = Fraction(int(np.abs(lhs - doubled_rhs.astype(lhs.dtype) * den).max()), 2 * den)
     # each wiring diagonal is exactly 0/1: sum the blocks over their supports, divide once
-    objective = Fraction(stacked[objective_diagonals() != 0].sum(), 6)
+    objective = Fraction(int(nums[objective_diagonals() != 0].sum()), 6 * den)
     return {"feasible": max_violation == 0, "max_violation": max_violation, "objective": objective}

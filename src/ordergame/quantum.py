@@ -360,13 +360,15 @@ def routing_pair_products() -> dict[tuple[Perm3, Perm3], LabeledOperator]:
     operator: the 30 keys map to 11 objects.
     """
     table, order = _pair_index_table(), all_orders()
+    # every pair's 0/1 matrix from one comparison, as _permutation_operator builds one
+    matrices = np.arange(16)[:, None] == table[:, :, None, :]
     maps = table.tolist()
     shared: dict[tuple, LabeledOperator] = {}
     products = {}
     for i, j in itertools.permutations(range(6), 2):
         key = tuple(maps[i][j])
         if key not in shared:
-            shared[key] = _permutation_operator(table[i, j])
+            shared[key] = LabeledOperator.from_numerators(ENTANGLED_LAYOUT, matrices[i, j], 1)
         products[order[i], order[j]] = shared[key]
     return products
 

@@ -148,6 +148,8 @@ C_IN = Space("C_I", 2)
 C_OUT = Space("C_O", 2)
 
 
+_DIM, _FIELDS = operator.attrgetter("dim"), operator.attrgetter(*Space.__slots__)
+
 #: Factor order shared by every network-scenario operator.
 NETWORK_LAYOUT = (S_PREP, A_IN, A_OUT, B_IN, B_OUT, C_IN, C_OUT, S_FINAL)
 
@@ -156,16 +158,17 @@ ENTANGLED_LAYOUT = (A_IN, B_IN, C_IN, SHARED)
 
 
 def _dims(layout: Sequence[Space]) -> tuple[int, ...]:
-    return tuple(s.dim for s in layout)
+    return tuple(map(_DIM, layout))
 
 
 def _side(layout: Sequence[Space]) -> int:
-    return math.prod(_dims(layout)) if layout else 1
+    return math.prod(map(_DIM, layout))
 
 
 def _check_layout(layout: Sequence[Space]) -> tuple[Space, ...]:
     layout = tuple(layout)
-    if len(set(layout)) != len(layout):
+    # labels compare by their field tuples, read in C: Space.__hash__ runs Python code
+    if len(set(map(_FIELDS, layout))) != len(layout):
         raise LabelCollision(f"duplicate labels in layout {layout}")
     return layout
 
@@ -239,8 +242,9 @@ class LabeledOperator(Immutable):
     def _set(self, layout, data, nums, den) -> None:
         layout = _check_layout(layout)
         held = data if nums is None else nums
-        if held.shape != (_side(layout),) * 2:
-            raise LayoutMismatch(f"data shape {held.shape} does not match layout side {_side(layout)}")
+        side = _side(layout)
+        if held.shape != (side, side):
+            raise LayoutMismatch(f"data shape {held.shape} does not match layout side {side}")
         held.flags.writeable = False
         for name, value in zip(self.__slots__, (layout, nums, den, data, None)):
             object.__setattr__(self, name, value)
@@ -396,8 +400,11 @@ def partial_trace(op: LabeledOperator, labels: Iterable[Space]) -> LabeledOperat
     moved = permute_to_layout(op, tuple(keep) + tuple(traced))
     dk = _side(keep)
     dt = _side(traced)
-    m = moved.data.reshape(dk, dt, dk, dt)
-    return LabeledOperator(tuple(keep), np.trace(m, axis1=1, axis2=3))
+    if not op.exact:
+        return LabeledOperator(tuple(keep), np.trace(moved.data.reshape(dk, dt, dk, dt), axis1=1, axis2=3))
+    # dt numerators sum over the same denominator, in int64 only while no sum can pass INT64_BOUND
+    nums = moved.nums.astype(np.int64 if dt * int(abs(moved.nums).max()) <= INT64_BOUND else object)
+    return LabeledOperator._over(tuple(keep), np.trace(nums.reshape(dk, dt, dk, dt), axis1=1, axis2=3), op.den)
 
 
 def dephase(op: LabeledOperator) -> LabeledOperator:

@@ -7,27 +7,42 @@ entangled projectors across the wire pairs the order connects, and a
 strategy block is contracted with it by the link-product rule: the trace
 of their product.  The dense float constraint rows, the 256-column LP the
 package reduces to its 40 symmetry orbits, and the lift of a solution back
-onto six guess blocks, are here too.
+onto six guess blocks, are here too, with the formulations the package's
+wiring diagonals and witness check replaced.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from ordergame.game import Perm3, all_orders
-from ordergame.network import _doubled_constraints, _orbit_labels, _wire_pairs, objective_diagonals
+from ordergame.network import IN_WIRE, OUT_WIRE, _doubled_constraints, _orbit_labels, objective_diagonals
 from ordergame.solver import ConicProblem, NonnegOrthant, SolveReport
 from ordergame.tensor import (
     NETWORK_LAYOUT,
     LabeledOperator,
     LayoutMismatch,
     NotHermitian,
+    S_FINAL,
+    S_PREP,
     Space,
     kron,
     permute_to_layout,
 )
+
+
+def wire_pairs(pi: Perm3) -> list[tuple[Space, Space]]:
+    """The four wire pairs an order connects, from preparation to final wire."""
+    first, second, third = pi.order
+    return [
+        (S_PREP, IN_WIRE[first]),
+        (OUT_WIRE[first], IN_WIRE[second]),
+        (OUT_WIRE[second], IN_WIRE[third]),
+        (OUT_WIRE[third], S_FINAL),
+    ]
 
 
 def max_entangled_projector(left: Space, right: Space) -> LabeledOperator:
@@ -47,7 +62,7 @@ class OrderProcess:
 def order_process(pi: Perm3) -> OrderProcess:
     """Chain the four wire pairs of the order and align to the canonical layout."""
     op = None
-    for left, right in _wire_pairs(pi):
+    for left, right in wire_pairs(pi):
         factor = max_entangled_projector(left, right)
         op = factor if op is None else kron(op, factor)
     op = permute_to_layout(op, NETWORK_LAYOUT)
@@ -120,3 +135,22 @@ def solution_blocks(report: SolveReport) -> dict[Perm3, np.ndarray]:
     best = objective_diagonals().argmax(axis=0)
     blocks = np.where(best == np.arange(len(all_orders()))[:, None], summed, 0.0)
     return dict(zip(all_orders(), blocks))
+
+
+def pos_lookup_objective_diagonals() -> np.ndarray:
+    """The wiring diagonals with each wire pair's positions looked up by ``Space``, as the package built them."""
+    pos = {space: i for i, space in enumerate(NETWORK_LAYOUT)}
+    bits = (np.arange(256) >> (7 - np.arange(len(NETWORK_LAYOUT)))[:, None]) & 1
+    pairs = np.array([[(pos[left], pos[right]) for left, right in wire_pairs(pi)] for pi in all_orders()])
+    return (bits[pairs[..., 0]] == bits[pairs[..., 1]]).all(axis=1).astype(float)
+
+
+def object_witness_feasibility(blocks) -> dict:
+    """The exact witness check on object arrays of Python ints and ``Fraction``s, as the package made it."""
+    row, doubled, doubled_rhs = _doubled_constraints()
+    stacked = np.array([blocks[pi] for pi in all_orders()], dtype=object)
+    lhs = np.zeros(len(doubled_rhs), dtype=object)
+    np.add.at(lhs, row, doubled * stacked.sum(axis=0))
+    max_violation = Fraction(max(np.abs(lhs - doubled_rhs)), 2)
+    objective = Fraction(stacked[pos_lookup_objective_diagonals() != 0].sum(), 6)
+    return {"feasible": max_violation == 0, "max_violation": max_violation, "objective": objective}

@@ -163,6 +163,11 @@ class TestProgramStructure:
         for diagonal in objective_diagonals():
             assert diagonal.sum() == 16.0
 
+    def test_wiring_diagonals_match_the_pos_lookup_reference_bits(self):
+        got, want = objective_diagonals(), network_reference.pos_lookup_objective_diagonals()
+        assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((6, 256), np.dtype(float))
+        assert got.tobytes() == want.tobytes()
+
     def test_wiring_diagonal_is_the_operator_diagonal(self):
         for pi, got in zip(all_orders(), objective_diagonals()):
             want = np.real(np.diag(order_process(pi).op.to_float().data))
@@ -421,20 +426,52 @@ class TestStrategyBlocks:
         want = loop_strategy_blocks(*triple)
         assert list(got) == list(want)
         for pi, diag in got.items():
-            assert diag.dtype == object
-            assert all(type(x) is int for x in diag)
+            assert diag.dtype == np.int64
             assert diag.tolist() == want[pi].tolist()
+
+    @pytest.mark.parametrize("triple", list(itertools.product(all_bit_strategies(), repeat=3)))
+    def test_witness_matches_the_object_array_reference(self, triple):
+        # the loop's object blocks through the object-array check, as the package once ran both
+        loop_blocks = loop_strategy_blocks(*triple)
+        want = network_reference.object_witness_feasibility(loop_blocks)
+        for blocks in (strategy_network_blocks(*triple), loop_blocks):
+            got = witness_feasibility(blocks)
+            assert got == want
+            assert [type(v) for v in got.values()] == [type(v) for v in want.values()]
 
 
 def loop_max_violation(blocks):
     """Largest equality violation, one Fraction product at a time."""
     rows, rhs = constraint_rows()
-    summed = [sum(Fraction(diag[v]) for diag in blocks.values()) for v in range(256)]
+    # tolist() reads int64 entries as Python ints, which a Fraction sum cannot wrap
+    entries = [diag.tolist() for diag in blocks.values()]
+    summed = [sum(Fraction(diag[v]) for diag in entries) for v in range(256)]
     max_violation = Fraction(0)
     for r in range(rows.shape[0]):
         lhs = sum(Fraction(rows[r, v]) * summed[v] for v in np.nonzero(rows[r])[0])
         max_violation = max(max_violation, abs(lhs - Fraction(rhs[r])))
     return max_violation
+
+
+def loop_objective(blocks):
+    """The objective, one Fraction per support entry."""
+    total = Fraction(0)
+    for guess, diagonal in zip(all_orders(), objective_diagonals()):
+        entries = blocks[guess].tolist()
+        total += sum(Fraction(entries[u]) for u in np.flatnonzero(diagonal))
+    return total / 6
+
+
+def assert_matches_loop(blocks):
+    """witness_feasibility gives the loop's violation and objective, as Fractions."""
+    check = witness_feasibility(blocks)
+    want = loop_max_violation(blocks)
+    assert check["feasible"] == (want == 0)
+    assert isinstance(check["max_violation"], Fraction)
+    assert check["max_violation"] == want
+    assert isinstance(check["objective"], Fraction)
+    assert check["objective"] == loop_objective(blocks)
+    return check
 
 
 class TestWitnessViolation:
@@ -443,21 +480,47 @@ class TestWitnessViolation:
         blocks = strategy_network_blocks()
         pi = all_orders()[2]
         v = int(np.flatnonzero(blocks[pi])[0])
-        blocks[pi] = blocks[pi].copy()
+        blocks[pi] = blocks[pi].astype(object)
         blocks[pi][v] += raise_by
-        check = witness_feasibility(blocks)
-        want = loop_max_violation(blocks)
-        assert want > 0
+        assert loop_max_violation(blocks) > 0
+        assert_matches_loop(blocks)
+
+    @pytest.mark.parametrize("dtype", [float, object])
+    def test_float_blocks_convert_exactly(self, dtype):
+        # float entries once raised TypeError: both arguments should be Rational instances
+        blocks = {pi: diag.astype(float).astype(dtype) for pi, diag in strategy_network_blocks().items()}
+        check = assert_matches_loop(blocks)
+        assert check["feasible"] and check["objective"] == Fraction(5, 6)
+
+    def test_float_entry_is_its_binary_value(self):
+        blocks = {pi: diag.astype(float) for pi, diag in strategy_network_blocks().items()}
+        pi = all_orders()[2]
+        blocks[pi][int(np.flatnonzero(blocks[pi])[0])] = 0.1
+        # the loop reads the entry as Fraction(0.1), not 1/10
+        check = assert_matches_loop(blocks)
+        assert check["max_violation"].denominator == Fraction(0.1).denominator
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entry_is_refused(self, bad):
+        blocks = {pi: diag.astype(float) for pi, diag in strategy_network_blocks().items()}
+        blocks[all_orders()[0]][0] = bad
+        with pytest.raises(ValueError, match="cannot convert"):
+            witness_feasibility(blocks)
+
+    def test_sums_fall_back_to_python_ints_instead_of_wrapping(self):
+        # each entry is within INT64_BOUND, but the trace row sums 2 x 1536 of them
+        blocks = {pi: np.full(256, 2**52, dtype=np.int64) for pi in all_orders()}
+        assert (2 * np.full(6 * 256, 2**52, dtype=np.int64)).sum() != 2 * 6 * 256 * 2**52
+        check = assert_matches_loop(blocks)
+        assert check["objective"] == 16 * 2**52
+
+    def test_denominator_past_the_bound(self):
+        blocks = strategy_network_blocks()
+        pi = all_orders()[2]
+        blocks[pi] = blocks[pi].astype(object)
+        blocks[pi][int(np.flatnonzero(blocks[pi])[0])] = Fraction(1, 3**41)
+        check = assert_matches_loop(blocks)
         assert not check["feasible"]
-        assert isinstance(check["max_violation"], Fraction)
-        assert check["max_violation"] == want
-        # the objective, one Fraction per support entry
-        objective = sum(
-            sum(Fraction(blocks[guess][u]) for u in np.flatnonzero(diagonal))
-            for guess, diagonal in zip(all_orders(), objective_diagonals())
-        ) / 6
-        assert isinstance(check["objective"], Fraction)
-        assert check["objective"] == objective
 
 
 class TestSolveNonsignaling:

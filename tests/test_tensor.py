@@ -196,7 +196,7 @@ def assert_same_entries(got, want):
 
 
 class TestExactNumeratorOps:
-    """kron, permute_to_layout and dephase act on the numerators; the .data formulas they replaced are the reference."""
+    """kron, permute_to_layout, partial_trace and dephase act on the numerators; the .data formulas they replaced are the reference."""
 
     @pytest.mark.parametrize("a", range(3))
     @pytest.mark.parametrize("b", range(3))
@@ -216,6 +216,13 @@ class TestExactNumeratorOps:
         out = kron(over, LabeledOperator.from_numerators((Q1,), np.eye(2, dtype=int), 2**30))
         assert out.nums.dtype == object and out.den == 2**60 and out.data[0, 0] == Fraction(1, 2**60)
 
+    def test_numerators_and_denominator_at_the_bound_stay_int64(self):
+        at = LabeledOperator.from_numerators((Q0,), np.array([[-INT64_BOUND, 0], [0, INT64_BOUND]]), INT64_BOUND)
+        assert at.nums.dtype == np.int64 and at.data.tolist() == [[-1, 0], [0, 1]]
+        for nums, den in [([[-INT64_BOUND - 1, 0], [0, 1]], 1), ([[0, 0], [0, INT64_BOUND + 1]], 1), ([[1, 0], [0, 1]], INT64_BOUND + 1)]:
+            past = LabeledOperator.from_numerators((Q0,), np.array(nums), den)
+            assert past.nums.dtype == object and past.data.tolist() == [[Fraction(n, den) for n in row] for row in nums]
+
     @pytest.mark.parametrize("k", range(3))
     def test_permute_matches_the_data_reference(self, k):
         op = exact_operators()[k]
@@ -224,6 +231,25 @@ class TestExactNumeratorOps:
         got = permute_to_layout(op, (Q1, Q0))
         assert got.den == op.den
         assert_same_entries(got, want)
+
+    @pytest.mark.parametrize("k", range(3))
+    @pytest.mark.parametrize("traced", [(Q0,), (Q1,), (Q1, Q0), ()])
+    def test_partial_trace_matches_the_data_reference(self, k, traced):
+        op = exact_operators()[k]
+        keep = tuple(s for s in op.layout if s not in traced)
+        dk, dt = 2 ** len(keep), 2 ** len(traced)
+        # the trace of .data that the trace of the numerators replaced
+        moved = permute_to_layout(op, keep + traced).data.reshape(dk, dt, dk, dt)
+        got = partial_trace(op, traced)
+        assert got.den == op.den
+        assert_same_entries(got, LabeledOperator(keep, np.trace(moved, axis1=1, axis2=3)))
+
+    def test_partial_trace_falls_back_to_python_ints_past_the_bound(self):
+        op = LabeledOperator.from_numerators((Q0, Q1), np.diag([INT64_BOUND, 1, 3, INT64_BOUND]), 1)
+        assert op.nums.dtype == np.int64
+        got = partial_trace(op, (Q1,))
+        assert got.nums.dtype == object and got.data.tolist() == [[INT64_BOUND + 1, 0], [0, INT64_BOUND + 3]]
+        assert all(type(x) is int for x in got.data.flat)
 
     @pytest.mark.parametrize("k", range(3))
     def test_dephase_matches_the_data_reference(self, k):
