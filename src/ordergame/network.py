@@ -23,9 +23,13 @@ max_k wiring_k(v) / 6.
 Each marginal's non-signaling condition on key u is the negative of its
 condition on u with the uniform bit flipped, so :func:`_doubled_constraints`
 states each condition once: 225 rows over d, not 449, of the same rank 203,
-held as their integer coordinates doubled.  The exact witness check sums
-those coordinates over the blocks' integer numerators and builds no float
-row; the dense float rows are the test suite's reference
+held as their integer coordinates doubled.  The marginals are stated once,
+as wire masks in :data:`_MARGINALS`, and the orders' wire chains once, in
+:data:`_CHAINS`; the LP's rows and objective and the exact witness
+check all read them.  The witness check builds no row: it walks the blocks'
+nonzero integer numerators once, adding each to its key on every marginal,
+to the trace and, where its order's chain agrees, to the objective.  The
+dense float rows are the test suite's reference
 (``tests/network_reference.py``).
 
 The program is invariant under 12 maps of the wire bits: the six
@@ -67,9 +71,7 @@ from .tensor import (
     B_OUT,
     C_IN,
     C_OUT,
-    S_FINAL,
     _numerators,
-    _packed,
 )
 
 IN_WIRE = {"A": A_IN, "B": B_IN, "C": C_IN}
@@ -85,6 +87,27 @@ _BITS = (np.arange(_SIDE) >> (7 - np.arange(len(NETWORK_LAYOUT)))[:, None]) & 1
 _BITS.flags.writeable = False
 
 
+#: Each non-signaling marginal of the summed diagonal as ``(uniform, ignored)``: the
+#: place values, in a basis index, of the wire whose bit it averages over and of the
+#: wires it ignores.  Bits run high to low over NETWORK_LAYOUT, S_P A_I A_O B_I B_O C_I
+#: C_O S_F: the final wire's marginal, then party A's, B's and C's, each uniform in
+#: the party's in wire and ignoring its out wire and the final wire.
+_MARGINALS = ((0b00000001, 0), (0b01000000, 0b00100001), (0b00010000, 0b00001001), (0b00000100, 0b00000011))
+
+
+#: The wire positions each order chains, S_PREP to S_FINAL: row k belongs to
+#: ``all_orders()[k]``, and entries 2j and 2j + 1 are the wires of its pair j
+#: (party i's in and out wires are 2i + 1 and 2i + 2 of NETWORK_LAYOUT).
+_CHAINS = (
+    (0, 1, 2, 3, 4, 5, 6, 7),  # ABC
+    (0, 1, 2, 5, 6, 3, 4, 7),  # ACB
+    (0, 3, 4, 1, 2, 5, 6, 7),  # BAC
+    (0, 3, 4, 5, 6, 1, 2, 7),  # BCA
+    (0, 5, 6, 1, 2, 3, 4, 7),  # CAB
+    (0, 5, 6, 3, 4, 1, 2, 7),  # CBA
+)
+
+
 def objective_diagonals() -> np.ndarray:
     """The six orders' wiring diagonals in the computational basis, stacked as a (6, 256) array.
 
@@ -93,10 +116,7 @@ def objective_diagonals() -> np.ndarray:
     elsewhere, so the diagonal of the chained operator is the product of
     those indicators over the order's four wire pairs; no operator is built.
     """
-    # the wire positions each order passes, S_PREP to S_FINAL (party i's in and
-    # out wires are 2i + 1 and 2i + 2 of the layout): even and odd entries pair up
-    positions = np.array([[0, *(2 * "ABC".index(p) + w for p in pi.order for w in (1, 2)), 7] for pi in all_orders()])
-    bits = _BITS[positions]
+    bits = _BITS[np.array(_CHAINS)]
     # logical_and.reduce, not .all(): a fresh process pays about 20 µs more for its first .all()
     return np.logical_and.reduce(bits[:, 0::2] == bits[:, 1::2], axis=1).astype(float)
 
@@ -124,11 +144,10 @@ def _doubled_constraints() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # ignores are taken out, in wire order, and flips sign with its uniform wire
     wires = range(len(NETWORK_LAYOUT))
     lines, starts = [], [0]
-    for uniform, *ignored in [(S_FINAL,)] + [(IN_WIRE[p], OUT_WIRE[p], S_FINAL) for p in PARTIES]:
-        u, skipped = _POS[uniform], {_POS[s] for s in ignored}
-        kept = [i for i in wires if i != u and i not in skipped]
+    for uniform, ignored in _MARGINALS:
+        kept = [i for i in wires if not (uniform | ignored) >> (7 - i) & 1]
         key = [1 << (len(kept) - 1 - kept.index(i)) if i in kept else 0 for i in wires]
-        lines.append((key, [-2 * (i == u) for i in wires]))
+        lines.append((key, [-2 * (uniform >> (7 - i) & 1) for i in wires]))
         starts.append(starts[-1] + (1 << len(kept)))
     # the trace row: 2 on every column
     lines.append(([0] * len(wires),) * 2)
@@ -251,24 +270,39 @@ def strategy_network_blocks(
 
 
 def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
-    """Exact feasibility and objective of diagonal guess blocks.
+    """Exact feasibility and objective of diagonal guess blocks, read off their nonzero entries.
 
     The blocks become integer numerators over one denominator through
-    :func:`~ordergame.tensor._numerators`, so float entries convert exactly.
-    The left-hand sides are summed over the integer coordinates of
-    :func:`_doubled_constraints`, and their violation is halved once; the
-    objective sums each block over its 0/1 wiring diagonal and divides
-    once by 6.  The sums run in int64 while every column sum and the
-    denominator are within :data:`~ordergame.tensor.INT64_BOUND`, so that no
-    row of at most 2 x 256 of them can wrap, and in Python ints otherwise.
+    :func:`~ordergame.tensor._numerators`, so float entries convert exactly,
+    and the sums run on Python ints, which cannot wrap.  Each nonzero entry
+    is added to one key per marginal of :data:`_MARGINALS`: its basis index
+    with that marginal's uniform and ignored wire bits cleared, negated when
+    the uniform bit is set.  Each key's sum is that doubled row's left-hand
+    side, and every row with no entry reads 0, as its right-hand side does.
+    The trace row compares the sum of all entries with the total trace 16,
+    and the objective sums the entries whose bits agree on every wire pair
+    their order chains (:data:`_CHAINS`), divided once by 6.  The blocks are
+    feasible when no row is violated and no entry is negative.
     """
-    row, doubled, doubled_rhs = _doubled_constraints()
     nums, den = _numerators(np.array([blocks[pi] for pi in all_orders()]))
-    # six numerators within INT64_BOUND cannot wrap int64; past it they are Python ints
-    columns = _packed(nums.sum(axis=0), den)
-    lhs = np.zeros(len(doubled_rhs), dtype=columns.dtype)
-    np.add.at(lhs, row, doubled * columns)
-    max_violation = Fraction(int(np.abs(lhs - doubled_rhs.astype(lhs.dtype) * den).max()), 2 * den)
-    # each wiring diagonal is exactly 0/1: sum the blocks over their supports, divide once
-    objective = Fraction(int(nums[objective_diagonals() != 0].sum()), 6 * den)
-    return {"feasible": max_violation == 0, "max_violation": max_violation, "objective": objective}
+    orders, indices = np.nonzero(nums)
+    values = nums[orders, indices].tolist()
+    # each marginal's doubled rows, by key; the trace; the objective
+    keyed = [{} for _ in _MARGINALS]
+    trace = objective = 0
+    for order, index, value in zip(orders.tolist(), indices.tolist(), values):
+        for sums, (uniform, ignored) in zip(keyed, _MARGINALS):
+            key = index & ~(uniform | ignored)
+            sums[key] = sums.get(key, 0) + (-value if index & uniform else value)
+        trace += value
+        bits = [index >> 7 - position & 1 for position in _CHAINS[order]]
+        if bits[0::2] == bits[1::2]:
+            objective += value
+    # each violation doubled: twice the trace row's, and each key's signed sum
+    doubled = [2 * abs(trace - _TOTAL_TRACE * den), *(abs(x) for sums in keyed for x in sums.values())]
+    return {
+        # every value is a nonzero entry: none negative means all positive
+        "feasible": max(doubled) == 0 and all(value > 0 for value in values),
+        "max_violation": Fraction(max(doubled), 2 * den),
+        "objective": Fraction(objective, 6 * den),
+    }

@@ -44,6 +44,7 @@ from .tensor import (
     NotPSD,
     Vec,
     rational_entries,
+    rational_entry,
 )
 
 
@@ -438,19 +439,21 @@ def verify_perfect_discrimination(
     The outputs are perfectly distinguishable exactly when their Gram matrix
     (:func:`output_gram`) is diagonal with a positive diagonal, tr(state).
     Exact states must give a positive trace and exactly zero for all 30
-    ordered pair traces; float states are held to ``atol`` on both.  On
-    success the reported probability is 1 with the orthonormal-output
-    measurement as certificate.
+    ordered pair traces, decided on the traces' integer numerators over the
+    state's denominator; a ``Fraction`` is made only for a value reported or
+    raised.  Float states are held to ``atol`` on both.  On success the
+    reported probability is 1 with the orthonormal-output measurement as
+    certificate.
     """
-    gram = output_gram(state)
-    trace = gram[0, 0]
+    gram = _pair_trace_sums(state).tolist()
+    trace = gram[0][0]
     if not ((trace > 0) if state.exact else (trace.real > atol)):
-        raise ZeroTrace(f"shared state has trace {trace}: no outputs to tell apart")
+        raise ZeroTrace(f"shared state has trace {_gram_value(state, trace)}: no outputs to tell apart")
     order = all_orders()
     pairs = list(itertools.permutations(range(6), 2))
     for i, j in pairs:
-        if (gram[i, j] != 0) if state.exact else (abs(gram[i, j]) > atol):
-            raise NotOrthogonal((order[i].name, order[j].name), gram[i, j])
+        if (gram[i][j] != 0) if state.exact else (abs(gram[i][j]) > atol):
+            raise NotOrthogonal((order[i].name, order[j].name), _gram_value(state, gram[i][j]))
     probability: Fraction | float = Fraction(1) if state.exact else 1.0
     return ScenarioResult(
         scenario=scenario,
@@ -459,11 +462,36 @@ def verify_perfect_discrimination(
         "measure onto the six orthogonal routed outputs",
         certificate={
             "pair_traces_checked": len(pairs),
-            "max_pair_trace": 0.0 if state.exact else float(max(abs(gram[i, j]) for i, j in pairs)),
-            "state_trace": str(trace) if state.exact else float(trace.real),
+            "max_pair_trace": 0.0 if state.exact else float(max(abs(gram[i][j]) for i, j in pairs)),
+            "state_trace": str(_gram_value(state, trace)) if state.exact else float(trace.real),
             "exact": state.exact,
         },
     )
+
+
+def _gram_value(state: LabeledOperator, entry):
+    """An entry of :func:`_pair_trace_sums` as its value: for an exact state, its numerator over ``state.den``."""
+    return rational_entry(entry, state.den, whole=Fraction) if state.exact else entry
+
+
+def _pair_trace_sums(state: LabeledOperator) -> np.ndarray:
+    """The pair-trace matrix of :func:`output_gram`, with an exact state's entries as numerators over ``state.den``.
+
+    Each entry is a sum of 16 entries gathered from the state, of its
+    numerators for an exact state: int64 sums of at most 2**53 each cannot
+    wrap, and Python-int numerators sum as Python ints.  Raises
+    :class:`NotPSD` unless the state is PSD (an exact state's verdict is
+    worked out once).
+    """
+    if not state.is_psd(1e-8):
+        raise NotPSD("shared state must be positive semidefinite")
+    # entry k of pair (i, j)'s trace is data[k, map[k]]
+    gathered = (state.nums if state.exact else state.data)[np.arange(16), _pair_index_table()]
+    if state.exact:
+        return gathered.sum(-1)
+    # Python sum over k adds the 16 columns left to right, so float data rounds
+    # as a left-to-right sum (numpy's pairwise .sum() would move the last digits)
+    return sum(np.moveaxis(gathered, -1, 0))
 
 
 def output_gram(state: LabeledOperator) -> np.ndarray:
@@ -474,17 +502,8 @@ def output_gram(state: LabeledOperator) -> np.ndarray:
     So entry (pi', pi) is a pair trace, with tr(state) on the diagonal, and
     no square root is taken: the entries are complex numbers for float
     states, and for every exact state Fractions, each one sum of 16 of the
-    state's integer numerators over its denominator: the only ``Fraction``s
-    made.  Raises :class:`NotPSD` unless the state is PSD (an exact state's
-    verdict is worked out once).
+    state's integer numerators over its denominator (:func:`_pair_trace_sums`).
+    Raises :class:`NotPSD` unless the state is PSD.
     """
-    if not state.is_psd(1e-8):
-        raise NotPSD("shared state must be positive semidefinite")
-    # entry k of pair (i, j)'s trace is data[k, map[k]]
-    gathered = (state.nums if state.exact else state.data)[np.arange(16), _pair_index_table()]
-    if state.exact:
-        # at most 16 numerators of at most 2**53 each: no int64 sum wraps
-        return rational_entries(gathered.sum(-1), state.den, whole=Fraction)
-    # Python sum over k adds the 16 columns left to right, so float data rounds
-    # as a left-to-right sum (numpy's pairwise .sum() would move the last digits)
-    return sum(np.moveaxis(gathered, -1, 0))
+    sums = _pair_trace_sums(state)
+    return rational_entries(sums, state.den, whole=Fraction) if state.exact else sums

@@ -373,16 +373,22 @@ def kron(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     return LabeledOperator._over(a.layout + b.layout, nums, den)
 
 
+def _label_keys(labels: Iterable) -> list:
+    """Each label's field tuple, compared in C where ``Space.__eq__`` runs Python code; ``None`` for a non-``Space``."""
+    return [_FIELDS(s) if type(s) is Space else None for s in labels]
+
+
 def permute_to_layout(op: LabeledOperator, target: Sequence[Space]) -> LabeledOperator:
     """Reorder tensor factors; spectrum and trace are unchanged."""
     target = tuple(target)
-    if len(target) != len(op.layout) or set(target) != set(op.layout):
+    fields, wanted = list(map(_FIELDS, op.layout)), _label_keys(target)
+    if len(wanted) != len(fields) or set(wanted) != set(fields):
         raise LayoutMismatch(f"{target} is not a permutation of {op.layout}")
-    if target == op.layout:
+    if wanted == fields:
         return op
     k = len(op.layout)
     dims = _dims(op.layout)
-    perm = [op.layout.index(s) for s in target]
+    perm = list(map(fields.index, wanted))
     tens = (op.nums if op.exact else op.data).reshape(dims + dims).transpose(perm + [k + p for p in perm])
     tens = tens.reshape(op.side, op.side)
     # a reorder moves the numerators over the same denominator
@@ -392,11 +398,13 @@ def permute_to_layout(op: LabeledOperator, target: Sequence[Space]) -> LabeledOp
 def partial_trace(op: LabeledOperator, labels: Iterable[Space]) -> LabeledOperator:
     """Trace out the given labels; the total trace is preserved."""
     labels = list(labels)
-    for s in labels:
-        if s not in op.layout:
+    fields, removed = list(map(_FIELDS, op.layout)), _label_keys(labels)
+    for s, key in zip(labels, removed):
+        if key not in fields:
             raise UnknownLabel(f"{s} not in layout {op.layout}")
-    keep = [s for s in op.layout if s not in labels]
-    traced = [s for s in op.layout if s in labels]
+    out = [key in removed for key in fields]
+    keep = [s for s, gone in zip(op.layout, out) if not gone]
+    traced = [s for s, gone in zip(op.layout, out) if gone]
     moved = permute_to_layout(op, tuple(keep) + tuple(traced))
     dk = _side(keep)
     dt = _side(traced)
@@ -427,11 +435,16 @@ def eig_hermitian(op: LabeledOperator) -> tuple[np.ndarray, np.ndarray]:
     return w, v
 
 
+def rational_entry(n: int, den: int, *, whole=int):
+    """The exact value ``n / den``: a ``Fraction``, or ``whole`` of it when it is whole."""
+    return Fraction(n, den) if n % den else whole(n // den)
+
+
 def rational_entries(nums: np.ndarray, den: int, *, whole=int) -> np.ndarray:
-    """The object array ``nums / den``: a shared ``Fraction`` per distinct value, or ``whole`` for whole ones."""
+    """The object array ``nums / den``: a shared :func:`rational_entry` per distinct value."""
     if den == 1 and whole is int:
         return nums.astype(object)
-    values = {n: Fraction(n, den) if n % den else whole(n // den) for n in set(nums.ravel().tolist())}
+    values = {n: rational_entry(n, den, whole=whole) for n in set(nums.ravel().tolist())}
     return np.frompyfunc(values.__getitem__, 1, 1)(nums)
 
 

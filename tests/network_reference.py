@@ -146,11 +146,15 @@ def pos_lookup_objective_diagonals() -> np.ndarray:
 
 
 def object_witness_feasibility(blocks) -> dict:
-    """The exact witness check on object arrays of Python ints and ``Fraction``s, as the package made it."""
+    """The exact witness check on object arrays of Python ints and ``Fraction``s, as the package made it.
+
+    Dense over every row and column; feasible also needs every entry nonnegative.
+    """
     row, doubled, doubled_rhs = _doubled_constraints()
     stacked = np.array([blocks[pi] for pi in all_orders()], dtype=object)
     lhs = np.zeros(len(doubled_rhs), dtype=object)
     np.add.at(lhs, row, doubled * stacked.sum(axis=0))
     max_violation = Fraction(max(np.abs(lhs - doubled_rhs)), 2)
     objective = Fraction(stacked[pos_lookup_objective_diagonals() != 0].sum(), 6)
-    return {"feasible": max_violation == 0, "max_violation": max_violation, "objective": objective}
+    feasible = max_violation == 0 and all(x >= 0 for x in stacked.flat)
+    return {"feasible": feasible, "max_violation": max_violation, "objective": objective}

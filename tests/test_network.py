@@ -8,6 +8,8 @@ import pytest
 from ordergame.classical import BitStrategy, all_bit_strategies, run_losr
 from ordergame.game import Perm3, all_orders, optimal_decoder
 from ordergame.network import (
+    _CHAINS,
+    _MARGINALS,
     _doubled_constraints,
     _orbit_labels,
     IN_WIRE,
@@ -168,6 +170,12 @@ class TestProgramStructure:
         assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((6, 256), np.dtype(float))
         assert got.tobytes() == want.tobytes()
 
+    def test_chains_are_each_orders_wire_pairs(self):
+        # the one table of chain positions the wiring diagonals and the witness check read
+        pos = {space: i for i, space in enumerate(NETWORK_LAYOUT)}
+        want = [tuple(pos[s] for pair in network_reference.wire_pairs(pi) for s in pair) for pi in all_orders()]
+        assert list(_CHAINS) == want
+
     def test_wiring_diagonal_is_the_operator_diagonal(self):
         for pi, got in zip(all_orders(), objective_diagonals()):
             want = np.real(np.diag(order_process(pi).op.to_float().data))
@@ -230,6 +238,13 @@ class TestProgramStructure:
         r, v = np.nonzero(rows)
         assert halved == list(zip(r.tolist(), v.tolist(), rows[r, v].tolist()))
         assert (doubled_rhs / 2).tobytes() == rhs.tobytes()
+
+    def test_marginal_masks_are_the_layout_wires(self):
+        # the one statement of the marginals that the rows and the witness check read
+        value = {space: 1 << (7 - i) for i, space in enumerate(NETWORK_LAYOUT)}
+        want = [(value[S_FINAL], 0)]
+        want += [(value[IN_WIRE[p]], value[OUT_WIRE[p]] | value[S_FINAL]) for p in "ABC"]
+        assert list(_MARGINALS) == want
 
     def test_doubled_constraints_match_the_per_marginal_reference_bits(self):
         # the per-marginal construction the one product replaced: each
@@ -521,6 +536,39 @@ class TestWitnessViolation:
         blocks[pi][int(np.flatnonzero(blocks[pi])[0])] = Fraction(1, 3**41)
         check = assert_matches_loop(blocks)
         assert not check["feasible"]
+
+    @pytest.mark.parametrize("moved", [5, 1, Fraction(1, 2)])
+    def test_negative_entry_is_infeasible(self, moved):
+        # moving weight from one block's 0 entry onto another block at the same
+        # index keeps every row, but leaves a negative entry; moving 5 once
+        # passed as feasible with objective 5/3
+        blocks = {pi: diag.astype(object) for pi, diag in strategy_network_blocks().items()}
+        order = {pi.name: pi for pi in all_orders()}
+        blocks[order["CAB"]][75] += moved
+        blocks[order["ABC"]][75] -= moved
+        check = witness_feasibility(blocks)
+        # index 75 is on CAB's wiring support, not on ABC's
+        assert check == {"feasible": False, "max_violation": 0, "objective": Fraction(5, 6) + Fraction(moved, 6)}
+        assert check == network_reference.object_witness_feasibility(blocks)
+        assert loop_max_violation(blocks) == 0
+        if moved == int(moved):
+            assert witness_feasibility({pi: diag.astype(np.int64) for pi, diag in blocks.items()}) == check
+
+    def test_split_entry_stays_feasible(self):
+        # half of BAC's entry at 75 moved onto ABC, which does not score there
+        blocks = {pi: diag.astype(object) for pi, diag in strategy_network_blocks().items()}
+        order = {pi.name: pi for pi in all_orders()}
+        blocks[order["BAC"]][75] -= Fraction(1, 2)
+        blocks[order["ABC"]][75] += Fraction(1, 2)
+        check = assert_matches_loop(blocks)
+        assert check == {"feasible": True, "max_violation": 0, "objective": Fraction(3, 4)}
+        assert check == network_reference.object_witness_feasibility(blocks)
+
+    @pytest.mark.parametrize("dtype", [np.int64, float, object])
+    def test_zero_blocks_violate_only_the_trace_row(self, dtype):
+        blocks = {pi: np.zeros(256, dtype=dtype) for pi in all_orders()}
+        check = assert_matches_loop(blocks)
+        assert check == {"feasible": False, "max_violation": 16, "objective": 0}
 
 
 class TestSolveNonsignaling:

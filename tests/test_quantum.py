@@ -571,6 +571,26 @@ class TestVerification:
             verify_perfect_discrimination(tiny, atol=1e-8)
         assert verify_perfect_discrimination(tiny, atol=1e-10).probability == 1.0
 
+    def test_float_trace_equal_to_atol_is_refused(self):
+        # sixteen diagonal entries of 1/32 sum to exactly 0.5
+        half = LabeledOperator(ENTANGLED_LAYOUT, np.eye(16, dtype=complex) / 32.0)
+        with pytest.raises(ZeroTrace):
+            verify_perfect_discrimination(half, atol=0.5)
+
+    def test_float_pair_trace_equal_to_atol_passes(self):
+        # every pair trace of the maximally mixed state is exactly 1/4
+        mixed = LabeledOperator(ENTANGLED_LAYOUT, np.eye(16, dtype=complex) / 16.0)
+        result = verify_perfect_discrimination(mixed, atol=0.25)
+        assert result.probability == 1.0 and result.certificate["max_pair_trace"] == 0.25
+
+    def test_exact_trace_of_one_numerator_reaches_the_pair_traces(self):
+        # |0000><0000| has trace numerator 1; every routing fixes 0000, so each pair trace is 1
+        data = np.zeros((16, 16), dtype=int)
+        data[0, 0] = 1
+        with pytest.raises(NotOrthogonal) as info:
+            verify_perfect_discrimination(LabeledOperator.from_numerators(ENTANGLED_LAYOUT, data, 1))
+        assert info.value.value == 1 and type(info.value.value) is Fraction
+
 
 class TestOutputs:
     def test_unit_norm(self):

@@ -154,6 +154,15 @@ class TestPermute:
         with pytest.raises(LayoutMismatch):
             permute_to_layout(op, (Q0, Q2))
 
+    @pytest.mark.parametrize("label", ["Q1", ("Q1", 2), None])
+    def test_a_label_that_is_no_space_matches_none(self, label):
+        # labels are matched on their field tuples, which only a Space has
+        op = LabeledOperator.identity((Q0, Q1))
+        with pytest.raises(LayoutMismatch):
+            permute_to_layout(op, (label, Q0))
+        with pytest.raises(UnknownLabel):
+            partial_trace(op, [label])
+
 
 class TestDephase:
     def test_diagonal_fixed_point(self):
