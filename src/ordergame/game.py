@@ -46,10 +46,6 @@ class Perm3(FrozenRecord):
     def name(self) -> str:
         return "".join(self.order)
 
-    def apply(self, party: str) -> str:
-        """Image of a party label under this permutation (A,B,C) -> order."""
-        return self.order[PARTIES.index(party)]
-
     def __str__(self) -> str:
         return self.name
 

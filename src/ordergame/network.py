@@ -34,7 +34,9 @@ dense float rows are the test suite's reference
 
 The program is invariant under 12 maps of the wire bits: the six
 relabelings of the parties, which move each party's in/out wire pair onto
-another's, each with or without the flip of all eight bits.  Each map
+another's, each with or without the flip of all eight bits.  The
+relabelings are read off :data:`_CHAINS`: an order's chain, read in wire
+order, sends each wire to the matching wire of the order's parties.  Each map
 permutes the entries of d so that the rows go to themselves up to sign and
 the right-hand side and the objective stay fixed, so the average of an
 optimal d over the 12 maps is optimal and constant on every orbit of the
@@ -56,28 +58,15 @@ from typing import Mapping
 import numpy as np
 
 from .classical import BitStrategy, _run_table, losr_canonical_witness
-from .game import PARTIES, Perm3, ScenarioResult, all_orders
+from .game import Perm3, ScenarioResult, all_orders
 from .solver import (
     ConicProblem,
     NonnegOrthant,
     SolveSettings,
     solve_within_bound,
 )
-from .tensor import (
-    NETWORK_LAYOUT,
-    A_IN,
-    A_OUT,
-    B_IN,
-    B_OUT,
-    C_IN,
-    C_OUT,
-    _numerators,
-)
+from .tensor import NETWORK_LAYOUT, _numerators
 
-IN_WIRE = {"A": A_IN, "B": B_IN, "C": C_IN}
-OUT_WIRE = {"A": A_OUT, "B": B_OUT, "C": C_OUT}
-
-_POS = {space: i for i, space in enumerate(NETWORK_LAYOUT)}
 _SIDE = 256
 _TOTAL_TRACE = 16
 
@@ -163,15 +152,13 @@ def _orbit_labels() -> np.ndarray:
     """The orbit of every entry of the summed diagonal under the program's 12 symmetries, read-only.
 
     A party relabeling moves each party's in and out wire bits onto the
-    wires of its image, and the flip complements all eight bits.  The 40
-    orbits are numbered from 0 in increasing order of their smallest member.
+    wires of its image, and the flip complements all eight bits.  Row k of
+    :data:`_CHAINS` lists, in wire order, where relabeling k sends each
+    wire.  The 40 orbits are numbered from 0 in increasing order of their
+    smallest member.
     """
     # row k, column i: the place value of the wire that relabeling k moves wire i to
-    values = []
-    for rho in all_orders():
-        target = {wire[party]: wire[rho.apply(party)] for wire in (IN_WIRE, OUT_WIRE) for party in PARTIES}
-        values.append([1 << (7 - _POS[target.get(s, s)]) for s in NETWORK_LAYOUT])
-    images = np.array(values) @ _BITS
+    images = (1 << (7 - np.array(_CHAINS))) @ _BITS
     # the smallest of each index's 12 images: each relabeling's, and its flip
     smallest = np.minimum(images, images ^ (_SIDE - 1)).min(axis=0)
     labels = np.cumsum(smallest == np.arange(_SIDE))[smallest] - 1

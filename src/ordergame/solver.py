@@ -244,27 +244,6 @@ def _svec_map(side: int) -> tuple[np.ndarray, np.ndarray]:
     return at, scale
 
 
-@functools.lru_cache(maxsize=None)
-def _unsvec_map(side: int) -> tuple[np.ndarray, np.ndarray]:
-    """Which svec entry fills each float-view entry of a matrix, and its scale.
-
-    The inverse of :func:`_svec_map`: a diagonal real part is copied, both
-    triangles take the upper triangle's entries times 1/sqrt(2), and the
-    lower triangle's imaginary parts are negated.  The diagonal's imaginary
-    parts read entry 0 and are then set to zero.
-    """
-    source, factor = [0] * (2 * side * side), [1.0] * (2 * side * side)
-    source[:: 2 * side + 2] = range(side)
-    for n, (i, j) in enumerate(itertools.combinations(range(side), 2)):
-        upper, lower = 2 * (i * side + j), 2 * (j * side + i)
-        source[upper : upper + 2] = source[lower : lower + 2] = side + 2 * n, side + 2 * n + 1
-        factor[upper : upper + 2], factor[lower : lower + 2] = (1.0 / _SQRT2,) * 2, (1.0 / _SQRT2, -1.0 / _SQRT2)
-    source, factor = np.array(source), np.array(factor)
-    for arr in (source, factor):
-        arr.flags.writeable = False
-    return source, factor
-
-
 def svec(h: np.ndarray) -> np.ndarray:
     """Isometric real encoding of Hermitian matrices (batched over leading axes)."""
     h = np.ascontiguousarray(h, dtype=complex)
@@ -274,12 +253,21 @@ def svec(h: np.ndarray) -> np.ndarray:
 
 
 def unsvec(v: np.ndarray, side: int) -> np.ndarray:
-    """Inverse of :func:`svec` (batched over leading axes)."""
+    """Inverse of :func:`svec` (batched over leading axes).
+
+    The svec entries go back through :func:`_svec_map` onto the diagonal
+    and the upper triangle, and the strict lower triangle is assigned the
+    upper one's conjugate.  Raises :class:`ProblemMalformed` unless the
+    last axis holds ``side * side`` entries.
+    """
     v = np.asarray(v, dtype=float)
-    source, factor = _unsvec_map(side)
-    flat = np.take(v, source, axis=-1) * factor
-    flat[..., 1 :: 2 * side + 2] = 0.0
-    return flat.view(complex).reshape(v.shape[:-1] + (side, side))
+    if v.shape[-1:] != (side * side,):
+        raise ProblemMalformed(f"vector length {v.shape[-1:]} does not match side {side} ({side * side},)")
+    at, scale = _svec_map(side)
+    flat = np.zeros(v.shape[:-1] + (2 * side * side,))
+    flat[..., at] = v * (1.0 / scale)
+    upper = flat.view(complex).reshape(v.shape[:-1] + (side, side))
+    return np.where(np.tri(side, k=-1, dtype=bool), upper.conj().swapaxes(-1, -2), upper)
 
 
 def _group_blocks(blocks: Sequence[Cone]) -> list[tuple[Cone, int, slice]]:
@@ -437,7 +425,10 @@ def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> Solve
         affine.project(x)
         xh = alpha * x + (1.0 - alpha) * z
         z_new = _project(xh + u, groups)
-        dual = rho * float(np.abs(z_new - z).max())
+        f = np.concatenate((z_new, u + xh - z_new))
+        g = f - s
+        # g[:n] is z_new - z, the dual residual over rho
+        dual = rho * float(np.abs(g[:n]).max())
         # the primal residual is max(|x - z|, equality gap); the gap can
         # only decide convergence once the tolerance is met without it
         primal = float(np.abs(x - z_new).max())
@@ -455,8 +446,6 @@ def solve(problem: ConicProblem, settings: SolveSettings | None = None) -> Solve
                     rejected=rejections,
                 )
 
-        f = np.concatenate((z_new, u + xh - z_new))
-        g = f - s
         gg = float(g @ g)
         rejected = extrapolated and gg > gg_acc
         if rejected:

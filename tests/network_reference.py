@@ -19,9 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from ordergame.game import Perm3, all_orders
-from ordergame.network import IN_WIRE, OUT_WIRE, _doubled_constraints, _orbit_labels, objective_diagonals
+from ordergame.network import _doubled_constraints, _orbit_labels, objective_diagonals
 from ordergame.solver import ConicProblem, NonnegOrthant, SolveReport
 from ordergame.tensor import (
+    A_IN,
+    A_OUT,
+    B_IN,
+    B_OUT,
+    C_IN,
+    C_OUT,
     NETWORK_LAYOUT,
     LabeledOperator,
     LayoutMismatch,
@@ -32,6 +38,10 @@ from ordergame.tensor import (
     kron,
     permute_to_layout,
 )
+
+#: Each party's in and out wire by name: the package reads its wires by position, off ``network._CHAINS``.
+IN_WIRE = {"A": A_IN, "B": B_IN, "C": C_IN}
+OUT_WIRE = {"A": A_OUT, "B": B_OUT, "C": C_OUT}
 
 
 def wire_pairs(pi: Perm3) -> list[tuple[Space, Space]]:

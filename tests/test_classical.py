@@ -232,8 +232,8 @@ class TestPermutationCovariance:
         for a, b, c in itertools.product(strategies, repeat=3):
             base = {run_losr(pi, a, b, c, 0).as_tuple() for pi in all_orders()}
             for rho in all_orders():
-                assigned = dict(zip(("A", "B", "C"), (a, b, c)))
-                relabeled = {rho.apply(p): s for p, s in assigned.items()}
+                # rho sends A, B and C to its first, second and third party
+                relabeled = dict(zip(rho.order, (a, b, c)))
                 moved = {
                     run_losr(pi, relabeled["A"], relabeled["B"], relabeled["C"], 0).as_tuple()
                     for pi in all_orders()

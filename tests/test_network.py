@@ -12,8 +12,6 @@ from ordergame.network import (
     _MARGINALS,
     _doubled_constraints,
     _orbit_labels,
-    IN_WIRE,
-    OUT_WIRE,
     nonsignaling_program,
     objective_diagonals,
     solve_nonsignaling,
@@ -39,6 +37,8 @@ from ordergame.tensor import (
 
 import network_reference
 from network_reference import (
+    IN_WIRE,
+    OUT_WIRE,
     NetworkBlock,
     constraint_rows,
     full_nonsignaling_program,
@@ -103,17 +103,18 @@ class TestWiringOperator:
                    "C": (IN_WIRE["C"], OUT_WIRE["C"])}
         for pi, rho in itertools.product(all_orders(), repeat=2):
             op = order_process(pi).op
+            image = dict(zip("ABC", rho.order))
             mapping = {}
             for party in ("A", "B", "C"):
                 src_in, src_out = wire_of[party]
-                dst_in, dst_out = wire_of[rho.apply(party)]
+                dst_in, dst_out = wire_of[image[party]]
                 mapping[src_in] = dst_in
                 mapping[src_out] = dst_out
             relabeled = LabeledOperator(
                 tuple(mapping.get(s, s) for s in op.layout), op.data
             )
             aligned = permute_to_layout(relabeled, NETWORK_LAYOUT)
-            assert np.all(aligned.data == order_process(Perm3(tuple(rho.apply(p) for p in pi.order))).op.data)
+            assert np.all(aligned.data == order_process(Perm3(tuple(image[p] for p in pi.order))).op.data)
 
 
 class TestLinkProbability:
@@ -300,14 +301,15 @@ def symmetry_maps():
     pos = {space: i for i, space in enumerate(NETWORK_LAYOUT)}
     maps = []
     for rho in all_orders():
+        target = dict(zip("ABC", rho.order))
         for flip in (0, 255):
             image = []
             for v in range(256):
                 bits = {space: (v >> (7 - p)) & 1 for space, p in pos.items()}
                 moved = dict(bits)
                 for party in "ABC":
-                    moved[IN_WIRE[rho.apply(party)]] = bits[IN_WIRE[party]]
-                    moved[OUT_WIRE[rho.apply(party)]] = bits[OUT_WIRE[party]]
+                    moved[IN_WIRE[target[party]]] = bits[IN_WIRE[party]]
+                    moved[OUT_WIRE[target[party]]] = bits[OUT_WIRE[party]]
                 image.append(sum(bit << (7 - pos[space]) for space, bit in moved.items()) ^ flip)
             maps.append(np.array(image))
     return maps

@@ -10,7 +10,6 @@ from ordergame.solver import (
     ANDERSON_MEMORY,
     _AffineSet,
     _svec_map,
-    _unsvec_map,
     ConicProblem,
     HermitianPSD,
     NonnegOrthant,
@@ -66,13 +65,15 @@ def reference_svec(h):
 
 
 def reference_unsvec(v, side):
+    # each real and imaginary part is set on its own: complex arithmetic
+    # such as v_re + 1j * v_im would lose the sign of a zero part
     v = np.asarray(v, dtype=float)
     h = np.zeros(v.shape[:-1] + (side, side), dtype=complex)
     idx, (iu, ju) = np.arange(side), np.triu_indices(side, 1)
-    h[..., idx, idx] = v[..., :side]
-    upper = (v[..., side::2] + 1j * v[..., side + 1 :: 2]) / math.sqrt(2.0)
-    h[..., iu, ju] = upper
-    h[..., ju, iu] = upper.conj()
+    h.real[..., idx, idx] = v[..., :side]
+    re, im = (v[..., side + part :: 2] * (1.0 / math.sqrt(2.0)) for part in (0, 1))
+    h.real[..., iu, ju], h.imag[..., iu, ju] = re, im
+    h.real[..., ju, iu], h.imag[..., ju, iu] = re, -im
     return h
 
 
@@ -106,30 +107,36 @@ class TestSvec:
         rng = np.random.default_rng(side)
         h = rng.normal(size=(3, side, side)) + 1j * rng.normal(size=(3, side, side))
         v = rng.normal(size=(3, 2 * side * side + 1))[:, 1 : side * side + 1]
+        # entries whose sum overflows, and zeros of either sign
+        huge = rng.choice([1.7e308, -1.7e308], size=(3, side * side))
+        zeros = rng.choice([0.0, -0.0], size=(3, side * side))
         for got, want in (
             (svec(h), reference_svec(h)),
             (svec(h[0]), reference_svec(h[0])),
             (svec(h.transpose(0, 2, 1)), reference_svec(h.transpose(0, 2, 1))),
             (svec(np.zeros((side, side))), reference_svec(np.zeros((side, side)))),
-            (unsvec(v, side), reference_unsvec(v, side)),
-            (unsvec(v[0], side), reference_unsvec(v[0], side)),
+            *((unsvec(w, side), reference_unsvec(w, side)) for w in (v, v[0], huge, huge[0], zeros, zeros[0])),
             (unsvec(np.zeros(side * side), side), reference_unsvec(np.zeros(side * side), side)),
         ):
             assert got.shape == want.shape and got.dtype == want.dtype
             assert got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("length", [1, 3, 10, 300])
+    @pytest.mark.parametrize("batch", [(), (2,)])
+    def test_unsvec_refuses_a_vector_of_another_length(self, length, batch):
+        # unsvec(np.arange(300.), 16) once built a matrix from the first 256 entries
+        side = 3 if length < 300 else 16
+        with pytest.raises(ProblemMalformed, match=rf"vector length \({length},\) does not match side {side} \({side * side},\)"):
+            unsvec(np.arange(float(length)) * np.ones(batch + (1,)), side)
+
     @pytest.mark.parametrize("side", range(1, 17))
     def test_maps_match_the_triu_reference_bits(self, side):
         # the triu_indices construction the index lists replaced
         iu, ju = np.triu_indices(side, 1)
-        upper, lower = 2 * (iu * side + ju), 2 * (ju * side + iu)
+        upper = 2 * (iu * side + ju)
         at = np.concatenate([2 * (side + 1) * np.arange(side), np.stack([upper, upper + 1], axis=1).ravel()])
         scale = np.repeat([1.0, math.sqrt(2.0)], [side, side * side - side])
-        source, factor = np.zeros(2 * side * side, dtype=int), np.ones(2 * side * side)
-        source[at], factor[at] = np.arange(side * side), 1.0 / scale
-        mirror = np.stack([lower, lower + 1], axis=1).ravel()
-        source[mirror], factor[mirror] = np.arange(side, side * side), np.tile([1.0, -1.0], len(iu)) / math.sqrt(2.0)
-        for got, want in zip((*_svec_map(side), *_unsvec_map(side)), (at, scale, source, factor)):
+        for got, want in zip(_svec_map(side), (at, scale)):
             assert (got.shape, got.dtype) == (want.shape, want.dtype)
             assert got.tobytes() == want.tobytes()
 
@@ -719,6 +726,24 @@ class TestPinnedSolves:
     def test_shared_state_program(self):
         _, report = solve_shared_state_feasibility(routing_pair_ops())
         assert report.iterations == 4
+
+    @pytest.mark.parametrize(
+        "name, tolerance, iterations, primal, dual, digest",
+        [
+            ("nonsignaling", 1e-8, 30, "6.7237113654528e-09", "2.005866359028503e-09", "f0374daa7316b268c78eb999acf279cfd5acc01b05d8486f29c34eab4a49eb2b"),
+            ("discrimination", 1e-8, 4, "7.450706718259426e-13", "2.0611391492280265e-13", "f7d0236bf65627c09cba1b6396884c9d6775cee48a7188755d4ff8fda877e246"),
+            ("shared-state", 1e-8, 4, "9.869882688917642e-13", "1.794120407794253e-13", "700310631d474ee5f6ad21d5ba4e5683a0b9ccbc53f6e0e611ff7c3c528d5ec1"),
+            ("nonsignaling", 1e-14, 53, "8.881784197001252e-15", "1.2407842677516295e-15", "1a76d15d67ea1592cdd21e24ad8c0ea42fd3263d80103e2685654b80124615c9"),
+            ("discrimination", 1e-14, 5, "1.9984014443252818e-15", "9.064933036736785e-17", "b279a3d7fee8e1fc04852ecc0444680603ce058746a1fc54e27b305836f90c54"),
+            ("shared-state", 1e-14, 5, "3.8467383673345946e-15", "1.1657341758564144e-15", "c587b90d1283cbabc8a169952e6252f2dcb6262b6b0c356d15a3884cfc2037b1"),
+        ],
+    )
+    def test_package_programs_solve_to_the_bit(self, name, tolerance, iterations, primal, dual, digest):
+        # every iterate of a rewrite that keeps the arithmetic lands on the same bits
+        report = solve(package_programs()[name], SolveSettings(tolerance))
+        assert (report.status, report.iterations, report.rejected) == ("optimal", iterations, 0)
+        assert (repr(report.primal_residual), repr(report.dual_residual)) == (primal, dual)
+        assert hashlib.sha256(report.solution.tobytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("name", ["nonsignaling", "discrimination", "shared-state"])
     def test_package_programs_converge_at_1e_14(self, name):

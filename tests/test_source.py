@@ -222,7 +222,6 @@ def _arrays_and_other_leaves(value):
 CACHED_CALL_ARGUMENTS = {
     "_routing_map": [(pi,) for pi in all_orders()],
     "_svec_map": [(2,), (16,)],
-    "_unsvec_map": [(2,), (16,)],
 }
 
 
