@@ -18,14 +18,25 @@ from .game import Perm3, ScenarioResult, all_orders, optimal_decoder
 from .tensor import FrozenRecord
 
 
+def _check_bit(name: str, value) -> None:
+    """Raise ``ValueError`` unless ``value`` is the int 0 or 1; a bool is refused."""
+    if type(value) is not int or value not in (0, 1):
+        raise ValueError(f"{name} must be the int 0 or 1, not {value!r}")
+
+
 class BitStrategy(FrozenRecord):
     """A party's deterministic bit map, given by its outputs on 0 and 1.
 
     The same type serves both searches: under :func:`run_losr` the party
-    also records the bit it received.
+    also records the bit it received.  Each output must be the int 0 or 1.
     """
 
     __slots__ = ("on_zero", "on_one")
+
+    def __init__(self, on_zero: int, on_one: int):
+        _check_bit("on_zero", on_zero)
+        _check_bit("on_one", on_one)
+        super().__init__(on_zero, on_one)
 
     def __call__(self, x: int) -> int:
         return self.on_one if x else self.on_zero
@@ -66,10 +77,10 @@ def _run_table() -> np.ndarray:
     the bits ``8 s_out + 4 x_a + 2 x_b + x_c``, so ``code >> 3`` is the
     memoryless final bit.
     """
-    # party p's output on bit x in triple t: bit 1 - x of its strategy, bit 5 - 2p - x of t
-    output = np.arange(64) >> np.array([[[5], [4]], [[3], [2]], [[1], [0]]]) & 1  # (party, x, triple)
-    movers = np.array([["ABC".index(p) for p in pi.order] for pi in all_orders()]).T[:, :, None]  # (step, order, 1)
     triples = np.arange(64)
+    # party p's output on bit x in triple t: bit 1 - x of its strategy, bit 5 - 2p - x of t
+    output = triples >> np.array([[[5], [4]], [[3], [2]], [[1], [0]]]) & 1  # (party, x, triple)
+    movers = np.array([pi.parties for pi in all_orders()]).T[:, :, None]  # (step, order, 1)
     state = np.array([[[0]], [[1]]])  # the input bit, broadcast over orders and triples
     codes = 0
     for party in movers:
@@ -128,13 +139,13 @@ def run_losr(
     c: BitStrategy,
     input_bit: int,
 ) -> OutcomeTuple:
-    maps = {"A": a, "B": b, "C": c}
-    records: dict[str, int] = {}
+    """The run of order ``pi`` on ``input_bit``, the int 0 or 1: the final bit and the bit each party received."""
+    _check_bit("input_bit", input_bit)
+    records = [0] * 3
     state = input_bit
-    for party in pi.order:
-        records[party] = state
-        state = maps[party](state)
-    return OutcomeTuple(state, records["A"], records["B"], records["C"])
+    for party in pi.parties:
+        records[party], state = state, (a, b, c)[party](state)
+    return OutcomeTuple(state, *records)
 
 
 def search_losr() -> ScenarioResult:

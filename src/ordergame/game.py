@@ -46,11 +46,18 @@ class Perm3(FrozenRecord):
     def name(self) -> str:
         return "".join(self.order)
 
+    @property
+    def parties(self) -> tuple[int, ...]:
+        """The movers as indices into :data:`PARTIES`, first mover first."""
+        return _MOVERS[self.order]
+
     def __str__(self) -> str:
         return self.name
 
 
 _ORDERS = tuple(Perm3(order) for order in itertools.permutations(PARTIES))
+#: Each order's movers by its party labels: both permutations run in the same lexicographic order.
+_MOVERS = dict(zip(itertools.permutations(PARTIES), itertools.permutations(range(len(PARTIES)))))
 
 
 def all_orders() -> list[Perm3]:

@@ -57,8 +57,8 @@ from typing import Mapping
 
 import numpy as np
 
-from .classical import BitStrategy, _run_table, losr_canonical_witness
-from .game import Perm3, ScenarioResult, all_orders
+from .classical import BitStrategy, losr_canonical_witness, run_losr
+from .game import Perm3, ScenarioResult, all_orders, optimal_decoder
 from .solver import (
     ConicProblem,
     NonnegOrthant,
@@ -86,15 +86,8 @@ _MARGINALS = ((0b00000001, 0), (0b01000000, 0b00100001), (0b00010000, 0b00001001
 
 #: The wire positions each order chains, S_PREP to S_FINAL: row k belongs to
 #: ``all_orders()[k]``, and entries 2j and 2j + 1 are the wires of its pair j
-#: (party i's in and out wires are 2i + 1 and 2i + 2 of NETWORK_LAYOUT).
-_CHAINS = (
-    (0, 1, 2, 3, 4, 5, 6, 7),  # ABC
-    (0, 1, 2, 5, 6, 3, 4, 7),  # ACB
-    (0, 3, 4, 1, 2, 5, 6, 7),  # BAC
-    (0, 3, 4, 5, 6, 1, 2, 7),  # BCA
-    (0, 5, 6, 1, 2, 3, 4, 7),  # CAB
-    (0, 5, 6, 3, 4, 1, 2, 7),  # CBA
-)
+#: (party p's in and out wires are 2p + 1 and 2p + 2 of NETWORK_LAYOUT).
+_CHAINS = tuple((0, *(w for p in pi.parties for w in (2 * p + 1, 2 * p + 2)), 7) for pi in all_orders())
 
 
 def objective_diagonals() -> np.ndarray:
@@ -226,9 +219,9 @@ def strategy_network_blocks(
 
     The blocks encode: prepare 0 on the input wire, forward each party's
     map on its out wire, and decode the guess from the final bit together
-    with the three received bits (read off the in wires), as each order's
-    run is recorded in :func:`~ordergame.classical._run_table`.  Each block
-    is an int64 0/1 mask over the basis indices of :data:`NETWORK_LAYOUT`.
+    with the three received bits (read off the in wires), as :func:`optimal_decoder`
+    decodes each order's :func:`run_losr` on input 0.  Each block is an
+    int64 0/1 mask over the basis indices of :data:`NETWORK_LAYOUT`.
     With no strategies the blocks are :func:`losr_canonical_witness`'s; a
     partial triple raises ``ValueError``.
     """
@@ -238,22 +231,17 @@ def strategy_network_blocks(
     elif missing:
         raise ValueError(f"strategies {', '.join(missing)} are missing: give all three or none")
     orders = all_orders()
-    # each order's run on input 0 as its record code 8 s_out + 4 x_a + 2 x_b + x_c,
-    # in the run table's column of the triple 16a + 4b + c, strategy s = 2 on_zero + on_one
-    triple = 16 * (2 * a.on_zero + a.on_one) + 4 * (2 * b.on_zero + b.on_one) + 2 * c.on_zero + c.on_one
-    decode = {}
-    for k, code in enumerate(_run_table()[0, :, triple].tolist()):
-        decode.setdefault(code, k)  # the first order of a tie, as optimal_decoder decodes
-    blocks = np.zeros((len(orders), _SIDE), dtype=np.int64)
+    decode = optimal_decoder({pi: run_losr(pi, a, b, c, 0) for pi in orders})
+    blocks = dict(zip(orders, np.zeros((len(orders), _SIDE), dtype=np.int64)))
     # the strategy reaches 16 indices: 0 on the input wire, each out wire
     # carrying its party's map of the in wire, and either final bit; an
     # index's bits, high to low, are the wires of NETWORK_LAYOUT
     for x_a, x_b, x_c, s_f in itertools.product((0, 1), repeat=4):
         index = x_a << 6 | a(x_a) << 5 | x_b << 4 | b(x_b) << 3 | x_c << 2 | c(x_c) << 1 | s_f
-        # codes no wiring produces still need a guess, or the measurement is
-        # not a complete network: they get the first order, at no objective weight
-        blocks[decode.get(8 * s_f + 4 * x_a + 2 * x_b + x_c, 0), index] = 1
-    return dict(zip(orders, blocks))
+        # outcomes no wiring produces still need a guess, or the measurement
+        # is not a complete network: they get the first order, at no objective weight
+        blocks[decode.get((s_f, x_a, x_b, x_c), orders[0])][index] = 1
+    return blocks
 
 
 def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
@@ -269,9 +257,12 @@ def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
     The trace row compares the sum of all entries with the total trace 16,
     and the objective sums the entries whose bits agree on every wire pair
     their order chains (:data:`_CHAINS`), divided once by 6.  The blocks are
-    feasible when no row is violated and no entry is negative.
+    feasible when no row is violated and no entry is negative.  Raises
+    ``ValueError`` unless the six blocks stack to shape ``(6, 256)``.
     """
     nums, den = _numerators(np.array([blocks[pi] for pi in all_orders()]))
+    if nums.shape != (6, _SIDE):
+        raise ValueError(f"need six blocks of {_SIDE} entries, not blocks stacked as {nums.shape}")
     orders, indices = np.nonzero(nums)
     values = nums[orders, indices].tolist()
     # each marginal's doubled rows, by key; the trace; the objective

@@ -5,9 +5,9 @@ hidden order; the resulting six states form three mutually unbiased bases
 and an optimal-measurement cone program shows they cannot beat 1/3; random
 triples are certified in closed form by :func:`certify_discrimination`.  The
 entangled scenario routes a shared qubit through the parties with swap
-gates, one 16-entry basis index map per order; a specific 4-qubit state
-built from Dicke projectors makes the six routed outputs exactly
-orthogonal, so the order is read off perfectly.
+gates; each routing, and each pair product of two, permutes the four qubit
+factors.  A 4-qubit state built from Dicke projectors makes the six routed
+outputs exactly orthogonal, so the order is read off perfectly.
 
 That proof takes no square root of the state.  The Gram matrix of the six
 routed purified outputs is the matrix of pair traces
@@ -43,6 +43,7 @@ from .tensor import (
     LabeledOperator,
     NotPSD,
     Vec,
+    permute_to_layout,
     rational_entries,
     rational_entry,
 )
@@ -101,16 +102,16 @@ def unbiased_basis_unitaries() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     )
 
 
-def _order_kets(unitaries: Mapping[str, np.ndarray]) -> np.ndarray:
+def _order_kets(unitaries: Sequence[np.ndarray]) -> np.ndarray:
     """|0> through each party's unitary in each hidden order, first mover first.
 
-    Each party's unitaries may carry leading axes ``(..., 2, 2)``; the kets
-    come out as ``(..., 6, 2)``, one row per order.
+    ``unitaries[p]`` is party p's, with any leading axes ``(..., 2, 2)``;
+    the kets come out as ``(..., 6, 2)``, one row per order.
     """
     kets = []
     for pi in all_orders():
         vec = KET["0"][:, None]
-        for party in pi.order:
+        for party in pi.parties:
             vec = unitaries[party] @ vec
         kets.append(vec[..., 0])
     return np.stack(kets, axis=-2)
@@ -118,7 +119,7 @@ def _order_kets(unitaries: Mapping[str, np.ndarray]) -> np.ndarray:
 
 def unbiased_order_states() -> dict[Perm3, Vec]:
     """Apply the six hidden orders to |0>; the outputs tile three MUBs."""
-    kets = _order_kets(dict(zip("ABC", unbiased_basis_unitaries())))
+    kets = _order_kets(unbiased_basis_unitaries())
     return {pi: Vec((SHARED,), ket) for pi, ket in zip(all_orders(), kets)}
 
 
@@ -277,7 +278,7 @@ def sampled_discrimination_values(n_samples: int = 1000, seed: int = 42) -> Samp
     if n_samples < 1:
         raise ValueError(f"n_samples must be at least 1, not {n_samples}")
     unitaries = haar_qubit_unitary(np.random.default_rng(seed), (n_samples, 3))
-    return certify_discrimination(_order_kets(dict(zip("ABC", np.moveaxis(unitaries, 1, 0)))))
+    return certify_discrimination(_order_kets(np.moveaxis(unitaries, 1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -298,23 +299,10 @@ def _routing_positions(pi: Perm3) -> list[int]:
     third's the second's, and S the third's.
     """
     # A_I, B_I and C_I are slots 0-2 of ENTANGLED_LAYOUT, S is slot 3
-    first, second, third = ("ABC".index(party) for party in pi.order)
+    first, second, third = pi.parties
     positions = [0] * 4
     positions[first], positions[second], positions[third], positions[3] = 3, first, second, third
     return positions
-
-
-@functools.lru_cache(maxsize=None)
-def _routing_map(pi: Perm3) -> np.ndarray:
-    """Basis action e_j -> e_{map[j]} of the order's three swaps (see :func:`_routing_positions`)."""
-    m = _factor_index_map(_routing_positions(pi))
-    m.flags.writeable = False
-    return m
-
-
-def _permutation_operator(index_map: np.ndarray) -> LabeledOperator:
-    """The exact 0/1 matrix sending e_j to e_{index_map[j]} on the entangled layout."""
-    return LabeledOperator.from_numerators(ENTANGLED_LAYOUT, np.arange(16)[:, None] == index_map, 1)
 
 
 class SystemPermutation(FrozenRecord):
@@ -329,7 +317,7 @@ class SystemPermutation(FrozenRecord):
 
     @property
     def op(self) -> LabeledOperator:
-        return _permutation_operator(_routing_map(self.pi))
+        return factor_permutation_operator(_routing_positions(self.pi))
 
 
 def routing_matrix(pi: Perm3) -> SystemPermutation:
@@ -337,19 +325,20 @@ def routing_matrix(pi: Perm3) -> SystemPermutation:
     return SystemPermutation(pi)
 
 
-@functools.lru_cache(maxsize=None)
-def _pair_index_table() -> np.ndarray:
-    """Index maps of every adjoint(routing(pi')) @ routing(pi), shape ``(6, 6, 16)``, read-only.
+def _pair_positions() -> list[list[tuple[int, ...]]]:
+    """Factor positions of adjoint(routing(pi')) @ routing(pi) at ``[i][j]``, pi' and pi orders i and j.
 
-    Entry ``[i, j]`` is the map with order i of :func:`all_orders` as pi'
-    and order j as pi: the inverse of the first order's map read at the
-    second's, so the diagonal holds the identity map.
+    The adjoint moves slot s back to slot ``pos_pi'.index(s)``, so factor ``pos_pi[pos_pi'.index(s)]`` ends in slot s.
     """
     positions = [_routing_positions(pi) for pi in all_orders()]
-    # a map's inverse moves each factor back: slot positions[i] takes factor i
-    inverse_positions = [[p.index(i) for i in range(4)] for p in positions]
-    both = _factor_index_map(positions + inverse_positions)
-    table = both[6:, both[:6]]
+    getters = [operator.itemgetter(*map(q.index, range(4))) for q in positions]
+    return [[get(p) for p in positions] for get in getters]
+
+
+@functools.lru_cache(maxsize=None)
+def _pair_index_table() -> np.ndarray:
+    """The basis actions of :func:`_pair_positions`, shape ``(6, 6, 16)``, read-only."""
+    table = _factor_index_map(_pair_positions())
     table.flags.writeable = False
     return table
 
@@ -357,21 +346,15 @@ def _pair_index_table() -> np.ndarray:
 def routing_pair_products() -> dict[tuple[Perm3, Perm3], LabeledOperator]:
     """All 30 ordered products adjoint(routing(pi')) @ routing(pi), exact.
 
-    Only 11 of the products differ, and equal products are one shared
-    operator: the 30 keys map to 11 objects.
+    Each is the factor permutation of its :func:`_pair_positions`: only 11
+    differ, and equal products are one shared operator.
     """
-    table, order = _pair_index_table(), all_orders()
-    # every pair's 0/1 matrix from one comparison, as _permutation_operator builds one
-    matrices = np.arange(16)[:, None] == table[:, :, None, :]
-    maps = table.tolist()
-    shared: dict[tuple, LabeledOperator] = {}
-    products = {}
-    for i, j in itertools.permutations(range(6), 2):
-        key = tuple(maps[i][j])
-        if key not in shared:
-            shared[key] = LabeledOperator.from_numerators(ENTANGLED_LAYOUT, matrices[i, j], 1)
-        products[order[i], order[j]] = shared[key]
-    return products
+    positions, order, pairs = _pair_positions(), all_orders(), list(itertools.permutations(range(6), 2))
+    # every pair's 0/1 matrix from one comparison, as factor_permutation_operator builds one
+    matrices = np.arange(16)[:, None] == _pair_index_table()[:, :, None, :]
+    pair_of = {positions[i][j]: (i, j) for i, j in pairs}  # one pair per distinct product
+    shared = {key: LabeledOperator.from_numerators(ENTANGLED_LAYOUT, matrices[ij], 1) for key, ij in pair_of.items()}
+    return {(order[i], order[j]): shared[positions[i][j]] for i, j in pairs}
 
 
 def factor_permutation_operator(positions: Sequence[int]) -> LabeledOperator:
@@ -383,7 +366,7 @@ def factor_permutation_operator(positions: Sequence[int]) -> LabeledOperator:
     """
     if sorted(positions) != [0, 1, 2, 3]:
         raise ValueError(f"not a permutation of 0..3: {positions}")
-    return _permutation_operator(_factor_index_map(positions))
+    return LabeledOperator.from_numerators(ENTANGLED_LAYOUT, np.arange(16)[:, None] == _factor_index_map(positions), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -479,14 +462,17 @@ def _pair_trace_sums(state: LabeledOperator) -> np.ndarray:
 
     Each entry is a sum of 16 entries gathered from the state, of its
     numerators for an exact state: int64 sums of at most 2**53 each cannot
-    wrap, and Python-int numerators sum as Python ints.  Raises
-    :class:`NotPSD` unless the state is PSD (an exact state's verdict is
-    worked out once).
+    wrap, and Python-int numerators sum as Python ints.  The state's factors
+    are put in :data:`ENTANGLED_LAYOUT`'s order; other labels raise
+    ``LayoutMismatch``.  Raises :class:`NotPSD` unless the state is PSD (an
+    exact state's verdict is worked out once).
     """
+    ordered = permute_to_layout(state, ENTANGLED_LAYOUT)
+    # a reorder keeps the spectrum, so the caller's state keeps its verdict
     if not state.is_psd(1e-8):
         raise NotPSD("shared state must be positive semidefinite")
     # entry k of pair (i, j)'s trace is data[k, map[k]]
-    gathered = (state.nums if state.exact else state.data)[np.arange(16), _pair_index_table()]
+    gathered = (ordered.nums if ordered.exact else ordered.data)[np.arange(16), _pair_index_table()]
     if state.exact:
         return gathered.sum(-1)
     # Python sum over k adds the 16 columns left to right, so float data rounds

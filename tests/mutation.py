@@ -51,8 +51,8 @@ SYMBOLS = {
 
 #: Mutants no input tells from the target, by name, with the reason.
 EQUIVALENT = {
-    "network.witness_feasibility +33:46 `>` -> `>=`": "every value is a nonzero entry, so none equals 0",
-    "network.witness_feasibility +33:54 constant 0 -> -1":
+    "network.witness_feasibility +36:46 `>` -> `>=`": "every value is a nonzero entry, so none equals 0",
+    "network.witness_feasibility +36:54 constant 0 -> -1":
         "the values are nonzero integer numerators, so `> -1` keeps the same ones as `> 0`",
 }
 

@@ -3,6 +3,7 @@ import re
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from ordergame.classical import (
     _distinct,
@@ -78,6 +79,24 @@ class TestRunLosr:
         cab = run_losr(Perm3(("B", "A", "C")), a, b, c, 0).as_tuple()
         bac = run_losr(Perm3(("C", "A", "B")), a, b, c, 0).as_tuple()
         assert cab == bac == (1, 1, 0, 0)
+
+
+class TestBitRefusals:
+    @pytest.mark.parametrize(
+        "on_zero, on_one", [(-1, 0), (2, 0), (2, 3), (0, 2), (True, 0), (0, False), (0.0, 1), (np.int64(1), 0)]
+    )
+    def test_bit_strategy_refuses_a_value_that_is_not_a_bit(self, on_zero, on_one):
+        # BitStrategy(-1, 0) once reached the network blocks as a wrapped negative index
+        with pytest.raises(ValueError, match="must be the int 0 or 1"):
+            BitStrategy(on_zero, on_one)
+
+    @pytest.mark.parametrize("input_bit", [5, -1, 2, True, 1.0])
+    def test_runs_refuse_an_input_that_is_not_a_bit(self, input_bit):
+        # input_bit 5 was once recorded as x_a = 5
+        a, b, c = losr_canonical_witness()
+        for run in (run_losr, run_memoryless):
+            with pytest.raises(ValueError, match="input_bit must be the int 0 or 1"):
+                run(all_orders()[0], a, b, c, input_bit)
 
 
 class TestSearchLosr:

@@ -405,6 +405,14 @@ class TestWitnessEmbedding:
         with pytest.raises(ValueError, match=f"strategies {missing} are missing"):
             strategy_network_blocks(*given)
 
+    def test_padded_blocks_are_refused(self):
+        # each canonical block after 256 leading zeros once passed as feasible, with objective 5/6
+        padded = {pi: np.concatenate([np.zeros(256, dtype=np.int64), d]) for pi, d in strategy_network_blocks().items()}
+        with pytest.raises(ValueError, match=r"six blocks of 256 entries, not blocks stacked as \(6, 512\)"):
+            witness_feasibility(padded)
+        with pytest.raises(ValueError, match=r"stacked as \(6, 255\)"):
+            witness_feasibility({pi: diag[1:] for pi, diag in strategy_network_blocks().items()})
+
     def test_weaker_strategy_scores_lower(self):
         identity = BitStrategy(0, 1)
         blocks = strategy_network_blocks(identity, identity, identity)

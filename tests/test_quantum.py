@@ -8,10 +8,10 @@ import pytest
 
 from ordergame.game import Perm3, all_orders
 from ordergame.quantum import (
+    _factor_index_map,
     _order_kets,
     _pair_index_table,
-    _permutation_operator,
-    _routing_map,
+    _routing_positions,
     BASIS_OF_STATE,
     KET,
     CertificateFailed,
@@ -46,10 +46,15 @@ from ordergame.solver import (
 )
 from ordergame import tensor
 from ordergame.tensor import (
+    A_OUT,
+    B_OUT,
+    C_OUT,
     ENTANGLED_LAYOUT,
     INT64_BOUND,
+    S_FINAL,
     SHARED,
     LabeledOperator,
+    LayoutMismatch,
     NotPSD,
     Vec,
     eig_hermitian,
@@ -169,7 +174,7 @@ class TestDiscrimination:
         assert max(scan.max_primal_residual, scan.max_dual_violation, scan.max_gap) <= 1e-12
         # the batched ADMM solve of the same draws is the reference
         rng = np.random.default_rng(7)
-        objectives = [program_objective(_order_kets({p: haar_qubit_unitary(rng) for p in "ABC"})) for _ in range(100)]
+        objectives = [program_objective(_order_kets([haar_qubit_unitary(rng) for _ in range(3)])) for _ in range(100)]
         template = discrimination_program(unbiased_order_states())
         settings = SolveSettings(tolerance=1e-7, max_iters=20_000)
         reports = solve_same_constraints(template, np.array(objectives), settings)
@@ -354,7 +359,7 @@ class TestSharedExactValues:
         assert len({table[i, j].tobytes() for i, j in pairs}) == 11
         for i, j in pairs:
             # the per-pair construction that the shared operators replaced
-            want = _permutation_operator(table[i, j])
+            want = scatter_operator(table[i, j])
             got = products[order[i], order[j]]
             assert got.layout == want.layout and got.exact
             assert [type(x) for x in got.data.flat] == [type(x) for x in want.data.flat]
@@ -394,12 +399,24 @@ class TestSharedExactValues:
         assert gram.tolist() == want
 
 
+def reference_factor_map(positions):
+    """The basis map moving factor positions[i] to slot i: 16 index shifts and masks."""
+    return (np.arange(16)[:, None] >> (3 - np.asarray(positions)) & 1) @ (8, 4, 2, 1)
+
+
 def reference_routing_map(pi):
     """One order's map as built before the batched tables: its positions, then 16 index shifts and masks."""
     first, second, third = ("ABC".index(party) for party in pi.order)
     positions = [0] * 4
     positions[first], positions[second], positions[third], positions[3] = 3, first, second, third
-    return (np.arange(16)[:, None] >> (3 - np.asarray(positions)) & 1) @ (8, 4, 2, 1)
+    return reference_factor_map(positions)
+
+
+def scatter_operator(index_map):
+    """The exact 0/1 matrix sending e_j to e_{index_map[j]}, scattered one column at a time."""
+    nums = np.zeros((16, 16), dtype=np.int64)
+    nums[index_map, np.arange(16)] = 1
+    return LabeledOperator.from_numerators(ENTANGLED_LAYOUT, nums, 1)
 
 
 class TestBatchedTables:
@@ -407,9 +424,12 @@ class TestBatchedTables:
 
     def test_routing_maps_match_the_per_order_reference(self):
         for pi in all_orders():
-            got, want = _routing_map(pi), reference_routing_map(pi)
+            got, want = _factor_index_map(_routing_positions(pi)), reference_routing_map(pi)
             assert (got.shape, got.dtype) == (want.shape, want.dtype) == ((16,), np.dtype(np.int64))
             assert got.tobytes() == want.tobytes()
+            got, want = routing_matrix(pi).op, scatter_operator(want)
+            assert (got.layout, got.nums.dtype, got.den) == (want.layout, np.dtype(np.int64), 1)
+            assert got.nums.tobytes() == want.nums.tobytes()
 
     def test_pair_table_matches_the_inverse_scatter_reference(self):
         maps = np.array([reference_routing_map(pi) for pi in all_orders()])
@@ -421,20 +441,18 @@ class TestBatchedTables:
         assert got.tobytes() == want.tobytes()
 
     def test_permutation_operator_matches_the_scatter_reference(self):
-        for maps in _pair_index_table():
-            for index_map in maps:
-                want = np.zeros((16, 16), dtype=bool)
-                want[index_map, np.arange(16)] = True
-                got = _permutation_operator(index_map)
-                assert (got.nums.dtype, got.den) == (np.dtype(np.int64), 1)
-                assert got.nums.tobytes() == want.astype(np.int64).tobytes()
+        for positions in itertools.permutations(range(4)):
+            want = scatter_operator(reference_factor_map(positions))
+            got = factor_permutation_operator(positions)
+            assert (got.nums.dtype, got.den) == (np.dtype(np.int64), 1)
+            assert got.nums.tobytes() == want.nums.tobytes()
 
     @pytest.mark.parametrize("seed", [None, 7])
     def test_batched_bloch_certificate_matches_each_state_alone(self, seed):
         states = unbiased_order_states()
         if seed is not None:
             rng = np.random.default_rng(seed)
-            kets = _order_kets({party: haar_qubit_unitary(rng) for party in "ABC"})
+            kets = _order_kets([haar_qubit_unitary(rng) for _ in range(3)])
             states = {pi: Vec((SHARED,), ket) for pi, ket in zip(all_orders(), kets)}
         got = quantum_memoryless_optimum(states).certificate["bloch_coordinates"]
         want = {
@@ -524,6 +542,16 @@ class TestVerification:
         assert perfect_discrimination_state().is_psd()
         assert eliminated == [1, 4, 6, 4, 1] * 2
 
+    def test_psd_verdict_of_a_reordered_state_is_worked_out_once(self, monkeypatch):
+        eliminated = []
+        bareiss = tensor._bareiss_psd
+        monkeypatch.setattr(tensor, "_bareiss_psd", lambda a: eliminated.append(len(a)) or bareiss(a))
+        state = permute_to_layout(perfect_discrimination_state(), ENTANGLED_LAYOUT[::-1])
+        verify_perfect_discrimination(state)
+        output_gram(state)
+        pair_trace_values(state)
+        assert eliminated == [1, 4, 6, 4, 1]
+
     def test_exact_state_passes(self):
         result = verify_perfect_discrimination(perfect_discrimination_state())
         assert result.probability == Fraction(1)
@@ -551,6 +579,15 @@ class TestVerification:
         bad = LabeledOperator(ENTANGLED_LAYOUT, -np.eye(16, dtype=complex) / 16.0)
         with pytest.raises(NotPSD):
             verify_perfect_discrimination(bad)
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_a_state_on_other_labels_is_refused(self, exact):
+        # the perfect state's numerators on four other wires once verified with probability 1
+        state = perfect_discrimination_state()
+        moved = LabeledOperator.from_numerators((A_OUT, B_OUT, C_OUT, S_FINAL), state.nums, state.den)
+        for check in (verify_perfect_discrimination, output_gram, pair_trace_values):
+            with pytest.raises(LayoutMismatch):
+                check(moved if exact else moved.to_float())
 
     @pytest.mark.parametrize(
         "state",
@@ -649,6 +686,14 @@ def per_entry_gram(state):
     ]
 
 
+def verdict(state):
+    """What verify_perfect_discrimination makes of the state: its certificate, or the overlap it raises."""
+    try:
+        return verify_perfect_discrimination(state).certificate
+    except NotOrthogonal as overlap:
+        return overlap.pair, overlap.value
+
+
 def random_density_matrix(seed):
     rng = np.random.default_rng(seed)
     m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
@@ -675,6 +720,20 @@ class TestOutputGram:
         gram = output_gram(state)
         assert gram.dtype == complex
         assert np.max(np.abs(gram - want)) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "state",
+        [perfect_discrimination_state(), perfect_discrimination_state().to_float(), random_density_matrix(16)],
+        ids=["exact-closed-form", "float-closed-form", "float-random"],
+    )
+    def test_a_reordered_state_is_put_back_in_order(self, state):
+        want = output_gram(state)
+        for positions in itertools.permutations(range(4)):
+            moved = permute_to_layout(state, [ENTANGLED_LAYOUT[i] for i in positions])
+            got = output_gram(moved)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+            assert pair_trace_values(moved) == pair_trace_values(state)
+            assert verdict(moved) == verdict(state)
 
     def test_exact_for_every_exact_state(self):
         gram = output_gram(exact_diagonal_state(Fraction(1, 16)))

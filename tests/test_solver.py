@@ -868,7 +868,7 @@ class TestAcceleratedLoop:
 
         rng = np.random.default_rng(42)
         for _ in range(200):
-            kets = _order_kets({party: haar_qubit_unitary(rng) for party in "ABC"})
+            kets = _order_kets([haar_qubit_unitary(rng) for _ in range(3)])
             problem = discrimination_program({pi: Vec((SHARED,), ket) for pi, ket in zip(all_orders(), kets)})
             report = solve(problem)
             assert report.status == "optimal"

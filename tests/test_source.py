@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 
 import ordergame
-from ordergame.game import all_orders
 
 
 def test_no_assert_statements_in_package():
@@ -55,6 +54,29 @@ def test_package_does_not_call_np_unique():
         if (isinstance(node, ast.Attribute) and node.attr == "unique")
         or (isinstance(node, ast.ImportFrom) and node.module == "numpy" and any(a.name == "unique" for a in node.names))
     ]
+    assert found == []
+
+
+def test_only_game_states_the_party_sequence():
+    # each order's movers are read off Perm3.parties; no other module
+    # looks parties up in, or pairs values with, the string "ABC"
+    root = Path(ordergame.__file__).parent
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path.name == "game.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and func.attr == "index":
+                subjects = [func.value]
+            elif isinstance(func, ast.Name) and func.id == "zip":
+                subjects = node.args
+            else:
+                continue
+            if any(isinstance(arg, ast.Constant) and arg.value == "ABC" for arg in subjects):
+                found.append(f"{path.relative_to(root)}:{node.lineno}")
     assert found == []
 
 
@@ -220,7 +242,6 @@ def _arrays_and_other_leaves(value):
 
 #: Arguments to call each cached function that takes any, one tuple a call.
 CACHED_CALL_ARGUMENTS = {
-    "_routing_map": [(pi,) for pi in all_orders()],
     "_svec_map": [(2,), (16,)],
 }
 
