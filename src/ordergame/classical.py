@@ -139,7 +139,13 @@ def run_losr(
     c: BitStrategy,
     input_bit: int,
 ) -> OutcomeTuple:
-    """The run of order ``pi`` on ``input_bit``, the int 0 or 1: the final bit and the bit each party received."""
+    """The run of order ``pi`` on ``input_bit``, the int 0 or 1: the final bit and the bit each party received.
+
+    Raises ``ValueError`` unless a, b and c are :class:`BitStrategy` values.
+    """
+    for name, strategy in zip("abc", (a, b, c)):
+        if not isinstance(strategy, BitStrategy):
+            raise ValueError(f"strategy {name} must be a BitStrategy, not {strategy!r}")
     _check_bit("input_bit", input_bit)
     records = [0] * 3
     state = input_bit

@@ -59,6 +59,9 @@ class RunConfig:
             raise ValueError(f"unknown scenario: {scenario}")
         if output not in OUTPUTS:
             raise ValueError(f"unknown output format: {output}")
+        for name, flag in (("dump_matrices", dump_matrices), ("check", check)):
+            if type(flag) is not bool:
+                raise ValueError(f"{name} must be a bool, not {flag!r}")
         self.scenario = scenario
         self.seed = operator.index(seed)
         self.output = output

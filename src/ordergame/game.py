@@ -68,12 +68,16 @@ def all_orders() -> list[Perm3]:
 class ScenarioResult:
     """One solved scenario: the headline probability plus its evidence.
 
-    ``certificate`` defaults to a new empty dict per result.
+    ``certificate`` defaults to a new empty dict per result.  An exact
+    probability must lie in [0, 1]; a float one may pass 1 by 1e-9.
     """
 
     def __init__(self, scenario: str, probability: Fraction | float, strategy: str, certificate: dict | None = None):
-        p = float(probability)
-        if not 0.0 <= p <= 1.0 + 1e-9:
+        if isinstance(probability, (Fraction, int)):
+            in_range = 0 <= probability <= 1
+        else:
+            in_range = 0.0 <= float(probability) <= 1.0 + 1e-9
+        if not in_range:
             raise ValueError(f"probability out of range: {probability}")
         self.scenario = scenario
         self.probability = probability

@@ -258,9 +258,17 @@ def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
     and the objective sums the entries whose bits agree on every wire pair
     their order chains (:data:`_CHAINS`), divided once by 6.  The blocks are
     feasible when no row is violated and no entry is negative.  Raises
-    ``ValueError`` unless the six blocks stack to shape ``(6, 256)``.
+    ``ValueError`` unless the blocks are keyed by exactly the six orders
+    and stack to shape ``(6, 256)``.
     """
-    nums, den = _numerators(np.array([blocks[pi] for pi in all_orders()]))
+    try:
+        stacked = np.array([blocks[pi] for pi in all_orders()])
+    except KeyError:
+        stacked = None
+    # six keys that include all six orders are exactly the orders
+    if stacked is None or len(blocks) != 6:
+        raise ValueError(f"need one block per order, keyed by the six orders, not by {sorted(map(str, blocks))}")
+    nums, den = _numerators(stacked)
     if nums.shape != (6, _SIDE):
         raise ValueError(f"need six blocks of {_SIDE} entries, not blocks stacked as {nums.shape}")
     orders, indices = np.nonzero(nums)

@@ -364,13 +364,7 @@ def kron(a: LabeledOperator, b: LabeledOperator) -> LabeledOperator:
     """Tensor product; the layout is a's labels followed by b's, which must not share one."""
     if a.exact != b.exact:
         raise TypeError("exact and float operators do not mix implicitly")
-    if not a.exact:
-        return LabeledOperator(a.layout + b.layout, np.kron(a.data, b.data))
-    # the numerators multiply in int64 only while no product can pass INT64_BOUND
-    den = a.den * b.den
-    fits = den <= INT64_BOUND and int(abs(a.nums).max()) * int(abs(b.nums).max()) <= INT64_BOUND
-    nums = np.kron(*(x.nums.astype(np.int64 if fits else object) for x in (a, b)))
-    return LabeledOperator._over(a.layout + b.layout, nums, den)
+    return LabeledOperator(a.layout + b.layout, np.kron(a.data, b.data))
 
 
 def _label_keys(labels: Iterable) -> list:
@@ -408,17 +402,11 @@ def partial_trace(op: LabeledOperator, labels: Iterable[Space]) -> LabeledOperat
     moved = permute_to_layout(op, tuple(keep) + tuple(traced))
     dk = _side(keep)
     dt = _side(traced)
-    if not op.exact:
-        return LabeledOperator(tuple(keep), np.trace(moved.data.reshape(dk, dt, dk, dt), axis1=1, axis2=3))
-    # dt numerators sum over the same denominator, in int64 only while no sum can pass INT64_BOUND
-    nums = moved.nums.astype(np.int64 if dt * int(abs(moved.nums).max()) <= INT64_BOUND else object)
-    return LabeledOperator._over(tuple(keep), np.trace(nums.reshape(dk, dt, dk, dt), axis1=1, axis2=3), op.den)
+    return LabeledOperator(tuple(keep), np.trace(moved.data.reshape(dk, dt, dk, dt), axis1=1, axis2=3))
 
 
 def dephase(op: LabeledOperator) -> LabeledOperator:
-    """Zero all off-diagonal entries (idempotent, trace preserving); exact numerators keep their denominator."""
-    if op.exact:
-        return LabeledOperator._over(op.layout, np.diag(np.diag(op.nums)), op.den)
+    """Zero all off-diagonal entries (idempotent, trace preserving); exact entries stay exact."""
     return LabeledOperator(op.layout, np.diag(np.diag(op.data)))
 
 

@@ -16,16 +16,20 @@ copy of ``src`` in a temporary directory, and the tests run on that copy
 they fail or overrun :data:`TIMEOUT_S`.  The tests first run once on the
 copy with no mutant, which must pass.
 
-A mutant is named by its target, its line and column counted from the
-target's ``def`` line, and the change.  :data:`EQUIVALENT` lists the
-mutants that no input can tell from the target, each with the reason; the
-score leaves them out.  The run prints every mutant that survives and is
-not listed, every listed one that was killed, and the score.
+A mutant is named by its target, the source text of the line it changes,
+stripped, and the change; when that line makes the same change more than
+once, in ``ast.walk`` order, the second and later are numbered ``#2``,
+``#3`` and so on.  So an edit to another line keeps every name.
+:data:`EQUIVALENT` lists the mutants that no input can tell from the
+target, each with the reason; the score leaves them out.  The run prints
+every mutant that survives and is not listed, every listed one that was
+killed, and the score.
 """
 
 from __future__ import annotations
 
 import ast
+import collections
 import copy
 import os
 import shutil
@@ -51,9 +55,16 @@ SYMBOLS = {
 
 #: Mutants no input tells from the target, by name, with the reason.
 EQUIVALENT = {
-    "network.witness_feasibility +36:46 `>` -> `>=`": "every value is a nonzero entry, so none equals 0",
-    "network.witness_feasibility +36:54 constant 0 -> -1":
-        "the values are nonzero integer numerators, so `> -1` keeps the same ones as `> 0`",
+    "network.witness_feasibility `\"feasible\": max(doubled) == 0 and all(value > 0 for value in values),` `>` -> `>=`":
+        "every value is a nonzero entry, so none equals 0",
+    "network.witness_feasibility `\"feasible\": max(doubled) == 0 and all(value > 0 for value in values),` "
+    "constant 0 -> -1 #2": "the values are nonzero integer numerators, so `> -1` keeps the same ones as `> 0`",
+    "tensor._components `linked = [j for j in unseen if (a[i][j] if i < j else a[j][i])]` `<` -> `<=`":
+        "an index leaves `unseen` before it is expanded, so j never equals i",
+    "tensor._bareiss_psd `if any(pivot_row[k + 1 :]):` constant 1 -> 0":
+        "on this branch the added entry, pivot_row[k], is the zero pivot, which `any` ignores",
+    "tensor._packed `fits = den <= INT64_BOUND and (nums.itemsize < 8 or -INT64_BOUND <= nums.min() <= nums.max() <= INT64_BOUND)` "
+    "constant 8 -> 7": "no integer or bool dtype has 7 bytes, so `< 7` keeps the same ones as `< 8`",
 }
 
 
@@ -98,17 +109,30 @@ def _mutate(func: ast.FunctionDef, node: ast.AST, choice: int) -> None:
                     value[[item is node for item in value].index(True)] = node.operand
 
 
+def labels(target: str, source: str | None = None) -> list[str]:
+    """The name of each mutant of ``MODULE.FUNCTION``, in ``_sites`` order; ``source`` stands in for the module's text."""
+    module, _, name = target.partition(".")
+    source = (PACKAGE / f"{module}.py").read_text() if source is None else source
+    lines = source.splitlines()
+    seen = collections.Counter()
+    names = []
+    for node, _, change in _sites(_function(ast.parse(source), name)):
+        label = f"{target} `{lines[node.lineno - 1].strip()}` {change}"
+        seen[label] += 1
+        names.append(label if seen[label] == 1 else f"{label} #{seen[label]}")
+    return names
+
+
 def mutants(target: str):
     """Each mutant of ``MODULE.FUNCTION``: ``(name, module file, mutated source)``."""
     module, _, name = target.partition(".")
     path = PACKAGE / f"{module}.py"
     tree = ast.parse(path.read_text(), filename=str(path))
-    func = _function(tree, name)
-    for i, (node, choice, change) in enumerate(_sites(func)):
+    for i, label in enumerate(labels(target)):
         mutated = copy.deepcopy(tree)
         mutated_func = _function(mutated, name)
-        _mutate(mutated_func, _sites(mutated_func)[i][0], choice)
-        label = f"{target} +{node.lineno - func.lineno}:{node.col_offset} {change}"
+        node, choice, _ = _sites(mutated_func)[i]
+        _mutate(mutated_func, node, choice)
         yield label, path.name, ast.unparse(mutated)
 
 

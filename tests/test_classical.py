@@ -98,6 +98,16 @@ class TestBitRefusals:
             with pytest.raises(ValueError, match="input_bit must be the int 0 or 1"):
                 run(all_orders()[0], a, b, c, input_bit)
 
+    @pytest.mark.parametrize("party", range(3))
+    @pytest.mark.parametrize("strategy", [lambda x: 7, lambda x: x, (0, 1), None])
+    def test_runs_refuse_a_strategy_that_is_not_a_bit_strategy(self, party, strategy):
+        # a plain function once ran: a = lambda x: 7 was recorded as x_b = 7
+        triple = list(losr_canonical_witness())
+        triple[party] = strategy
+        for run in (run_losr, run_memoryless):
+            with pytest.raises(ValueError, match=f"strategy {'abc'[party]} must be a BitStrategy"):
+                run(all_orders()[0], *triple, 0)
+
 
 class TestSearchLosr:
     def test_exact_optimum_five_sixths(self):

@@ -94,6 +94,13 @@ class TestRun:
         assert type(config.seed) is int and config.seed == 7
         assert json.loads(json.dumps(config.jsonable()))["seed"] == 7
 
+    @pytest.mark.parametrize("value", ["no", 0, 1, None, np.bool_(True)])
+    @pytest.mark.parametrize("field", ["dump_matrices", "check"])
+    def test_non_bool_flag_rejected(self, field, value):
+        # "no" was once accepted and treated as true
+        with pytest.raises(ValueError, match=f"{field} must be a bool"):
+            RunConfig(**{field: value})
+
     def test_unknown_output_rejected(self):
         # emit would otherwise fall through to the text report
         with pytest.raises(ValueError, match="xml"):

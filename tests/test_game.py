@@ -107,6 +107,15 @@ class TestSuccessProbability:
         with pytest.raises(ValueError):
             ScenarioResult("x", 1.5, "bad")
 
+    @pytest.mark.parametrize("probability", [Fraction(1000000001, 1000000000), 1 + Fraction(1, 10**15)])
+    def test_exact_probabilities_are_checked_exactly(self, probability):
+        # the float slack of 1e-9 once let an exact value past 1 through
+        with pytest.raises(ValueError, match="out of range"):
+            ScenarioResult("x", probability, "bad")
+        # the bounds themselves pass, and a float keeps its slack
+        for within in (Fraction(0), Fraction(1), 0, 1, 0.0, 1.0 + 1e-10):
+            assert ScenarioResult("x", within, "ok").probability == within
+
     def test_in_unit_interval_for_random_instances(self):
         import random
 

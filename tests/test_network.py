@@ -405,6 +405,24 @@ class TestWitnessEmbedding:
         with pytest.raises(ValueError, match=f"strategies {missing} are missing"):
             strategy_network_blocks(*given)
 
+    def test_strategies_that_are_not_bit_strategies_are_refused(self):
+        # plain functions once gave 8 entries in place of 16: two indices collided
+        with pytest.raises(ValueError, match="strategy a must be a BitStrategy"):
+            strategy_network_blocks(lambda x: 2, lambda x: 0, lambda x: 1)
+
+    def test_blocks_keyed_by_other_than_the_six_orders_are_refused(self):
+        blocks = strategy_network_blocks()
+        # an extra key was once ignored (feasible, 5/6), and a missing order raised a bare KeyError
+        with pytest.raises(ValueError, match=r"keyed by the six orders, not by \['ABC', .*'junk'\]"):
+            witness_feasibility({**blocks, "junk": np.zeros(256, dtype=np.int64)})
+        missing = dict(blocks)
+        del missing[all_orders()[5]]
+        with pytest.raises(ValueError, match=r"not by \['ABC', 'ACB', 'BAC', 'BCA', 'CAB'\]"):
+            witness_feasibility(missing)
+        renamed = {**missing, "CBA": blocks[all_orders()[5]]}
+        with pytest.raises(ValueError, match="keyed by the six orders"):
+            witness_feasibility(renamed)
+
     def test_padded_blocks_are_refused(self):
         # each canonical block after 256 leading zeros once passed as feasible, with objective 5/6
         padded = {pi: np.concatenate([np.zeros(256, dtype=np.int64), d]) for pi, d in strategy_network_blocks().items()}

@@ -310,3 +310,18 @@ def test_records_declare_their_fields_only_in_slots():
                 if isinstance(call, ast.Call) and ast.unparse(call.func) == "object.__setattr__"
             ]
     assert found == []
+
+
+def test_only_packed_reads_the_int64_bound():
+    # the numerator type is picked in one place, tensor._packed: every other
+    # exact step works on Python ints and Fractions, or moves numerators it was given
+    reads = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        functions = [node for node in ast.walk(tree) if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "INT64_BOUND" and isinstance(node.ctx, ast.Load):
+                inside = [f.name for f in functions if f.lineno <= node.lineno <= f.end_lineno]
+                reads[f"{path.name}:{node.lineno}"] = f"{path.stem}.{inside[-1] if inside else '<module>'}"
+    assert reads and set(reads.values()) == {"tensor._packed"}, reads

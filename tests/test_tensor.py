@@ -19,6 +19,7 @@ from ordergame.tensor import (
     Vec,
     dephase,
     eig_hermitian,
+    exact_psd,
     integer_numerators,
     kron,
     operator_jsonable,
@@ -194,6 +195,12 @@ def exact_operators():
     return [LabeledOperator((Q0, Q1), data) for data in (small, tiny, huge)]
 
 
+def entrywise(layout, entry):
+    """The exact operator on ``layout`` whose entry (i, j) is ``entry(i, j)``, built one entry at a time."""
+    side = 2 ** len(layout)
+    return LabeledOperator(layout, np.array([[entry(i, j) for j in range(side)] for i in range(side)], dtype=object))
+
+
 def assert_same_entries(got, want):
     """Equal exact layouts and ``.data``, entry for entry: values and Python types."""
     assert got.exact and want.exact and got.layout == want.layout
@@ -205,15 +212,15 @@ def assert_same_entries(got, want):
 
 
 class TestExactNumeratorOps:
-    """kron, permute_to_layout, partial_trace and dephase act on the numerators; the .data formulas they replaced are the reference."""
+    """kron, partial_trace and dephase act on .data and permute_to_layout on the numerators; each matches an entrywise reference."""
 
     @pytest.mark.parametrize("a", range(3))
     @pytest.mark.parametrize("b", range(3))
     def test_kron_matches_the_data_reference(self, a, b):
         x, y = exact_operators()[a], LabeledOperator((Q2, E), exact_operators()[b].data)
-        got = kron(x, y)
-        assert got.den == x.den * y.den
-        assert_same_entries(got, LabeledOperator(x.layout + y.layout, np.kron(x.data, y.data)))
+        side = y.side
+        want = entrywise(x.layout + y.layout, lambda i, j: x.data[i // side, j // side] * y.data[i % side, j % side])
+        assert_same_entries(kron(x, y), want)
 
     def test_kron_falls_back_to_python_ints_instead_of_wrapping(self):
         big = LabeledOperator.from_numerators((Q0,), np.array([[2**40, 0], [0, 1]]), 1)
@@ -246,12 +253,10 @@ class TestExactNumeratorOps:
     def test_partial_trace_matches_the_data_reference(self, k, traced):
         op = exact_operators()[k]
         keep = tuple(s for s in op.layout if s not in traced)
-        dk, dt = 2 ** len(keep), 2 ** len(traced)
-        # the trace of .data that the trace of the numerators replaced
-        moved = permute_to_layout(op, keep + traced).data.reshape(dk, dt, dk, dt)
-        got = partial_trace(op, traced)
-        assert got.den == op.den
-        assert_same_entries(got, LabeledOperator(keep, np.trace(moved, axis1=1, axis2=3)))
+        dt = 2 ** len(traced)
+        moved = permute_to_layout(op, keep + traced).data
+        want = entrywise(keep, lambda i, j: sum(moved[i * dt + t, j * dt + t] for t in range(dt)))
+        assert_same_entries(partial_trace(op, traced), want)
 
     def test_partial_trace_falls_back_to_python_ints_past_the_bound(self):
         op = LabeledOperator.from_numerators((Q0, Q1), np.diag([INT64_BOUND, 1, 3, INT64_BOUND]), 1)
@@ -263,9 +268,7 @@ class TestExactNumeratorOps:
     @pytest.mark.parametrize("k", range(3))
     def test_dephase_matches_the_data_reference(self, k):
         op = exact_operators()[k]
-        got = dephase(op)
-        assert got.den == op.den
-        assert_same_entries(got, LabeledOperator(op.layout, np.diag(np.diag(op.data))))
+        assert_same_entries(dephase(op), entrywise(op.layout, lambda i, j: op.data[i, j] if i == j else 0))
 
 
 class TestVectorize:
@@ -405,6 +408,20 @@ class TestScalarKinds:
         # zero pivot with nonzero row is indefinite
         edge = LabeledOperator((Q0,), np.array([[0, 1], [1, 0]], dtype=object))
         assert not edge.is_psd()
+
+    @pytest.mark.parametrize(
+        "nums, psd",
+        [
+            # a pivot of exactly -1 is negative
+            ([[-1]], False),
+            # the first step divides by 1: a divisor of 2 would floor the pivot 1 to 0 beside a nonzero entry
+            ([[1, 1, 1], [1, 2, 0], [1, 0, 3]], True),
+            # two zero pivots in one block: each is skipped and never becomes the divisor
+            ([[1] * 4] * 4, True),
+        ],
+    )
+    def test_exact_psd_on_small_integer_matrices(self, nums, psd):
+        assert exact_psd(np.array(nums)) is psd
 
 
 class TestSerialization:
