@@ -10,38 +10,3 @@ exact arithmetic).
 """
 
 __version__ = "0.1.0"
-
-from .classical import search_losr, search_memoryless
-from .game import (
-    Perm3,
-    ScenarioResult,
-    all_orders,
-    trit_game,
-    two_party_game,
-)
-from .network import solve_nonsignaling
-from .quantum import (
-    perfect_discrimination_state,
-    quantum_memoryless_optimum,
-    unbiased_order_states,
-    verify_perfect_discrimination,
-)
-from .solver import SolveSettings, solve, solve_shared_state_feasibility
-
-__all__ = [
-    "Perm3",
-    "ScenarioResult",
-    "SolveSettings",
-    "all_orders",
-    "perfect_discrimination_state",
-    "quantum_memoryless_optimum",
-    "search_losr",
-    "search_memoryless",
-    "solve",
-    "solve_nonsignaling",
-    "solve_shared_state_feasibility",
-    "trit_game",
-    "two_party_game",
-    "unbiased_order_states",
-    "verify_perfect_discrimination",
-]

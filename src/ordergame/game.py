@@ -65,6 +65,22 @@ def all_orders() -> list[Perm3]:
     return list(_ORDERS)
 
 
+def per_order(values: Mapping[Perm3, object], what: str) -> list:
+    """The six orders' values, in :func:`all_orders` order.
+
+    Raises ``ValueError``, naming the keys, unless ``values`` is keyed by
+    exactly the six orders; ``what`` names one value in the message.
+    """
+    try:
+        listed = [values[pi] for pi in _ORDERS]
+    except KeyError:
+        listed = None
+    # six keys that include all six orders are exactly the orders
+    if listed is None or len(values) != 6:
+        raise ValueError(f"need one {what} per order, keyed by the six orders, not by {sorted(map(str, values))}")
+    return listed
+
+
 class ScenarioResult:
     """One solved scenario: the headline probability plus its evidence.
 
@@ -106,10 +122,9 @@ def optimal_decoder(outputs: Mapping[Perm3, Outcome]) -> dict[Outcome, Perm3]:
     the success count.
     """
     table: dict[Outcome, Perm3] = {}
-    for pi in all_orders():
-        outcome = outputs[pi]
-        if outcome not in table or pi < table[outcome]:
-            table[outcome] = pi
+    # the orders run lexicographically, so an outcome's first order is its smallest
+    for pi in _ORDERS:
+        table.setdefault(outputs[pi], pi)
     return table
 
 

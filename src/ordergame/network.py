@@ -58,7 +58,7 @@ from typing import Mapping
 import numpy as np
 
 from .classical import BitStrategy, losr_canonical_witness, run_losr
-from .game import Perm3, ScenarioResult, all_orders, optimal_decoder
+from .game import Perm3, ScenarioResult, all_orders, optimal_decoder, per_order
 from .solver import (
     ConicProblem,
     NonnegOrthant,
@@ -261,14 +261,7 @@ def witness_feasibility(blocks: Mapping[Perm3, np.ndarray]) -> dict:
     ``ValueError`` unless the blocks are keyed by exactly the six orders
     and stack to shape ``(6, 256)``.
     """
-    try:
-        stacked = np.array([blocks[pi] for pi in all_orders()])
-    except KeyError:
-        stacked = None
-    # six keys that include all six orders are exactly the orders
-    if stacked is None or len(blocks) != 6:
-        raise ValueError(f"need one block per order, keyed by the six orders, not by {sorted(map(str, blocks))}")
-    nums, den = _numerators(stacked)
+    nums, den = _numerators(np.array(per_order(blocks, "block")))
     if nums.shape != (6, _SIDE):
         raise ValueError(f"need six blocks of {_SIDE} entries, not blocks stacked as {nums.shape}")
     orders, indices = np.nonzero(nums)

@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .game import Perm3, ScenarioResult, all_orders
+from .game import Perm3, ScenarioResult, all_orders, per_order
 from .solver import (
     ConicProblem,
     HermitianPSD,
@@ -135,9 +135,10 @@ def discrimination_program(states: Mapping[Perm3, Vec]) -> ConicProblem:
 
     Variables are six PSD effects that must sum to the identity (each
     svec coordinate summed over the six blocks: four rows of ``[I I I I I I]``);
-    the objective is the average success probability.
+    the objective is the average success probability.  Raises
+    ``ValueError`` unless the states are keyed by exactly the six orders.
     """
-    kets = np.array([states[pi].data for pi in all_orders()], dtype=complex)
+    kets = np.array([vec.data for vec in per_order(states, "state")], dtype=complex)
     return ConicProblem(
         blocks=[HermitianPSD(2)] * 6,
         objective=(svec(kets[:, :, None] * kets.conj()[:, None, :]) / 6.0).ravel(),
@@ -153,8 +154,9 @@ def quantum_memoryless_optimum(
 
     Whatever the states are, the effects sum to the 2x2 identity, so the
     value can never exceed 1/3; that bound is re-checked on the solver
-    output.  Raises :class:`SolverFailed` if the solve did not converge or
-    its value breaks the bound.
+    output.  Raises ``ValueError``, before any solve, unless the states are
+    keyed by exactly the six orders, and :class:`SolverFailed` if the solve
+    did not converge or its value breaks the bound.
     """
     report = solve_within_bound("discrimination", discrimination_program(states), Fraction(1, 3), settings)
     ordered = sorted(states.items())
@@ -224,9 +226,12 @@ def certify_discrimination(kets: np.ndarray) -> SampledBoundScan:
     dependent ones, and the enclosing one of least radius is kept.  The
     dual Y = ((1 + R) I + c.sigma)/12 and the primal E_k = mu_k (I + n_k.sigma),
     n_k = (r_k - c)/R (0 if R = 0), are checked as 2x2 matrices; raises
-    :class:`CertificateFailed` if any check exceeds :data:`CERTIFICATE_ATOL`.
+    :class:`CertificateFailed` if any check exceeds :data:`CERTIFICATE_ATOL`,
+    and ``ValueError`` unless ``kets`` holds at least one row of six kets.
     """
     kets = np.asarray(kets, dtype=complex)
+    if kets.ndim != 3 or kets.shape[1:] != (6, 2) or len(kets) < 1:
+        raise ValueError(f"need kets of shape (n, 6, 2) with n >= 1, not {kets.shape}")
     r = bloch_coordinates(kets)
     # each support as its first point and three more, padded with the first
     supports = np.array([s + s[:1] * (4 - len(s)) for k in range(1, 5) for s in itertools.combinations(range(6), k)])
@@ -424,18 +429,20 @@ def verify_perfect_discrimination(
     Exact states must give a positive trace and exactly zero for all 30
     ordered pair traces, decided on the traces' integer numerators over the
     state's denominator; a ``Fraction`` is made only for a value reported or
-    raised.  Float states are held to ``atol`` on both.  On success the
-    reported probability is 1 with the orthonormal-output measurement as
-    certificate.
+    raised.  A float state's trace must exceed ``atol``, and each pair trace
+    may be at most ``atol`` times the trace, so no scale of a state hides
+    its overlaps.  On success the reported probability is 1 with the
+    orthonormal-output measurement as certificate.
     """
     gram = _pair_trace_sums(state).tolist()
-    trace = gram[0][0]
-    if not ((trace > 0) if state.exact else (trace.real > atol)):
+    trace = gram[0][0].real
+    floor = 0 if state.exact else atol
+    if not trace > floor:
         raise ZeroTrace(f"shared state has trace {_gram_value(state, trace)}: no outputs to tell apart")
     order = all_orders()
     pairs = list(itertools.permutations(range(6), 2))
     for i, j in pairs:
-        if (gram[i][j] != 0) if state.exact else (abs(gram[i][j]) > atol):
+        if abs(gram[i][j]) > floor * trace:
             raise NotOrthogonal((order[i].name, order[j].name), _gram_value(state, gram[i][j]))
     probability: Fraction | float = Fraction(1) if state.exact else 1.0
     return ScenarioResult(
@@ -446,7 +453,7 @@ def verify_perfect_discrimination(
         certificate={
             "pair_traces_checked": len(pairs),
             "max_pair_trace": 0.0 if state.exact else float(max(abs(gram[i][j]) for i, j in pairs)),
-            "state_trace": str(_gram_value(state, trace)) if state.exact else float(trace.real),
+            "state_trace": str(_gram_value(state, trace)) if state.exact else float(trace),
             "exact": state.exact,
         },
     )

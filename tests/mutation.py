@@ -59,6 +59,10 @@ EQUIVALENT = {
         "every value is a nonzero entry, so none equals 0",
     "network.witness_feasibility `\"feasible\": max(doubled) == 0 and all(value > 0 for value in values),` "
     "constant 0 -> -1 #2": "the values are nonzero integer numerators, so `> -1` keeps the same ones as `> 0`",
+    "classical._distinct `return np.bitwise_count(np.bitwise_or.reduce(1 << codes, axis=1))` constant 1 -> 2":
+        "each 4-bit code then sets bit code + 1, still one bit per code, and bit 16 fits the mask",
+    "cli.check_report `elif abs(result.probability_float - float(expected)) > CHECK_SLACK:` `>` -> `>=`":
+        "a float within 1e-6 of 1/3, 5/6 or 1 differs from it by a multiple of 2**-54, and 1e-6 is not one",
     "tensor._components `linked = [j for j in unseen if (a[i][j] if i < j else a[j][i])]` `<` -> `<=`":
         "an index leaves `unseen` before it is expanded, so j never equals i",
     "tensor._bareiss_psd `if any(pivot_row[k + 1 :]):` constant 1 -> 0":

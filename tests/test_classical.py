@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from ordergame import classical
 from ordergame.classical import (
     _distinct,
     _run_table,
@@ -165,6 +166,24 @@ class TestRunTable:
         counts = [len({run_losr(pi, a, b, c, 0) for pi in all_orders()}) for a, b, c in triples]
         a, b, c = triples[counts.index(max(counts))]
         assert search_losr().strategy.startswith(f"input 0; a={a.describe()}, b={b.describe()}, c={c.describe()};")
+
+    def test_searches_read_each_input_off_the_table(self, monkeypatch):
+        # with every input-0 run set to code 0, the memoryless maximum lies on input 1,
+        # and only the memory search's input-1 count keeps its real value
+        table = _run_table().copy()
+        table[0] = 0
+        monkeypatch.setattr(classical, "_run_table", lambda: table)
+        triples = list(itertools.product(all_bit_strategies(), repeat=3))
+        finals = [len({run_memoryless(pi, a, b, c, 1) for pi in all_orders()}) for a, b, c in triples]
+        a, b, c = triples[finals.index(max(finals))]
+        assert search_memoryless().strategy == (
+            f"input 1; a={a.describe()}, b={b.describe()}, c={c.describe()}; {max(finals)} distinct final bits"
+        )
+        result = search_losr()
+        assert result.probability == Fraction(1, 6)
+        assert result.certificate["distinct_tuples_input_1"] == max(
+            len({run_losr(pi, a, b, c, 1) for pi in all_orders()}) for a, b, c in triples
+        )
 
 
 def reference_run_table():

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -218,6 +219,22 @@ class TestDiscrimination:
         got = sampled_discrimination_values(n_samples=np.int64(20), seed=np.int64(42))
         want = sampled_discrimination_values(n_samples=20, seed=42)
         assert got.values.tobytes() == want.values.tobytes()
+
+    @pytest.mark.parametrize("entry", [discrimination_program, quantum_memoryless_optimum])
+    def test_states_keyed_by_other_than_the_six_orders_are_refused(self, entry):
+        states = unbiased_order_states()
+        # an extra key was once ignored, or failed to sort after the solve; a missing order raised a bare KeyError
+        with pytest.raises(ValueError, match=r"one state per order, keyed by the six orders, not by \['ABC', .*'junk'\]"):
+            entry({**states, "junk": states[all_orders()[0]]})
+        del states[all_orders()[5]]
+        with pytest.raises(ValueError, match=r"not by \['ABC', 'ACB', 'BAC', 'BCA', 'CAB'\]"):
+            entry(states)
+
+    @pytest.mark.parametrize("shape", [(1, 7, 2), (1, 5, 2), (6, 2), (1, 6, 3), (0, 6, 2)])
+    def test_kets_not_six_per_row_are_refused(self, shape):
+        # seven kets per row once gave 1/3 on the first six, and five raised IndexError
+        with pytest.raises(ValueError, match=re.escape(f"shape (n, 6, 2) with n >= 1, not {shape}")):
+            certify_discrimination(np.ones(shape) / math.sqrt(2))
 
     def test_certificate_that_does_not_verify_raises(self):
         # a ket of norm 2 has a Bloch vector of length 4, outside every unit-ball certificate
@@ -619,6 +636,14 @@ class TestVerification:
         mixed = LabeledOperator(ENTANGLED_LAYOUT, np.eye(16, dtype=complex) / 16.0)
         result = verify_perfect_discrimination(mixed, atol=0.25)
         assert result.probability == 1.0 and result.certificate["max_pair_trace"] == 0.25
+
+    @pytest.mark.parametrize("scale", [2e-8, 4e-8])
+    def test_a_scaled_down_mixed_state_still_overlaps(self, scale):
+        # its pair traces are scale/4, under the default atol, but a quarter of its trace
+        mixed = LabeledOperator(ENTANGLED_LAYOUT, scale * np.eye(16, dtype=complex) / 16.0)
+        with pytest.raises(NotOrthogonal) as info:
+            verify_perfect_discrimination(mixed)
+        assert abs(info.value.value - scale / 4) <= 1e-20
 
     def test_exact_trace_of_one_numerator_reaches_the_pair_traces(self):
         # |0000><0000| has trace numerator 1; every routing fixes 0000, so each pair trace is 1

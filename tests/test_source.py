@@ -1,7 +1,9 @@
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -41,6 +43,21 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 if name.partition(".")[0] not in allowed
             ]
     assert found == []
+
+
+def test_package_root_imports_nothing():
+    # each name is imported from the module that defines it, so the root
+    # holds only its docstring and __version__
+    path = Path(ordergame.__file__)
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert [node.lineno for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def test_importing_the_package_root_loads_no_submodule_and_no_numpy():
+    code = "import sys, ordergame; print(*(m for m in sys.modules if m.startswith(('numpy', 'ordergame'))))"
+    env = dict(os.environ, PYTHONPATH=str(Path(ordergame.__file__).parents[1]))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert loaded.stdout.split() == ["ordergame"]
 
 
 def test_package_does_not_call_np_unique():
@@ -131,14 +148,9 @@ def _definitions(tree: ast.Module):
 
 
 def _names_read(paths) -> tuple[set[str], set[str]]:
-    """The names the files read as a name or an import, and the attributes they read.
-
-    The package's ``__init__.py`` only re-exports, so its imports are not reads.
-    """
+    """The names the files read as a name or an import, and the attributes they read."""
     names, attributes = set(), set()
     for path in paths:
-        if path == REPO / "src" / "ordergame" / "__init__.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
