@@ -126,7 +126,7 @@ def search_memoryless() -> ScenarioResult:
         certificate={
             "cases_searched": 128,
             "distinct_outputs": count,
-            "outputs": {pi.name: v for pi, v in sorted(outputs.items())},
+            "outputs": {pi.name: v for pi, v in outputs.items()},
             "decoder": {str(o): pi.name for o, pi in optimal_decoder(outputs).items()},
         },
     )
@@ -175,7 +175,7 @@ def search_losr() -> ScenarioResult:
             "cases_searched": 64,
             "distinct_tuples": count,
             "distinct_tuples_input_1": best_input1,
-            "tuples": {pi.name: t for pi, t in sorted(tuples.items())},
+            "tuples": {pi.name: t for pi, t in tuples.items()},
             "decoder": {str(t): pi.name for t, pi in optimal_decoder(tuples).items()},
         },
     )

@@ -136,9 +136,15 @@ def discrimination_program(states: Mapping[Perm3, Vec]) -> ConicProblem:
     Variables are six PSD effects that must sum to the identity (each
     svec coordinate summed over the six blocks: four rows of ``[I I I I I I]``);
     the objective is the average success probability.  Raises
-    ``ValueError`` unless the states are keyed by exactly the six orders.
+    ``ValueError`` unless the states are keyed by exactly the six orders,
+    and, naming the first order whose ket is off, unless each ket's squared
+    norm is within :data:`CERTIFICATE_ATOL` of 1: a ket of any other norm is
+    not a state, and its value could pass the 1/3 bound or fall short of it.
     """
     kets = np.array([vec.data for vec in per_order(states, "state")], dtype=complex)
+    for pi, off in zip(all_orders(), np.abs(np.linalg.norm(kets, axis=1) ** 2 - 1.0).tolist()):
+        if not off <= CERTIFICATE_ATOL:
+            raise ValueError(f"the state of order {pi} is not a unit vector: its squared norm is off 1 by {off:.3g}")
     return ConicProblem(
         blocks=[HermitianPSD(2)] * 6,
         objective=(svec(kets[:, :, None] * kets.conj()[:, None, :]) / 6.0).ravel(),
@@ -155,7 +161,8 @@ def quantum_memoryless_optimum(
     Whatever the states are, the effects sum to the 2x2 identity, so the
     value can never exceed 1/3; that bound is re-checked on the solver
     output.  Raises ``ValueError``, before any solve, unless the states are
-    keyed by exactly the six orders, and :class:`SolverFailed` if the solve
+    keyed by exactly the six orders and each is a unit vector
+    (:func:`discrimination_program`), and :class:`SolverFailed` if the solve
     did not converge or its value breaks the bound.
     """
     report = solve_within_bound("discrimination", discrimination_program(states), Fraction(1, 3), settings)
@@ -429,12 +436,14 @@ def verify_perfect_discrimination(
     Exact states must give a positive trace and exactly zero for all 30
     ordered pair traces, decided on the traces' integer numerators over the
     state's denominator; a ``Fraction`` is made only for a value reported or
-    raised.  A float state's trace must exceed ``atol``, and each pair trace
-    may be at most ``atol`` times the trace, so no scale of a state hides
-    its overlaps.  On success the reported probability is 1 with the
+    raised.  A float state's trace must exceed ``atol``, and each pair trace,
+    its asymmetry and its least eigenvalue may be at most ``atol`` times the
+    trace away from 0, so no scale of a state hides its overlaps or its
+    negative eigenvalues.  Raises :class:`NotPSD` unless the state is PSD
+    within that slack.  On success the reported probability is 1 with the
     orthonormal-output measurement as certificate.
     """
-    gram = _pair_trace_sums(state).tolist()
+    gram = _pair_trace_sums(state, atol).tolist()
     trace = gram[0][0].real
     floor = 0 if state.exact else atol
     if not trace > floor:
@@ -452,7 +461,7 @@ def verify_perfect_discrimination(
         "measure onto the six orthogonal routed outputs",
         certificate={
             "pair_traces_checked": len(pairs),
-            "max_pair_trace": 0.0 if state.exact else float(max(abs(gram[i][j]) for i, j in pairs)),
+            "max_pair_trace": float(max(abs(gram[i][j]) for i, j in pairs)),
             "state_trace": str(_gram_value(state, trace)) if state.exact else float(trace),
             "exact": state.exact,
         },
@@ -464,27 +473,33 @@ def _gram_value(state: LabeledOperator, entry):
     return rational_entry(entry, state.den, whole=Fraction) if state.exact else entry
 
 
-def _pair_trace_sums(state: LabeledOperator) -> np.ndarray:
+def _pair_trace_sums(state: LabeledOperator, atol: float = 1e-8) -> np.ndarray:
     """The pair-trace matrix of :func:`output_gram`, with an exact state's entries as numerators over ``state.den``.
 
     Each entry is a sum of 16 entries gathered from the state, of its
     numerators for an exact state: int64 sums of at most 2**53 each cannot
     wrap, and Python-int numerators sum as Python ints.  The state's factors
     are put in :data:`ENTANGLED_LAYOUT`'s order; other labels raise
-    ``LayoutMismatch``.  Raises :class:`NotPSD` unless the state is PSD (an
-    exact state's verdict is worked out once).
+    ``LayoutMismatch``.  Raises :class:`NotPSD` unless the state is PSD: an
+    exact state's verdict is worked out once, and a float state's asymmetry
+    and least eigenvalue may be at most ``atol`` times its trace away from 0,
+    with no absolute floor, so a scaled-down state is held to its own scale.
     """
     ordered = permute_to_layout(state, ENTANGLED_LAYOUT)
-    # a reorder keeps the spectrum, so the caller's state keeps its verdict
-    if not state.is_psd(1e-8):
-        raise NotPSD("shared state must be positive semidefinite")
     # entry k of pair (i, j)'s trace is data[k, map[k]]
     gathered = (ordered.nums if ordered.exact else ordered.data)[np.arange(16), _pair_index_table()]
     if state.exact:
-        return gathered.sum(-1)
-    # Python sum over k adds the 16 columns left to right, so float data rounds
-    # as a left-to-right sum (numpy's pairwise .sum() would move the last digits)
-    return sum(np.moveaxis(gathered, -1, 0))
+        # a reorder keeps the spectrum, so the caller's state keeps its verdict
+        sums, psd = gathered.sum(-1), state.is_psd()
+    else:
+        # Python sum over k adds the 16 columns left to right, so float data rounds
+        # as a left-to-right sum (numpy's pairwise .sum() would move the last digits)
+        sums = sum(np.moveaxis(gathered, -1, 0))
+        slack = atol * sums[0, 0].real
+        psd = state.is_hermitian(slack) and np.linalg.eigvalsh(state.data)[0] >= -slack
+    if not psd:
+        raise NotPSD("shared state must be positive semidefinite")
+    return sums
 
 
 def output_gram(state: LabeledOperator) -> np.ndarray:
@@ -496,7 +511,8 @@ def output_gram(state: LabeledOperator) -> np.ndarray:
     no square root is taken: the entries are complex numbers for float
     states, and for every exact state Fractions, each one sum of 16 of the
     state's integer numerators over its denominator (:func:`_pair_trace_sums`).
-    Raises :class:`NotPSD` unless the state is PSD.
+    Raises :class:`NotPSD` unless the state is PSD, a float state within
+    1e-8 times its trace.
     """
     sums = _pair_trace_sums(state)
     return rational_entries(sums, state.den, whole=Fraction) if state.exact else sums

@@ -157,10 +157,6 @@ NETWORK_LAYOUT = (S_PREP, A_IN, A_OUT, B_IN, B_OUT, C_IN, C_OUT, S_FINAL)
 ENTANGLED_LAYOUT = (A_IN, B_IN, C_IN, SHARED)
 
 
-def _dims(layout: Sequence[Space]) -> tuple[int, ...]:
-    return tuple(map(_DIM, layout))
-
-
 def _side(layout: Sequence[Space]) -> int:
     return math.prod(map(_DIM, layout))
 
@@ -203,8 +199,6 @@ def _numerators(data) -> tuple[np.ndarray, int]:
             raise ValueError("cannot convert complex data to exact rationals")
         arr = arr.real.astype(object)
     types = set(map(type, arr.flat))
-    if types == {int}:
-        return _packed(arr, 1), 1
     nums, den = integer_numerators(arr if types <= {int, Fraction} else np.frompyfunc(_exact_scalar, 1, 1)(arr))
     return _packed(nums, den), den
 
@@ -381,7 +375,7 @@ def permute_to_layout(op: LabeledOperator, target: Sequence[Space]) -> LabeledOp
     if wanted == fields:
         return op
     k = len(op.layout)
-    dims = _dims(op.layout)
+    dims = tuple(map(_DIM, op.layout))
     perm = list(map(fields.index, wanted))
     tens = (op.nums if op.exact else op.data).reshape(dims + dims).transpose(perm + [k + p for p in perm])
     tens = tens.reshape(op.side, op.side)
@@ -430,8 +424,6 @@ def rational_entry(n: int, den: int, *, whole=int):
 
 def rational_entries(nums: np.ndarray, den: int, *, whole=int) -> np.ndarray:
     """The object array ``nums / den``: a shared :func:`rational_entry` per distinct value."""
-    if den == 1 and whole is int:
-        return nums.astype(object)
     values = {n: rational_entry(n, den, whole=whole) for n in set(nums.ravel().tolist())}
     return np.frompyfunc(values.__getitem__, 1, 1)(nums)
 

@@ -69,6 +69,12 @@ EQUIVALENT = {
         "on this branch the added entry, pivot_row[k], is the zero pivot, which `any` ignores",
     "tensor._packed `fits = den <= INT64_BOUND and (nums.itemsize < 8 or -INT64_BOUND <= nums.min() <= nums.max() <= INT64_BOUND)` "
     "constant 8 -> 7": "no integer or bool dtype has 7 bytes, so `< 7` keeps the same ones as `< 8`",
+    "tensor._numerators `nums, den = integer_numerators(arr if types <= {int, Fraction} else np.frompyfunc(_exact_scalar, 1, 1)(arr))` "
+    "`<=` -> `<`": "only entries of exactly the types int and Fraction take the other branch, and _exact_scalar returns those unchanged",
+    "tensor._numerators `return _packed(arr, 1), 1` constant 1 -> 2 #2":
+        "_packed reads the denominator only to compare it with INT64_BOUND, which 2 is within as 1 is",
+    "tensor._numerators `return _packed(arr, 1), 1` constant 1 -> 0 #2":
+        "_packed reads the denominator only to compare it with INT64_BOUND, which 0 is within as 1 is",
 }
 
 

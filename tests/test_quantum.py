@@ -242,6 +242,28 @@ class TestDiscrimination:
         with pytest.raises(CertificateFailed, match="instance 0"):
             certify_discrimination(kets)
 
+    @pytest.mark.parametrize("norm", [0.5, 2.0])
+    @pytest.mark.parametrize("entry", [discrimination_program, quantum_memoryless_optimum])
+    def test_kets_that_are_not_unit_vectors_are_refused_before_any_solve(self, entry, norm, monkeypatch):
+        import ordergame.solver as solver
+
+        # half-norm kets once gave 1/12 as the optimum, and 2|0> six times a
+        # SolverFailed over the 1/3 bound, blaming the solver for the input
+        monkeypatch.setattr(solver, "solve", lambda *args, **kwargs: pytest.fail("solved a program of non-states"))
+        states = unbiased_order_states() if norm == 0.5 else {pi: Vec((SHARED,), KET["0"]) for pi in all_orders()}
+        states[all_orders()[3]] = Vec((SHARED,), norm * states[all_orders()[3]].data)
+        with pytest.raises(ValueError, match=f"order BCA is not a unit vector: its squared norm is off 1 by {abs(norm**2 - 1):g}"):
+            entry(states)
+
+    def test_the_unit_norm_check_has_the_certificate_slack(self):
+        # squared norms off 1 by about 8e-10 pass, and by 1.2e-9 do not
+        def scaled(factor):
+            return {pi: Vec((SHARED,), factor * vec.data) for pi, vec in unbiased_order_states().items()}
+
+        assert discrimination_program(scaled(1 + 4e-10)).objective.shape == (24,)
+        with pytest.raises(ValueError, match="order ABC is not a unit vector"):
+            discrimination_program(scaled(1 + 6e-10))
+
     def test_program_tableau_pinned(self):
         # with the non-signaling LP's and the shared-state program's pins, every
         # program the package builds is pinned
@@ -645,6 +667,21 @@ class TestVerification:
             verify_perfect_discrimination(mixed)
         assert abs(info.value.value - scale / 4) <= 1e-20
 
+    @pytest.mark.parametrize("check", [verify_perfect_discrimination, output_gram])
+    @pytest.mark.parametrize("scale", [1.5e-8, 5e-8])
+    def test_a_scaled_down_indefinite_state_is_refused(self, check, scale):
+        # a factor permutation fixes |0011> exactly when it fixes |1100>, so moving
+        # weight 1/4 from one to the other keeps every pair trace at 0 and the
+        # trace at 1, but leaves an eigenvalue of -0.18; scaled under the default
+        # atol, that eigenvalue passed an absolute PSD floor of 1e-8
+        state = perfect_discrimination_state()
+        shift = np.zeros((16, 16), dtype=np.int64)
+        shift[0b0011, 0b0011], shift[0b1100, 0b1100] = 45, -45
+        bad = LabeledOperator.from_numerators(ENTANGLED_LAYOUT, state.nums + shift, state.den).to_float()
+        assert np.linalg.eigvalsh(bad.data)[0] < -0.18
+        with pytest.raises(NotPSD):
+            check(bad.scale(scale))
+
     def test_exact_trace_of_one_numerator_reaches_the_pair_traces(self):
         # |0000><0000| has trace numerator 1; every routing fixes 0000, so each pair trace is 1
         data = np.zeros((16, 16), dtype=int)
@@ -800,6 +837,18 @@ class TestOutputGram:
         gram = output_gram(state)
         assert all(type(x) is Fraction for x in gram.ravel())
         assert gram.tolist() == per_entry_gram(state)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e3])
+    def test_a_float_state_is_psd_within_1e_8_of_its_trace(self, scale):
+        # a diagonal state with one negative entry: its pair traces are about 0.2
+        # and its trace about 1, so only a slack read off the trace tells them apart
+        def diagonal(negative):
+            return LabeledOperator(ENTANGLED_LAYOUT, scale * np.diag([negative] + [1 / 15] * 15))
+
+        gram = output_gram(diagonal(-4e-9))
+        assert abs(gram[0, 0] - scale) <= 1e-8 * scale
+        with pytest.raises(NotPSD):
+            output_gram(diagonal(-2e-8))
 
     def test_rejects_non_psd(self):
         with pytest.raises(NotPSD):

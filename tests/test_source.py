@@ -60,6 +60,15 @@ def test_importing_the_package_root_loads_no_submodule_and_no_numpy():
     assert loaded.stdout.split() == ["ordergame"]
 
 
+def test_cli_imports_the_package_before_the_standard_library():
+    # compiling the package after argparse, csv, io and json raised a fresh
+    # `import ordergame.cli`'s peak RSS by about 0.4 MB
+    path = Path(ordergame.__file__).parent / "cli.py"
+    imports = [node for node in ast.parse(path.read_text()).body if isinstance(node, (ast.Import, ast.ImportFrom))]
+    first = next(node for node in imports if getattr(node, "module", None) != "__future__")
+    assert isinstance(first, ast.ImportFrom) and first.level == 1, ast.unparse(first)
+
+
 def test_package_does_not_call_np_unique():
     # numpy's first `unique` call in a process costs about 15 ms and 1.6 MB
     # of peak RSS, which every CLI run and benchmark pass would pay
